@@ -5,8 +5,8 @@ control filters acting on the front and cavity pressures, into a surface
 presenting a prescribed acoustic impedance.  The package covers the whole
 workflow: lumped plant modeling, controller synthesis and stability
 analysis, robustness studies, parameter identification, a virtual
-two-microphone impedance tube, and a sample-accurate closed-loop
-simulation of the discrete realization.
+two-microphone impedance tube, and an exact sampled model of the closed
+loop of the discrete realization.
 """
 
 from .analysis import (
@@ -24,6 +24,7 @@ from .analysis import (
 from .dsp import (
     BiquadSection,
     LoopConfig,
+    SineExcitation,
     SosCascade,
     TwoInputController,
     bilinear_discretize,
@@ -94,6 +95,6 @@ from .vkundt import (
     simulate_two_mic,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -254,10 +254,7 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args)
     re_z, im_z = [], []
     for f_hz in freqs:
-        ctrl = dsp.TwoInputController(h1, h2, loop.latency)
-        result = dsp.closed_loop_sim(
-            driver, ctrl, loop, dsp.sine_excitation(f_hz, amplitude)
-        )
+        result = dsp.closed_loop_sim(driver, (h1, h2), loop, dsp.sine_excitation(f_hz, amplitude))
         result.to_csv(out / f"timeseries_{f_hz:g}hz.csv")
         z = result.measured_impedance(f_hz)
         re_z.append(z.real)

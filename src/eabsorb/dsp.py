@@ -1,9 +1,14 @@
-"""Discrete-time controller realization and closed-loop time simulation.
+"""Discrete-time controller realization and the exact sampled closed loop.
 
-The two control filters are discretized at a fixed sample rate, factored
-into cascaded biquad sections for numerical robustness, and run against an
-RK4 integration of the continuous two-state plant (membrane velocity and
-displacement) with a configurable controller latency.
+The two control filters are discretized at a fixed sample rate and factored
+into cascaded biquad sections for numerical robustness.  With the continuous
+two-state plant (membrane velocity and displacement), the controller's
+integer-sample output latency and the hold that applies each command, they
+form one discrete linear time-invariant system.  The plant is discretized
+exactly: the hold integrals come from Van Loan's block matrix exponential
+(IEEE TAC 1978) and the sine excitation is integrated in closed form between
+ticks.  `measure_impedance` solves the steady state of that system at
+z = e^{jwT}; `closed_loop_sim` propagates it tick by tick.
 """
 
 from __future__ import annotations
@@ -11,10 +16,12 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-import scipy.signal
+from scipy.linalg import expm
 
 from .errors import DiscretizationError, DivergenceError, InvalidParameterError
 from .model import DriverModel
@@ -23,6 +30,10 @@ from .rational import RationalTransfer
 #: state norm (relative to the running input scale) that triggers the
 #: divergence error in closed-loop simulation
 DIVERGENCE_FACTOR = 1e9
+
+#: relative size of an imaginary part below which a root counts as real,
+#: and of the mismatch allowed between a root and its conjugate
+PAIR_TOL = 100 * np.finfo(float).eps
 
 
 class BiquadSection:
@@ -125,17 +136,37 @@ class SosCascade:
     def response(self, freqs_hz) -> np.ndarray:
         """Frequency response at physical frequencies (Hz)."""
         freqs = np.asarray(freqs_hz, dtype=float)
-        z = np.exp(2j * np.pi * freqs / self.fs)
-        h = np.full(z.shape, self.gain, dtype=complex)
-        for sec in self.sections:
-            h = h * sec.response(z)
-        return h
+        return self.response_z(np.exp(2j * np.pi * freqs / self.fs))
 
     def response_z(self, z) -> np.ndarray:
+        """Frequency response at points z of the complex plane."""
         h = np.full(np.shape(z), self.gain, dtype=complex)
         for sec in self.sections:
             h = h * sec.response(z)
         return h
+
+    def state_space(self):
+        """Matrices (A, B, C, D) of the cascade from a zero streaming state.
+
+        The state stacks the two direct-form-II-transposed states of each
+        section in cascade order: s[k+1] = A s[k] + B x[k] and
+        y[k] = C s[k] + D x[k].
+        """
+        n = 2 * len(self.sections)
+        a = np.zeros((n, n))
+        b = np.zeros(n)
+        c = np.zeros(n)
+        d = self.gain
+        for j, sec in zip(range(0, n, 2), self.sections):
+            # the section's input is the output of the sections before it
+            feed = np.array([sec.b1 - sec.a1 * sec.b0, sec.b2 - sec.a2 * sec.b0])
+            a[j : j + 2, :j] = np.outer(feed, c[:j])
+            a[j : j + 2, j : j + 2] = [[-sec.a1, 1.0], [-sec.a2, 0.0]]
+            b[j : j + 2] = feed * d
+            c[:j] *= sec.b0
+            c[j] = 1.0
+            d *= sec.b0
+        return a, b, c, d
 
     # -- serialization ------------------------------------------------------
 
@@ -162,13 +193,71 @@ class SosCascade:
 # -- discretization -----------------------------------------------------------
 
 
+def _split_conjugates(roots: np.ndarray) -> np.ndarray:
+    """One root (positive imaginary part) of each conjugate pair, then the real roots.
+
+    Each group is sorted by real part and then by imaginary magnitude; each
+    pair is averaged with its conjugate.
+    """
+    z = roots[np.lexsort((abs(roots.imag), roots.real))]
+    real = abs(z.imag) <= PAIR_TOL * abs(z)
+    cplx = z[~real]
+    upper, lower = cplx[cplx.imag > 0], cplx[cplx.imag < 0]
+    if len(upper) != len(lower):
+        raise DiscretizationError("zero/pole pairing failed: a complex root has no conjugate")
+    # real parts equal within the tolerance count as equal: order such runs
+    # by imaginary magnitude so each root lines up with its conjugate
+    same = np.diff(upper.real) <= PAIR_TOL * abs(upper[:-1])
+    edges = np.diff(np.concatenate(([0], same, [0])))
+    for start, stop in zip(np.flatnonzero(edges > 0), np.flatnonzero(edges < 0) + 1):
+        for run in (upper[start:stop], lower[start:stop]):
+            run[...] = run[np.argsort(abs(run.imag), kind="stable")]
+    if np.any(abs(upper - lower.conj()) > PAIR_TOL * abs(lower)):
+        raise DiscretizationError("zero/pole pairing failed: a complex root has no conjugate")
+    return np.concatenate([(upper + lower.conj()) / 2, z[real].real])
+
+
+def _pair_nearest(zeros: np.ndarray, poles: np.ndarray):
+    """Group zeros and poles into second-order sections.
+
+    Zeros at the origin pad the zeros to the pole count, and one more pole
+    and zero at the origin make an odd count even.  Until no pole is left,
+    the pole closest to the unit circle takes its conjugate (or, if real,
+    the next real pole closest to the circle), the zero nearest to it and
+    that zero's conjugate (or, if real, the next real zero nearest to the
+    pole).  Yields (zero pair, pole pair), closest to the unit circle first.
+    """
+    poles = np.concatenate([poles, np.zeros(len(poles) % 2)])
+    zeros = np.concatenate([zeros, np.zeros(len(poles) - len(zeros))])
+    p, z = _split_conjugates(poles), _split_conjugates(zeros)
+    while p.size:
+        i = int(np.argmin(abs(1.0 - abs(p))))
+        p1, p = p[i], np.delete(p, i)
+        if p1.imag == 0:
+            real = np.flatnonzero(p.imag == 0)
+            i = int(real[np.argmin(abs(1.0 - abs(p[real])))])
+            p2, p = p[i], np.delete(p, i)
+        else:
+            p2 = p1.conjugate()
+        i = int(np.argmin(abs(z - p1)))
+        z1, z = z[i], np.delete(z, i)
+        if z1.imag == 0:
+            real = np.flatnonzero(z.imag == 0)
+            i = int(real[np.argmin(abs(z[real] - p1))])
+            z2, z = z[i], np.delete(z, i)
+        else:
+            z2 = z1.conjugate()
+        yield (z1, z2), (p1, p2)
+
+
 def sos_partition(zeros, poles, gain: float, fs: float) -> SosCascade:
     """Factor a z-domain pole/zero/gain triple into a biquad cascade.
 
-    Conjugate pole pairs are matched with the nearest zeros in the z plane;
-    sections are ordered by ascending pole radius (the section closest to
-    the unit circle runs last) and missing zeros in a section are zeros at
-    the origin.  The scalar gain stays at the cascade input.
+    Conjugate pole pairs are matched with the nearest zeros in the z plane
+    (the "nearest" pairing of `scipy.signal.zpk2sos`); sections are ordered
+    by ascending pole radius (the section closest to the unit circle runs
+    last) and missing zeros in a section are zeros at the origin.  The
+    scalar gain stays at the cascade input.
     """
     zeros = np.asarray(zeros, dtype=complex)
     poles = np.asarray(poles, dtype=complex)
@@ -177,14 +266,10 @@ def sos_partition(zeros, poles, gain: float, fs: float) -> SosCascade:
     if poles.size == 0:
         return SosCascade([BiquadSection(1.0, 0.0, 0.0, 0.0, 0.0)], gain, fs)
 
-    try:
-        sos = scipy.signal.zpk2sos(zeros, poles, 1.0, pairing="nearest")
-    except ValueError as exc:
-        raise DiscretizationError(f"zero/pole pairing failed: {exc}") from exc
-
     sections = []
-    for row in sos:
-        b0, b1, b2, a0, a1, a2 = (float(x) for x in row)
+    for zs, ps in reversed(list(_pair_nearest(zeros, poles))):
+        b0, b1, b2 = (float(x) for x in np.poly(zs).real)
+        a0, a1, a2 = (float(x) for x in np.poly(ps).real)
         radius = np.max(np.abs(np.roots([a0, a1, a2]))) if (a1 or a2) else 0.0
         sections.append((radius, BiquadSection(b0 / a0, b1 / a0, b2 / a0, a1 / a0, a2 / a0)))
     sections.sort(key=lambda t: t[0])
@@ -241,6 +326,39 @@ def _sk_refine(b: np.ndarray, a: np.ndarray, ct: RationalTransfer, fs: float):
     return best_b, best_a
 
 
+def bilinear_transform(num, den, fs: float):
+    """Coefficients (b, a) of the z-domain map of num(s)/den(s).
+
+    Substitutes s = 2*fs*(z-1)/(z+1), splitting the 2*fs factor as
+    sqrt(2*fs) between the two polynomial factors, normalizes a[0] to 1
+    and drops leading numerator coefficients of magnitude <= 1e-14 with a
+    warning.  Both arrays are in descending powers of z.  The operations
+    and their order are those of `scipy.signal.bilinear`, so the result is
+    the same to the bit: the least-squares refinement amplifies even
+    rounding-level differences in its seed.
+    """
+    num = np.trim_zeros(np.atleast_1d(np.asarray(num)), "f")
+    den = np.trim_zeros(np.atleast_1d(np.asarray(den)), "f")
+    fac = np.sqrt(float(fs) * 2)
+    zp1 = np.polynomial.Polynomial((+1, 1)) / fac  # (z + 1) / fac
+    zm1 = np.polynomial.Polynomial((-1, 1)) * fac  # (z - 1) * fac
+    n = max(len(den), len(num)) - 1
+    bz = sum(c * zp1 ** (n - q) * zm1**q for q, c in enumerate(num[::-1]))
+    az = sum(c * zp1 ** (n - q) * zm1**q for q, c in enumerate(den[::-1]))
+    bz, az = bz.coef[::-1], np.trim_zeros(az.coef[::-1], "f")
+    bz, az = bz / az[0], az / az[0]
+    lead = 0
+    while lead < len(bz) - 1 and abs(bz[lead]) <= 1e-14:
+        lead += 1
+    if lead:
+        warnings.warn(
+            "badly conditioned numerator: leading coefficients <= 1e-14 dropped",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return bz[lead:], az
+
+
 def bilinear_discretize(ct: RationalTransfer, fs: float, refine: bool = True) -> SosCascade:
     """Map a continuous transfer to a biquad cascade at sample rate `fs`.
 
@@ -263,11 +381,7 @@ def bilinear_discretize(ct: RationalTransfer, fs: float, refine: bool = True) ->
         if g is not None:
             return SosCascade([BiquadSection(1.0, 0.0, 0.0, 0.0, 0.0)], g, fs)
 
-    bz, az = scipy.signal.bilinear(ct.num, ct.den, fs)
-    bz = np.atleast_1d(np.asarray(bz, dtype=float))
-    az = np.atleast_1d(np.asarray(az, dtype=float))
-    bz = bz / az[0]
-    az = az / az[0]
+    bz, az = bilinear_transform(ct.num, ct.den, fs)
     if refine:
         bz, az = _sk_refine(bz, az, ct, fs)
 
@@ -361,13 +475,18 @@ def process_block(cascades, pf_block, pb_block, latency: int = 0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LoopConfig:
-    """Sample-rate, latency and integration settings of the simulated loop.
+    """Sample-rate, latency, hold and time-grid settings of the loop.
 
     hold selects how the sampled control current is applied to the
     continuous plant: "centered" holds each command on the sample-period
     window centered on its nominal application instant (no spurious
     half-sample delay), "causal" is a plain zero-order hold over the
-    following period.
+    following period.  At latency 0 the centered hold needs the next
+    command half a period early; it is computed from the plant state
+    predicted one period ahead under the current command.  duration and
+    transient set the time grid of `closed_loop_sim` and the part of it
+    `SimulationResult.measured_impedance` discards; `measure_impedance`
+    ignores them.
     """
 
     fs: float = 50_000.0
@@ -423,129 +542,198 @@ class SimulationResult:
         return complex(x_pf / x_v)
 
 
-def sine_excitation(f_hz: float, amplitude: float = 1.0):
+@dataclass(frozen=True)
+class SineExcitation:
+    """Front-pressure excitation p_f(t) = amplitude * sin(2*pi*f_hz*t)."""
+
+    f_hz: float
+    amplitude: float = 1.0
+
+    def __call__(self, t):
+        w = 2.0 * math.pi * self.f_hz
+        return self.amplitude * np.sin(w * np.asarray(t, dtype=float))
+
+
+def sine_excitation(f_hz: float, amplitude: float = 1.0) -> SineExcitation:
     """Front-pressure excitation p_f(t) = amplitude * sin(2*pi*f*t)."""
+    return SineExcitation(float(f_hz), float(amplitude))
+
+
+class SampledLoop(NamedTuple):
+    """The closed loop driven by p_f(t) = Im(e^{jwt}), one row per tick.
+
+    s[k+1] = F s[k] + Im(G e^{jw t_k}) and the applied current is
+    i[k] = c s[k] + d p_f[k].  The state is [v, xi], the states of H1 and
+    of H2, then either the latency line [y[k-L], ..., y[k-1]] of the
+    controller output y, or (centered hold at latency 0) the command u[k]
+    computed one tick earlier.  z = e^{jwT} is the input's tick phasor.
+    """
+
+    f: np.ndarray
+    g: np.ndarray
+    c: np.ndarray
+    d: float
+    z: complex
+
+
+def sampled_loop(
+    model: DriverModel, h1: SosCascade, h2: SosCascade, loop: LoopConfig, f_hz: float
+) -> SampledLoop:
+    """Exact discrete model of the plant under the two-input controller.
+
+    Between ticks the plant d/dt [v, xi] = a [v, xi] + b (p_f - Bl/Sd * i)
+    is integrated exactly: e^{a T/2} and the half-period hold integral come
+    from one Van Loan block exponential, and the sine input contributes
+    (jwI - a)^-1 (zI - e^{aT}) b per e^{jw t_k}.  Every signal below is a
+    row of coefficients over [s[k], e^{jw t_k}].
+    """
+    dt = 1.0 / loop.fs
     w = 2.0 * math.pi * f_hz
+    z = np.exp(1j * w * dt)
 
-    def signal(t):
-        return amplitude * np.sin(w * np.asarray(t, dtype=float))
+    a = np.array([[-model.rss / model.mss, -model.ksc / model.mss], [1.0, 0.0]])
+    b = np.array([1.0 / model.mss, 0.0])
+    van_loan = np.zeros((3, 3))
+    van_loan[:2, :2] = a
+    van_loan[:2, 2] = b
+    half = expm(van_loan * (0.5 * dt))
+    phi_half, gam_half = half[:2, :2], half[:2, 2]
+    phi = phi_half @ phi_half
+    # current held over the first and over the second half of the period
+    gam_first = -model.pressure_factor * (phi_half @ gam_half)
+    gam_second = -model.pressure_factor * gam_half
+    g_pf = np.linalg.solve(1j * w * np.eye(2) - a, (z * np.eye(2) - phi) @ b)
 
-    return signal
+    a1, b1, c1, d1 = h1.state_space()
+    a2, b2, c2, d2 = h2.state_space()
+    n1, n2 = len(b1), len(b2)
+    n_ctrl = n1 + n2
+    centered = loop.hold == "centered"
+    n_line = loop.latency or int(centered)
+    n = 2 + n_ctrl + n_line
+    rows = np.eye(n + 1, dtype=complex)
+    x, ctrl, line, pf = rows[:2], rows[2 : 2 + n_ctrl], rows[2 + n_ctrl : n], rows[n]
+    q = np.array([0.0, 1.0 / model.csb])  # p_b = q @ [v, xi]
+    a_ctrl = np.zeros((n_ctrl, n_ctrl))
+    a_ctrl[:n1, :n1] = a1
+    a_ctrl[n1:, n1:] = a2
+    b_pf = np.concatenate([b1, np.zeros(n2)])
+    b_pb = np.concatenate([np.zeros(n1), b2])
+    c_ctrl = np.concatenate([c1, c2])
+
+    def controller(pf_row, x_rows):
+        """Output row and next-state rows of one controller tick."""
+        pb = q @ x_rows
+        y = c_ctrl @ ctrl + d1 * pf_row + d2 * pb
+        return y, a_ctrl @ ctrl + np.outer(b_pf, pf_row) + np.outer(b_pb, pb)
+
+    def plant(u_first, u_second):
+        return (
+            phi @ x
+            + np.outer(gam_first, u_first)
+            + np.outer(gam_second, u_second)
+            + np.outer(g_pf, pf)
+        )
+
+    if centered and loop.latency == 0:
+        # the next command, from the next front pressure and the plant
+        # state predicted under the current command over a whole period
+        u_now = line[0]
+        u_next, ctrl_next = controller(z * pf, plant(u_now, u_now))
+        line_next = u_next[None]
+    else:
+        y, ctrl_next = controller(pf, x)
+        if loop.latency == 0:
+            u_now = u_next = y
+            line_next = line
+        else:
+            u_now = line[0]
+            u_next = line[1] if loop.latency > 1 else y
+            line_next = np.vstack([line[1:], y])
+    if not centered:
+        u_next = u_now
+    step = np.vstack([plant(u_now, u_next), ctrl_next, line_next])
+    return SampledLoop(f=step[:, :n].real, g=step[:, n], c=u_now[:n].real, d=u_now[n].real, z=z)
 
 
-def _plant_derivs(model: DriverModel, v, xi, pf, current):
-    dv = (pf - model.rss * v - model.ksc * xi - model.pressure_factor * current) / model.mss
-    return dv, v
-
-
-def _rk4_step(model: DriverModel, v, xi, t, dt, pf_fun, current):
-    """One RK4 step of the two-state plant with the current held constant."""
-    pf_a = pf_fun(t)
-    pf_b = pf_fun(t + 0.5 * dt)
-    pf_c = pf_fun(t + dt)
-    k1v, k1x = _plant_derivs(model, v, xi, pf_a, current)
-    k2v, k2x = _plant_derivs(model, v + 0.5 * dt * k1v, xi + 0.5 * dt * k1x, pf_b, current)
-    k3v, k3x = _plant_derivs(model, v + 0.5 * dt * k2v, xi + 0.5 * dt * k2x, pf_b, current)
-    k4v, k4x = _plant_derivs(model, v + dt * k3v, xi + dt * k3x, pf_c, current)
-    v_new = v + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    xi_new = xi + dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-    return v_new, xi_new
+def _cascade_pair(cascades, loop: LoopConfig):
+    h1, h2 = (
+        (cascades.h1, cascades.h2) if isinstance(cascades, TwoInputController) else cascades
+    )
+    if h1.fs != loop.fs or h2.fs != loop.fs:
+        raise InvalidParameterError("cascade sample rate must match the loop sample rate")
+    return h1, h2
 
 
 def closed_loop_sim(
     model: DriverModel,
     cascades,
     loop: LoopConfig,
-    excitation,
+    excitation: SineExcitation,
 ) -> SimulationResult:
     """Sample-accurate simulation of the controlled absorber.
 
-    The plant runs in continuous time (RK4 between controller ticks); the
-    controller sees sampled front and cavity pressures and its output is
-    delayed by the configured latency.  Raises a divergence error, stamped
-    with the simulation time, if the state grows beyond any physical
-    scale.
+    `cascades` is an (H1, H2) pair or a TwoInputController; the loop's
+    latency applies and the run starts from rest, whatever the cascades'
+    streaming states.  The exact discrete model of `sampled_loop` is
+    propagated over loop.duration; the controller sees sampled front and
+    cavity pressures and its output is delayed by the configured latency.
+    Raises a divergence error, stamped with the simulation time, if the
+    state grows beyond any physical scale.
     """
-    if isinstance(cascades, TwoInputController):
-        ctrl = cascades
-        if ctrl.latency != loop.latency:
-            ctrl = TwoInputController(ctrl.h1, ctrl.h2, loop.latency)
-    else:
-        h1, h2 = cascades
-        ctrl = TwoInputController(h1, h2, loop.latency)
-    ctrl.reset()
-    if ctrl.fs != loop.fs:
-        raise InvalidParameterError("cascade sample rate must match the loop sample rate")
+    if not isinstance(excitation, SineExcitation):
+        raise InvalidParameterError("the excitation must be a SineExcitation")
+    h1, h2 = _cascade_pair(cascades, loop)
+    dlti = sampled_loop(model, h1, h2, loop, excitation.f_hz)
 
     dt = 1.0 / loop.fs
     n = int(round(loop.duration * loop.fs))
     t_grid = np.arange(n) * dt
-    pf_all = np.asarray(excitation(t_grid), dtype=float)
+    pf_all = excitation(t_grid)
+    phasor = excitation.amplitude * np.exp(2j * math.pi * excitation.f_hz * t_grid)
+    drive = (phasor[:, None] * dlti.g).imag
+    states = np.empty((n, len(dlti.g)))
+    s = np.zeros(len(dlti.g))  # p_f(0) = 0, so every branch starts at rest
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):
+            states[k] = s
+            s = dlti.f @ s + drive[k]
 
-    def pf_fun(t):
-        return float(excitation(t))
-
-    v = 0.0
-    xi = 0.0
-    vs = np.zeros(n)
-    xis = np.zeros(n)
-    pbs = np.zeros(n)
-    cur = np.zeros(n)
+    v = states[:, 0]
     pf_scale = max(np.max(np.abs(pf_all)), 1e-30)
     v_limit = DIVERGENCE_FACTOR * pf_scale / model.rss
-
-    centered = loop.hold == "centered"
-    # command queue: u[n] is the current applied around tick n
-    if centered and loop.latency == 0:
-        u_next = ctrl.step(pf_all[0], 0.0)
-
-    for k in range(n):
-        t = t_grid[k]
-        pb = xi / model.csb
-        vs[k], xis[k], pbs[k] = v, xi, pb
-
-        if centered and loop.latency == 0:
-            u_now = u_next
-        else:
-            u_now = ctrl.step(pf_all[k], pb)
-        cur[k] = u_now
-
-        if not math.isfinite(v) or abs(v) > v_limit:
-            raise DivergenceError("closed loop diverged", time_s=t)
-
-        if k == n - 1:
-            break
-
-        if not centered:
-            # plain causal hold: u_now applied over [t, t+dt)
-            v, xi = _rk4_step(model, v, xi, t, dt, pf_fun, u_now)
-        elif loop.latency == 0:
-            # predict state at t+dt to evaluate the next command, then
-            # integrate with the hold window centered on each tick
-            v_p, xi_p = _rk4_step(model, v, xi, t, dt, pf_fun, u_now)
-            u_next = ctrl.step(pf_all[k + 1], xi_p / model.csb)
-            v, xi = _rk4_step(model, v, xi, t, 0.5 * dt, pf_fun, u_now)
-            v, xi = _rk4_step(model, v, xi, t + 0.5 * dt, 0.5 * dt, pf_fun, u_next)
-        else:
-            # latency >= 1: the command for the second half-window is the
-            # one the delay line will release at the next tick -- already
-            # known, so the centered hold stays causal
-            u_mid = ctrl._delay[0] if ctrl.latency > 0 else u_now
-            v, xi = _rk4_step(model, v, xi, t, 0.5 * dt, pf_fun, u_now)
-            v, xi = _rk4_step(model, v, xi, t + 0.5 * dt, 0.5 * dt, pf_fun, u_mid)
-
+    diverged = ~np.isfinite(v) | (np.abs(v) > v_limit)
+    if diverged.any():
+        raise DivergenceError("closed loop diverged", time_s=float(t_grid[np.argmax(diverged)]))
+    xi = states[:, 1]
     return SimulationResult(
-        t=t_grid, pf=pf_all, pb=pbs, v=vs, xi=xis, i=cur, transient=loop.transient
+        t=t_grid,
+        pf=pf_all,
+        pb=xi / model.csb,
+        v=v,
+        xi=xi,
+        i=states @ dlti.c + dlti.d * pf_all,
+        transient=loop.transient,
     )
 
 
-def measure_impedance(
-    model: DriverModel,
-    cascades,
-    loop: LoopConfig,
-    f_hz: float,
-    amplitude: float = 1.0,
-) -> complex:
-    """Run a steady-state sine experiment and return the measured p_f/v."""
-    result = closed_loop_sim(model, cascades, loop, sine_excitation(f_hz, amplitude))
-    return result.measured_impedance(f_hz)
+def measure_impedance(model: DriverModel, cascades, loop: LoopConfig, f_hz: float) -> complex:
+    """Exact steady-state impedance p_f/v of the closed loop at f_hz.
+
+    Solves (zI - F) X = G at z = e^{j 2 pi f_hz / fs} for the discrete
+    model of `sampled_loop`, so the result is the loop's true sinusoidal
+    steady state: no transient to discard and no time grid (the loop's
+    duration and transient do not enter).  Raises a divergence error
+    naming the spectral radius of F when the loop is unstable and has no
+    steady state.
+    """
+    h1, h2 = _cascade_pair(cascades, loop)
+    dlti = sampled_loop(model, h1, h2, loop, f_hz)
+    radius = float(np.max(np.abs(np.linalg.eigvals(dlti.f))))
+    if radius >= 1.0:
+        raise DivergenceError(
+            f"closed loop is unstable (spectral radius {radius:.6g} >= 1): no steady state",
+            time_s=None,
+        )
+    x = np.linalg.solve(dlti.z * np.eye(len(dlti.g)) - dlti.f, dlti.g)
+    return complex(1.0 / x[0])

@@ -1,5 +1,7 @@
 """Exception types shared across the toolkit."""
 
+from __future__ import annotations
+
 
 class EabsorbError(Exception):
     """Base class for all toolkit errors."""
@@ -26,8 +28,9 @@ class DiscretizationError(EabsorbError):
 
 
 class DivergenceError(EabsorbError):
-    """The closed-loop time simulation diverged."""
+    """The closed loop diverged in simulation (time_s says when) or is
+    unstable and has no steady state (time_s is None)."""
 
-    def __init__(self, message: str, time_s: float):
+    def __init__(self, message: str, time_s: float | None):
         super().__init__(message)
         self.time_s = time_s

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,3 +204,13 @@ def test_config_round_trip(onedof_config):
 
     cfg = load_config(onedof_config)
     assert json.loads(dump_config(cfg)) == cfg
+
+
+def test_cli_import_leaves_scipy_signal_out():
+    src = str(Path(ea.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, eabsorb.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import eabsorb as ea
+from eabsorb import dsp
 from eabsorb.rational import RationalTransfer
 
 FS = 50_000.0
@@ -89,6 +90,20 @@ def test_inband_accuracy_all_designs(ref_model, targets, fb4, name):
         assert np.max(np.abs(hd - hc) / np.abs(hc)) < 1e-3
 
 
+@pytest.mark.parametrize("name", ["1dof", "broadband", "2dof"])
+def test_bilinear_transform_matches_scipy_bitwise(ref_model, targets, fb4, name):
+    # the SK refine amplifies rounding differences in its seed, so the
+    # transform must reproduce scipy.signal.bilinear to the bit
+    import scipy.signal
+
+    pair = ea.synthesize_controller(ref_model, targets[name], fb4)
+    for ct in (pair.h1, pair.h2):
+        bz, az = dsp.bilinear_transform(ct.num, ct.den, FS)
+        bz_ref, az_ref = scipy.signal.bilinear(ct.num, ct.den, FS)
+        assert bz.tobytes() == bz_ref.tobytes()
+        assert az.tobytes() == az_ref.tobytes()
+
+
 # -- SOS partitioning ---------------------------------------------------------
 
 
@@ -155,6 +170,29 @@ def test_property_partition_equivalence(data):
     ref = gain * np.prod([z - q for q in np.concatenate([zeros, pad])], axis=0)
     ref /= np.prod([z - p for p in poles], axis=0)
     np.testing.assert_allclose(cas.response_z(z), ref, rtol=1e-9, atol=1e-12 * np.max(np.abs(ref)))
+
+    # the sections are scipy's "nearest" pairing, sorted by pole radius
+    import scipy.signal
+
+    sos = scipy.signal.zpk2sos(zeros, poles, 1.0, pairing="nearest")
+    radius = [np.max(np.abs(np.roots(row[3:]))) if (row[4] or row[5]) else 0.0 for row in sos]
+    expected = [tuple(row / row[3]) for row in sos[np.argsort(radius, kind="stable")]]
+    got = [(s.b0, s.b1, s.b2, 1.0, s.a1, s.a2) for s in cas.sections]
+    assert got == expected
+
+
+def test_state_space_matches_response():
+    rng = np.random.default_rng(7)
+    sections = [
+        ea.BiquadSection(*rng.uniform(-2.0, 2.0, 3), -0.5, 0.2),
+        ea.BiquadSection(0.0, 1.0, 0.0, 0.0, 0.0),  # one-sample delay
+        ea.BiquadSection(*rng.uniform(-2.0, 2.0, 3), 0.3, 0.1),
+    ]
+    cas = ea.SosCascade(sections, 1.7, FS)
+    a, b, c, d = cas.state_space()
+    z = np.exp(1j * np.linspace(0.01, 3.1, 50))
+    h = [c @ np.linalg.solve(zk * np.eye(len(b)) - a, b) + d for zk in z]
+    np.testing.assert_allclose(h, cas.response_z(z), rtol=1e-12)
 
 
 # -- streaming ----------------------------------------------------------------
@@ -347,6 +385,10 @@ def test_divergence_detection(ref_model):
         )
     assert err.value.time_s is not None
     assert 0.0 < err.value.time_s <= 0.4
+    # the same loop has no steady state
+    with pytest.raises(ea.DivergenceError, match="spectral radius") as err:
+        ea.measure_impedance(ref_model, (ea.SosCascade.zero(FS), h2), loop, 150.0)
+    assert err.value.time_s is None
 
 
 def test_causal_hold_available(ref_model, cascades_1dof):
@@ -373,3 +415,97 @@ def test_timeseries_csv(tmp_path, ref_model):
     assert len(lines) == 1 + len(res.t)
     # cavity pressure consistency with displacement at every step
     np.testing.assert_allclose(res.pb, res.xi / ref_model.csb, rtol=1e-12, atol=1e-300)
+
+
+def test_sine_excitation_type(ref_model):
+    exc = ea.sine_excitation(200.0, 2.0)
+    assert exc == ea.SineExcitation(200.0, 2.0)
+    np.testing.assert_allclose(exc(np.array([0.0, 1.0 / 800.0])), [0.0, 2.0], atol=1e-15)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        exc.f_hz = 100.0
+    zero = ea.SosCascade.zero(FS)
+    loop = ea.LoopConfig(fs=FS, latency=0, duration=0.05, transient=0.01)
+    with pytest.raises(ea.InvalidParameterError):
+        ea.closed_loop_sim(ref_model, (zero, zero), loop, lambda t: np.sin(2 * np.pi * 200.0 * t))
+
+
+# -- RK4 oracle -----------------------------------------------------------------
+
+
+def rk4_closed_loop(model, h1, h2, loop, f_hz, amplitude):
+    """Independent reference for the closed loop: the plant integrated by
+    RK4 between ticks against the streaming cascades, one sample at a time.
+
+    Centered hold: each command is held over the period window centered on
+    its tick, so a period's second half takes the next command; at latency
+    0 that command comes from the plant state predicted a whole period
+    ahead under the current one.
+    """
+    h1.reset(), h2.reset()
+    dt = 1.0 / loop.fs
+    n = int(round(loop.duration * loop.fs))
+    t = np.arange(n) * dt
+    w = 2.0 * math.pi * f_hz
+
+    def pf(tt):
+        return amplitude * math.sin(w * tt)
+
+    def deriv(v, xi, p, cur):
+        dv = (p - model.rss * v - model.ksc * xi - model.pressure_factor * cur) / model.mss
+        return dv, v
+
+    def rk4(v, xi, t0, h, cur):
+        k1 = deriv(v, xi, pf(t0), cur)
+        k2 = deriv(v + 0.5 * h * k1[0], xi + 0.5 * h * k1[1], pf(t0 + 0.5 * h), cur)
+        k3 = deriv(v + 0.5 * h * k2[0], xi + 0.5 * h * k2[1], pf(t0 + 0.5 * h), cur)
+        k4 = deriv(v + h * k3[0], xi + h * k3[1], pf(t0 + h), cur)
+        return (
+            v + h / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
+            xi + h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
+        )
+
+    line = [0.0] * loop.latency  # computed commands not yet applied
+
+    def command(p, pb):
+        line.append(h1.step(p) + h2.step(pb))
+        return line.pop(0)
+
+    centered = loop.hold == "centered"
+    predict = centered and loop.latency == 0
+    v = xi = 0.0
+    vs, xis, cur = np.zeros(n), np.zeros(n), np.zeros(n)
+    if predict:
+        u_next = command(pf(0.0), 0.0)
+    for k in range(n):
+        vs[k], xis[k] = v, xi
+        u = u_next if predict else command(pf(t[k]), xi / model.csb)
+        cur[k] = u
+        if not centered:
+            v, xi = rk4(v, xi, t[k], dt, u)
+            continue
+        if predict:
+            _, xi_pred = rk4(v, xi, t[k], dt, u)
+            u_next = command(pf(t[k] + dt), xi_pred / model.csb)
+        else:
+            u_next = line[0]  # released at the next tick
+        v, xi = rk4(v, xi, t[k], 0.5 * dt, u)
+        v, xi = rk4(v, xi, t[k] + 0.5 * dt, 0.5 * dt, u_next)
+    pf_all = amplitude * np.sin(w * t)
+    return dsp.SimulationResult(
+        t=t, pf=pf_all, pb=xis / model.csb, v=vs, xi=xis, i=cur, transient=loop.transient
+    )
+
+
+@pytest.mark.parametrize("hold", ["centered", "causal"])
+@pytest.mark.parametrize("latency", [0, 1, 2])
+def test_exact_loop_matches_rk4_oracle(ref_model, cascades_1dof, latency, hold):
+    f, amplitude = 400.0, 2.0
+    loop = ea.LoopConfig(fs=FS, latency=latency, hold=hold, duration=0.2, transient=0.1)
+    oracle = rk4_closed_loop(ref_model, *cascades_1dof, loop, f, amplitude)
+    sim = ea.closed_loop_sim(ref_model, cascades_1dof, loop, ea.sine_excitation(f, amplitude))
+    for name in ("v", "xi", "i"):
+        ref = getattr(oracle, name)
+        assert np.max(np.abs(getattr(sim, name) - ref)) <= 1e-6 * np.max(np.abs(ref))
+    z_oracle = oracle.measured_impedance(f)
+    assert abs(sim.measured_impedance(f) / z_oracle - 1.0) < 1e-6
+    assert abs(ea.measure_impedance(ref_model, cascades_1dof, loop, f) / z_oracle - 1.0) < 1e-6
