@@ -1,12 +1,25 @@
 """Robustness analysis: achieved impedance under model mismatch, analytic
-sensitivities, absorption coefficients and the Monte-Carlo quartile study."""
+sensitivities, absorption coefficients and the Monte-Carlo quartile study.
+
+All three mismatch results come from one kernel.  The achieved impedance
+
+    Z_sa = Zst * (G*Csb_hat/Csb + Zss*F_hat/F)
+               / (G + Zss_hat + Zst*(F_hat/F - 1))
+
+is linear-fractional in the estimate vector
+p = [1, Csb_hat/Csb, F_hat/F, R_hat, M_hat, K_hat], where
+Zss_hat = R_hat + M_hat*s + K_hat/s, M_hat = R_hat*Q_hat/w0_hat and
+K_hat = R_hat*Q_hat*w0_hat.  `_mismatch_kernel` returns the per-frequency
+coefficient arrays N and D with Z_sa = (p @ N) / (p @ D):
+`achieved_impedance` evaluates that ratio, `sensitivities` are its
+log-derivatives, and `monte_carlo_absorption` evaluates the reflection
+coefficient of a block of draws as two matrix products.
+"""
 
 from __future__ import annotations
 
 import csv
-import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -57,11 +70,30 @@ class ParameterEstimates:
             model.csb * csb,
         )
 
-    def hat_impedance(self, omega) -> np.ndarray:
-        """The estimated passive impedance evaluated at s = j*omega."""
-        s = 1j * np.asarray(omega, dtype=float)
-        w0, q = self.omega0, self.qms
-        return self.rss * (s**2 + s * w0 / q + w0**2) / (s * w0 / q)
+
+def _estimate_vector(model: DriverModel, rss, omega0, qms, pressure_factor, csb) -> np.ndarray:
+    """p = [1, Csb_hat/Csb, F_hat/F, R_hat, M_hat, K_hat] of estimated
+    parameter values, one row per estimate set when they are arrays."""
+    m_hat = rss * qms / omega0
+    k_hat = rss * qms * omega0
+    f_ratio = pressure_factor / model.pressure_factor
+    c_ratio = csb / model.csb
+    return np.stack(np.broadcast_arrays(1.0, c_ratio, f_ratio, rss, m_hat, k_hat), axis=-1)
+
+
+def _mismatch_kernel(model: DriverModel, target: TargetSpec, fb: FeedbackSpec, s):
+    """The achieved impedance as a linear-fractional map of the estimates.
+
+    Returns (6, n_freq) arrays N, D with Z_sa = (p @ N) / (p @ D) for the
+    estimate vector p of `_estimate_vector`.
+    """
+    zst = target_impedance(target)(s)
+    g = feedback_filter(model, fb)(s)
+    zss = passive_impedance(model)(s)
+    zero = np.zeros_like(s)
+    num = np.array([zero, zst * g, zst * zss, zero, zero, zero])
+    den = np.array([g - zst, zero, zst, np.ones_like(s), s, 1.0 / s])
+    return num, den
 
 
 def achieved_impedance(
@@ -72,28 +104,17 @@ def achieved_impedance(
     omega,
     return_mask: bool = False,
 ):
-    """Impedance actually presented when the controller uses `estimates`.
-
-    Z_sa = Zst * (G*Csb_hat/Csb + Zss*F_hat/F)
-               / (G + Zss_hat + Zst*(F_hat/F - 1))
+    """Impedance Z_sa actually presented when the controller uses `estimates`.
 
     Singular evaluation frequencies (vanishing denominator) are flagged in
     the optional mask and returned as inf, never raised.
     """
-    omega = np.asarray(omega, dtype=float)
-    s = 1j * omega
-    zst = target_impedance(target)(s)
-    g = feedback_filter(model, fb)(s)
-    zss = passive_impedance(model)(s)
-    zss_hat = estimates.hat_impedance(omega)
-    f_ratio = estimates.pressure_factor / model.pressure_factor
-    c_ratio = estimates.csb / model.csb
-
-    num = g * c_ratio + zss * f_ratio
-    den = g + zss_hat + zst * (f_ratio - 1.0)
-    mask = np.abs(den) <= SINGULAR_TOL
+    num, den = _mismatch_kernel(model, target, fb, 1j * np.asarray(omega, dtype=float))
+    p = _estimate_vector(model, *astuple(estimates))
+    den_p = p @ den
+    mask = np.abs(den_p) <= SINGULAR_TOL
     with np.errstate(divide="ignore", invalid="ignore"):
-        zsa = zst * num / den
+        zsa = (p @ num) / den_p
     zsa = np.where(mask, np.inf + 0j, zsa)
     if return_mask:
         return zsa, mask
@@ -119,30 +140,20 @@ def sensitivities(
 ) -> SensitivityTriple:
     """Closed-form sensitivities of Z_sa to the three estimated quantities.
 
-    As the feedback gain grows the triple tends to (0, 0, 1): large G hides
-    errors in the passive-impedance and force-factor estimates but passes
+    They are the log-derivatives p_k * (N_k/(p.N) - D_k/(p.D)) of the
+    mismatch kernel; Zss_hat scales R_hat, M_hat and K_hat together.  As the
+    feedback gain grows the triple tends to (0, 0, 1): large G hides errors
+    in the passive-impedance and force-factor estimates but passes
     compliance errors straight through.
     """
-    omega = np.asarray(omega, dtype=float)
-    s = 1j * omega
-    zst = target_impedance(target)(s)
-    zss = passive_impedance(model)(s)
-    g = feedback_filter(model, fb)(s)
-    zss_hat = estimates.hat_impedance(omega)
-    f_true = model.pressure_factor
-    f_hat = estimates.pressure_factor
-    c_ratio = estimates.csb / model.csb
-
-    s_zss = -1.0 / (1.0 + (g + (f_hat / f_true - 1.0) * zst) / zss_hat)
-    term2 = 1.0 / (1.0 + f_true * (g + zss_hat - zst) / (f_hat * zst))
-    if fb.kg == 0.0:
-        # G = 0 removes the cavity-pressure path entirely
-        s_csb = np.zeros_like(s_zss)
-        s_f = 1.0 - term2
-    else:
-        ratio = c_ratio * f_true * g / (f_hat * zss)
-        s_f = 1.0 / (1.0 + ratio) - term2
-        s_csb = 1.0 / (1.0 + 1.0 / ratio)
+    num, den = _mismatch_kernel(model, target, fb, 1j * np.asarray(omega, dtype=float))
+    p = _estimate_vector(model, *astuple(estimates))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        num_p = p @ num
+        den_p = p @ den
+        s_zss = -(p[3:] @ den[3:]) / den_p
+        s_f = p[2] * (num[2] / num_p - den[2] / den_p)
+        s_csb = p[1] * num[1] / num_p
     singular = ~(np.isfinite(s_zss) & np.isfinite(s_f) & np.isfinite(s_csb))
     return SensitivityTriple(s_zss=s_zss, s_f=s_f, s_csb=s_csb, singular=singular)
 
@@ -220,17 +231,15 @@ class QuartileBand:
         return cls(arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3])
 
 
-def draw_parameter_factors(seed: int, index: int, rel_std: float, rng_factory=None) -> np.ndarray:
+def draw_parameter_factors(seed: int, index: int, rel_std: float) -> np.ndarray:
     """Multiplicative Gaussian factors for draw `index`.
 
-    Each draw uses its own RNG stream keyed by (seed, index), so serial and
-    parallel execution produce identical results.  Draws yielding any
-    non-positive factor are rejected and redrawn within the same stream.
+    Each draw uses its own RNG stream keyed by (seed, index), so a draw does
+    not depend on how many others are made or in which order.  Draws
+    yielding any non-positive factor are rejected and redrawn within the
+    same stream.
     """
-    if rng_factory is None:
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
-    else:
-        rng = rng_factory(seed, index)
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
     factors = rng.normal(1.0, rel_std, 5)
     while np.any(factors <= 0.0):
         factors = rng.normal(1.0, rel_std, 5)
@@ -242,67 +251,38 @@ def monte_carlo_absorption(
     target: TargetSpec,
     fb: FeedbackSpec,
     cfg: MonteCarloConfig,
-    threads: int = 1,
-    rng_factory=None,
 ) -> QuartileBand:
     """Quartile band of achieved absorption under random estimation errors.
 
     The five estimated parameters (rss, omega0, qms, pressure factor, box
     compliance) are independently perturbed by multiplicative Gaussian
-    factors N(1, rel_std^2) in every draw.  Deterministic for a fixed seed,
-    regardless of thread count.
+    factors N(1, rel_std^2) in every draw.  With P the estimate vectors of a
+    block of draws, the mismatch kernel gives the reflection coefficients
+    as (P @ (N - rho0*c0*D)) / (P @ (N + rho0*c0*D)).  Deterministic for a
+    fixed seed.
     """
     freqs = np.asarray(cfg.freqs_hz, dtype=float)
-    omega = 2.0 * np.pi * freqs
-    s = 1j * omega
-    zst = target_impedance(target)(s)
-    zss = passive_impedance(model)(s)
-    g = feedback_filter(model, fb)(s)
+    s = 2j * np.pi * freqs
+    num, den = _mismatch_kernel(model, target, fb, s)
     rc = model.air.characteristic_impedance
+    gamma_num = num - rc * den
+    gamma_den = num + rc * den
 
     factors = np.empty((cfg.n_draws, 5))
-
-    def fill(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            factors[i] = draw_parameter_factors(cfg.seed, i, cfg.rel_std, rng_factory)
-
-    if threads > 1:
-        chunk = (cfg.n_draws + threads - 1) // threads
-        bounds = [(i, min(i + chunk, cfg.n_draws)) for i in range(0, cfg.n_draws, chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda b: fill(*b), bounds))
-    else:
-        fill(0, cfg.n_draws)
-
+    for i in range(cfg.n_draws):
+        factors[i] = draw_parameter_factors(cfg.seed, i, cfg.rel_std)
+    true_values = np.array([model.rss, model.omega0, model.qms, model.pressure_factor, model.csb])
     alpha = np.empty((cfg.n_draws, freqs.size))
-
-    def evaluate(lo: int, hi: int) -> None:
-        fac = factors[lo:hi]
-        rss_h = model.rss * fac[:, 0:1]
-        w0_h = model.omega0 * fac[:, 1:2]
-        q_h = model.qms * fac[:, 2:3]
-        f_ratio = fac[:, 3:4]
-        c_ratio = fac[:, 4:5]
-        srow = s[None, :]
-        zss_hat = rss_h * (srow**2 + srow * w0_h / q_h + w0_h**2) / (srow * w0_h / q_h)
-        num = g[None, :] * c_ratio + zss[None, :] * f_ratio
-        den = g[None, :] + zss_hat + zst[None, :] * (f_ratio - 1.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            zsa = zst[None, :] * num / den
-            gamma = (zsa - rc) / (zsa + rc)
-        alpha[lo:hi] = 1.0 - np.abs(gamma) ** 2
-
+    # blocks bound the complex temporaries to 256 draws at a time
     block = 256
-    blocks = [(i, min(i + block, cfg.n_draws)) for i in range(0, cfg.n_draws, block)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda b: evaluate(*b), blocks))
-    else:
-        for b in blocks:
-            evaluate(*b)
+    for lo in range(0, cfg.n_draws, block):
+        p = _estimate_vector(model, *(true_values * factors[lo : lo + block]).T)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gamma = (p @ gamma_num) / (p @ gamma_den)
+        alpha[lo : lo + block] = 1.0 - np.abs(gamma) ** 2
 
-    # Hyndman-Fan type 7 (numpy's default linear interpolation)
-    q1 = np.quantile(alpha, 0.25, axis=0, method="linear")
-    q3 = np.quantile(alpha, 0.75, axis=0, method="linear")
-    nominal = absorption_coefficient(zst, model.air)
+    # Hyndman-Fan type 7 (numpy's default linear interpolation), partitioning
+    # alpha in place rather than a copy of it
+    q1, q3 = np.quantile(alpha, [0.25, 0.75], axis=0, method="linear", overwrite_input=True)
+    nominal = absorption_coefficient(target_impedance(target)(s), model.air)
     return QuartileBand(freqs_hz=freqs, q1=q1, q3=q3, nominal=nominal)

@@ -64,17 +64,10 @@ def _driver_from_config(cfg: dict) -> model_mod.DriverModel:
 
 def _specs_from_config(cfg: dict, air) -> tuple[synthesis.TargetSpec, synthesis.FeedbackSpec]:
     try:
-        target = synthesis.TargetSpec.multi(
-            [
-                (r["rst_norm"] * air.characteristic_impedance, r["f_hz"], r["q"])
-                for r in cfg["target"]["resonators"]
-            ]
-        )
         fbk = cfg.get("feedback", {"kg": 0.0, "fg_hz": 500.0})
-        fb = synthesis.FeedbackSpec.from_hz(float(fbk["kg"]), float(fbk["fg_hz"]))
+        return synthesis.specs_from_dict({**fbk, "resonators": cfg["target"]["resonators"]}, air)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid target/feedback block: {exc}") from exc
-    return target, fb
 
 
 def _grid_from_config(cfg: dict) -> np.ndarray:
@@ -161,7 +154,7 @@ def cmd_montecarlo(args) -> int:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid montecarlo block: {exc}") from exc
-    band = analysis.monte_carlo_absorption(driver, target, fb, mc_cfg, threads=args.threads)
+    band = analysis.monte_carlo_absorption(driver, target, fb, mc_cfg)
     out = _out_dir(args)
     band.to_csv(out / "montecarlo.csv")
     print(f"montecarlo quartiles written to {out / 'montecarlo.csv'}")
@@ -290,8 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", default="out", help="output directory")
+
+    def seed(p):
         p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--threads", type=int, default=1, help="worker threads")
 
     p = sub.add_parser("design", help="synthesize controllers and stability report")
     p.add_argument("--config", required=True)
@@ -301,6 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("montecarlo", help="quartile band under random model errors")
     p.add_argument("--config", required=True)
     common(p)
+    seed(p)
     p.set_defaults(func=cmd_montecarlo)
 
     p = sub.add_parser("identify", help="recover plant parameters from spectra CSVs")
@@ -315,6 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kundt", help="virtual impedance-tube absorption curves")
     p.add_argument("--config", required=True)
     common(p)
+    seed(p)
     p.set_defaults(func=cmd_kundt)
 
     p = sub.add_parser("simulate", help="closed-loop time-domain simulation")

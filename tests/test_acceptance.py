@@ -154,10 +154,10 @@ def test_criterion_4_monte_carlo(ref_model, targets, fb0, fb4):
         n_draws=10_000, rel_std=0.05, seed=20260823,
         freqs_hz=np.arange(10.0, 1000.0001, 2.0),
     )
-    b1_0 = ea.monte_carlo_absorption(ref_model, targets["1dof"], fb0, cfg, threads=4)
-    b1_4 = ea.monte_carlo_absorption(ref_model, targets["1dof"], fb4, cfg, threads=4)
-    bb_0 = ea.monte_carlo_absorption(ref_model, targets["broadband"], fb0, cfg, threads=4)
-    bb_4 = ea.monte_carlo_absorption(ref_model, targets["broadband"], fb4, cfg, threads=4)
+    b1_0 = ea.monte_carlo_absorption(ref_model, targets["1dof"], fb0, cfg)
+    b1_4 = ea.monte_carlo_absorption(ref_model, targets["1dof"], fb4, cfg)
+    bb_0 = ea.monte_carlo_absorption(ref_model, targets["broadband"], fb0, cfg)
+    bb_4 = ea.monte_carlo_absorption(ref_model, targets["broadband"], fb4, cfg)
     f = b1_0.freqs_hz
     near = (f >= 205.5 - 15.0) & (f <= 205.5 + 15.0)
     q1_min = float(b1_0.q1[near].min())

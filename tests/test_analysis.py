@@ -1,4 +1,9 @@
 import dataclasses
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,12 +40,121 @@ def test_scaled_estimates():
     assert est.rss == m.rss
 
 
-def test_hat_impedance_matches_model(ref_model):
+# -- oracle: the explicit mismatch formulas, written out term by term ---------
+
+
+def oracle_hat_impedance(est, omega):
+    s = 1j * omega
+    w0, q = est.omega0, est.qms
+    return est.rss * (s**2 + s * w0 / q + w0**2) / (s * w0 / q)
+
+
+def oracle_mismatch(model, est, tg, fb, omega):
+    """Z_sa and the (s_zss, s_f, s_csb) sensitivities from their explicit
+    formulas."""
+    s = 1j * omega
+    zst = ea.target_impedance(tg)(s)
+    g = ea.feedback_filter(model, fb)(s)
+    zss = ea.passive_impedance(model)(s)
+    zss_hat = oracle_hat_impedance(est, omega)
+    f_true, f_hat = model.pressure_factor, est.pressure_factor
+    f_ratio = f_hat / f_true
+    c_ratio = est.csb / model.csb
+    zsa = zst * (g * c_ratio + zss * f_ratio) / (g + zss_hat + zst * (f_ratio - 1.0))
+
+    s_zss = -1.0 / (1.0 + (g + (f_ratio - 1.0) * zst) / zss_hat)
+    term2 = 1.0 / (1.0 + f_true * (g + zss_hat - zst) / (f_hat * zst))
+    if fb.kg == 0.0:
+        # G = 0 removes the cavity-pressure path entirely
+        s_csb = np.zeros_like(s_zss)
+        s_f = 1.0 - term2
+    else:
+        ratio = c_ratio * f_true * g / (f_hat * zss)
+        s_f = 1.0 / (1.0 + ratio) - term2
+        s_csb = 1.0 / (1.0 + 1.0 / ratio)
+    return zsa, (s_zss, s_f, s_csb)
+
+
+def oracle_quartiles(model, tg, fb, cfg):
+    """Type-7 quartiles of the oracle absorption over the study's draws."""
+    omega = 2.0 * np.pi * np.asarray(cfg.freqs_hz)
+    alpha = np.array([
+        ea.absorption_coefficient(
+            oracle_mismatch(
+                model,
+                ea.ParameterEstimates.scaled(
+                    model, *ea.analysis.draw_parameter_factors(cfg.seed, i, cfg.rel_std)
+                ),
+                tg, fb, omega,
+            )[0],
+            model.air,
+        )
+        for i in range(cfg.n_draws)
+    ])
+    xs = np.sort(alpha, axis=0)
+
+    def type7(p):
+        h = (cfg.n_draws - 1) * p
+        lo = math.floor(h)
+        hi = min(lo + 1, cfg.n_draws - 1)
+        return xs[lo] + (h - lo) * (xs[hi] - xs[lo])
+
+    return type7(0.25), type7(0.75)
+
+
+def test_hat_impedance_matches_model(ref_model, targets, fb4):
+    # exact estimates: the kernel's Zss_hat = R_hat + M_hat*s + K_hat/s and
+    # the oracle's are both the passive impedance
     est = ea.ParameterEstimates.from_model(ref_model)
     om = grid_omega()
-    np.testing.assert_allclose(
-        est.hat_impedance(om), ea.passive_impedance(ref_model)(1j * om), rtol=1e-12
+    zss = ea.passive_impedance(ref_model)(1j * om)
+    _, den = ea.analysis._mismatch_kernel(ref_model, targets["1dof"], fb4, 1j * om)
+    p = ea.analysis._estimate_vector(ref_model, *dataclasses.astuple(est))
+    np.testing.assert_allclose(p[3:] @ den[3:], zss, rtol=1e-12)
+    np.testing.assert_allclose(oracle_hat_impedance(est, om), zss, rtol=1e-12)
+
+
+FACTOR = st.floats(min_value=0.7, max_value=1.3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    target=st.sampled_from(["1dof", "broadband", "2dof"]),
+    feedback=st.sampled_from(["fb0", "fb4"]),
+    factors=st.tuples(FACTOR, FACTOR, FACTOR, FACTOR, FACTOR),
+)
+def test_property_kernel_matches_oracle(ref_model, targets, fb0, fb4, target, feedback, factors):
+    fb = {"fb0": fb0, "fb4": fb4}[feedback]
+    tg = targets[target]
+    est = ea.ParameterEstimates.scaled(ref_model, *factors)
+    om = grid_omega()
+    zsa, sens = oracle_mismatch(ref_model, est, tg, fb, om)
+    np.testing.assert_allclose(ea.achieved_impedance(ref_model, est, tg, fb, om), zsa, rtol=1e-12)
+    tri = ea.sensitivities(ref_model, est, tg, fb, om)
+    # sensitivities are O(1) log-derivatives and s_f, a difference of two
+    # terms, may cancel to 0, so their error is relative to 1 + |s|
+    for got, want in zip((tri.s_zss, tri.s_f, tri.s_csb), sens):
+        assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) <= 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    target=st.sampled_from(["1dof", "broadband", "2dof"]),
+    feedback=st.sampled_from(["fb0", "fb4"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n_draws=st.integers(min_value=1, max_value=300),
+)
+def test_property_monte_carlo_matches_oracle(
+    ref_model, targets, fb0, fb4, target, feedback, seed, n_draws
+):
+    fb = {"fb0": fb0, "fb4": fb4}[feedback]
+    cfg = ea.MonteCarloConfig(
+        n_draws=n_draws, rel_std=0.05, seed=seed, freqs_hz=np.arange(20.0, 1000.0, 20.0)
     )
+    band = ea.monte_carlo_absorption(ref_model, targets[target], fb, cfg)
+    q1, q3 = oracle_quartiles(ref_model, targets[target], fb, cfg)
+    np.testing.assert_allclose(band.q1, q1, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(band.q3, q3, rtol=0, atol=1e-12)
 
 
 # -- sensitivities ------------------------------------------------------------
@@ -154,12 +268,31 @@ def test_monte_carlo_zero_spread_equals_nominal(ref_model, targets, fb4):
     np.testing.assert_allclose(band.q3, band.nominal, atol=1e-9)
 
 
-def test_monte_carlo_thread_determinism(ref_model, targets, fb4):
-    cfg = ea.MonteCarloConfig(n_draws=500, rel_std=0.05, seed=99, freqs_hz=np.arange(50.0, 500.0, 10.0))
-    serial = ea.monte_carlo_absorption(ref_model, targets["1dof"], fb4, cfg, threads=1)
-    threaded = ea.monte_carlo_absorption(ref_model, targets["1dof"], fb4, cfg, threads=4)
-    np.testing.assert_array_equal(serial.q1, threaded.q1)
-    np.testing.assert_array_equal(serial.q3, threaded.q3)
+def test_monte_carlo_thread_determinism():
+    # the same study in fresh processes at BLAS thread counts 1 and 2
+    src = str(Path(ea.__file__).resolve().parent.parent)
+    code = (
+        "import hashlib, numpy as np, eabsorb as ea\n"
+        "m = ea.table_reference_model()\n"
+        "tg = ea.TargetSpec.single(m.air.characteristic_impedance, 400.0, 7.0)\n"
+        "cfg = ea.MonteCarloConfig(n_draws=600, rel_std=0.05, seed=99)\n"
+        "band = ea.monte_carlo_absorption(m, tg, ea.FeedbackSpec.from_hz(4.0, 500.0), cfg)\n"
+        "print(hashlib.sha256(band.q1.tobytes() + band.q3.tobytes()).hexdigest())\n"
+    )
+    digests = []
+    for n in ("1", "2"):
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+            OPENBLAS_NUM_THREADS=n,
+            OMP_NUM_THREADS=n,
+            MKL_NUM_THREADS=n,
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        digests.append(out.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 def test_monte_carlo_feedback_narrows_band(ref_model, targets, fb0, fb4):

@@ -59,6 +59,11 @@ def test_bad_config_exit_code(tmp_path):
     p2 = tmp_path / "wrong_version.json"
     p2.write_text(json.dumps({"version": 99}))
     assert run(["design", "--config", p2, "--out", tmp_path / "o"]) == 2
+    cfg = json.loads((FIXTURES / "table1_1dof.json").read_text())
+    del cfg["target"]["resonators"][0]["q"]
+    p3 = tmp_path / "no_q.json"
+    p3.write_text(json.dumps(cfg))
+    assert run(["design", "--config", p3, "--out", tmp_path / "o"]) == 2
 
 
 def test_missing_config_is_config_error(tmp_path):
@@ -73,7 +78,37 @@ def test_montecarlo_reproducible(tmp_path, onedof_config):
     p.write_text(json.dumps(cfg))
     out1, out2 = tmp_path / "m1", tmp_path / "m2"
     assert run(["montecarlo", "--config", p, "--out", out1]) == 0
-    assert run(["montecarlo", "--config", p, "--out", out2, "--threads", 4]) == 0
+    assert run(["montecarlo", "--config", p, "--out", out2]) == 0
+    assert (out1 / "montecarlo.csv").read_bytes() == (out2 / "montecarlo.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["design", "--config", FIXTURES / "table1_1dof.json", "--seed", 1],
+        ["montecarlo", "--config", FIXTURES / "table1_1dof.json", "--threads", 2],
+    ],
+    ids=["design-seed", "montecarlo-threads"],
+)
+def test_unused_knobs_are_rejected(tmp_path, argv):
+    # --seed is taken only by the verbs that read it; --threads by none
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--out", tmp_path])
+    assert exc.value.code == 2
+
+
+def test_montecarlo_seed_overrides_config(tmp_path, onedof_config):
+    cfg = json.loads(onedof_config.read_text())
+    cfg["montecarlo"]["n_draws"] = 50
+    cfg["grid"] = {"f_min_hz": 150.0, "f_max_hz": 300.0, "step_hz": 10.0}
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps(cfg))
+    cfg["montecarlo"]["seed"] = 7
+    seeded = tmp_path / "seeded.json"
+    seeded.write_text(json.dumps(cfg))
+    out1, out2 = tmp_path / "m1", tmp_path / "m2"
+    assert run(["montecarlo", "--config", base, "--out", out1, "--seed", 7]) == 0
+    assert run(["montecarlo", "--config", seeded, "--out", out2]) == 0
     assert (out1 / "montecarlo.csv").read_bytes() == (out2 / "montecarlo.csv").read_bytes()
 
 
