@@ -5,15 +5,16 @@ into cascaded biquad sections for numerical robustness.  With the continuous
 two-state plant (membrane velocity and displacement), the controller's
 integer-sample output latency and the hold that applies each command, they
 form one discrete linear time-invariant system.  The plant is discretized
-exactly: the hold integrals come from Van Loan's block matrix exponential
-(IEEE TAC 1978) and the sine excitation is integrated in closed form between
-ticks.  `measure_impedance` solves the steady state of that system at
-z = e^{jwT}; `closed_loop_sim` propagates it tick by tick.
+exactly: its half-period exponential and hold integral have a closed form
+(the Cayley-Hamilton form of a 2x2 exponential) and the sine excitation is
+integrated in closed form between ticks.  `measure_impedance` solves the
+steady state of that system at z = e^{jwT}; `closed_loop_sim` propagates it
+tick by tick.
 """
 
 from __future__ import annotations
 
-import csv
+import cmath
 import json
 import math
 import warnings
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import DiscretizationError, DivergenceError, InvalidParameterError
 from .model import DriverModel
@@ -519,11 +519,11 @@ class SimulationResult:
     transient: float
 
     def to_csv(self, path) -> None:
+        cols = (self.t, self.pf, self.pb, self.i, self.v)
+        cols = [np.asarray(c, dtype=float).tolist() for c in cols]
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["t_s", "pf_pa", "pb_pa", "i_a", "v_m_per_s"])
-            for row in zip(self.t, self.pf, self.pb, self.i, self.v):
-                writer.writerow([repr(float(x)) for x in row])
+            fh.write("t_s,pf_pa,pb_pa,i_a,v_m_per_s\n")
+            fh.writelines(f"{t!r},{pf!r},{pb!r},{i!r},{v!r}\n" for t, pf, pb, i, v in zip(*cols))
 
     def measured_impedance(self, f_hz: float) -> complex:
         """Steady-state impedance p_f/v at the excitation frequency.
@@ -576,6 +576,52 @@ class SampledLoop(NamedTuple):
     z: complex
 
 
+def _plant_step(a: np.ndarray, b: np.ndarray, tau: float):
+    """Exponential e^{a tau} and hold integral int_0^tau e^{a s} ds b of a 2x2 plant.
+
+    With mu = tr(a)/2 and delta = sqrt(mu^2 - det a), complex so that the
+    under-, critically and over-damped cases share one path, Cayley-Hamilton
+    gives e^{a tau} = c0 I + c1 (a - mu I), where c0 = e^{mu tau}
+    cosh(delta tau) and c1 = e^{mu tau} sinh(delta tau) / delta; sinh(x)/x
+    comes from its series at small |x|, so critical damping (delta = 0) is
+    exact.
+
+    The hold integral a^-1 (e^{a tau} - I) b equals c1 b + (c0 - 1 - mu c1)
+    a^-1 b.  Its scalar is a difference of terms ~ mu tau that cancels to
+    -det(a) tau^2 beta ~ -det(a) tau^2 / 2, losing digits at short steps
+    however c0 - 1 is formed.  So beta, the divided difference of
+    (e^x - 1)/x at the eigenvalues x = (mu +- delta) tau, is summed from its
+    power series, sum_{k>=1} h_{k-1} / (k+1)!, whose complete homogeneous
+    polynomials h_j of the eigenvalues follow the real recurrence
+    h_j = tr(a) tau h_{j-1} - det(a) tau^2 h_{j-2}.  The integral is then
+    c1 b - tau^2 beta adj(a) b, with no inverse.  The series wants
+    eigenvalues |x| <= 1; a longer step is two half steps.
+    """
+    (a00, a01), (a10, a11) = a.tolist()
+    b0, b1 = b.tolist()
+    mu = 0.5 * (a00 + a11)
+    det = a00 * a11 - a01 * a10
+    delta = cmath.sqrt(mu * mu - det)
+    m, d = mu * tau, delta * tau
+    if abs(m) + abs(d) > 1.0:
+        phi, gam = _plant_step(a, b, 0.5 * tau)
+        return phi @ phi, phi @ gam + gam
+    sinhc = 1.0 + d * d / 6.0 if abs(d) < 1e-4 else cmath.sinh(d) / d
+    # delta is real or imaginary, so cosh and sinh(x)/x are real
+    c0 = math.exp(m) * cmath.cosh(d).real
+    c1 = math.exp(m) * sinhc.real * tau
+    p = det * tau * tau
+    beta, h_prev, h, fact = 0.0, 0.0, 1.0, 1.0
+    for k in range(1, 21):  # |h_{k-1}| <= k, so the tail is below 1e-18
+        fact *= k + 1
+        beta += h / fact
+        h_prev, h = h, 2.0 * m * h - p * h_prev
+    phi = np.array([[c0 + c1 * (a00 - mu), c1 * a01], [c1 * a10, c0 + c1 * (a11 - mu)]])
+    tb = tau * tau * beta
+    gam = np.array([c1 * b0 - tb * (a11 * b0 - a01 * b1), c1 * b1 - tb * (a00 * b1 - a10 * b0)])
+    return phi, gam
+
+
 def sampled_loop(
     model: DriverModel, h1: SosCascade, h2: SosCascade, loop: LoopConfig, f_hz: float
 ) -> SampledLoop:
@@ -583,7 +629,7 @@ def sampled_loop(
 
     Between ticks the plant d/dt [v, xi] = a [v, xi] + b (p_f - Bl/Sd * i)
     is integrated exactly: e^{a T/2} and the half-period hold integral come
-    from one Van Loan block exponential, and the sine input contributes
+    from the closed form of `_plant_step`, and the sine input contributes
     (jwI - a)^-1 (zI - e^{aT}) b per e^{jw t_k}.  Every signal below is a
     row of coefficients over [s[k], e^{jw t_k}].
     """
@@ -593,11 +639,7 @@ def sampled_loop(
 
     a = np.array([[-model.rss / model.mss, -model.ksc / model.mss], [1.0, 0.0]])
     b = np.array([1.0 / model.mss, 0.0])
-    van_loan = np.zeros((3, 3))
-    van_loan[:2, :2] = a
-    van_loan[:2, 2] = b
-    half = expm(van_loan * (0.5 * dt))
-    phi_half, gam_half = half[:2, :2], half[:2, 2]
+    phi_half, gam_half = _plant_step(a, b, 0.5 * dt)
     phi = phi_half @ phi_half
     # current held over the first and over the second half of the period
     gam_first = -model.pressure_factor * (phi_half @ gam_half)

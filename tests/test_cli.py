@@ -241,11 +241,20 @@ def test_config_round_trip(onedof_config):
     assert json.loads(dump_config(cfg)) == cfg
 
 
-def test_cli_import_leaves_scipy_signal_out():
+def test_cli_import_leaves_scipy_out():
+    # numpy is the only runtime dependency: neither the package nor the CLI
+    # may load any scipy module (scipy.signal included) at import time
     src = str(Path(ea.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, eabsorb.cli; print('scipy.signal' in sys.modules)"
+    code = (
+        "import json, sys\n"
+        "def loaded(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "import eabsorb\n"
+        "after_package = loaded()\n"
+        "import eabsorb.cli\n"
+        "print(json.dumps([after_package, loaded()]))\n"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert json.loads(out.stdout) == [[], []]

@@ -1,10 +1,13 @@
+import csv
 import dataclasses
+import io
 import json
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import eabsorb as ea
 from eabsorb import dsp
@@ -417,6 +420,28 @@ def test_timeseries_csv(tmp_path, ref_model):
     np.testing.assert_allclose(res.pb, res.xi / ref_model.csb, rtol=1e-12, atol=1e-300)
 
 
+def test_timeseries_csv_matches_csv_writer(tmp_path):
+    # the rows are the csv module's rendering of repr(float) cells, to the byte
+    vals = np.array([0.0, -0.0, 5e-324, 1e-300, 1.0 / 3.0, -2.5e17, 1e16, np.inf, -np.inf, np.nan])
+    res = dsp.SimulationResult(
+        t=vals,
+        pf=vals[::-1],
+        pb=np.roll(vals, 3),
+        v=np.roll(vals, 5),
+        xi=vals,
+        i=np.roll(vals, 7).astype(np.float32),
+        transient=0.0,
+    )
+    path = tmp_path / "ts.csv"
+    res.to_csv(path)
+    ref = io.StringIO()
+    writer = csv.writer(ref, lineterminator="\n")
+    writer.writerow(["t_s", "pf_pa", "pb_pa", "i_a", "v_m_per_s"])
+    for row in zip(res.t, res.pf, res.pb, res.i, res.v):
+        writer.writerow([repr(float(x)) for x in row])
+    assert path.read_bytes() == ref.getvalue().encode()
+
+
 def test_sine_excitation_type(ref_model):
     exc = ea.sine_excitation(200.0, 2.0)
     assert exc == ea.SineExcitation(200.0, 2.0)
@@ -509,3 +534,135 @@ def test_exact_loop_matches_rk4_oracle(ref_model, cascades_1dof, latency, hold):
     z_oracle = oracle.measured_impedance(f)
     assert abs(sim.measured_impedance(f) / z_oracle - 1.0) < 1e-6
     assert abs(ea.measure_impedance(ref_model, cascades_1dof, loop, f) / z_oracle - 1.0) < 1e-6
+
+
+# -- plant half step --------------------------------------------------------------
+
+
+def van_loan_step(a, b, tau):
+    """Reference (e^{a tau}, int_0^tau e^{a s} ds b): scipy's expm of the Van
+    Loan block [[a, b], [0, 0]] tau (Van Loan, IEEE TAC 1978).
+
+    It is accurate in norm only: the displacement entry of the hold
+    integral, ~tau/2 of the velocity entry, can carry ~1e-10 relative error.
+    """
+    from scipy.linalg import expm
+
+    block = np.zeros((3, 3))
+    block[:2, :2] = a
+    block[:2, 2] = b
+    e = expm(block * tau)
+    return e[:2, :2], e[:2, 2]
+
+
+def decimal_step(a, b, tau):
+    """Reference (e^{a tau}, int_0^tau e^{a s} ds b) accurate entry by entry.
+
+    Sums the Taylor series of the Van Loan block in 50-digit decimal
+    arithmetic.  The state [v, xi] is first rescaled to [v, s xi] with
+    s = sqrt(|a01 / a10|), which balances the plant so that no entry of
+    the block exceeds ~2 max|eig(a)| tau and the series converges without
+    large terms; the similarity is undone exactly afterwards.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        (a00, a01), (a10, a11) = [[Decimal(x) for x in row] for row in a.tolist()]
+        b0, b1 = (Decimal(x) for x in b.tolist())
+        t = Decimal(tau)
+        s = abs(a01 / a10).sqrt()
+        m = [[a00 * t, a01 / s * t, b0 * t], [a10 * s * t, a11 * t, b1 * s * t], [0, 0, 0]]
+        cols = list(zip(*m))
+        term = [[Decimal(int(i == j)) for j in range(3)] for i in range(3)]
+        total = term
+        for k in range(1, 80):
+            term = [[sum(x * y for x, y in zip(row, col)) / k for col in cols] for row in term]
+            total = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(total, term)]
+        phi = [[total[0][0], total[0][1] * s], [total[1][0] / s, total[1][1]]]
+        gam = [total[0][2], total[1][2] / s]
+        return np.array(phi, dtype=float), np.array(gam, dtype=float)
+
+
+def fast_eigenvalue_ratio(zeta):
+    """max|eig(a)| / w0 at damping ratio zeta."""
+    return max(1.0, zeta + math.sqrt(max(zeta * zeta - 1.0, 0.0)))
+
+
+@st.composite
+def plants(draw):
+    """(a, b, T) of a plant with max|eig(a)| T <= 1, fs = 1/T in 1 kHz..1 MHz.
+
+    rss and ksc are drawn through the fast eigenvalue |lambda| and the
+    damping ratio zeta: under-, near-critically and over-damped plants
+    all occur, and the bound holds by construction.
+    """
+    fs = 10 ** draw(st.floats(3.0, 6.0))
+    mss = 10 ** draw(st.floats(-4.0, -1.0))
+    lam_t = 10 ** draw(st.floats(-4.0, 0.0))  # max|eig(a)| T
+    zeta = draw(
+        st.one_of(
+            st.floats(1e-3, 0.95),
+            st.floats(1.0 - 1e-6, 1.0 + 1e-6),
+            st.floats(1.05, 10.0),
+        )
+    )
+    w0 = lam_t * fs / fast_eigenvalue_ratio(zeta)
+    rss, ksc = 2.0 * zeta * w0 * mss, w0 * w0 * mss
+    a = np.array([[-rss / mss, -ksc / mss], [1.0, 0.0]])
+    b = np.array([1.0 / mss, 0.0])
+    assume(np.max(np.abs(np.linalg.eigvals(a))) / fs <= 1.0)
+    return a, b, 1.0 / fs
+
+
+def assert_step_close(a, b, tau):
+    phi, gam = dsp._plant_step(a, b, tau)
+    # scipy's expm: 1e-13 relative in norm
+    phi_ref, gam_ref = van_loan_step(a, b, tau)
+    assert np.max(np.abs(phi - phi_ref)) <= 1e-13 * np.max(np.abs(phi_ref))
+    assert np.max(np.abs(gam - gam_ref)) <= 1e-13 * np.max(np.abs(gam_ref))
+    # the decimal series: 1e-13 relative in every entry
+    phi_ref, gam_ref = decimal_step(a, b, tau)
+    assert np.all(np.abs(phi - phi_ref) <= 1e-13 * np.abs(phi_ref))
+    assert np.all(np.abs(gam - gam_ref) <= 1e-13 * np.abs(gam_ref))
+
+
+@settings(max_examples=150, deadline=None)
+@given(plants())
+def test_property_plant_step_matches_van_loan(plant):
+    a, b, dt = plant
+    assert_step_close(a, b, 0.5 * dt)
+
+
+@pytest.mark.parametrize("fs", [1e3, 5e4, 1e6])
+def test_plant_step_critical_damping(fs):
+    # mss 0.5, rss 4, ksc 8: the double eigenvalue -4, so delta = 0 exactly
+    a = np.array([[-8.0, -16.0], [1.0, 0.0]])
+    b = np.array([2.0, 0.0])
+    assert (0.5 * a[0, 0]) ** 2 == a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+    assert_step_close(a, b, 0.5 / fs)
+
+
+@pytest.mark.parametrize("zeta", [0.1, 1.0, 5.0])
+@pytest.mark.parametrize("lam_t", [3.0, 8.0])
+def test_plant_step_long_steps(zeta, lam_t):
+    # max|eig(a)| T/2 > 1: the step is built from squared half steps; the
+    # input also drives the displacement, so both columns of adj(a) enter
+    w0 = lam_t * FS / fast_eigenvalue_ratio(zeta)
+    a = np.array([[-2.0 * zeta * w0, -w0 * w0], [1.0, 0.0]])
+    assert_step_close(a, np.array([1e3, 0.1]), 0.5 / FS)
+
+
+@pytest.mark.parametrize("name", ["1dof", "broadband", "2dof"])
+def test_closed_loop_plant_step_matches_van_loan(ref_model, targets, fb4, monkeypatch, name):
+    """The steady state is the same on the closed-form half step as on
+    scipy's Van Loan exponential, on the three hold branches at 205.5 Hz."""
+    pair = ea.synthesize_controller(ref_model, targets[name], fb4)
+    cascades = (ea.bilinear_discretize(pair.h1, FS), ea.bilinear_discretize(pair.h2, FS))
+    loops = [
+        ea.LoopConfig(fs=FS, latency=latency, hold=hold)
+        for latency, hold in ((0, "centered"), (1, "centered"), (1, "causal"))
+    ]
+    z = [ea.measure_impedance(ref_model, cascades, loop, 205.5) for loop in loops]
+    monkeypatch.setattr(dsp, "_plant_step", van_loan_step)
+    z_ref = [ea.measure_impedance(ref_model, cascades, loop, 205.5) for loop in loops]
+    for got, ref in zip(z, z_ref):
+        assert abs(got / ref - 1.0) <= 1e-12
