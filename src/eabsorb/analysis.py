@@ -14,11 +14,29 @@ coefficient arrays N and D with Z_sa = (p @ N) / (p @ D):
 `achieved_impedance` evaluates that ratio, `sensitivities` are its
 log-derivatives, and `monte_carlo_absorption` evaluates the reflection
 coefficient of a block of draws as two matrix products.
+
+Monte Carlo draw i of a study with seed `seed` is, bit for bit,
+
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+    factors = rng.normal(1.0, rel_std, 5)   # again while any factor <= 0
+
+so a draw depends only on (seed, i), not on the draw count or order.
+Building those objects per draw would cost more than the study's kernel, so
+`_draw_factors` reproduces them for a whole block of draws at once.  The
+SeedSequence hash of the seed words is shared by every draw and runs once,
+on Python ints; only its last round, which mixes in the spawn word i, and
+its output hash run on uint32 arrays over the block.  Each draw's words then
+become the PCG64 (state, inc) that PCG64 would seed itself with, and one
+reused PCG64 is set to it before the real `Generator.normal` is called.
+Both seeding algorithms are fixed: numpy's SeedSequence hash (stable under
+NEP 19) and PCG64's seeding step (O'Neill, "PCG", HMC-CS-2014-0905,
+`pcg_setseq_128_srandom_r`).
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
@@ -27,9 +45,25 @@ from .errors import InvalidParameterError
 from .model import AirProperties, DriverModel, passive_impedance
 from .synthesis import FeedbackSpec, TargetSpec, feedback_filter, target_impedance
 
-#: denominator magnitudes below this fraction of the surrounding scale are
-#: flagged as singular evaluation frequencies
+#: denominator magnitudes at or below this absolute value are flagged as
+#: singular evaluation frequencies.  It catches exact zeros and values near
+#: underflow only; it is not a relative conditioning test, since a small but
+#: normal denominator still gives a finite, if large, impedance
 SINGULAR_TOL = 1e-300
+
+#: indices of Monte Carlo draws must fit one SeedSequence spawn word
+MAX_DRAWS = 2**32
+
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+# numpy SeedSequence hash constants
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# PCG64's 128-bit LCG multiplier
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# blocks bound the draws' seed words and the complex temporaries of a study
+_DRAW_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -189,8 +223,9 @@ class MonteCarloConfig:
     freqs_hz: np.ndarray = field(default_factory=default_frequency_grid)
 
     def __post_init__(self):
-        if self.n_draws < 1:
-            raise InvalidParameterError("n_draws must be at least 1")
+        _check_seed(self.seed)
+        if not 1 <= self.n_draws <= MAX_DRAWS:
+            raise InvalidParameterError(f"n_draws must be in [1, {MAX_DRAWS}]")
         if not (0.0 <= self.rel_std < 0.2):
             raise InvalidParameterError("rel_std must be in [0, 0.2)")
 
@@ -231,19 +266,129 @@ class QuartileBand:
         return cls(arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3])
 
 
+def _is_integer(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _check_seed(seed) -> None:
+    if not _is_integer(seed) or seed < 0:
+        raise InvalidParameterError(f"seed must be a non-negative integer, got {seed!r}")
+
+
+def _hash_constants(init: int, mult: int):
+    """Successive (old, new) hash constants of one SeedSequence hash pass."""
+    while True:
+        new = (init * mult) & _MASK32
+        yield init, new
+        init = new
+
+
+def _hashmix(value, consts):
+    # value is a Python int or a uint32 array, whose arithmetic wraps mod 2**32
+    old, new = next(consts)
+    value = ((value ^ old) * new) & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    value = (((_MIX_MULT_L * x) & _MASK32) - ((_MIX_MULT_R * y) & _MASK32)) & _MASK32
+    return value ^ (value >> 16)
+
+
+@functools.lru_cache(maxsize=16)
+def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
+    """SeedSequence's entropy pool after every entropy word but the spawn
+    word, and the hash constant it has reached, for `SeedSequence(seed,
+    spawn_key=(i,))`: the seed words, zero-padded to the pool size of 4."""
+    entropy = []
+    while True:
+        entropy.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            break
+    entropy += [0] * (4 - len(entropy))
+    consts = _hash_constants(_HASH_INIT_A, _HASH_MULT_A)
+    pool = [_hashmix(word, consts) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], _hashmix(word, consts))
+    return tuple(pool), next(consts)[0]
+
+
+def _pcg64_seeds(seed: int, index) -> list[tuple[int, int]]:
+    """PCG64(SeedSequence(seed, spawn_key=(i,))) as (state, inc) for each i
+    of `index`, a uint32 array or one Python int.
+
+    This finishes SeedSequence's mix_entropy with the spawn word i and runs
+    its generate_state(4, uint64), on all draws at once.
+    """
+    pool, hash_const = _seed_pool(int(seed))
+    consts = _hash_constants(hash_const, _HASH_MULT_A)
+    pool = [_mix(word, _hashmix(index, consts)) for word in pool]
+    consts = _hash_constants(_HASH_INIT_B, _HASH_MULT_B)
+    words = np.array([_hashmix(pool[k % 4], consts) for k in range(8)], dtype=np.uint32)
+    seeds = []
+    for w in words.reshape(8, -1).T.tolist():
+        # generate_state(4, uint64) pairs its uint32 words little-endian;
+        # PCG64 takes words 0-1 as the initial state and 2-3 as the sequence
+        initstate = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
+        initseq = w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6]
+        # pcg_setseq_128_srandom_r: two LCG steps from state 0
+        inc = (initseq << 1 | 1) & _MASK128
+        seeds.append((((inc + initstate) * _PCG_MULT + inc) & _MASK128, inc))
+    return seeds
+
+
+def _draw_factors(seed: int, lo: int, hi: int, rel_std: float) -> np.ndarray:
+    """Factors of draws lo, ..., hi - 1 (one row each) of the stream
+    contract in the module docstring."""
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    # one draw hashes faster as a Python int than as a 1-element array
+    seeds = _pcg64_seeds(seed, lo if hi - lo == 1 else np.arange(lo, hi, dtype=np.uint32))
+
+    def stream(k: int) -> np.random.Generator:
+        state, inc = seeds[k]
+        bitgen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return gen
+
+    factors = np.array([stream(k).normal(1.0, rel_std, 5) for k in range(hi - lo)])
+    # a rejected draw is made again, then redrawn where its stream left off
+    for k in np.flatnonzero(np.any(factors <= 0.0, axis=1)):
+        row = stream(k).normal(1.0, rel_std, 5)
+        while np.any(row <= 0.0):
+            row = gen.normal(1.0, rel_std, 5)
+        factors[k] = row
+    return factors
+
+
 def draw_parameter_factors(seed: int, index: int, rel_std: float) -> np.ndarray:
     """Multiplicative Gaussian factors for draw `index`.
 
     Each draw uses its own RNG stream keyed by (seed, index), so a draw does
-    not depend on how many others are made or in which order.  Draws
-    yielding any non-positive factor are rejected and redrawn within the
-    same stream.
+    not depend on how many others are made or in which order: it equals
+    `np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+    .normal(1.0, rel_std, 5)`, bit for bit.  Draws yielding any non-positive
+    factor are rejected and redrawn within the same stream.  The seed must
+    be a non-negative integer and the index an integer in [0, 2**32).
+    Monte Carlo studies make the same draws a block at a time.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
-    factors = rng.normal(1.0, rel_std, 5)
-    while np.any(factors <= 0.0):
-        factors = rng.normal(1.0, rel_std, 5)
-    return factors
+    _check_seed(seed)
+    if not _is_integer(index) or not 0 <= index < MAX_DRAWS:
+        raise InvalidParameterError(
+            f"draw index must be an integer in [0, {MAX_DRAWS}), got {index!r}"
+        )
+    index = int(index)
+    return _draw_factors(seed, index, index + 1, rel_std)[0]
 
 
 def monte_carlo_absorption(
@@ -268,21 +413,19 @@ def monte_carlo_absorption(
     gamma_num = num - rc * den
     gamma_den = num + rc * den
 
-    factors = np.empty((cfg.n_draws, 5))
-    for i in range(cfg.n_draws):
-        factors[i] = draw_parameter_factors(cfg.seed, i, cfg.rel_std)
     true_values = np.array([model.rss, model.omega0, model.qms, model.pressure_factor, model.csb])
-    alpha = np.empty((cfg.n_draws, freqs.size))
-    # blocks bound the complex temporaries to 256 draws at a time
-    block = 256
-    for lo in range(0, cfg.n_draws, block):
-        p = _estimate_vector(model, *(true_values * factors[lo : lo + block]).T)
+    # one row per frequency, so that the quantiles run along contiguous draws
+    alpha = np.empty((freqs.size, cfg.n_draws))
+    for lo in range(0, cfg.n_draws, _DRAW_BLOCK):
+        hi = min(lo + _DRAW_BLOCK, cfg.n_draws)
+        factors = _draw_factors(cfg.seed, lo, hi, cfg.rel_std)
+        p = _estimate_vector(model, *(true_values * factors).T)
         with np.errstate(divide="ignore", invalid="ignore"):
             gamma = (p @ gamma_num) / (p @ gamma_den)
-        alpha[lo : lo + block] = 1.0 - np.abs(gamma) ** 2
+        alpha[:, lo:hi] = (1.0 - np.abs(gamma) ** 2).T
 
     # Hyndman-Fan type 7 (numpy's default linear interpolation), partitioning
     # alpha in place rather than a copy of it
-    q1, q3 = np.quantile(alpha, [0.25, 0.75], axis=0, method="linear", overwrite_input=True)
+    q1, q3 = np.quantile(alpha, [0.25, 0.75], axis=1, method="linear", overwrite_input=True)
     nominal = absorption_coefficient(target_impedance(target)(s), model.air)
     return QuartileBand(freqs_hz=freqs, q1=q1, q3=q3, nominal=nominal)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -70,16 +71,32 @@ def _specs_from_config(cfg: dict, air) -> tuple[synthesis.TargetSpec, synthesis.
         raise ConfigError(f"invalid target/feedback block: {exc}") from exc
 
 
+def _number(value, key: str, allow_zero: bool = False) -> float:
+    """`value` as a finite float that is positive (or zero with allow_zero),
+    else a ConfigError naming the config key."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not (math.isfinite(x) and (x > 0.0 or (allow_zero and x == 0.0))):
+        bound = "a non-negative" if allow_zero else "a positive"
+        raise ConfigError(f"{key} must be {bound} number, got {value!r}")
+    return x
+
+
 def _grid_from_config(cfg: dict) -> np.ndarray:
     g = cfg.get("grid")
     if g is None:
         return analysis.default_frequency_grid()
+    if not isinstance(g, dict):
+        raise ConfigError("grid must be an object")
     try:
-        grid = np.arange(
-            float(g["f_min_hz"]), float(g["f_max_hz"]) + 1e-9, float(g["step_hz"])
+        f_min, f_max, step = (
+            _number(g[key], f"grid.{key}") for key in ("f_min_hz", "f_max_hz", "step_hz")
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid grid block: {exc}") from exc
+    except KeyError as exc:
+        raise ConfigError(f"grid.{exc.args[0]} is missing") from exc
+    grid = np.arange(f_min, f_max + 1e-9, step)
     if grid.size == 0:
         raise ConfigError("frequency grid is empty")
     return grid
@@ -149,7 +166,7 @@ def cmd_montecarlo(args) -> int:
         mc_cfg = analysis.MonteCarloConfig(
             n_draws=int(mc["n_draws"]),
             rel_std=float(mc["rel_std"]),
-            seed=int(args.seed if args.seed is not None else mc["seed"]),
+            seed=args.seed if args.seed is not None else mc["seed"],
             freqs_hz=_grid_from_config(cfg),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -188,13 +205,20 @@ def cmd_kundt(args) -> int:
     driver = _driver_from_config(cfg)
     target, fb = _specs_from_config(cfg, driver.air)
     kcfg = cfg.get("kundt", {})
-    geom = (
-        vkundt.WaveguideGeometry.from_dict(kcfg["geometry"])
-        if "geometry" in kcfg
-        else vkundt.REFERENCE_GEOMETRY
-    )
-    noise = float(kcfg.get("noise_rel_std", 0.0))
-    noise_seed = int(args.seed if args.seed is not None else kcfg.get("noise_seed", 0))
+    try:
+        geom = (
+            vkundt.WaveguideGeometry.from_dict(kcfg["geometry"])
+            if "geometry" in kcfg
+            else vkundt.REFERENCE_GEOMETRY
+        )
+    except KeyError as exc:
+        raise ConfigError(f"kundt.geometry.{exc.args[0]} is missing") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid kundt.geometry: {exc}") from exc
+    noise = _number(kcfg.get("noise_rel_std", 0.0), "kundt.noise_rel_std", allow_zero=True)
+    noise_seed = args.seed if args.seed is not None else kcfg.get("noise_seed", 0)
+    if not isinstance(noise_seed, int) or isinstance(noise_seed, bool) or noise_seed < 0:
+        raise ConfigError(f"kundt.noise_seed must be a non-negative integer, got {noise_seed!r}")
     freqs = _grid_from_config(cfg)
     estimates = _estimates_from_config(cfg, driver)
     omega = 2.0 * np.pi * freqs
@@ -236,7 +260,7 @@ def cmd_simulate(args) -> int:
             duration=float(sim.get("duration_s", 1.0)),
             transient=float(sim.get("transient_s", 0.5)),
         )
-        freqs = [float(f) for f in sim.get("freqs_hz", [205.5])]
+        freqs = [_number(f, "simulate.freqs_hz") for f in sim.get("freqs_hz", [205.5])]
         amplitude = float(sim.get("amplitude_pa", 1.0))
     except (TypeError, ValueError, InvalidParameterError) as exc:
         raise ConfigError(f"invalid simulate block: {exc}") from exc

@@ -4,7 +4,12 @@ Coefficients are stored as real arrays in descending powers of s, with the
 leading denominator coefficient normalized to 1.  Arithmetic is plain
 polynomial arithmetic over a common denominator; the only simplifications
 performed are the removal of exactly-zero leading coefficients and, on
-request, of common roots at the origin.
+request, of common roots at the origin.  Coefficients that do not fit
+float64 in that form raise OverflowError.
+
+Evaluation is Horner's rule with every power of s and every coefficient
+scaled by a power of two (see `RationalTransfer.__call__`), so products of
+wide-range coefficients evaluate without overflow.
 """
 
 from __future__ import annotations
@@ -43,8 +48,11 @@ class RationalTransfer:
         if np.all(den == 0.0):
             raise ZeroDivisionError("denominator polynomial is zero")
         lead = den[0]
-        num = num / lead
-        den = den / lead
+        with np.errstate(over="ignore", invalid="ignore"):
+            num = num / lead
+            den = den / lead
+        if not (np.all(np.isfinite(num)) and np.all(np.isfinite(den))):
+            raise OverflowError("coefficients are not finite once the denominator is made monic")
         num.setflags(write=False)
         den.setflags(write=False)
         return cls(num=num, den=den)
@@ -65,7 +73,33 @@ class RationalTransfer:
     # -- evaluation ---------------------------------------------------------
 
     def __call__(self, s):
-        return np.polyval(self.num, s) / np.polyval(self.den, s)
+        """Value at s.
+
+        Horner's rule runs in t = s / 2**k, with 2**k the least power of two
+        above |s| (k = 0 when |s| < 1), on each polynomial's coefficients
+        divided by the least power of two 2**e above the largest of them.
+        Every coefficient of t is then below 1 and |t| < 1, so no
+        intermediate overflows, and the ratio takes back its scale
+        2**(k*(deg num - deg den) + e_num - e_den) in one ldexp.  Power-of-two
+        scaling is exact, so the value is plain Horner's wherever that stays
+        in range.  A value beyond the float64 range evaluates to +-inf.
+        """
+        s = np.asarray(s)
+        k = np.maximum(np.frexp(np.abs(s))[1], 0)
+        scale = np.ldexp(1.0, -k)
+        t = s * scale
+        num, e_num = _scaled_horner(self.num, t, scale)
+        den, e_den = _scaled_horner(self.den, t, scale)
+        exp = k * (self.num_degree - self.den_degree) + e_num - e_den
+        ratio = np.asarray(num / den)
+        value = np.empty_like(ratio)
+        with np.errstate(over="ignore"):
+            if np.iscomplexobj(ratio):
+                value.real = np.ldexp(ratio.real, exp)
+                value.imag = np.ldexp(ratio.imag, exp)
+            else:
+                value[...] = np.ldexp(ratio, exp)
+        return value[()]
 
     def at_frequency(self, f_hz):
         """Evaluate at s = j*2*pi*f for f in Hz."""
@@ -115,15 +149,16 @@ class RationalTransfer:
 
     def __add__(self, other):
         other = _as_transfer(other)
-        num = np.polyadd(np.polymul(self.num, other.den), np.polymul(other.num, self.den))
+        # coefficients beyond float64 come out inf or nan, which from_coeffs
+        # rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            num = np.polyadd(np.polymul(self.num, other.den), np.polymul(other.num, self.den))
         return RationalTransfer.from_coeffs(num, np.polymul(self.den, other.den))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _as_transfer(other)
-        num = np.polysub(np.polymul(self.num, other.den), np.polymul(other.num, self.den))
-        return RationalTransfer.from_coeffs(num, np.polymul(self.den, other.den))
+        return self + (-_as_transfer(other))
 
     def __rsub__(self, other):
         return _as_transfer(other) - self
@@ -150,6 +185,19 @@ class RationalTransfer:
 
     def inverse(self) -> "RationalTransfer":
         return RationalTransfer.from_coeffs(self.den, self.num)
+
+
+def _scaled_horner(c: np.ndarray, t, scale):
+    """(y, e) with c(t / scale) * scale**deg = y * 2**e, by Horner's rule on
+    c / 2**e, where 2**e bounds |c|."""
+    e = np.frexp(np.max(np.abs(c)))[1]
+    c = np.ldexp(c, -e)
+    y = np.zeros_like(t)
+    power = np.ones_like(scale)
+    for cj in c:
+        y = y * t + cj * power
+        power = power * scale
+    return y, e
 
 
 def _as_transfer(x) -> RationalTransfer:

@@ -75,6 +75,16 @@ def oracle_mismatch(model, est, tg, fb, omega):
     return zsa, (s_zss, s_f, s_csb)
 
 
+def reference_draw(seed, index, rel_std):
+    """Draw `index` of the stream contract: one SeedSequence and Generator
+    per draw, redrawn within its stream while any factor is <= 0."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+    factors = rng.normal(1.0, rel_std, 5)
+    while np.any(factors <= 0.0):
+        factors = rng.normal(1.0, rel_std, 5)
+    return factors
+
+
 def oracle_quartiles(model, tg, fb, cfg):
     """Type-7 quartiles of the oracle absorption over the study's draws."""
     omega = 2.0 * np.pi * np.asarray(cfg.freqs_hz)
@@ -82,9 +92,7 @@ def oracle_quartiles(model, tg, fb, cfg):
         ea.absorption_coefficient(
             oracle_mismatch(
                 model,
-                ea.ParameterEstimates.scaled(
-                    model, *ea.analysis.draw_parameter_factors(cfg.seed, i, cfg.rel_std)
-                ),
+                ea.ParameterEstimates.scaled(model, *reference_draw(cfg.seed, i, cfg.rel_std)),
                 tg, fb, omega,
             )[0],
             model.air,
@@ -261,6 +269,75 @@ def test_draw_factors_deterministic_per_index():
     assert np.all(a > 0.0)
 
 
+# one seed word, or two to five of them
+SEEDS = st.one_of(st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**128))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=SEEDS,
+    lo=st.one_of(st.sampled_from([0, 1, 255, 256, 257, 511]), st.integers(0, 2**32 - 300)),
+    n_draws=st.one_of(st.sampled_from([1, 2, 255, 256, 257]), st.integers(1, 300)),
+)
+def test_property_block_draws_match_reference(seed, lo, n_draws):
+    # at rel_std 0.5, P(factor <= 0) = 2.3 % and ~11 % of draws are redrawn
+    got = ea.analysis._draw_factors(seed, lo, lo + n_draws, 0.5)
+    want = np.array([reference_draw(seed, i, 0.5) for i in range(lo, lo + n_draws)])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_block_draws_cover_redraws():
+    # the redraw path, including draws rejected more than once, is exercised
+    first = np.array([
+        np.random.default_rng(np.random.SeedSequence(3, spawn_key=(i,))).normal(1.0, 0.5, 5)
+        for i in range(600)
+    ])
+    assert np.sum(np.any(first <= 0.0, axis=1)) > 30
+    want = np.array([reference_draw(3, i, 0.5) for i in range(600)])
+    assert ea.analysis._draw_factors(3, 0, 600, 0.5).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "seed", [0, 1, 20260823, 2**32 + 5, 2**100 + 3, int(1.2e22), 2**200 + 9]
+)
+def test_public_draw_matches_reference(seed):
+    for index in (0, 1, 255, 256, 257, 99_999, 2**32 - 1):
+        for rel_std in (0.0, 0.05, 0.19):
+            got = ea.analysis.draw_parameter_factors(seed, index, rel_std)
+            assert got.tobytes() == reference_draw(seed, index, rel_std).tobytes()
+    # numpy integer seeds and indices give the same draws as Python ints
+    got = ea.analysis.draw_parameter_factors(np.uint64(seed % 2**64), np.int64(7), 0.05)
+    assert got.tobytes() == reference_draw(seed % 2**64, 7, 0.05).tobytes()
+
+
+def reference_study(model, tg, fb, cfg):
+    """The study with reference draws, one row per draw and quantiles along
+    the draw axis."""
+    s = 2j * np.pi * np.asarray(cfg.freqs_hz, dtype=float)
+    num, den = ea.analysis._mismatch_kernel(model, tg, fb, s)
+    rc = model.air.characteristic_impedance
+    true = np.array([model.rss, model.omega0, model.qms, model.pressure_factor, model.csb])
+    factors = np.array([reference_draw(cfg.seed, i, cfg.rel_std) for i in range(cfg.n_draws)])
+    alpha = np.empty((cfg.n_draws, s.size))
+    for lo in range(0, cfg.n_draws, 256):
+        p = ea.analysis._estimate_vector(model, *(true * factors[lo : lo + 256]).T)
+        gamma = (p @ (num - rc * den)) / (p @ (num + rc * den))
+        alpha[lo : lo + 256] = 1.0 - np.abs(gamma) ** 2
+    q1, q3 = np.quantile(alpha, [0.25, 0.75], axis=0)
+    nominal = ea.absorption_coefficient(ea.target_impedance(tg)(s), model.air)
+    return q1, q3, nominal
+
+
+@pytest.mark.parametrize("target", ["1dof", "broadband", "2dof"])
+def test_monte_carlo_bytes_match_reference_study(ref_model, targets, fb4, target):
+    cfg = ea.MonteCarloConfig(n_draws=601, rel_std=0.05, seed=20260823)
+    band = ea.monte_carlo_absorption(ref_model, targets[target], fb4, cfg)
+    q1, q3, nominal = reference_study(ref_model, targets[target], fb4, cfg)
+    assert band.q1.tobytes() == q1.tobytes()
+    assert band.q3.tobytes() == q3.tobytes()
+    assert band.nominal.tobytes() == nominal.tobytes()
+
+
 def test_monte_carlo_zero_spread_equals_nominal(ref_model, targets, fb4):
     cfg = ea.MonteCarloConfig(n_draws=32, rel_std=0.0, seed=1, freqs_hz=np.arange(50.0, 500.0, 25.0))
     band = ea.monte_carlo_absorption(ref_model, targets["1dof"], fb4, cfg)
@@ -322,4 +399,21 @@ def test_monte_carlo_config_validation():
     with pytest.raises(ea.InvalidParameterError):
         ea.MonteCarloConfig(n_draws=0, rel_std=0.05, seed=1)
     with pytest.raises(ea.InvalidParameterError):
+        ea.MonteCarloConfig(n_draws=2**32 + 1, rel_std=0.05, seed=1)
+    with pytest.raises(ea.InvalidParameterError):
         ea.MonteCarloConfig(n_draws=10, rel_std=0.5, seed=1)
+    ea.MonteCarloConfig(n_draws=10, rel_std=0.05, seed=np.uint32(7))
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, 2.0, "7", True, None])
+def test_bad_seed_rejected(seed):
+    with pytest.raises(ea.InvalidParameterError, match="seed"):
+        ea.MonteCarloConfig(n_draws=10, rel_std=0.05, seed=seed)
+    with pytest.raises(ea.InvalidParameterError, match="seed"):
+        ea.analysis.draw_parameter_factors(seed, 0, 0.05)
+
+
+@pytest.mark.parametrize("index", [-1, 2**32, 2**40, 3.0, "1"])
+def test_bad_draw_index_rejected(index):
+    with pytest.raises(ea.InvalidParameterError, match="index"):
+        ea.analysis.draw_parameter_factors(1, index, 0.05)

@@ -66,6 +66,47 @@ def test_bad_config_exit_code(tmp_path):
     assert run(["design", "--config", p3, "--out", tmp_path / "o"]) == 2
 
 
+BAD_VALUES = {
+    "grid-step-zero": ("montecarlo", ("grid", "step_hz"), 0, "grid.step_hz"),
+    "grid-step-missing": ("kundt", ("grid", "step_hz"), None, "grid.step_hz"),
+    "geometry-no-delta-x": (
+        "kundt",
+        ("kundt", "geometry"),
+        {"x1_m": 0.42, "length_m": 0.97, "diameter_m": 0.072},
+        "kundt.geometry.delta_x_m",
+    ),
+    "noise-not-a-number": ("kundt", ("kundt", "noise_rel_std"), "x", "kundt.noise_rel_std"),
+    "noise-seed-negative": ("kundt", ("kundt", "noise_seed"), -3, "kundt.noise_seed"),
+    "simulate-negative-freq": ("simulate", ("simulate", "freqs_hz"), [-5], "simulate.freqs_hz"),
+    "seed-negative": ("montecarlo", ("montecarlo", "seed"), -1, "seed"),
+    "seed-not-integer": ("montecarlo", ("montecarlo", "seed"), 1.5, "seed"),
+    "seed-string": ("montecarlo", ("montecarlo", "seed"), "7", "seed"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_VALUES), ids=list(BAD_VALUES))
+def test_bad_config_values_exit_2(tmp_path, capsys, case):
+    # each bad value is a config error naming its key, never a traceback
+    verb, (block, key), value, name = BAD_VALUES[case]
+    cfg = json.loads((FIXTURES / "table1_1dof.json").read_text())
+    if value is None:
+        del cfg[block][key]
+    else:
+        cfg.setdefault(block, {})[key] = value
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    assert run([verb, "--config", p, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and name in err
+
+
+@pytest.mark.parametrize("verb", ["montecarlo", "kundt"])
+def test_negative_seed_flag_exits_2(tmp_path, capsys, verb):
+    code = run([verb, "--config", FIXTURES / "table1_1dof.json", "--out", tmp_path, "--seed", -1])
+    assert code == 2
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+
+
 def test_missing_config_is_config_error(tmp_path):
     assert run(["design", "--config", tmp_path / "absent.json", "--out", tmp_path]) == 2
 

@@ -1,6 +1,8 @@
+import operator
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eabsorb.rational import RationalTransfer
 
@@ -82,9 +84,48 @@ def test_zero_denominator_rejected():
         RationalTransfer.from_coeffs([1.0], [0.0])
 
 
+def test_overflowing_normalization_rejected():
+    # 4 / 2.2e-308 exceeds the float64 range
+    with pytest.raises(OverflowError):
+        RationalTransfer.from_coeffs([4.0], [2.2250738585072014e-308])
+    # so do the monic coefficients of a product of wide-range denominators
+    a = RationalTransfer.from_coeffs([1.0], [1e-200, 1.0])
+    with pytest.raises(OverflowError):
+        a * a
+
+
+def test_wide_range_product_evaluates():
+    # den of a*a is s^4 + 6.7e151 s^3 + 1.1e303 s^2: plain Horner overflows
+    # to inf at 407 rad/s and returns 0 for a ~1.9e-9 value
+    a = RationalTransfer.from_coeffs([1.0], [1.7e-150, 57.0, 0.0])
+    s = 1j * np.array([3.7, 91.2, 407.0])
+    np.testing.assert_allclose((a * a)(s), a(s) ** 2, rtol=1e-12)
+
+
+def test_evaluation_matches_plain_horner_in_range():
+    # power-of-two scaling is exact: bit for bit np.polyval where it fits
+    rng = np.random.default_rng(5)
+    s = np.concatenate([1j * np.geomspace(1e-2, 1e6, 41), rng.normal(size=9) * 300.0 + 1j])
+    for _ in range(200):
+        num = rng.normal(size=rng.integers(1, 7)) * 10.0 ** rng.uniform(-6, 6)
+        den = rng.normal(size=rng.integers(1, 7)) * 10.0 ** rng.uniform(-6, 6)
+        r = RationalTransfer.from_coeffs(num, den)
+        want = np.polyval(r.num, s) / np.polyval(r.den, s)
+        assert r(s).tobytes() == want.tobytes()
+        assert r(0.25) == np.polyval(r.num, 0.25) / np.polyval(r.den, 0.25)
+
+
+def test_value_beyond_float_range_is_inf():
+    r = RationalTransfer.from_coeffs([1e300, 0.0, 0.0], [1.0])
+    assert r(1e5j) == complex(-np.inf, 0.0)
+    assert r(1e3j) == pytest.approx(-1e306)
+
+
 coef = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 
 
+@settings(max_examples=200)
+@example(n1=[1.0], d1=[1.7e-150, 57.0, 0.0], n2=[1.0], d2=[1.7e-150, 57.0, 0.0])
 @given(
     n1=st.lists(coef, min_size=1, max_size=3),
     d1=st.lists(coef, min_size=1, max_size=3),
@@ -95,22 +136,25 @@ def test_property_field_axioms(n1, d1, n2, d2):
     try:
         a = RationalTransfer.from_coeffs(n1, d1)
         b = RationalTransfer.from_coeffs(n2, d2)
-    except ZeroDivisionError:
+    except (ZeroDivisionError, OverflowError):
+        # a zero denominator, or one too small to make monic in float64
         return
     s = 1j * np.array([3.7, 91.2, 407.0])
     va, vb = a(s), b(s)
     if not (np.all(np.isfinite(va)) and np.all(np.isfinite(vb))):
         return
-    lhs = (a + b)(s)
-    keep = np.isfinite(lhs) & np.isfinite(va + vb)
-    if keep.any():
-        scale = np.maximum(np.abs(va) + np.abs(vb), 1.0)
-        np.testing.assert_allclose(
-            lhs[keep], (va + vb)[keep], rtol=1e-7, atol=1e-7 * scale[keep].max()
-        )
-    prod = (a * b)(s)
-    keep = np.isfinite(prod) & np.isfinite(va * vb)
-    if keep.any():
-        np.testing.assert_allclose(
-            prod[keep], (va * vb)[keep], rtol=1e-7, atol=1e-7 * (np.abs(va * vb)[keep].max() + 1.0)
-        )
+    # pointwise sums and products beyond the float64 range are not compared
+    with np.errstate(over="ignore", invalid="ignore"):
+        want_sum, want_prod = va + vb, va * vb
+    atol_sum = 1e-7 * np.maximum(np.abs(va) + np.abs(vb), 1.0)
+    atol_prod = 1e-7 * (np.abs(want_prod) + 1.0)
+    checks = ((operator.add, want_sum, atol_sum), (operator.mul, want_prod, atol_prod))
+    for op, want, atol in checks:
+        try:
+            got = op(a, b)(s)
+        except OverflowError:
+            # the combined coefficients leave the float64 range
+            continue
+        keep = np.isfinite(got) & np.isfinite(want)
+        if keep.any():
+            np.testing.assert_allclose(got[keep], want[keep], rtol=1e-7, atol=atol[keep].max())
