@@ -22,15 +22,12 @@ from .analysis import (
     sensitivities,
 )
 from .dsp import (
-    BiquadSection,
     LoopConfig,
     SineExcitation,
     SosCascade,
-    TwoInputController,
     bilinear_discretize,
     closed_loop_sim,
     measure_impedance,
-    process_block,
     sine_excitation,
     sos_partition,
 )
@@ -97,4 +94,25 @@ from .vkundt import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public surface: every name imported above, module by module
+__all__ = [
+    "MonteCarloConfig", "ParameterEstimates", "QuartileBand", "SensitivityTriple",
+    "absorption_coefficient", "achieved_impedance", "default_frequency_grid",
+    "monte_carlo_absorption", "reflection_coefficient", "sensitivities",
+    "LoopConfig", "SineExcitation", "SosCascade", "bilinear_discretize", "closed_loop_sim",
+    "measure_impedance", "sine_excitation", "sos_partition",
+    "DiscretizationError", "DivergenceError", "EabsorbError", "IdentificationError",
+    "InvalidParameterError", "SingularDesignError", "SynthesisError",
+    "MeasuredSpectrum", "ProbeGain", "default_probe_gains", "estimate_box_compliance",
+    "estimate_force_factor", "fit_passive_params", "identify_model", "passive_spectrum",
+    "probe_front_spectrum", "probe_rear_spectrum",
+    "AirProperties", "CurrentSourceDesign", "DEFAULT_AIR", "DriverModel", "RawDriverParams",
+    "REFERENCE_CURRENT_SOURCE", "current_source_gains", "derive_specific_model",
+    "opamp_current", "passive_impedance", "rear_pressure_gain", "table_reference_model",
+    "RationalTransfer",
+    "ControllerPair", "FeedbackSpec", "Resonator", "StabilityReport", "TargetSpec",
+    "check_target_admissibility", "check_transfer_admissibility", "feedback_filter",
+    "hurwitz_cubic_stable", "stability_report", "synthesize_controller", "target_impedance",
+    "REFERENCE_GEOMETRY", "ReflectionResult", "TwoMicMeasurement", "WaveguideGeometry",
+    "add_measurement_noise", "conditioning_report", "recover_reflection", "simulate_two_mic",
+]

@@ -35,12 +35,12 @@ NEP 19) and PCG64's seeding step (O'Neill, "PCG", HMC-CS-2014-0905,
 
 from __future__ import annotations
 
-import csv
 import functools
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
+from ._csvio import read_columns, write_columns
 from .errors import InvalidParameterError
 from .model import AirProperties, DriverModel, passive_impedance
 from .synthesis import FeedbackSpec, TargetSpec, feedback_filter, target_impedance
@@ -248,22 +248,12 @@ class QuartileBand:
         return self.q3 - self.q1
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["freq_hz", "alpha_q1", "alpha_q3", "alpha_nominal"])
-            for f, a, b, n in zip(self.freqs_hz, self.q1, self.q3, self.nominal):
-                writer.writerow([repr(float(f)), repr(float(a)), repr(float(b)), repr(float(n))])
+        columns = [self.freqs_hz, self.q1, self.q3, self.nominal]
+        write_columns(path, ["freq_hz", "alpha_q1", "alpha_q3", "alpha_nominal"], columns)
 
     @classmethod
     def from_csv(cls, path) -> "QuartileBand":
-        rows = []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            for row in reader:
-                rows.append([float(x) for x in row])
-        arr = np.array(rows)
-        return cls(arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3])
+        return cls(*read_columns(path, 4))
 
 
 def _is_integer(x) -> bool:

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, dsp, identify, model as model_mod, synthesis, vkundt
+from ._csvio import write_columns
 from .errors import EabsorbError, InvalidParameterError
 
 CONFIG_VERSION = 1
@@ -84,6 +85,15 @@ def _number(value, key: str, allow_zero: bool = False) -> float:
     return x
 
 
+def _integer(value, key: str, allow_zero: bool = False) -> int:
+    """`value` as an int that is positive (or zero with allow_zero), else a
+    ConfigError naming the config key; floats, integral or not, are refused."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < (0 if allow_zero else 1):
+        bound = "a non-negative" if allow_zero else "a positive"
+        raise ConfigError(f"{key} must be {bound} integer, got {value!r}")
+    return value
+
+
 def _grid_from_config(cfg: dict) -> np.ndarray:
     g = cfg.get("grid")
     if g is None:
@@ -108,24 +118,14 @@ def _estimates_from_config(cfg: dict, driver) -> analysis.ParameterEstimates:
     bad = set(factors) - allowed
     if bad:
         raise ConfigError(f"unknown estimate factors: {sorted(bad)}")
-    return analysis.ParameterEstimates.scaled(driver, **{k: float(v) for k, v in factors.items()})
+    scales = {k: _number(v, f"estimate_factors.{k}") for k, v in factors.items()}
+    return analysis.ParameterEstimates.scaled(driver, **scales)
 
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _write(path: Path, text: str) -> None:
-    path.write_text(text)
-
-
-def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    lines = [",".join(header)]
-    for row in zip(*columns):
-        lines.append(",".join(repr(float(x)) for x in row))
-    path.write_text("\n".join(lines) + "\n")
 
 
 # -- commands -----------------------------------------------------------------
@@ -137,7 +137,7 @@ def cmd_design(args) -> int:
     target, fb = _specs_from_config(cfg, driver.air)
     pair = synthesis.synthesize_controller(driver, target, fb)
     report = synthesis.stability_report(driver, fb)
-    fs = float(cfg.get("simulate", {}).get("fs_hz", 50_000.0))
+    fs = _number(cfg.get("simulate", {}).get("fs_hz", 50_000.0), "simulate.fs_hz")
     h1_sos = dsp.bilinear_discretize(pair.h1, fs)
     h2_sos = dsp.bilinear_discretize(pair.h2, fs)
 
@@ -147,10 +147,10 @@ def cmd_design(args) -> int:
         "h2": {"num": list(pair.h2.num), "den": list(pair.h2.den)},
         "specs": synthesis.specs_to_dict(target, fb, driver.air),
     }
-    _write(out / "controller.json", json.dumps(controller, indent=2) + "\n")
-    _write(out / "h1_sos.json", h1_sos.to_json() + "\n")
-    _write(out / "h2_sos.json", h2_sos.to_json() + "\n")
-    _write(out / "stability.json", report.to_json() + "\n")
+    (out / "controller.json").write_text(json.dumps(controller, indent=2) + "\n")
+    (out / "h1_sos.json").write_text(h1_sos.to_json() + "\n")
+    (out / "h2_sos.json").write_text(h2_sos.to_json() + "\n")
+    (out / "stability.json").write_text(report.to_json() + "\n")
     print(f"design written to {out} (stable={report.stable})")
     return EXIT_OK
 
@@ -164,8 +164,8 @@ def cmd_montecarlo(args) -> int:
         raise ConfigError("config lacks a montecarlo block")
     try:
         mc_cfg = analysis.MonteCarloConfig(
-            n_draws=int(mc["n_draws"]),
-            rel_std=float(mc["rel_std"]),
+            n_draws=_integer(mc["n_draws"], "montecarlo.n_draws"),
+            rel_std=_number(mc["rel_std"], "montecarlo.rel_std", allow_zero=True),
             seed=args.seed if args.seed is not None else mc["seed"],
             freqs_hz=_grid_from_config(cfg),
         )
@@ -195,7 +195,7 @@ def cmd_identify(args) -> int:
     out = _out_dir(args)
     payload = dict(fitted.to_dict())
     payload["diagnostics"] = diagnostics
-    _write(out / "identified_model.json", json.dumps(payload, indent=2) + "\n")
+    (out / "identified_model.json").write_text(json.dumps(payload, indent=2) + "\n")
     print(f"identified model written to {out / 'identified_model.json'}")
     return EXIT_OK
 
@@ -217,8 +217,7 @@ def cmd_kundt(args) -> int:
         raise ConfigError(f"invalid kundt.geometry: {exc}") from exc
     noise = _number(kcfg.get("noise_rel_std", 0.0), "kundt.noise_rel_std", allow_zero=True)
     noise_seed = args.seed if args.seed is not None else kcfg.get("noise_seed", 0)
-    if not isinstance(noise_seed, int) or isinstance(noise_seed, bool) or noise_seed < 0:
-        raise ConfigError(f"kundt.noise_seed must be a non-negative integer, got {noise_seed!r}")
+    _integer(noise_seed, "kundt.noise_seed", allow_zero=True)
     freqs = _grid_from_config(cfg)
     estimates = _estimates_from_config(cfg, driver)
     omega = 2.0 * np.pi * freqs
@@ -242,7 +241,7 @@ def cmd_kundt(args) -> int:
         header.append(f"alpha_{name}")
         columns.append(alpha)
     out = _out_dir(args)
-    _write_csv(out / "kundt.csv", header, columns)
+    write_columns(out / "kundt.csv", header, columns)
     print(f"virtual tube absorption curves written to {out / 'kundt.csv'}")
     return EXIT_OK
 
@@ -254,14 +253,14 @@ def cmd_simulate(args) -> int:
     sim = cfg.get("simulate", {})
     try:
         loop = dsp.LoopConfig(
-            fs=float(sim.get("fs_hz", 50_000.0)),
-            latency=int(sim.get("latency", 1)),
+            fs=_number(sim.get("fs_hz", 50_000.0), "simulate.fs_hz"),
+            latency=_integer(sim.get("latency", 1), "simulate.latency", allow_zero=True),
             hold=sim.get("hold", "centered"),
-            duration=float(sim.get("duration_s", 1.0)),
-            transient=float(sim.get("transient_s", 0.5)),
+            duration=_number(sim.get("duration_s", 1.0), "simulate.duration_s"),
+            transient=_number(sim.get("transient_s", 0.5), "simulate.transient_s", allow_zero=True),
         )
         freqs = [_number(f, "simulate.freqs_hz") for f in sim.get("freqs_hz", [205.5])]
-        amplitude = float(sim.get("amplitude_pa", 1.0))
+        amplitude = _number(sim.get("amplitude_pa", 1.0), "simulate.amplitude_pa")
     except (TypeError, ValueError, InvalidParameterError) as exc:
         raise ConfigError(f"invalid simulate block: {exc}") from exc
 
@@ -269,18 +268,14 @@ def cmd_simulate(args) -> int:
     h1 = dsp.bilinear_discretize(pair.h1, loop.fs)
     h2 = dsp.bilinear_discretize(pair.h2, loop.fs)
     out = _out_dir(args)
-    re_z, im_z = [], []
+    impedances = []
     for f_hz in freqs:
         result = dsp.closed_loop_sim(driver, (h1, h2), loop, dsp.sine_excitation(f_hz, amplitude))
         result.to_csv(out / f"timeseries_{f_hz:g}hz.csv")
-        z = result.measured_impedance(f_hz)
-        re_z.append(z.real)
-        im_z.append(z.imag)
-    _write_csv(
-        out / "measured_impedance.csv",
-        ["freq_hz", "re_z", "im_z"],
-        [np.asarray(freqs), np.asarray(re_z), np.asarray(im_z)],
-    )
+        impedances.append(result.measured_impedance(f_hz))
+    z = np.array(impedances, dtype=complex)
+    columns = [freqs, z.real, z.imag]
+    write_columns(out / "measured_impedance.csv", ["freq_hz", "re_z", "im_z"], columns)
     print(f"simulation outputs written to {out}")
     return EXIT_OK
 

@@ -1,15 +1,16 @@
 """Discrete-time controller realization and the exact sampled closed loop.
 
 The two control filters are discretized at a fixed sample rate and factored
-into cascaded biquad sections for numerical robustness.  With the continuous
-two-state plant (membrane velocity and displacement), the controller's
-integer-sample output latency and the hold that applies each command, they
-form one discrete linear time-invariant system.  The plant is discretized
-exactly: its half-period exponential and hold integral have a closed form
-(the Cayley-Hamilton form of a 2x2 exponential) and the sine excitation is
-integrated in closed form between ticks.  `measure_impedance` solves the
-steady state of that system at z = e^{jwT}; `closed_loop_sim` propagates it
-tick by tick.
+into second-order sections for numerical robustness; each filter is an
+immutable array of section coefficients, with no per-sample state.  With the
+continuous two-state plant (membrane velocity and displacement), the
+controller's integer-sample output latency and the hold that applies each
+command, they form one discrete linear time-invariant system.  The plant is
+discretized exactly: its half-period exponential and hold integral have a
+closed form (the Cayley-Hamilton form of a 2x2 exponential) and the sine
+excitation is integrated in closed form between ticks.  `measure_impedance`
+solves the steady state of that system at z = e^{jwT}; `closed_loop_sim`
+propagates it tick by tick.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._csvio import write_columns
 from .errors import DiscretizationError, DivergenceError, InvalidParameterError
 from .model import DriverModel
 from .rational import RationalTransfer
@@ -35,103 +37,47 @@ DIVERGENCE_FACTOR = 1e9
 #: and of the mismatch allowed between a root and its conjugate
 PAIR_TOL = 100 * np.finfo(float).eps
 
+#: the section row of H(z) = 1
+_PASSTHROUGH = (1.0, 0.0, 0.0, 0.0, 0.0)
 
-class BiquadSection:
-    """One direct-form-II-transposed second-order section.
-
-    Coefficients follow H(z) = (b0 + b1 z^-1 + b2 z^-2) /
-    (1 + a1 z^-1 + a2 z^-2); the two state variables persist across
-    `process` calls.
-    """
-
-    __slots__ = ("b0", "b1", "b2", "a1", "a2", "_s1", "_s2")
-
-    def __init__(self, b0: float, b1: float, b2: float, a1: float, a2: float):
-        self.b0 = float(b0)
-        self.b1 = float(b1)
-        self.b2 = float(b2)
-        self.a1 = float(a1)
-        self.a2 = float(a2)
-        self._s1 = 0.0
-        self._s2 = 0.0
-
-    def reset(self) -> None:
-        self._s1 = 0.0
-        self._s2 = 0.0
-
-    @property
-    def is_stable(self) -> bool:
-        # Jury criterion for 1 + a1 z^-1 + a2 z^-2
-        return abs(self.a2) < 1.0 and abs(self.a1) < 1.0 + self.a2
-
-    def response(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
-        zi = 1.0 / z
-        num = self.b0 + self.b1 * zi + self.b2 * zi**2
-        den = 1.0 + self.a1 * zi + self.a2 * zi**2
-        return num / den
-
-    def process(self, x: np.ndarray) -> np.ndarray:
-        y = np.empty(len(x))
-        b0, b1, b2, a1, a2 = self.b0, self.b1, self.b2, self.a1, self.a2
-        s1, s2 = self._s1, self._s2
-        for n, xn in enumerate(x):
-            yn = b0 * xn + s1
-            s1 = b1 * xn - a1 * yn + s2
-            s2 = b2 * xn - a2 * yn
-            y[n] = yn
-        self._s1, self._s2 = s1, s2
-        return y
-
-    def step(self, x: float) -> float:
-        y = self.b0 * x + self._s1
-        self._s1 = self.b1 * x - self.a1 * y + self._s2
-        self._s2 = self.b2 * x - self.a2 * y
-        return y
-
-    def coeffs(self) -> dict:
-        return {"b0": self.b0, "b1": self.b1, "b2": self.b2, "a1": self.a1, "a2": self.a2}
+#: JSON keys of the five numbers of a section row
+_SOS_KEYS = ("b0", "b1", "b2", "a1", "a2")
 
 
+@dataclass(frozen=True, eq=False)
 class SosCascade:
-    """Chain of biquad sections with a scalar gain at its input.
+    """Chain of second-order sections with a scalar gain at its input.
 
-    The frequency response is gain times the product of the section
-    responses.  Processing is streaming: internal states persist across
-    blocks, so splitting a signal into blocks does not change the output.
+    `sos` is a read-only (n, 5) array of rows (b0, b1, b2, a1, a2), each
+    the section (b0 + b1 z^-1 + b2 z^-2) / (1 + a1 z^-1 + a2 z^-2).  The
+    frequency response is gain times the product of the section responses.
     """
 
-    def __init__(self, sections: list[BiquadSection], gain: float, fs: float):
-        if fs <= 0:
-            raise InvalidParameterError("sample rate must be strictly positive")
-        self.sections = list(sections)
-        self.gain = float(gain)
-        self.fs = float(fs)
+    sos: np.ndarray
+    gain: float
+    fs: float
+
+    def __post_init__(self):
+        if not 0.0 < self.fs < math.inf:
+            raise InvalidParameterError("sample rate must be positive and finite")
+        sos = np.array(self.sos, dtype=float)
+        if sos.ndim != 2 or sos.shape[1] != 5:
+            raise InvalidParameterError("sos must be an (n, 5) array of rows (b0, b1, b2, a1, a2)")
+        sos.flags.writeable = False
+        object.__setattr__(self, "sos", sos)
+        object.__setattr__(self, "gain", float(self.gain))
+        object.__setattr__(self, "fs", float(self.fs))
 
     @classmethod
     def zero(cls, fs: float) -> "SosCascade":
         """The all-zero filter (used when the cavity-pressure path is off)."""
-        return cls([BiquadSection(1.0, 0.0, 0.0, 0.0, 0.0)], 0.0, fs)
-
-    def reset(self) -> None:
-        for sec in self.sections:
-            sec.reset()
+        return cls([_PASSTHROUGH], 0.0, fs)
 
     @property
     def is_stable(self) -> bool:
-        return all(sec.is_stable for sec in self.sections)
-
-    def process(self, x) -> np.ndarray:
-        y = np.asarray(x, dtype=float) * self.gain
-        for sec in self.sections:
-            y = sec.process(y)
-        return y
-
-    def step(self, x: float) -> float:
-        y = x * self.gain
-        for sec in self.sections:
-            y = sec.step(y)
-        return y
+        # Jury criterion for each 1 + a1 z^-1 + a2 z^-2
+        a1, a2 = self.sos[:, 3], self.sos[:, 4]
+        return bool(np.all((np.abs(a2) < 1.0) & (np.abs(a1) < 1.0 + a2)))
 
     def response(self, freqs_hz) -> np.ndarray:
         """Frequency response at physical frequencies (Hz)."""
@@ -140,54 +86,45 @@ class SosCascade:
 
     def response_z(self, z) -> np.ndarray:
         """Frequency response at points z of the complex plane."""
+        zi = 1.0 / np.asarray(z, dtype=complex)
         h = np.full(np.shape(z), self.gain, dtype=complex)
-        for sec in self.sections:
-            h = h * sec.response(z)
+        for b0, b1, b2, a1, a2 in self.sos.tolist():
+            h = h * ((b0 + b1 * zi + b2 * zi**2) / (1.0 + a1 * zi + a2 * zi**2))
         return h
 
     def state_space(self):
-        """Matrices (A, B, C, D) of the cascade from a zero streaming state.
+        """Matrices (A, B, C, D) of the cascade's direct-form-II-transposed realization.
 
-        The state stacks the two direct-form-II-transposed states of each
-        section in cascade order: s[k+1] = A s[k] + B x[k] and
-        y[k] = C s[k] + D x[k].
+        The state stacks the two states of each section in cascade order:
+        s[k+1] = A s[k] + B x[k] and y[k] = C s[k] + D x[k].
         """
-        n = 2 * len(self.sections)
+        n = 2 * len(self.sos)
         a = np.zeros((n, n))
         b = np.zeros(n)
         c = np.zeros(n)
         d = self.gain
-        for j, sec in zip(range(0, n, 2), self.sections):
+        for j, (b0, b1, b2, a1, a2) in zip(range(0, n, 2), self.sos.tolist()):
             # the section's input is the output of the sections before it
-            feed = np.array([sec.b1 - sec.a1 * sec.b0, sec.b2 - sec.a2 * sec.b0])
+            feed = np.array([b1 - a1 * b0, b2 - a2 * b0])
             a[j : j + 2, :j] = np.outer(feed, c[:j])
-            a[j : j + 2, j : j + 2] = [[-sec.a1, 1.0], [-sec.a2, 0.0]]
+            a[j : j + 2, j : j + 2] = [[-a1, 1.0], [-a2, 0.0]]
             b[j : j + 2] = feed * d
-            c[:j] *= sec.b0
+            c[:j] *= b0
             c[j] = 1.0
-            d *= sec.b0
+            d *= b0
         return a, b, c, d
 
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "fs_hz": self.fs,
-                "gain": self.gain,
-                "sections": [sec.coeffs() for sec in self.sections],
-            },
-            indent=2,
-        )
+        sections = [dict(zip(_SOS_KEYS, row)) for row in self.sos.tolist()]
+        return json.dumps({"fs_hz": self.fs, "gain": self.gain, "sections": sections}, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "SosCascade":
         d = json.loads(text)
-        sections = [
-            BiquadSection(s["b0"], s["b1"], s["b2"], s["a1"], s["a2"])
-            for s in d["sections"]
-        ]
-        return cls(sections, float(d["gain"]), float(d["fs_hz"]))
+        sos = [[s[key] for key in _SOS_KEYS] for s in d["sections"]]
+        return cls(sos, d["gain"], d["fs_hz"])
 
 
 # -- discretization -----------------------------------------------------------
@@ -251,7 +188,7 @@ def _pair_nearest(zeros: np.ndarray, poles: np.ndarray):
 
 
 def sos_partition(zeros, poles, gain: float, fs: float) -> SosCascade:
-    """Factor a z-domain pole/zero/gain triple into a biquad cascade.
+    """Factor a z-domain pole/zero/gain triple into second-order sections.
 
     Conjugate pole pairs are matched with the nearest zeros in the z plane
     (the "nearest" pairing of `scipy.signal.zpk2sos`); sections are ordered
@@ -264,16 +201,16 @@ def sos_partition(zeros, poles, gain: float, fs: float) -> SosCascade:
     if zeros.size > poles.size:
         raise DiscretizationError("more zeros than poles: filter is not causal")
     if poles.size == 0:
-        return SosCascade([BiquadSection(1.0, 0.0, 0.0, 0.0, 0.0)], gain, fs)
+        return SosCascade([_PASSTHROUGH], gain, fs)
 
-    sections = []
+    rows = []
     for zs, ps in reversed(list(_pair_nearest(zeros, poles))):
         b0, b1, b2 = (float(x) for x in np.poly(zs).real)
         a0, a1, a2 = (float(x) for x in np.poly(ps).real)
         radius = np.max(np.abs(np.roots([a0, a1, a2]))) if (a1 or a2) else 0.0
-        sections.append((radius, BiquadSection(b0 / a0, b1 / a0, b2 / a0, a1 / a0, a2 / a0)))
-    sections.sort(key=lambda t: t[0])
-    return SosCascade([sec for _, sec in sections], gain, fs)
+        rows.append((radius, (b0 / a0, b1 / a0, b2 / a0, a1 / a0, a2 / a0)))
+    rows.sort(key=lambda t: t[0])
+    return SosCascade([row for _, row in rows], gain, fs)
 
 
 def _sk_refine(b: np.ndarray, a: np.ndarray, ct: RationalTransfer, fs: float):
@@ -360,7 +297,7 @@ def bilinear_transform(num, den, fs: float):
 
 
 def bilinear_discretize(ct: RationalTransfer, fs: float, refine: bool = True) -> SosCascade:
-    """Map a continuous transfer to a biquad cascade at sample rate `fs`.
+    """Map a continuous transfer to a second-order-section cascade at sample rate `fs`.
 
     The core substitution is s = 2*fs*(z-1)/(z+1) without frequency
     prewarping; with `refine` (the default) the coefficients are then
@@ -369,17 +306,15 @@ def bilinear_discretize(ct: RationalTransfer, fs: float, refine: bool = True) ->
     magnitude and phase bias while keeping the degrees and the exact DC
     value.  The result is factored through `sos_partition`.
     """
-    if fs <= 0:
-        raise InvalidParameterError("sample rate must be strictly positive")
+    if not 0.0 < fs < math.inf:
+        raise InvalidParameterError("sample rate must be positive and finite")
     if not ct.is_proper:
         raise DiscretizationError("cannot discretize an improper transfer")
     if ct.is_zero:
         return SosCascade.zero(fs)
     if ct.den_degree == 0:
-        # constant gain: single passthrough section
-        g = float(ct.num[0] / ct.den[0]) if ct.num_degree == 0 else None
-        if g is not None:
-            return SosCascade([BiquadSection(1.0, 0.0, 0.0, 0.0, 0.0)], g, fs)
+        # a proper transfer with a constant denominator is a constant gain
+        return SosCascade([_PASSTHROUGH], float(ct.num[0] / ct.den[0]), fs)
 
     bz, az = bilinear_transform(ct.num, ct.den, fs)
     if refine:
@@ -395,79 +330,8 @@ def bilinear_discretize(ct: RationalTransfer, fs: float, refine: bool = True) ->
     # exact leading numerator zeros are pure sample delays; the partitioner
     # pads missing zeros at the origin (an advance), so cancel each with an
     # explicit one-sample-delay section
-    for _ in range(len(bz) - len(nz)):
-        cascade.sections.append(BiquadSection(0.0, 1.0, 0.0, 0.0, 0.0))
-    return cascade
-
-
-# -- two-input streaming controller ------------------------------------------
-
-
-class TwoInputController:
-    """Streaming controller i = H1{p_f} + H2{p_b} with output latency.
-
-    The latency is a pure integer-sample delay on the computed current,
-    modeling the input-to-output delay of a real-time implementation.
-    """
-
-    def __init__(self, h1: SosCascade, h2: SosCascade, latency: int = 0):
-        if h1.fs != h2.fs:
-            raise InvalidParameterError("both cascades must share one sample rate")
-        if latency < 0:
-            raise InvalidParameterError("latency must be nonnegative")
-        self.h1 = h1
-        self.h2 = h2
-        self.latency = int(latency)
-        self._delay = np.zeros(self.latency)
-
-    @property
-    def fs(self) -> float:
-        return self.h1.fs
-
-    def reset(self) -> None:
-        self.h1.reset()
-        self.h2.reset()
-        self._delay = np.zeros(self.latency)
-
-    def process(self, pf_block, pb_block) -> np.ndarray:
-        pf_block = np.asarray(pf_block, dtype=float)
-        pb_block = np.asarray(pb_block, dtype=float)
-        if pf_block.shape != pb_block.shape:
-            raise InvalidParameterError("pressure blocks must have equal length")
-        y = self.h1.process(pf_block) + self.h2.process(pb_block)
-        if self.latency == 0:
-            return y
-        buf = np.concatenate([self._delay, y])
-        self._delay = buf[len(y):]
-        return buf[: len(y)]
-
-    def step(self, pf: float, pb: float) -> float:
-        y = self.h1.step(pf) + self.h2.step(pb)
-        if self.latency == 0:
-            return y
-        out = self._delay[0]
-        self._delay[:-1] = self._delay[1:]
-        self._delay[-1] = y
-        return float(out)
-
-
-def process_block(cascades, pf_block, pb_block, latency: int = 0) -> np.ndarray:
-    """One-shot block form of the two-input control law.
-
-    `cascades` is either a TwoInputController (whose configured latency is
-    used and whose state persists) or an (H1, H2) tuple, in which case the
-    cascades' own states persist and `latency` applies a zero-history
-    delay for this block only.
-    """
-    if isinstance(cascades, TwoInputController):
-        return cascades.process(pf_block, pb_block)
-    h1, h2 = cascades
-    y = h1.process(np.asarray(pf_block, dtype=float)) + h2.process(
-        np.asarray(pb_block, dtype=float)
-    )
-    if latency:
-        y = np.concatenate([np.zeros(latency), y])[: len(y)]
-    return y
+    delays = [(0.0, 1.0, 0.0, 0.0, 0.0)] * (len(bz) - len(nz))
+    return SosCascade([*cascade.sos.tolist(), *delays], cascade.gain, fs)
 
 
 # -- closed-loop simulation ---------------------------------------------------
@@ -496,8 +360,8 @@ class LoopConfig:
     transient: float = 0.5
 
     def __post_init__(self):
-        if self.fs <= 0:
-            raise InvalidParameterError("fs must be strictly positive")
+        if not 0.0 < self.fs < math.inf:
+            raise InvalidParameterError("fs must be positive and finite")
         if self.latency < 0:
             raise InvalidParameterError("latency must be nonnegative")
         if self.hold not in ("centered", "causal"):
@@ -519,11 +383,8 @@ class SimulationResult:
     transient: float
 
     def to_csv(self, path) -> None:
-        cols = (self.t, self.pf, self.pb, self.i, self.v)
-        cols = [np.asarray(c, dtype=float).tolist() for c in cols]
-        with open(path, "w", newline="") as fh:
-            fh.write("t_s,pf_pa,pb_pa,i_a,v_m_per_s\n")
-            fh.writelines(f"{t!r},{pf!r},{pb!r},{i!r},{v!r}\n" for t, pf, pb, i, v in zip(*cols))
+        columns = [self.t, self.pf, self.pb, self.i, self.v]
+        write_columns(path, ["t_s", "pf_pa", "pb_pa", "i_a", "v_m_per_s"], columns)
 
     def measured_impedance(self, f_hz: float) -> complex:
         """Steady-state impedance p_f/v at the excitation frequency.
@@ -633,6 +494,8 @@ def sampled_loop(
     (jwI - a)^-1 (zI - e^{aT}) b per e^{jw t_k}.  Every signal below is a
     row of coefficients over [s[k], e^{jw t_k}].
     """
+    if h1.fs != loop.fs or h2.fs != loop.fs:
+        raise InvalidParameterError("cascade sample rate must match the loop sample rate")
     dt = 1.0 / loop.fs
     w = 2.0 * math.pi * f_hz
     z = np.exp(1j * w * dt)
@@ -698,15 +561,6 @@ def sampled_loop(
     return SampledLoop(f=step[:, :n].real, g=step[:, n], c=u_now[:n].real, d=u_now[n].real, z=z)
 
 
-def _cascade_pair(cascades, loop: LoopConfig):
-    h1, h2 = (
-        (cascades.h1, cascades.h2) if isinstance(cascades, TwoInputController) else cascades
-    )
-    if h1.fs != loop.fs or h2.fs != loop.fs:
-        raise InvalidParameterError("cascade sample rate must match the loop sample rate")
-    return h1, h2
-
-
 def closed_loop_sim(
     model: DriverModel,
     cascades,
@@ -715,9 +569,8 @@ def closed_loop_sim(
 ) -> SimulationResult:
     """Sample-accurate simulation of the controlled absorber.
 
-    `cascades` is an (H1, H2) pair or a TwoInputController; the loop's
-    latency applies and the run starts from rest, whatever the cascades'
-    streaming states.  The exact discrete model of `sampled_loop` is
+    `cascades` is an (H1, H2) pair; the loop's latency applies and the run
+    starts from rest.  The exact discrete model of `sampled_loop` is
     propagated over loop.duration; the controller sees sampled front and
     cavity pressures and its output is delayed by the configured latency.
     Raises a divergence error, stamped with the simulation time, if the
@@ -725,8 +578,7 @@ def closed_loop_sim(
     """
     if not isinstance(excitation, SineExcitation):
         raise InvalidParameterError("the excitation must be a SineExcitation")
-    h1, h2 = _cascade_pair(cascades, loop)
-    dlti = sampled_loop(model, h1, h2, loop, excitation.f_hz)
+    dlti = sampled_loop(model, *cascades, loop, excitation.f_hz)
 
     dt = 1.0 / loop.fs
     n = int(round(loop.duration * loop.fs))
@@ -769,8 +621,7 @@ def measure_impedance(model: DriverModel, cascades, loop: LoopConfig, f_hz: floa
     naming the spectral radius of F when the loop is unstable and has no
     steady state.
     """
-    h1, h2 = _cascade_pair(cascades, loop)
-    dlti = sampled_loop(model, h1, h2, loop, f_hz)
+    dlti = sampled_loop(model, *cascades, loop, f_hz)
     radius = float(np.max(np.abs(np.linalg.eigvals(dlti.f))))
     if radius >= 1.0:
         raise DivergenceError(

@@ -7,13 +7,13 @@ impedance with a proportional cavity-pressure probe controller.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from ._csvio import read_columns, write_columns
 from .errors import IdentificationError, InvalidParameterError
 from .model import AirProperties, DriverModel, passive_impedance
 
@@ -46,23 +46,16 @@ class MeasuredSpectrum:
 
     def to_csv(self, path, air: AirProperties) -> None:
         rc = air.characteristic_impedance
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["freq_hz", "re_z_norm", "im_z_norm"])
-            for f, z in zip(self.freqs_hz, self.z):
-                writer.writerow([repr(float(f)), repr(float(z.real) / rc), repr(float(z.imag) / rc)])
+        columns = [self.freqs_hz, self.z.real / rc, self.z.imag / rc]
+        write_columns(path, ["freq_hz", "re_z_norm", "im_z_norm"], columns)
 
     @classmethod
     def from_csv(cls, path, air: AirProperties) -> "MeasuredSpectrum":
         rc = air.characteristic_impedance
-        freqs, zs = [], []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            for row in reader:
-                freqs.append(float(row[0]))
-                zs.append(complex(float(row[1]), float(row[2])) * rc)
-        return cls(2.0 * math.pi * np.asarray(freqs), np.asarray(zs))
+        freqs, re, im = read_columns(path, 3)
+        z = (re * rc).astype(complex)
+        z.imag = im * rc
+        return cls(2.0 * math.pi * freqs, z)
 
 
 @dataclass(frozen=True)

@@ -123,7 +123,7 @@ def check_transfer_admissibility(zst: RationalTransfer) -> AdmissibilityVerdict:
     return AdmissibilityVerdict(True, "ok", low_freq_compliance=compliance, high_freq_mass=mass)
 
 
-def check_target_admissibility(model: DriverModel, target: TargetSpec) -> AdmissibilityVerdict:
+def check_target_admissibility(target: TargetSpec) -> AdmissibilityVerdict:
     return check_transfer_admissibility(target_impedance(target))
 
 

@@ -14,13 +14,13 @@ case.  The duct is lossless and restricted to the plane-wave regime.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._csvio import read_columns, write_columns
 from .errors import InvalidParameterError
 from .model import AirProperties
 
@@ -97,22 +97,15 @@ class TwoMicMeasurement:
         object.__setattr__(self, "h12", h12)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["freq_hz", "re_h12", "im_h12"])
-            for f, h in zip(self.freqs_hz, self.h12):
-                writer.writerow([repr(float(f)), repr(float(h.real)), repr(float(h.imag))])
+        columns = [self.freqs_hz, self.h12.real, self.h12.imag]
+        write_columns(path, ["freq_hz", "re_h12", "im_h12"], columns)
 
     @classmethod
     def from_csv(cls, path) -> "TwoMicMeasurement":
-        freqs, hs = [], []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            for row in reader:
-                freqs.append(float(row[0]))
-                hs.append(complex(float(row[1]), float(row[2])))
-        return cls(np.asarray(freqs), np.asarray(hs))
+        freqs, re, im = read_columns(path, 3)
+        h12 = re.astype(complex)
+        h12.imag = im
+        return cls(freqs, h12)
 
 
 def simulate_two_mic(

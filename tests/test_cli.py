@@ -81,6 +81,10 @@ BAD_VALUES = {
     "seed-negative": ("montecarlo", ("montecarlo", "seed"), -1, "seed"),
     "seed-not-integer": ("montecarlo", ("montecarlo", "seed"), 1.5, "seed"),
     "seed-string": ("montecarlo", ("montecarlo", "seed"), "7", "seed"),
+    "n-draws-not-integer": ("montecarlo", ("montecarlo", "n_draws"), 300.9, "montecarlo.n_draws"),
+    "latency-not-integer": ("simulate", ("simulate", "latency"), 1.7, "simulate.latency"),
+    "estimate-factor-string": ("kundt", ("estimate_factors", "rss"), "x", "estimate_factors.rss"),
+    "amplitude-nan": ("simulate", ("simulate", "amplitude_pa"), "nan", "simulate.amplitude_pa"),
 }
 
 
@@ -211,6 +215,29 @@ def test_identify_missing_file_is_io_error(tmp_path):
         ]
     )
     assert code == 4
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "freq_hz,re_z_norm,im_z_norm\n1.0,x,0.0\n", "freq_hz,re_z_norm,im_z_norm\n1.0,2.0\n"],
+    ids=["empty", "not-a-number", "short-row"],
+)
+def test_identify_malformed_csv_is_config_error(tmp_path, capsys, text):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    code = run(
+        [
+            "identify",
+            "--passive", bad,
+            "--front", bad,
+            "--rear", bad,
+            "--k1", 1e-4,
+            "--k2", 1e-4,
+            "--out", tmp_path,
+        ]
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: malformed spectrum CSV")
 
 
 def test_kundt_command(tmp_path):

@@ -34,9 +34,10 @@ def cascades_1dof(pair_1dof):
 
 def test_constant_gain_passthrough():
     cas = ea.bilinear_discretize(RationalTransfer.constant(3.5), FS)
-    assert len(cas.sections) == 1
+    assert cas.sos.tolist() == [[1.0, 0.0, 0.0, 0.0, 0.0]]
     np.testing.assert_allclose(cas.response([0.0, 100.0, 5000.0]), 3.5)
-    np.testing.assert_allclose(cas.process(np.array([1.0, -2.0, 0.5])), [3.5, -7.0, 1.75])
+    step = df2t_stepper(cas)
+    assert [step(x) for x in (1.0, -2.0, 0.5)] == [3.5, -7.0, 1.75]
 
 
 def test_dc_gain_preserved_exactly(ref_model, fb4):
@@ -71,7 +72,9 @@ def test_improper_rejected():
 def test_zero_transfer():
     cas = ea.bilinear_discretize(RationalTransfer.zero(), FS)
     assert cas.gain == 0.0
-    np.testing.assert_array_equal(cas.process(np.ones(8)), np.zeros(8))
+    np.testing.assert_array_equal(cas.response([0.0, 100.0, 5000.0]), 0.0)
+    step = df2t_stepper(cas)
+    assert [step(1.0) for _ in range(8)] == [0.0] * 8
 
 
 def test_h1_discrete_matches_continuous_at_400(pair_1dof, cascades_1dof):
@@ -112,20 +115,20 @@ def test_bilinear_transform_matches_scipy_bitwise(ref_model, targets, fb4, name)
 
 def test_two_real_poles_single_section():
     cas = ea.sos_partition(np.array([]), np.array([0.5, 0.3]), 2.0, FS)
-    assert len(cas.sections) == 1
-    sec = cas.sections[0]
+    assert cas.sos.shape == (1, 5)
+    b0, b1, b2, a1, a2 = cas.sos[0]
     # missing zeros are zeros at the origin: b = [1, 0, 0]
-    assert (sec.b0, sec.b1, sec.b2) == (1.0, 0.0, 0.0)
-    assert sec.a1 == pytest.approx(-0.8)
-    assert sec.a2 == pytest.approx(0.15)
+    assert (b0, b1, b2) == (1.0, 0.0, 0.0)
+    assert a1 == pytest.approx(-0.8)
+    assert a2 == pytest.approx(0.15)
     assert cas.gain == 2.0
 
 
 def test_sections_ordered_by_pole_radius(cascades_1dof):
     for cas in cascades_1dof:
         radii = [
-            np.max(np.abs(np.roots([1.0, s.a1, s.a2]))) if (s.a1 or s.a2) else 0.0
-            for s in cas.sections
+            np.max(np.abs(np.roots([1.0, a1, a2]))) if (a1 or a2) else 0.0
+            for _, _, _, a1, a2 in cas.sos
         ]
         assert radii == sorted(radii)
 
@@ -180,93 +183,79 @@ def test_property_partition_equivalence(data):
     sos = scipy.signal.zpk2sos(zeros, poles, 1.0, pairing="nearest")
     radius = [np.max(np.abs(np.roots(row[3:]))) if (row[4] or row[5]) else 0.0 for row in sos]
     expected = [tuple(row / row[3]) for row in sos[np.argsort(radius, kind="stable")]]
-    got = [(s.b0, s.b1, s.b2, 1.0, s.a1, s.a2) for s in cas.sections]
+    got = [(b0, b1, b2, 1.0, a1, a2) for b0, b1, b2, a1, a2 in cas.sos.tolist()]
     assert got == expected
 
 
 def test_state_space_matches_response():
     rng = np.random.default_rng(7)
-    sections = [
-        ea.BiquadSection(*rng.uniform(-2.0, 2.0, 3), -0.5, 0.2),
-        ea.BiquadSection(0.0, 1.0, 0.0, 0.0, 0.0),  # one-sample delay
-        ea.BiquadSection(*rng.uniform(-2.0, 2.0, 3), 0.3, 0.1),
+    sos = [
+        [*rng.uniform(-2.0, 2.0, 3), -0.5, 0.2],
+        [0.0, 1.0, 0.0, 0.0, 0.0],  # one-sample delay
+        [*rng.uniform(-2.0, 2.0, 3), 0.3, 0.1],
     ]
-    cas = ea.SosCascade(sections, 1.7, FS)
+    cas = ea.SosCascade(sos, 1.7, FS)
     a, b, c, d = cas.state_space()
     z = np.exp(1j * np.linspace(0.01, 3.1, 50))
     h = [c @ np.linalg.solve(zk * np.eye(len(b)) - a, b) + d for zk in z]
     np.testing.assert_allclose(h, cas.response_z(z), rtol=1e-12)
 
 
-# -- streaming ----------------------------------------------------------------
+# -- coefficient arrays -------------------------------------------------------
 
 
-def test_process_zero_input(cascades_1dof):
-    h1, h2 = cascades_1dof
-    h1.reset(), h2.reset()
-    out = ea.process_block((h1, h2), np.zeros(64), np.zeros(64))
-    np.testing.assert_array_equal(out, np.zeros(64))
-
-
-def test_passthrough_with_latency():
-    unit = ea.bilinear_discretize(RationalTransfer.constant(1.0), FS)
-    zero = ea.SosCascade.zero(FS)
-    ctrl = ea.TwoInputController(unit, zero, latency=3)
-    x = np.arange(1.0, 11.0)
-    y = ctrl.process(x, np.zeros(10))
-    np.testing.assert_array_equal(y[:3], 0.0)
-    np.testing.assert_array_equal(y[3:], x[:7])
-
-
-def test_block_size_invariance(pair_1dof):
-    h1a = ea.bilinear_discretize(pair_1dof.h1, FS)
-    h2a = ea.bilinear_discretize(pair_1dof.h2, FS)
-    h1b = ea.bilinear_discretize(pair_1dof.h1, FS)
-    h2b = ea.bilinear_discretize(pair_1dof.h2, FS)
-    rng = np.random.default_rng(0)
-    pf = rng.normal(size=256)
-    pb = rng.normal(size=256)
-    whole = ea.process_block((h1a, h2a), pf, pb)
-    half1 = ea.process_block((h1b, h2b), pf[:128], pb[:128])
-    half2 = ea.process_block((h1b, h2b), pf[128:], pb[128:])
-    np.testing.assert_allclose(whole, np.concatenate([half1, half2]), rtol=1e-12, atol=1e-15)
-
-
-def test_streaming_linearity(cascades_1dof):
+def test_cascade_is_immutable(cascades_1dof):
     h1, _ = cascades_1dof
-    rng = np.random.default_rng(4)
-    x1 = rng.normal(size=200)
-    x2 = rng.normal(size=200)
-    h1.reset()
-    y1 = h1.process(x1)
-    h1.reset()
-    y2 = h1.process(x2)
-    h1.reset()
-    y12 = h1.process(2.0 * x1 + 3.0 * x2)
-    np.testing.assert_allclose(y12, 2.0 * y1 + 3.0 * y2, rtol=1e-9, atol=1e-12)
+    with pytest.raises(ValueError):
+        h1.sos[0, 0] = 2.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        h1.gain = 2.0
+    # the constructor copies: the caller's array stays its own
+    rows = np.array([[1.0, 0.5, 0.0, -0.2, 0.0]])
+    cas = ea.SosCascade(rows, 1.0, FS)
+    rows[0, 0] = 3.0
+    assert cas.sos[0, 0] == 1.0
 
 
-def test_streaming_time_invariance(cascades_1dof):
-    h1, _ = cascades_1dof
-    rng = np.random.default_rng(5)
-    x = rng.normal(size=200)
-    shift = 17
-    h1.reset()
-    y = h1.process(np.concatenate([x, np.zeros(shift)]))
-    h1.reset()
-    y_shifted = h1.process(np.concatenate([np.zeros(shift), x]))
-    np.testing.assert_allclose(y_shifted[shift:], y[:-shift], rtol=1e-9, atol=1e-12)
+@pytest.mark.parametrize(
+    "sos",
+    [[1.0, 0.0, 0.0, 0.0, 0.0], [[1.0, 0.0, 0.0, 0.0]], []],
+    ids=["flat-row", "four-numbers", "empty"],
+)
+def test_cascade_rejects_bad_shape(sos):
+    with pytest.raises(ea.InvalidParameterError):
+        ea.SosCascade(sos, 1.0, FS)
+
+
+def test_is_stable_matches_pole_radius():
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        a1, a2 = rng.uniform(-2.5, 2.5), rng.uniform(-1.5, 1.5)
+        rows = [[1.0, 0.0, 0.0, -0.5, 0.2], [1.0, 0.3, 0.0, a1, a2]]  # a stable row, then a random one
+        radius = np.max(np.abs(np.roots([1.0, a1, a2])))
+        assert ea.SosCascade(rows, 1.0, FS).is_stable == (radius < 1.0)
+
+
+def test_leading_numerator_zero_is_one_sample_delay(monkeypatch):
+    # an exact leading zero of the z-domain numerator is a delay row at the end
+    ct = RationalTransfer.from_coeffs([1.0, 2.0e3], [1.0, 3.0e3, 4.0e6])
+    ref = ea.bilinear_discretize(ct, FS, refine=False)
+    monkeypatch.setattr(dsp, "_sk_refine", lambda b, a, ct, fs: (np.concatenate([[0.0], b]), a))
+    delayed = ea.bilinear_discretize(ct, FS)
+    assert delayed.sos.tolist() == [*ref.sos.tolist(), [0.0, 1.0, 0.0, 0.0, 0.0]]
+    z = np.exp(1j * np.linspace(0.01, 3.1, 50))
+    np.testing.assert_allclose(delayed.response_z(z), ref.response_z(z) / z, rtol=1e-12)
 
 
 def test_sine_steady_state_matches_frequency_response(ref_model, cascades_1dof):
     h1, h2 = cascades_1dof
-    h1.reset(), h2.reset()
     f = 400.0
     n = int(0.2 * FS)
     t = np.arange(n) / FS
     pf = np.sin(2 * np.pi * f * t)
     pb = 0.3 * np.sin(2 * np.pi * f * t + 0.7)
-    i = ea.process_block((h1, h2), pf, pb)
+    step1, step2 = df2t_stepper(h1), df2t_stepper(h2)
+    i = np.array([step1(a) + step2(b) for a, b in zip(pf, pb)])
     # project the steady-state tail on in-phase/quadrature components
     keep = t > 0.1
     basis = np.stack([np.cos(2 * np.pi * f * t[keep]), np.sin(2 * np.pi * f * t[keep])], axis=1)
@@ -287,9 +276,12 @@ def test_sos_json_round_trip(cascades_1dof):
     h1, _ = cascades_1dof
     d = json.loads(h1.to_json())
     assert set(d) == {"fs_hz", "gain", "sections"}
+    assert [list(sec) for sec in d["sections"]] == [["b0", "b1", "b2", "a1", "a2"]] * len(h1.sos)
     clone = ea.SosCascade.from_json(h1.to_json())
     assert clone.gain == h1.gain
     assert clone.fs == h1.fs
+    assert clone.sos.tobytes() == h1.sos.tobytes()
+    assert clone.to_json() == h1.to_json()
     freqs = np.linspace(5.0, 2000.0, 40)
     np.testing.assert_array_equal(clone.response(freqs), h1.response(freqs))
 
@@ -306,6 +298,16 @@ def test_loop_config_validation():
         ea.LoopConfig(hold="sloppy")
     with pytest.raises(ea.InvalidParameterError):
         ea.LoopConfig(duration=0.5, transient=0.5)
+
+
+@pytest.mark.parametrize("fs", [0.0, -FS, math.nan, math.inf])
+def test_sample_rate_must_be_positive_and_finite(fs):
+    with pytest.raises(ea.InvalidParameterError):
+        ea.LoopConfig(fs=fs)
+    with pytest.raises(ea.InvalidParameterError):
+        ea.SosCascade([[1.0, 0.0, 0.0, 0.0, 0.0]], 1.0, fs)
+    with pytest.raises(ea.InvalidParameterError):
+        ea.bilinear_discretize(RationalTransfer.constant(1.0), fs)
 
 
 def test_passive_plant_reproduces_passive_impedance(ref_model):
@@ -442,6 +444,14 @@ def test_timeseries_csv_matches_csv_writer(tmp_path):
     assert path.read_bytes() == ref.getvalue().encode()
 
 
+def test_cascade_rate_must_match_loop(ref_model, cascades_1dof):
+    loop = ea.LoopConfig(fs=2 * FS, latency=0, duration=0.05, transient=0.01)
+    with pytest.raises(ea.InvalidParameterError, match="sample rate"):
+        ea.measure_impedance(ref_model, cascades_1dof, loop, 400.0)
+    with pytest.raises(ea.InvalidParameterError, match="sample rate"):
+        ea.closed_loop_sim(ref_model, cascades_1dof, loop, ea.sine_excitation(400.0))
+
+
 def test_sine_excitation_type(ref_model):
     exc = ea.sine_excitation(200.0, 2.0)
     assert exc == ea.SineExcitation(200.0, 2.0)
@@ -457,16 +467,37 @@ def test_sine_excitation_type(ref_model):
 # -- RK4 oracle -----------------------------------------------------------------
 
 
+def df2t_stepper(cas):
+    """Per-sample direct-form-II-transposed filter over the rows of `cas.sos`.
+
+    Returns step(x), which feeds one input sample through the gain and the
+    sections from a zero state and returns the output sample.
+    """
+    rows = cas.sos.tolist()
+    states = [[0.0, 0.0] for _ in rows]
+
+    def step(x):
+        y = x * cas.gain
+        for (b0, b1, b2, a1, a2), s in zip(rows, states):
+            x = y
+            y = b0 * x + s[0]
+            s[0] = b1 * x - a1 * y + s[1]
+            s[1] = b2 * x - a2 * y
+        return y
+
+    return step
+
+
 def rk4_closed_loop(model, h1, h2, loop, f_hz, amplitude):
     """Independent reference for the closed loop: the plant integrated by
-    RK4 between ticks against the streaming cascades, one sample at a time.
+    RK4 between ticks against the cascades stepped one sample at a time.
 
     Centered hold: each command is held over the period window centered on
     its tick, so a period's second half takes the next command; at latency
     0 that command comes from the plant state predicted a whole period
     ahead under the current one.
     """
-    h1.reset(), h2.reset()
+    step1, step2 = df2t_stepper(h1), df2t_stepper(h2)
     dt = 1.0 / loop.fs
     n = int(round(loop.duration * loop.fs))
     t = np.arange(n) * dt
@@ -492,7 +523,7 @@ def rk4_closed_loop(model, h1, h2, loop, f_hz, amplitude):
     line = [0.0] * loop.latency  # computed commands not yet applied
 
     def command(p, pb):
-        line.append(h1.step(p) + h2.step(pb))
+        line.append(step1(p) + step2(pb))
         return line.pop(0)
 
     centered = loop.hold == "centered"

@@ -1,7 +1,10 @@
-"""The README's Python examples run as written."""
+"""The README's Python examples run as written, and the names they use are the public surface."""
 
 import re
+import types
 from pathlib import Path
+
+import eabsorb
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -12,3 +15,19 @@ def test_readme_python_blocks_run():
     namespace: dict = {}
     for block in blocks:  # later blocks use names the earlier ones define
         exec(compile(block, str(README), "exec"), namespace)
+
+
+def test_star_import_binds_exactly_all():
+    namespace: dict = {}
+    exec("from eabsorb import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(eabsorb.__all__)
+    assert len(set(eabsorb.__all__)) == len(eabsorb.__all__)
+    assert not [n for n in eabsorb.__all__ if isinstance(getattr(eabsorb, n), types.ModuleType)]
+
+
+def test_readme_names_are_exported():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
+    used = set(re.findall(r"\bea\.(\w+)", "".join(blocks)))
+    assert used
+    assert used <= set(eabsorb.__all__)

@@ -42,9 +42,9 @@ def test_feedback_filter_zero_gain(ref_model, fb0):
     assert ea.feedback_filter(ref_model, fb0).is_zero
 
 
-def test_admissibility_of_reference_targets(ref_model, targets):
+def test_admissibility_of_reference_targets(targets):
     for spec in targets.values():
-        verdict = ea.check_target_admissibility(ref_model, spec)
+        verdict = ea.check_target_admissibility(spec)
         assert verdict
         assert verdict.high_freq_mass > 0
         assert verdict.low_freq_compliance > 0
