@@ -11,7 +11,6 @@ loop of the discrete realization.
 
 from .analysis import (
     MonteCarloConfig,
-    ParameterEstimates,
     QuartileBand,
     SensitivityTriple,
     absorption_coefficient,
@@ -23,12 +22,10 @@ from .analysis import (
 )
 from .dsp import (
     LoopConfig,
-    SineExcitation,
     SosCascade,
     bilinear_discretize,
     closed_loop_sim,
     measure_impedance,
-    sine_excitation,
     sos_partition,
 )
 from .errors import (
@@ -96,11 +93,11 @@ __version__ = "0.1.0"
 
 # the public surface: every name imported above, module by module
 __all__ = [
-    "MonteCarloConfig", "ParameterEstimates", "QuartileBand", "SensitivityTriple",
+    "MonteCarloConfig", "QuartileBand", "SensitivityTriple",
     "absorption_coefficient", "achieved_impedance", "default_frequency_grid",
     "monte_carlo_absorption", "reflection_coefficient", "sensitivities",
-    "LoopConfig", "SineExcitation", "SosCascade", "bilinear_discretize", "closed_loop_sim",
-    "measure_impedance", "sine_excitation", "sos_partition",
+    "LoopConfig", "SosCascade", "bilinear_discretize", "closed_loop_sim",
+    "measure_impedance", "sos_partition",
     "DiscretizationError", "DivergenceError", "EabsorbError", "IdentificationError",
     "InvalidParameterError", "SingularDesignError", "SynthesisError",
     "MeasuredSpectrum", "ProbeGain", "default_probe_gains", "estimate_box_compliance",

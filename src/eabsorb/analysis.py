@@ -9,8 +9,10 @@ All three mismatch results come from one kernel.  The achieved impedance
 is linear-fractional in the estimate vector
 p = [1, Csb_hat/Csb, F_hat/F, R_hat, M_hat, K_hat], where
 Zss_hat = R_hat + M_hat*s + K_hat/s, M_hat = R_hat*Q_hat/w0_hat and
-K_hat = R_hat*Q_hat*w0_hat.  `_mismatch_kernel` returns the per-frequency
-coefficient arrays N and D with Z_sa = (p @ N) / (p @ D):
+K_hat = R_hat*Q_hat*w0_hat.  The hatted values are the parameters of the
+plant the controller assumes: a `DriverModel` in the true model's air, such
+as `model.scaled(pressure_factor=0.95)`.  `_mismatch_kernel` returns the
+per-frequency coefficient arrays N and D with Z_sa = (p @ N) / (p @ D):
 `achieved_impedance` evaluates that ratio, `sensitivities` are its
 log-derivatives, and `monte_carlo_absorption` evaluates the reflection
 coefficient of a block of draws as two matrix products.
@@ -36,7 +38,7 @@ NEP 19) and PCG64's seeding step (O'Neill, "PCG", HMC-CS-2014-0905,
 from __future__ import annotations
 
 import functools
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,45 +68,6 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _DRAW_BLOCK = 256
 
 
-@dataclass(frozen=True)
-class ParameterEstimates:
-    """Estimated plant parameters as used inside the controller filters."""
-
-    rss: float
-    omega0: float
-    qms: float
-    pressure_factor: float
-    csb: float
-
-    def __post_init__(self):
-        for name in ("rss", "omega0", "qms", "pressure_factor", "csb"):
-            if getattr(self, name) <= 0:
-                raise InvalidParameterError(f"{name} must be strictly positive")
-
-    @classmethod
-    def from_model(cls, model: DriverModel) -> "ParameterEstimates":
-        return cls(model.rss, model.omega0, model.qms, model.pressure_factor, model.csb)
-
-    @classmethod
-    def scaled(
-        cls,
-        model: DriverModel,
-        rss: float = 1.0,
-        omega0: float = 1.0,
-        qms: float = 1.0,
-        pressure_factor: float = 1.0,
-        csb: float = 1.0,
-    ) -> "ParameterEstimates":
-        """Estimates equal to the true parameters times per-parameter factors."""
-        return cls(
-            model.rss * rss,
-            model.omega0 * omega0,
-            model.qms * qms,
-            model.pressure_factor * pressure_factor,
-            model.csb * csb,
-        )
-
-
 def _estimate_vector(model: DriverModel, rss, omega0, qms, pressure_factor, csb) -> np.ndarray:
     """p = [1, Csb_hat/Csb, F_hat/F, R_hat, M_hat, K_hat] of estimated
     parameter values, one row per estimate set when they are arrays."""
@@ -130,21 +93,31 @@ def _mismatch_kernel(model: DriverModel, target: TargetSpec, fb: FeedbackSpec, s
     return num, den
 
 
+def _assumed_vector(model: DriverModel, estimate: DriverModel) -> np.ndarray:
+    """The estimate vector p of a controller designed from `estimate`; the
+    kernel has one medium, so `estimate` must assume the model's air."""
+    if estimate.air != model.air:
+        raise InvalidParameterError("the estimate must assume the same air as the model")
+    e = estimate
+    return _estimate_vector(model, e.rss, e.omega0, e.qms, e.pressure_factor, e.csb)
+
+
 def achieved_impedance(
     model: DriverModel,
-    estimates: ParameterEstimates,
+    estimate: DriverModel,
     target: TargetSpec,
     fb: FeedbackSpec,
     omega,
     return_mask: bool = False,
 ):
-    """Impedance Z_sa actually presented when the controller uses `estimates`.
+    """Impedance Z_sa actually presented when the controller is designed
+    from the assumed plant `estimate` (for instance `model.scaled(...)`).
 
     Singular evaluation frequencies (vanishing denominator) are flagged in
     the optional mask and returned as inf, never raised.
     """
     num, den = _mismatch_kernel(model, target, fb, 1j * np.asarray(omega, dtype=float))
-    p = _estimate_vector(model, *astuple(estimates))
+    p = _assumed_vector(model, estimate)
     den_p = p @ den
     mask = np.abs(den_p) <= SINGULAR_TOL
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -167,7 +140,7 @@ class SensitivityTriple:
 
 def sensitivities(
     model: DriverModel,
-    estimates: ParameterEstimates,
+    estimate: DriverModel,
     target: TargetSpec,
     fb: FeedbackSpec,
     omega,
@@ -181,7 +154,7 @@ def sensitivities(
     compliance errors straight through.
     """
     num, den = _mismatch_kernel(model, target, fb, 1j * np.asarray(omega, dtype=float))
-    p = _estimate_vector(model, *astuple(estimates))
+    p = _assumed_vector(model, estimate)
     with np.errstate(divide="ignore", invalid="ignore"):
         num_p = p @ num
         den_p = p @ den

@@ -49,9 +49,15 @@ def load_config(path) -> dict:
     return cfg
 
 
-def dump_config(cfg: dict) -> str:
-    """Canonical serialization; parse -> dump -> parse is the identity."""
-    return json.dumps(cfg, indent=2, sort_keys=True) + "\n"
+def _block(cfg: dict, name: str) -> dict:
+    """The optional config object `name`: {} when absent (or null), else a
+    ConfigError naming the block unless it is a JSON object."""
+    block = cfg.get(name)
+    if block is None:
+        return {}
+    if not isinstance(block, dict):
+        raise ConfigError(f"{name} must be an object, got {type(block).__name__}")
+    return block
 
 
 def _driver_from_config(cfg: dict) -> model_mod.DriverModel:
@@ -95,11 +101,9 @@ def _integer(value, key: str, allow_zero: bool = False) -> int:
 
 
 def _grid_from_config(cfg: dict) -> np.ndarray:
-    g = cfg.get("grid")
-    if g is None:
+    g = _block(cfg, "grid")
+    if not g:
         return analysis.default_frequency_grid()
-    if not isinstance(g, dict):
-        raise ConfigError("grid must be an object")
     try:
         f_min, f_max, step = (
             _number(g[key], f"grid.{key}") for key in ("f_min_hz", "f_max_hz", "step_hz")
@@ -112,14 +116,14 @@ def _grid_from_config(cfg: dict) -> np.ndarray:
     return grid
 
 
-def _estimates_from_config(cfg: dict, driver) -> analysis.ParameterEstimates:
-    factors = cfg.get("estimate_factors", {})
+def _estimates_from_config(cfg: dict, driver) -> model_mod.DriverModel:
+    factors = _block(cfg, "estimate_factors")
     allowed = {"rss", "omega0", "qms", "pressure_factor", "csb"}
     bad = set(factors) - allowed
     if bad:
         raise ConfigError(f"unknown estimate factors: {sorted(bad)}")
     scales = {k: _number(v, f"estimate_factors.{k}") for k, v in factors.items()}
-    return analysis.ParameterEstimates.scaled(driver, **scales)
+    return driver.scaled(**scales)
 
 
 def _out_dir(args) -> Path:
@@ -137,7 +141,7 @@ def cmd_design(args) -> int:
     target, fb = _specs_from_config(cfg, driver.air)
     pair = synthesis.synthesize_controller(driver, target, fb)
     report = synthesis.stability_report(driver, fb)
-    fs = _number(cfg.get("simulate", {}).get("fs_hz", 50_000.0), "simulate.fs_hz")
+    fs = _number(_block(cfg, "simulate").get("fs_hz", 50_000.0), "simulate.fs_hz")
     h1_sos = dsp.bilinear_discretize(pair.h1, fs)
     h2_sos = dsp.bilinear_discretize(pair.h2, fs)
 
@@ -159,9 +163,7 @@ def cmd_montecarlo(args) -> int:
     cfg = load_config(args.config)
     driver = _driver_from_config(cfg)
     target, fb = _specs_from_config(cfg, driver.air)
-    mc = cfg.get("montecarlo")
-    if mc is None:
-        raise ConfigError("config lacks a montecarlo block")
+    mc = _block(cfg, "montecarlo")
     try:
         mc_cfg = analysis.MonteCarloConfig(
             n_draws=_integer(mc["n_draws"], "montecarlo.n_draws"),
@@ -180,15 +182,16 @@ def cmd_montecarlo(args) -> int:
 
 def cmd_identify(args) -> int:
     air = model_mod.DEFAULT_AIR
-    try:
-        passive = identify.MeasuredSpectrum.from_csv(args.passive, air)
-        front = identify.MeasuredSpectrum.from_csv(args.front, air)
-        rear = identify.MeasuredSpectrum.from_csv(args.rear, air)
-    except OSError as exc:
-        print(f"error: cannot read spectrum CSV: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (ValueError, IndexError) as exc:
-        raise ConfigError(f"malformed spectrum CSV: {exc}") from exc
+    spectra = []
+    for path in (args.passive, args.front, args.rear):
+        try:
+            spectra.append(identify.MeasuredSpectrum.from_csv(path, air))
+        except OSError as exc:
+            print(f"error: cannot read spectrum CSV: {exc}", file=sys.stderr)
+            return EXIT_IO
+        except (ValueError, IndexError) as exc:
+            raise ConfigError(f"malformed spectrum CSV {path}: {exc}") from exc
+    passive, front, rear = spectra
     k1 = identify.ProbeGain(args.k1, "front")
     k2 = identify.ProbeGain(args.k2, "rear")
     fitted, diagnostics = identify.identify_model(passive, front, k1, rear, k2, air)
@@ -204,7 +207,7 @@ def cmd_kundt(args) -> int:
     cfg = load_config(args.config)
     driver = _driver_from_config(cfg)
     target, fb = _specs_from_config(cfg, driver.air)
-    kcfg = cfg.get("kundt", {})
+    kcfg = _block(cfg, "kundt")
     try:
         geom = (
             vkundt.WaveguideGeometry.from_dict(kcfg["geometry"])
@@ -250,7 +253,7 @@ def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     driver = _driver_from_config(cfg)
     target, fb = _specs_from_config(cfg, driver.air)
-    sim = cfg.get("simulate", {})
+    sim = _block(cfg, "simulate")
     try:
         loop = dsp.LoopConfig(
             fs=_number(sim.get("fs_hz", 50_000.0), "simulate.fs_hz"),
@@ -270,7 +273,7 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args)
     impedances = []
     for f_hz in freqs:
-        result = dsp.closed_loop_sim(driver, (h1, h2), loop, dsp.sine_excitation(f_hz, amplitude))
+        result = dsp.closed_loop_sim(driver, (h1, h2), loop, f_hz, amplitude)
         result.to_csv(out / f"timeseries_{f_hz:g}hz.csv")
         impedances.append(result.measured_impedance(f_hz))
     z = np.array(impedances, dtype=complex)
@@ -350,10 +353,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except InvalidParameterError as exc:
+    except (ConfigError, InvalidParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except EabsorbError as exc:

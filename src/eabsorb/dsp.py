@@ -8,9 +8,11 @@ controller's integer-sample output latency and the hold that applies each
 command, they form one discrete linear time-invariant system.  The plant is
 discretized exactly: its half-period exponential and hold integral have a
 closed form (the Cayley-Hamilton form of a 2x2 exponential) and the sine
-excitation is integrated in closed form between ticks.  `measure_impedance`
-solves the steady state of that system at z = e^{jwT}; `closed_loop_sim`
-propagates it tick by tick.
+excitation is integrated in closed form between ticks.  The excitation is
+the front pressure p_f(t) = amplitude * sin(2*pi*f_hz*t):
+`measure_impedance(model, cascades, loop, f_hz)` solves the steady state of
+that system at z = e^{jwT}, and `closed_loop_sim(model, cascades, loop,
+f_hz, amplitude)` propagates it tick by tick from rest.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._csvio import write_columns
-from .errors import DiscretizationError, DivergenceError, InvalidParameterError
+from .errors import DiscretizationError, DivergenceError, InvalidParameterError, check_positive
 from .model import DriverModel
 from .rational import RationalTransfer
 
@@ -360,14 +362,13 @@ class LoopConfig:
     transient: float = 0.5
 
     def __post_init__(self):
-        if not 0.0 < self.fs < math.inf:
-            raise InvalidParameterError("fs must be positive and finite")
+        check_positive(self, "fs")
         if self.latency < 0:
             raise InvalidParameterError("latency must be nonnegative")
         if self.hold not in ("centered", "causal"):
             raise InvalidParameterError("hold must be 'centered' or 'causal'")
-        if not (0.0 <= self.transient < self.duration):
-            raise InvalidParameterError("need 0 <= transient < duration")
+        if not (0.0 <= self.transient < self.duration < math.inf):
+            raise InvalidParameterError("need 0 <= transient < duration, duration finite")
 
 
 @dataclass(frozen=True)
@@ -401,23 +402,6 @@ class SimulationResult:
         x_pf = cf[0] - 1j * cf[1]
         x_v = cv[0] - 1j * cv[1]
         return complex(x_pf / x_v)
-
-
-@dataclass(frozen=True)
-class SineExcitation:
-    """Front-pressure excitation p_f(t) = amplitude * sin(2*pi*f_hz*t)."""
-
-    f_hz: float
-    amplitude: float = 1.0
-
-    def __call__(self, t):
-        w = 2.0 * math.pi * self.f_hz
-        return self.amplitude * np.sin(w * np.asarray(t, dtype=float))
-
-
-def sine_excitation(f_hz: float, amplitude: float = 1.0) -> SineExcitation:
-    """Front-pressure excitation p_f(t) = amplitude * sin(2*pi*f*t)."""
-    return SineExcitation(float(f_hz), float(amplitude))
 
 
 class SampledLoop(NamedTuple):
@@ -565,26 +549,26 @@ def closed_loop_sim(
     model: DriverModel,
     cascades,
     loop: LoopConfig,
-    excitation: SineExcitation,
+    f_hz: float,
+    amplitude: float = 1.0,
 ) -> SimulationResult:
     """Sample-accurate simulation of the controlled absorber.
 
-    `cascades` is an (H1, H2) pair; the loop's latency applies and the run
-    starts from rest.  The exact discrete model of `sampled_loop` is
+    `cascades` is an (H1, H2) pair and the front pressure is the sine
+    p_f(t) = amplitude * sin(2*pi*f_hz*t); the loop's latency applies and
+    the run starts from rest.  The exact discrete model of `sampled_loop` is
     propagated over loop.duration; the controller sees sampled front and
     cavity pressures and its output is delayed by the configured latency.
     Raises a divergence error, stamped with the simulation time, if the
     state grows beyond any physical scale.
     """
-    if not isinstance(excitation, SineExcitation):
-        raise InvalidParameterError("the excitation must be a SineExcitation")
-    dlti = sampled_loop(model, *cascades, loop, excitation.f_hz)
+    dlti = sampled_loop(model, *cascades, loop, f_hz)
 
     dt = 1.0 / loop.fs
     n = int(round(loop.duration * loop.fs))
     t_grid = np.arange(n) * dt
-    pf_all = excitation(t_grid)
-    phasor = excitation.amplitude * np.exp(2j * math.pi * excitation.f_hz * t_grid)
+    pf_all = amplitude * np.sin(2.0 * math.pi * f_hz * t_grid)
+    phasor = amplitude * np.exp(2j * math.pi * f_hz * t_grid)
     drive = (phasor[:, None] * dlti.g).imag
     states = np.empty((n, len(dlti.g)))
     s = np.zeros(len(dlti.g))  # p_f(0) = 0, so every branch starts at rest

@@ -1,6 +1,9 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the positivity check of
+parameter fields."""
 
 from __future__ import annotations
+
+import math
 
 
 class EabsorbError(Exception):
@@ -34,3 +37,13 @@ class DivergenceError(EabsorbError):
     def __init__(self, message: str, time_s: float | None):
         super().__init__(message)
         self.time_s = time_s
+
+
+def check_positive(obj, *names: str, allow_zero: bool = False) -> None:
+    """Raise InvalidParameterError unless each named field of `obj` is finite
+    and above zero (or zero, with allow_zero); NaN would pass `x <= 0`."""
+    for name in names:
+        x = getattr(obj, name)
+        if not (math.isfinite(x) and (x > 0 or (allow_zero and x == 0))):
+            bound = "non-negative" if allow_zero else "strictly positive"
+            raise InvalidParameterError(f"{name} must be {bound} and finite, got {x!r}")

@@ -35,8 +35,10 @@ class MeasuredSpectrum:
         z = np.asarray(self.z, dtype=complex)
         if omega.size != z.size or omega.size < 3:
             raise InvalidParameterError("need at least 3 matching samples")
-        if np.any(omega <= 0) or np.any(np.diff(omega) <= 0):
-            raise InvalidParameterError("frequencies must be positive and strictly increasing")
+        if not (np.all(np.isfinite(omega) & (omega > 0)) and np.all(np.diff(omega) > 0)):
+            raise InvalidParameterError("frequencies must be finite, positive and increasing")
+        if not np.all(np.isfinite(z)):
+            raise InvalidParameterError("impedance samples must be finite")
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "z", z)
 
@@ -66,8 +68,8 @@ class ProbeGain:
     input: str  # "front" or "rear"
 
     def __post_init__(self):
-        if self.k == 0:
-            raise InvalidParameterError("probe gain must be nonzero")
+        if self.k == 0 or not math.isfinite(self.k):
+            raise InvalidParameterError("probe gain must be finite and nonzero")
         if self.input not in ("front", "rear"):
             raise InvalidParameterError("probe input must be 'front' or 'rear'")
 
@@ -95,10 +97,9 @@ def fit_passive_params(passive: MeasuredSpectrum) -> PassiveFit:
     a = np.block([[zero[:, None], one[:, None], zero[:, None]],
                   [w[:, None], zero[:, None], -(1.0 / w)[:, None]]])
     rhs = np.concatenate([passive.z.real, passive.z.imag])
-    sv = np.linalg.svd(a, compute_uv=False)
+    sol, _, _, sv = np.linalg.lstsq(a, rhs, rcond=RANK_TOL)
     if sv[-1] <= RANK_TOL * sv[0]:
         raise IdentificationError("design matrix is rank deficient; widen the frequency band")
-    sol, res, _, _ = np.linalg.lstsq(a, rhs, rcond=RANK_TOL)
     mss, rss, ksc = (float(x) for x in sol)
     if mss <= 0 or rss <= 0 or ksc <= 0:
         raise IdentificationError("fit produced non-physical (non-positive) parameters")
@@ -200,14 +201,12 @@ def default_probe_gains(model: DriverModel) -> tuple[ProbeGain, ProbeGain]:
     """Probe gains that move the impedance noticeably while staying passive.
 
     Front gain shifts the impedance by a factor 1.25; the rear gain adds a
-    reactive term of 0.7*Rss at resonance.  Both loops are verified stable
-    at construction (positive residual loop gain / stiffness).
+    reactive term of 0.7*Rss at resonance.  Both loops are stable for every
+    valid model: the front loop's residual gain 1 - F*K1 is 0.8, and the
+    rear gain is positive, so it only adds stiffness.
     """
     k1 = ProbeGain(0.2 / model.pressure_factor, "front")
     k2 = ProbeGain(0.7 * model.rss * model.omega0 * model.csb / model.pressure_factor, "rear")
-    # construction-time verification: these raise if unstable
-    probe_front_spectrum(model, k1, DEFAULT_BAND_HZ[:3])
-    probe_rear_spectrum(model, k2, DEFAULT_BAND_HZ[:3])
     return k1, k2
 
 

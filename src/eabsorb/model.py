@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InvalidParameterError, SingularDesignError
+from .errors import SingularDesignError, check_positive
 from .rational import RationalTransfer
 
 
@@ -25,8 +25,7 @@ class AirProperties:
     c0: float = 343.0
 
     def __post_init__(self):
-        if self.rho0 <= 0 or self.c0 <= 0:
-            raise InvalidParameterError("air properties must be strictly positive")
+        check_positive(self, "rho0", "c0")
 
     @property
     def characteristic_impedance(self) -> float:
@@ -49,9 +48,7 @@ class RawDriverParams:
     vb: float  # enclosure volume (m^3)
 
     def __post_init__(self):
-        for name in ("mms", "cms", "rms", "bl", "sd", "vb"):
-            if getattr(self, name) <= 0:
-                raise InvalidParameterError(f"{name} must be strictly positive")
+        check_positive(self, "mms", "cms", "rms", "bl", "sd", "vb")
 
 
 @dataclass(frozen=True)
@@ -73,9 +70,7 @@ class DriverModel:
     air: AirProperties = DEFAULT_AIR
 
     def __post_init__(self):
-        for name in ("rss", "omega0", "qms", "pressure_factor", "csb"):
-            if getattr(self, name) <= 0:
-                raise InvalidParameterError(f"{name} must be strictly positive")
+        check_positive(self, "rss", "omega0", "qms", "pressure_factor", "csb")
 
     @property
     def f0_hz(self) -> float:
@@ -90,6 +85,18 @@ class DriverModel:
     def ksc(self) -> float:
         """Specific combined stiffness (Pa/m), Mss*omega0^2."""
         return self.mss * self.omega0**2
+
+    def scaled(self, rss=1.0, omega0=1.0, qms=1.0, pressure_factor=1.0, csb=1.0) -> "DriverModel":
+        """This model with each parameter times its factor, in the same air:
+        the plant a controller assumes when its estimates are off by them."""
+        return DriverModel(
+            self.rss * rss,
+            self.omega0 * omega0,
+            self.qms * qms,
+            self.pressure_factor * pressure_factor,
+            self.csb * csb,
+            self.air,
+        )
 
     # -- serialization ------------------------------------------------------
 
@@ -184,9 +191,7 @@ class CurrentSourceDesign:
     zl: Optional[complex] = None  # load impedance, if known
 
     def __post_init__(self):
-        for name in ("r1", "r2", "r3", "r4", "r5"):
-            if getattr(self, name) <= 0:
-                raise InvalidParameterError(f"{name} must be strictly positive")
+        check_positive(self, "r1", "r2", "r3", "r4", "r5")
 
 
 def current_source_gains(design: CurrentSourceDesign) -> tuple[float, float]:

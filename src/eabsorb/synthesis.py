@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidParameterError, SynthesisError
+from .errors import InvalidParameterError, SynthesisError, check_positive
 from .model import AirProperties, DriverModel, passive_impedance
 from .rational import RationalTransfer
 
@@ -29,8 +29,7 @@ class Resonator:
     qt: float  # quality factor
 
     def __post_init__(self):
-        if self.rst <= 0 or self.omega_t <= 0 or self.qt <= 0:
-            raise InvalidParameterError("resonator parameters must be strictly positive")
+        check_positive(self, "rst", "omega_t", "qt")
 
 
 @dataclass(frozen=True)
@@ -61,10 +60,8 @@ class FeedbackSpec:
     omega_g: float
 
     def __post_init__(self):
-        if self.kg < 0:
-            raise InvalidParameterError("kg must be nonnegative")
-        if self.omega_g <= 0:
-            raise InvalidParameterError("omega_g must be strictly positive")
+        check_positive(self, "kg", allow_zero=True)
+        check_positive(self, "omega_g")
 
     @classmethod
     def from_hz(cls, kg: float, fg_hz: float) -> "FeedbackSpec":
@@ -133,9 +130,6 @@ class ControllerPair:
 
     h1: RationalTransfer
     h2: RationalTransfer
-    model: DriverModel
-    target: TargetSpec
-    fb: FeedbackSpec
 
 
 def synthesize_controller(
@@ -145,12 +139,7 @@ def synthesize_controller(
 
     h1 = (1/F) * (1 - (Zss + G)/Zst),  h2 = s*Csb*G/F.
     """
-    if isinstance(target, RationalTransfer):
-        zst = target
-        spec = None
-    else:
-        zst = target_impedance(target)
-        spec = target
+    zst = target if isinstance(target, RationalTransfer) else target_impedance(target)
     verdict = check_transfer_admissibility(zst)
     if not verdict:
         raise SynthesisError(f"inadmissible target impedance: {verdict.reason}")
@@ -168,7 +157,7 @@ def synthesize_controller(
 
     if not h1.is_proper or not h2.is_proper:
         raise SynthesisError("synthesized controller is not proper")
-    return ControllerPair(h1=h1, h2=h2, model=model, target=spec, fb=fb)
+    return ControllerPair(h1=h1, h2=h2)
 
 
 @dataclass(frozen=True)
@@ -202,12 +191,14 @@ class StabilityReport:
         )
 
 
+def _hurwitz_minors(a: float, b: float, c: float) -> tuple[float, float, float]:
+    """Leading principal minors of the Hurwitz matrix of s^3 + a s^2 + b s + c."""
+    return a, a * b - c, c * (a * b - c)
+
+
 def hurwitz_cubic_stable(a: float, b: float, c: float) -> bool:
     """Left-half-plane test for s^3 + a s^2 + b s + c via Hurwitz minors."""
-    m1 = a
-    m2 = a * b - c
-    m3 = c * (a * b - c)
-    return m1 > 0 and m2 > 0 and m3 > 0
+    return all(m > 0 for m in _hurwitz_minors(a, b, c))
 
 
 def stability_report(model: DriverModel, fb: FeedbackSpec) -> StabilityReport:
@@ -221,12 +212,9 @@ def stability_report(model: DriverModel, fb: FeedbackSpec) -> StabilityReport:
     a = w0 / q + wg
     b = w0**2 + (w0 * wg / q) * (rc * fb.kg / model.rss + 1.0)
     c = w0**2 * wg
-    m1 = a
-    m2 = a * b - c
-    m3 = c * (a * b - c)
+    m1, m2, m3 = _hurwitz_minors(a, b, c)
     roots = np.roots([1.0, a, b, c])  # companion-matrix eigenvalues
     margin = float(np.max(roots.real))
-    stable = m1 > 0 and m2 > 0 and m3 > 0
     ratio = w0 / wg
     kg_bound = -(model.rss / rc) * (1.0 + q * ratio**2 / (q + ratio))
     return StabilityReport(
@@ -237,7 +225,7 @@ def stability_report(model: DriverModel, fb: FeedbackSpec) -> StabilityReport:
         m2=m2,
         m3=m3,
         poles=tuple(complex(r) for r in roots),
-        stable=stable,
+        stable=hurwitz_cubic_stable(a, b, c),
         kg_lower_bound=kg_bound,
         margin=margin,
     )

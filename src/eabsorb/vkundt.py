@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._csvio import read_columns, write_columns
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_positive
 from .model import AirProperties
 
 #: first circular-duct cut-on: f = 1.8412 * c0 / (pi * diameter)
@@ -41,9 +41,7 @@ class WaveguideGeometry:
     diameter: float
 
     def __post_init__(self):
-        for name in ("delta_x", "x1", "length", "diameter"):
-            if getattr(self, name) <= 0:
-                raise InvalidParameterError(f"{name} must be strictly positive")
+        check_positive(self, "delta_x", "x1", "length", "diameter")
         if self.delta_x >= self.x1:
             raise InvalidParameterError("delta_x must be smaller than x1")
 
@@ -91,8 +89,10 @@ class TwoMicMeasurement:
         h12 = np.asarray(self.h12, dtype=complex)
         if freqs.size != h12.size:
             raise InvalidParameterError("frequency and H12 arrays must match")
-        if np.any(freqs <= 0):
-            raise InvalidParameterError("frequencies must be positive")
+        if not np.all(np.isfinite(freqs) & (freqs > 0)):
+            raise InvalidParameterError("frequencies must be positive and finite")
+        if not np.all(np.isfinite(h12)):
+            raise InvalidParameterError("H12 samples must be finite")
         object.__setattr__(self, "freqs_hz", freqs)
         object.__setattr__(self, "h12", h12)
 

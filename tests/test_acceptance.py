@@ -48,7 +48,7 @@ def _random_model(rng):
 
 
 def test_criterion_1_exact_model_identity(ref_model, targets, fb4):
-    est = ea.ParameterEstimates.from_model(ref_model)
+    est = ref_model
     om = 2 * np.pi * np.arange(10.0, 1000.0001, 2.0)
     worst = 0.0
     for tg in targets.values():
@@ -112,8 +112,7 @@ def test_criterion_3_sensitivities(ref_model):
         tg = ea.TargetSpec.single(rc * rng.uniform(0.5, 2.0), rng.uniform(80.0, 600.0), rng.uniform(0.3, 10.0))
         fb = ea.FeedbackSpec(rng.uniform(0.5, 10.0), 2 * math.pi * rng.uniform(200.0, 2000.0))
         om = 2 * np.pi * rng.uniform(20.0, 900.0, 5)
-        est = ea.ParameterEstimates.scaled(
-            model,
+        est = model.scaled(
             rss=rng.uniform(0.9, 1.1),
             omega0=rng.uniform(0.95, 1.05),
             qms=rng.uniform(0.9, 1.1),
@@ -135,7 +134,7 @@ def test_criterion_3_sensitivities(ref_model):
             fd = (z(up) - z(dn)) / (2 * h) / z(est)
             worst = max(worst, float(np.max(np.abs(closed - fd) / np.maximum(np.abs(closed), 1e-12))))
     big = ea.FeedbackSpec(1e6, 2 * math.pi * 500.0)
-    est0 = ea.ParameterEstimates.from_model(ref_model)
+    est0 = ref_model
     tg0 = ea.TargetSpec.single(411.6, 400.0, 7.0)
     om0 = 2 * np.pi * np.array([50.0, 205.5, 400.0, 800.0])
     tri = ea.sensitivities(ref_model, est0, tg0, big, om0)
@@ -186,7 +185,7 @@ def test_criterion_5_mismatch_experiment(ref_model, targets, fb0, fb4):
     not |Z_a - Z_t|).  The raw impedance ratios stay in the report line as
     a diagnostic only.
     """
-    est = ea.ParameterEstimates.scaled(ref_model, pressure_factor=0.95)
+    est = ref_model.scaled(pressure_factor=0.95)
     om = np.array([2 * np.pi * 205.5])
 
     def gamma(z):

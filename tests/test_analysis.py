@@ -17,7 +17,7 @@ def grid_omega():
 
 
 def test_exact_estimates_collapse_to_target(ref_model, targets, fb4):
-    est = ea.ParameterEstimates.from_model(ref_model)
+    est = ref_model
     om = grid_omega()
     for tg in targets.values():
         zsa = ea.achieved_impedance(ref_model, est, tg, fb4, om)
@@ -26,7 +26,7 @@ def test_exact_estimates_collapse_to_target(ref_model, targets, fb4):
 
 
 def test_achieved_impedance_mask(ref_model, targets, fb4):
-    est = ea.ParameterEstimates.from_model(ref_model)
+    est = ref_model
     om = grid_omega()
     zsa, mask = ea.achieved_impedance(ref_model, est, targets["1dof"], fb4, om, return_mask=True)
     assert mask.shape == om.shape
@@ -35,9 +35,20 @@ def test_achieved_impedance_mask(ref_model, targets, fb4):
 
 def test_scaled_estimates():
     m = ea.table_reference_model()
-    est = ea.ParameterEstimates.scaled(m, pressure_factor=0.95)
+    est = m.scaled(pressure_factor=0.95)
     assert est.pressure_factor == pytest.approx(0.95 * m.pressure_factor)
     assert est.rss == m.rss
+    assert est.air == m.air
+
+
+def test_estimate_must_assume_the_same_air(ref_model, targets, fb4):
+    # the kernel builds G from the true model's rho0*c0 only
+    other = dataclasses.replace(ref_model, air=ea.AirProperties(rho0=1.21))
+    om = grid_omega()
+    with pytest.raises(ea.InvalidParameterError, match="air"):
+        ea.achieved_impedance(ref_model, other, targets["1dof"], fb4, om)
+    with pytest.raises(ea.InvalidParameterError, match="air"):
+        ea.sensitivities(ref_model, other, targets["1dof"], fb4, om)
 
 
 # -- oracle: the explicit mismatch formulas, written out term by term ---------
@@ -92,7 +103,7 @@ def oracle_quartiles(model, tg, fb, cfg):
         ea.absorption_coefficient(
             oracle_mismatch(
                 model,
-                ea.ParameterEstimates.scaled(model, *reference_draw(cfg.seed, i, cfg.rel_std)),
+                model.scaled(*reference_draw(cfg.seed, i, cfg.rel_std)),
                 tg, fb, omega,
             )[0],
             model.air,
@@ -113,11 +124,11 @@ def oracle_quartiles(model, tg, fb, cfg):
 def test_hat_impedance_matches_model(ref_model, targets, fb4):
     # exact estimates: the kernel's Zss_hat = R_hat + M_hat*s + K_hat/s and
     # the oracle's are both the passive impedance
-    est = ea.ParameterEstimates.from_model(ref_model)
+    est = ref_model
     om = grid_omega()
     zss = ea.passive_impedance(ref_model)(1j * om)
     _, den = ea.analysis._mismatch_kernel(ref_model, targets["1dof"], fb4, 1j * om)
-    p = ea.analysis._estimate_vector(ref_model, *dataclasses.astuple(est))
+    p = ea.analysis._assumed_vector(ref_model, est)
     np.testing.assert_allclose(p[3:] @ den[3:], zss, rtol=1e-12)
     np.testing.assert_allclose(oracle_hat_impedance(est, om), zss, rtol=1e-12)
 
@@ -134,7 +145,7 @@ FACTOR = st.floats(min_value=0.7, max_value=1.3)
 def test_property_kernel_matches_oracle(ref_model, targets, fb0, fb4, target, feedback, factors):
     fb = {"fb0": fb0, "fb4": fb4}[feedback]
     tg = targets[target]
-    est = ea.ParameterEstimates.scaled(ref_model, *factors)
+    est = ref_model.scaled(*factors)
     om = grid_omega()
     zsa, sens = oracle_mismatch(ref_model, est, tg, fb, om)
     np.testing.assert_allclose(ea.achieved_impedance(ref_model, est, tg, fb, om), zsa, rtol=1e-12)
@@ -181,9 +192,7 @@ def _fd_sensitivity(model, est, tg, fb, om, field):
 
 def test_sensitivities_match_finite_differences(ref_model, targets, fb4):
     om = 2.0 * np.pi * np.array([50.0, 120.0, 205.5, 400.0, 800.0])
-    est = ea.ParameterEstimates.scaled(
-        ref_model, rss=1.03, omega0=0.99, qms=1.05, pressure_factor=0.95, csb=1.02
-    )
+    est = ref_model.scaled(rss=1.03, omega0=0.99, qms=1.05, pressure_factor=0.95, csb=1.02)
     for tg in targets.values():
         tri = ea.sensitivities(ref_model, est, tg, fb4, om)
         # a uniform scaling of rss scales the whole estimated impedance
@@ -203,7 +212,7 @@ def test_sensitivities_match_finite_differences(ref_model, targets, fb4):
 
 def test_sensitivities_zero_feedback(ref_model, targets, fb0):
     om = 2.0 * np.pi * np.array([100.0, 205.5, 400.0])
-    est = ea.ParameterEstimates.scaled(ref_model, pressure_factor=0.95)
+    est = ref_model.scaled(pressure_factor=0.95)
     tri = ea.sensitivities(ref_model, est, targets["1dof"], fb0, om)
     np.testing.assert_array_equal(tri.s_csb, 0.0)
     np.testing.assert_allclose(
@@ -216,7 +225,7 @@ def test_sensitivity_limits_at_large_gain(ref_model, targets):
     # infinite-feedback asymptotics: errors in the passive impedance and
     # force factor vanish, compliance errors pass straight through
     big = ea.FeedbackSpec(1e6, 2.0 * np.pi * 500.0)
-    est = ea.ParameterEstimates.from_model(ref_model)
+    est = ref_model
     om = 2.0 * np.pi * np.array([50.0, 205.5, 400.0, 800.0])
     tri = ea.sensitivities(ref_model, est, targets["1dof"], big, om)
     assert np.max(np.abs(tri.s_zss)) < 1e-3

@@ -85,6 +85,15 @@ BAD_VALUES = {
     "latency-not-integer": ("simulate", ("simulate", "latency"), 1.7, "simulate.latency"),
     "estimate-factor-string": ("kundt", ("estimate_factors", "rss"), "x", "estimate_factors.rss"),
     "amplitude-nan": ("simulate", ("simulate", "amplitude_pa"), "nan", "simulate.amplitude_pa"),
+    "driver-rss-nan": ("design", ("driver", "rss"), "nan", "driver block: rss"),
+    "driver-csb-inf": ("kundt", ("driver", "csb_m_per_pa"), "inf", "driver block: csb"),
+    "feedback-fg-inf": ("kundt", ("feedback", "fg_hz"), "inf", "feedback block: omega_g"),
+    "geometry-delta-x-nan": (
+        "kundt",
+        ("kundt", "geometry"),
+        {"delta_x_m": "nan", "x1_m": 0.42, "length_m": 0.97, "diameter_m": 0.072},
+        "kundt.geometry: delta_x",
+    ),
 }
 
 
@@ -93,6 +102,8 @@ def test_bad_config_values_exit_2(tmp_path, capsys, case):
     # each bad value is a config error naming its key, never a traceback
     verb, (block, key), value, name = BAD_VALUES[case]
     cfg = json.loads((FIXTURES / "table1_1dof.json").read_text())
+    if block == "driver":  # the fixture's is {"reference": true}
+        cfg["driver"] = json.loads((FIXTURES / "table3_driver.json").read_text())
     if value is None:
         del cfg[block][key]
     else:
@@ -102,6 +113,27 @@ def test_bad_config_values_exit_2(tmp_path, capsys, case):
     assert run([verb, "--config", p, "--out", tmp_path / "o"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and name in err
+
+
+@pytest.mark.parametrize(
+    "verb, block, value",
+    [
+        ("simulate", "simulate", [1]),
+        ("design", "simulate", [1]),
+        ("kundt", "kundt", [1]),
+        ("kundt", "estimate_factors", ["rss"]),
+        ("kundt", "grid", [1]),
+        ("montecarlo", "montecarlo", [1]),
+    ],
+    ids=["simulate", "design", "kundt", "estimate-factors", "grid", "montecarlo"],
+)
+def test_non_object_block_is_config_error(tmp_path, capsys, verb, block, value):
+    cfg = json.loads((FIXTURES / "table1_1dof.json").read_text())
+    cfg[block] = value
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    assert run([verb, "--config", p, "--out", tmp_path / "o"]) == 2
+    assert capsys.readouterr().err == f"config error: {block} must be an object, got list\n"
 
 
 @pytest.mark.parametrize("verb", ["montecarlo", "kundt"])
@@ -175,31 +207,51 @@ def test_montecarlo_feedback_narrows(tmp_path, onedof_config):
     assert b4.width[i] < b0.width[i]
 
 
+def identify_args(tmp_path, model):
+    """`identify` options reading the passive and default-probe spectra of
+    `model`, written as CSVs to tmp_path."""
+    k1, k2 = ea.default_probe_gains(model)
+    ea.passive_spectrum(model).to_csv(tmp_path / "passive.csv", model.air)
+    ea.probe_front_spectrum(model, k1).to_csv(tmp_path / "front.csv", model.air)
+    ea.probe_rear_spectrum(model, k2).to_csv(tmp_path / "rear.csv", model.air)
+    return [
+        "--passive", tmp_path / "passive.csv",
+        "--front", tmp_path / "front.csv",
+        "--rear", tmp_path / "rear.csv",
+        "--k1", k1.k,
+        "--k2", k2.k,
+    ]
+
+
 def test_identify_command(tmp_path, ref_model):
-    k1, k2 = ea.default_probe_gains(ref_model)
-    air = ref_model.air
-    ea.passive_spectrum(ref_model).to_csv(tmp_path / "passive.csv", air)
-    ea.probe_front_spectrum(ref_model, k1).to_csv(tmp_path / "front.csv", air)
-    ea.probe_rear_spectrum(ref_model, k2).to_csv(tmp_path / "rear.csv", air)
     out = tmp_path / "id"
-    code = run(
-        [
-            "identify",
-            "--passive", tmp_path / "passive.csv",
-            "--front", tmp_path / "front.csv",
-            "--rear", tmp_path / "rear.csv",
-            "--k1", k1.k,
-            "--k2", k2.k,
-            "--out", out,
-        ]
-    )
-    assert code == 0
+    assert run(["identify", *identify_args(tmp_path, ref_model), "--out", out]) == 0
     got = json.loads((out / "identified_model.json").read_text())
     assert got["f0_hz"] == pytest.approx(205.5, rel=1e-9)
     assert got["qms"] == pytest.approx(5.466, rel=1e-9)
     assert got["f_pa_per_a"] == pytest.approx(1084.0, rel=1e-9)
     assert got["csb_m_per_pa"] == pytest.approx(1.808e-6, rel=1e-9)
     assert "diagnostics" in got
+
+
+@pytest.mark.parametrize(
+    "column, value, message",
+    [(0, "nan", "frequencies must be"), (1, "inf", "impedance samples must be finite")],
+    ids=["freq-nan", "impedance-inf"],
+)
+def test_identify_non_finite_cell_is_config_error(
+    tmp_path, capsys, ref_model, column, value, message
+):
+    args = identify_args(tmp_path, ref_model)
+    lines = (tmp_path / "passive.csv").read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[column] = value
+    lines[5] = ",".join(cells)
+    (tmp_path / "passive.csv").write_text("\n".join(lines) + "\n")
+    assert run(["identify", *args, "--out", tmp_path / "id"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: malformed spectrum CSV") and message in err
+    assert not (tmp_path / "id" / "identified_model.json").exists()
 
 
 def test_identify_missing_file_is_io_error(tmp_path):
@@ -300,13 +352,6 @@ def test_current_source_command(capsys):
     lines = dict(line.split(": ") for line in out.strip().splitlines())
     assert float(lines["transconductance_a_per_v"]) == pytest.approx(9.9745e-3, rel=1e-4)
     assert float(lines["leakage_a_per_v"]) == pytest.approx(-10.7411e-6, rel=1e-4)
-
-
-def test_config_round_trip(onedof_config):
-    from eabsorb.cli import dump_config, load_config
-
-    cfg = load_config(onedof_config)
-    assert json.loads(dump_config(cfg)) == cfg
 
 
 def test_cli_import_leaves_scipy_out():

@@ -67,6 +67,32 @@ def test_model_validation():
         ea.DriverModel(rss=-1.0, omega0=1.0, qms=1.0, pressure_factor=1.0, csb=1e-6)
 
 
+NON_FINITE_CASES = {
+    "air": lambda x: ea.AirProperties(rho0=x),
+    "raw": lambda x: ea.RawDriverParams(mms=0.01, cms=1e-3, rms=1.0, bl=5.0, sd=0.01, vb=x),
+    "driver": lambda x: ea.DriverModel(rss=x, omega0=1.0, qms=1.0, pressure_factor=1.0, csb=1e-6),
+    "current-source": lambda x: ea.CurrentSourceDesign(r1=1.0, r2=1.0, r3=1.0, r4=1.0, r5=x),
+    "resonator": lambda x: ea.Resonator(411.6, x, 7.0),
+    "feedback-kg": lambda x: ea.FeedbackSpec(x, 3000.0),
+    "feedback-omega-g": lambda x: ea.FeedbackSpec(4.0, x),
+    "geometry": lambda x: ea.WaveguideGeometry(delta_x=0.1, x1=0.4, length=x, diameter=0.07),
+    "loop-duration": lambda x: ea.LoopConfig(duration=x),
+    "spectrum-freq": lambda x: ea.MeasuredSpectrum(np.array([1.0, 2.0, x]), np.ones(3, complex)),
+    "spectrum-z": lambda x: ea.MeasuredSpectrum(np.array([1.0, 2.0, 3.0]), np.array([1, x, 1j])),
+    "two-mic-freq": lambda x: ea.TwoMicMeasurement(np.array([x]), np.ones(1, complex)),
+    "two-mic-h12": lambda x: ea.TwoMicMeasurement(np.array([100.0]), np.array([x + 0j])),
+    "probe-gain": lambda x: ea.ProbeGain(x, "front"),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("case", list(NON_FINITE_CASES))
+def test_non_finite_values_are_rejected(case, value):
+    # NaN fails every comparison, so each check must test finiteness itself
+    with pytest.raises(ea.InvalidParameterError):
+        NON_FINITE_CASES[case](value)
+
+
 def test_raw_conversion_consistency():
     raw = ea.RawDriverParams(
         mms=8.9e-3, cms=1.1e-3, rms=0.8, bl=3.4, sd=79e-4, vb=4.2e-3
