@@ -14,8 +14,13 @@ plant the controller assumes: a `DriverModel` in the true model's air, such
 as `model.scaled(pressure_factor=0.95)`.  `_mismatch_kernel` returns the
 per-frequency coefficient arrays N and D with Z_sa = (p @ N) / (p @ D):
 `achieved_impedance` evaluates that ratio, `sensitivities` are its
-log-derivatives, and `monte_carlo_absorption` evaluates the reflection
-coefficient of a block of draws as two matrix products.
+log-derivatives, and `monte_carlo_absorption` evaluates the absorption of
+a block of draws from the squared magnitudes of four real matrix products.
+The estimate vectors are real, so Re(p @ N) = p @ Re(N): the real and
+imaginary parts of the reflection coefficient's numerator and denominator
+are real products, and alpha = 1 - |num|^2 / |den|^2 needs no complex
+arithmetic.  The quartiles of each frequency's draws come from an in-place
+sort of the draws followed by `np.quantile` on the sorted rows.
 
 Monte Carlo draw i of a study with seed `seed` is, bit for bit,
 
@@ -43,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._csvio import read_columns, write_columns
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, is_integer
 from .model import AirProperties, DriverModel, passive_impedance
 from .synthesis import FeedbackSpec, TargetSpec, feedback_filter, target_impedance
 
@@ -64,7 +69,7 @@ _HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 # PCG64's 128-bit LCG multiplier
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-# blocks bound the draws' seed words and the complex temporaries of a study
+# blocks bound the draws' seed words and the kernel temporaries of a study
 _DRAW_BLOCK = 256
 
 
@@ -229,12 +234,8 @@ class QuartileBand:
         return cls(*read_columns(path, 4))
 
 
-def _is_integer(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
 def _check_seed(seed) -> None:
-    if not _is_integer(seed) or seed < 0:
+    if not is_integer(seed) or seed < 0:
         raise InvalidParameterError(f"seed must be a non-negative integer, got {seed!r}")
 
 
@@ -346,12 +347,28 @@ def draw_parameter_factors(seed: int, index: int, rel_std: float) -> np.ndarray:
     Monte Carlo studies make the same draws a block at a time.
     """
     _check_seed(seed)
-    if not _is_integer(index) or not 0 <= index < MAX_DRAWS:
+    if not is_integer(index) or not 0 <= index < MAX_DRAWS:
         raise InvalidParameterError(
             f"draw index must be an integer in [0, {MAX_DRAWS}), got {index!r}"
         )
     index = int(index)
     return _draw_factors(seed, index, index + 1, rel_std)[0]
+
+
+def _row_quartiles(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and third quartiles of each row of `alpha`, which is sorted in
+    place.
+
+    Hyndman-Fan type 7 (numpy's default linear interpolation).  Sorting the
+    rows first leaves `np.quantile` only sorted rows to partition, which
+    costs less than partitioning the raw draws; the order statistics are the
+    same values, so the quartiles are the bytes `np.quantile` gives on the
+    unsorted rows, and a row with a NaN still gives NaN.  Only the order of
+    values that compare equal but differ in bits (-0.0 and 0.0, NaN
+    payloads) is left to each algorithm.
+    """
+    alpha.sort(axis=1)
+    return np.quantile(alpha, [0.25, 0.75], axis=1, method="linear", overwrite_input=True)
 
 
 def monte_carlo_absorption(
@@ -366,8 +383,14 @@ def monte_carlo_absorption(
     compliance) are independently perturbed by multiplicative Gaussian
     factors N(1, rel_std^2) in every draw.  With P the estimate vectors of a
     block of draws, the mismatch kernel gives the reflection coefficients
-    as (P @ (N - rho0*c0*D)) / (P @ (N + rho0*c0*D)).  Deterministic for a
-    fixed seed.
+    as (P @ (N - rho0*c0*D)) / (P @ (N + rho0*c0*D)).  P is real, so the
+    absorption 1 - |Gamma|^2 is 1 - (a_re^2 + a_im^2) / (b_re^2 + b_im^2)
+    with a_re = P @ Re(N - rho0*c0*D) and so on: four real products, two
+    per block, written straight into a frequency-major array.  Each
+    frequency's row of draws is then sorted in place and its quartiles
+    taken by `np.quantile` (Hyndman-Fan type 7), which gives the same bytes
+    as on the unsorted draws.  Deterministic for a fixed seed, whatever the
+    BLAS thread count.
     """
     freqs = np.asarray(cfg.freqs_hz, dtype=float)
     s = 2j * np.pi * freqs
@@ -375,20 +398,30 @@ def monte_carlo_absorption(
     rc = model.air.characteristic_impedance
     gamma_num = num - rc * den
     gamma_den = num + rc * den
+    # rows [Re, Im] of the numerator coefficients, then [Re, Im] of the
+    # denominator's, one frequency each
+    n = freqs.size
+    parts = [gamma_num.real, gamma_num.imag, gamma_den.real, gamma_den.imag]
+    parts = np.ascontiguousarray(np.concatenate(parts, axis=1).T)
 
     true_values = np.array([model.rss, model.omega0, model.qms, model.pressure_factor, model.csb])
     # one row per frequency, so that the quantiles run along contiguous draws
-    alpha = np.empty((freqs.size, cfg.n_draws))
+    alpha = np.empty((n, cfg.n_draws))
     for lo in range(0, cfg.n_draws, _DRAW_BLOCK):
         hi = min(lo + _DRAW_BLOCK, cfg.n_draws)
         factors = _draw_factors(cfg.seed, lo, hi, cfg.rel_std)
-        p = _estimate_vector(model, *(true_values * factors).T)
+        p_t = _estimate_vector(model, *(true_values * factors).T).T
+        # two products rather than one (4n, m) product bound the peak memory
+        a = parts[: 2 * n] @ p_t
+        b = parts[2 * n :] @ p_t
+        a *= a
+        b *= b
+        a[:n] += a[n:]
+        b[:n] += b[n:]
         with np.errstate(divide="ignore", invalid="ignore"):
-            gamma = (p @ gamma_num) / (p @ gamma_den)
-        alpha[:, lo:hi] = (1.0 - np.abs(gamma) ** 2).T
+            np.divide(a[:n], b[:n], out=a[:n])
+        np.subtract(1.0, a[:n], out=alpha[:, lo:hi])
 
-    # Hyndman-Fan type 7 (numpy's default linear interpolation), partitioning
-    # alpha in place rather than a copy of it
-    q1, q3 = np.quantile(alpha, [0.25, 0.75], axis=1, method="linear", overwrite_input=True)
+    q1, q3 = _row_quartiles(alpha)
     nominal = absorption_coefficient(target_impedance(target)(s), model.air)
     return QuartileBand(freqs_hz=freqs, q1=q1, q3=q3, nominal=nominal)

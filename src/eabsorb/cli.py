@@ -60,22 +60,27 @@ def _block(cfg: dict, name: str) -> dict:
     return block
 
 
+_DRIVER_KEYS = ("rss", "f0_hz", "qms", "f_pa_per_a", "csb_m_per_pa", "rho0", "c0")
+
+
 def _driver_from_config(cfg: dict) -> model_mod.DriverModel:
     d = cfg.get("driver")
     if d is None or d == {"reference": True}:
         return model_mod.table_reference_model()
-    try:
-        return model_mod.DriverModel.from_dict(d)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid driver block: {exc}") from exc
+    return model_mod.DriverModel.from_dict(_numbers(d, "driver", _DRIVER_KEYS))
 
 
 def _specs_from_config(cfg: dict, air) -> tuple[synthesis.TargetSpec, synthesis.FeedbackSpec]:
-    try:
-        fbk = cfg.get("feedback", {"kg": 0.0, "fg_hz": 500.0})
-        return synthesis.specs_from_dict({**fbk, "resonators": cfg["target"]["resonators"]}, air)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid target/feedback block: {exc}") from exc
+    fbk = cfg.get("feedback", {"kg": 0.0, "fg_hz": 500.0})
+    spec = _numbers(fbk, "feedback", ("kg", "fg_hz"), allow_zero=("kg",))
+    resonators = _block(cfg, "target").get("resonators")
+    if not isinstance(resonators, list) or not resonators:
+        raise ConfigError("target.resonators must be a non-empty list")
+    spec["resonators"] = [
+        _numbers(e, f"target.resonators[{i}]", ("rst_norm", "f_hz", "q"))
+        for i, e in enumerate(resonators)
+    ]
+    return synthesis.specs_from_dict(spec, air)
 
 
 def _number(value, key: str, allow_zero: bool = False) -> float:
@@ -98,6 +103,19 @@ def _integer(value, key: str, allow_zero: bool = False) -> int:
         bound = "a non-negative" if allow_zero else "a positive"
         raise ConfigError(f"{key} must be {bound} integer, got {value!r}")
     return value
+
+
+def _numbers(block, name: str, keys, allow_zero=()) -> dict:
+    """The numbers `keys` of the config object `name`, each checked by
+    `_number` under its full key (`driver.rss`, `target.resonators[0].q`),
+    so that errors name the config key rather than a field of the type
+    built from it."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{name} must be an object, got {type(block).__name__}")
+    for key in keys:
+        if key not in block:
+            raise ConfigError(f"{name}.{key} is missing")
+    return {key: _number(block[key], f"{name}.{key}", allow_zero=key in allow_zero) for key in keys}
 
 
 def _grid_from_config(cfg: dict) -> np.ndarray:
@@ -208,16 +226,14 @@ def cmd_kundt(args) -> int:
     driver = _driver_from_config(cfg)
     target, fb = _specs_from_config(cfg, driver.air)
     kcfg = _block(cfg, "kundt")
-    try:
-        geom = (
-            vkundt.WaveguideGeometry.from_dict(kcfg["geometry"])
-            if "geometry" in kcfg
-            else vkundt.REFERENCE_GEOMETRY
-        )
-    except KeyError as exc:
-        raise ConfigError(f"kundt.geometry.{exc.args[0]} is missing") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid kundt.geometry: {exc}") from exc
+    geom = vkundt.REFERENCE_GEOMETRY
+    if "geometry" in kcfg:
+        keys = ("delta_x_m", "x1_m", "length_m", "diameter_m")
+        lengths = _numbers(kcfg["geometry"], "kundt.geometry", keys)
+        try:
+            geom = vkundt.WaveguideGeometry.from_dict(lengths)
+        except InvalidParameterError as exc:
+            raise ConfigError(f"invalid kundt.geometry: {exc}") from exc
     noise = _number(kcfg.get("noise_rel_std", 0.0), "kundt.noise_rel_std", allow_zero=True)
     noise_seed = args.seed if args.seed is not None else kcfg.get("noise_seed", 0)
     _integer(noise_seed, "kundt.noise_seed", allow_zero=True)

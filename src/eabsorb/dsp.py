@@ -27,7 +27,13 @@ from typing import NamedTuple
 import numpy as np
 
 from ._csvio import write_columns
-from .errors import DiscretizationError, DivergenceError, InvalidParameterError, check_positive
+from .errors import (
+    DiscretizationError,
+    DivergenceError,
+    InvalidParameterError,
+    check_positive,
+    is_integer,
+)
 from .model import DriverModel
 from .rational import RationalTransfer
 
@@ -53,6 +59,7 @@ class SosCascade:
     `sos` is a read-only (n, 5) array of rows (b0, b1, b2, a1, a2), each
     the section (b0 + b1 z^-1 + b2 z^-2) / (1 + a1 z^-1 + a2 z^-2).  The
     frequency response is gain times the product of the section responses.
+    The gain and every `sos` entry must be finite.
     """
 
     sos: np.ndarray
@@ -65,9 +72,14 @@ class SosCascade:
         sos = np.array(self.sos, dtype=float)
         if sos.ndim != 2 or sos.shape[1] != 5:
             raise InvalidParameterError("sos must be an (n, 5) array of rows (b0, b1, b2, a1, a2)")
+        if not np.all(np.isfinite(sos)):
+            raise InvalidParameterError("sos entries must be finite")
+        gain = float(self.gain)
+        if not math.isfinite(gain):
+            raise InvalidParameterError(f"gain must be finite, got {gain!r}")
         sos.flags.writeable = False
         object.__setattr__(self, "sos", sos)
-        object.__setattr__(self, "gain", float(self.gain))
+        object.__setattr__(self, "gain", gain)
         object.__setattr__(self, "fs", float(self.fs))
 
     @classmethod
@@ -352,7 +364,8 @@ class LoopConfig:
     predicted one period ahead under the current command.  duration and
     transient set the time grid of `closed_loop_sim` and the part of it
     `SimulationResult.measured_impedance` discards; `measure_impedance`
-    ignores them.
+    ignores them.  latency is a whole number of samples: a non-negative
+    `int` or numpy integer, not a `bool`.
     """
 
     fs: float = 50_000.0
@@ -363,8 +376,9 @@ class LoopConfig:
 
     def __post_init__(self):
         check_positive(self, "fs")
-        if self.latency < 0:
-            raise InvalidParameterError("latency must be nonnegative")
+        latency = self.latency
+        if not is_integer(latency) or latency < 0:
+            raise InvalidParameterError(f"latency must be a non-negative integer, got {latency!r}")
         if self.hold not in ("centered", "causal"):
             raise InvalidParameterError("hold must be 'centered' or 'causal'")
         if not (0.0 <= self.transient < self.duration < math.inf):

@@ -1,9 +1,10 @@
-"""Exception types shared across the toolkit, and the positivity check of
-parameter fields."""
+"""Exception types shared across the toolkit, and the positivity and
+integer checks of parameter fields."""
 
 from __future__ import annotations
 
 import math
+import numbers
 
 
 class EabsorbError(Exception):
@@ -47,3 +48,8 @@ def check_positive(obj, *names: str, allow_zero: bool = False) -> None:
         if not (math.isfinite(x) and (x > 0 or (allow_zero and x == 0))):
             bound = "non-negative" if allow_zero else "strictly positive"
             raise InvalidParameterError(f"{name} must be {bound} and finite, got {x!r}")
+
+
+def is_integer(x) -> bool:
+    """True for an int or a numpy integer, but not for a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)

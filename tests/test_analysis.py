@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import eabsorb as ea
 
@@ -325,13 +326,16 @@ def reference_study(model, tg, fb, cfg):
     s = 2j * np.pi * np.asarray(cfg.freqs_hz, dtype=float)
     num, den = ea.analysis._mismatch_kernel(model, tg, fb, s)
     rc = model.air.characteristic_impedance
+    gn, gd = num - rc * den, num + rc * den
     true = np.array([model.rss, model.omega0, model.qms, model.pressure_factor, model.csb])
     factors = np.array([reference_draw(cfg.seed, i, cfg.rel_std) for i in range(cfg.n_draws)])
     alpha = np.empty((cfg.n_draws, s.size))
     for lo in range(0, cfg.n_draws, 256):
         p = ea.analysis._estimate_vector(model, *(true * factors[lo : lo + 256]).T)
-        gamma = (p @ (num - rc * den)) / (p @ (num + rc * den))
-        alpha[lo : lo + 256] = 1.0 - np.abs(gamma) ** 2
+        # 1 - |p @ gn|^2 / |p @ gd|^2 from real products, as p is real
+        alpha[lo : lo + 256] = 1.0 - ((p @ gn.real) ** 2 + (p @ gn.imag) ** 2) / (
+            (p @ gd.real) ** 2 + (p @ gd.imag) ** 2
+        )
     q1, q3 = np.quantile(alpha, [0.25, 0.75], axis=0)
     nominal = ea.absorption_coefficient(ea.target_impedance(tg)(s), model.air)
     return q1, q3, nominal
@@ -345,6 +349,69 @@ def test_monte_carlo_bytes_match_reference_study(ref_model, targets, fb4, target
     assert band.q1.tobytes() == q1.tobytes()
     assert band.q3.tobytes() == q3.tobytes()
     assert band.nominal.tobytes() == nominal.tobytes()
+
+
+@pytest.mark.parametrize("target", ["1dof", "broadband", "2dof"])
+def test_monte_carlo_alpha_matches_complex_reflection(monkeypatch, ref_model, targets, fb4, target):
+    # the study's alpha, taken as it reaches the quartile step, against the
+    # complex 1 - |Gamma|^2 of the same draws
+    seen = []
+    row_quartiles = ea.analysis._row_quartiles
+
+    def record(alpha):
+        seen.append(alpha.copy())
+        return row_quartiles(alpha)
+
+    monkeypatch.setattr(ea.analysis, "_row_quartiles", record)
+    cfg = ea.MonteCarloConfig(n_draws=10_000, rel_std=0.05, seed=11)
+    ea.monte_carlo_absorption(ref_model, targets[target], fb4, cfg)
+    (alpha,) = seen
+    s = 2j * np.pi * cfg.freqs_hz
+    num, den = ea.analysis._mismatch_kernel(ref_model, targets[target], fb4, s)
+    rc = ref_model.air.characteristic_impedance
+    m = ref_model
+    true = np.array([m.rss, m.omega0, m.qms, m.pressure_factor, m.csb])
+    factors = ea.analysis._draw_factors(cfg.seed, 0, cfg.n_draws, cfg.rel_std)
+    p = ea.analysis._estimate_vector(m, *(true * factors).T)
+    for lo in range(0, cfg.n_draws, 1000):
+        gamma = (p[lo : lo + 1000] @ (num - rc * den)) / (p[lo : lo + 1000] @ (num + rc * den))
+        want = (1.0 - np.abs(gamma) ** 2).T
+        np.testing.assert_allclose(alpha[:, lo : lo + 1000], want, rtol=0, atol=1e-14)
+
+
+# a study's alpha = 1 - x is never -0.0, whose order against 0.0 is left to
+# the sort and the partition; np.nan is the one NaN payload
+ALPHA = st.one_of(
+    st.floats(allow_nan=False).map(lambda x: x + 0.0),
+    st.sampled_from([0.0, 0.5, 1.0, -np.inf, np.inf, np.nan]),
+)
+
+
+def assert_row_quartiles_match_quantile(alpha):
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = np.quantile(alpha, [0.25, 0.75], axis=1)
+        got = np.array(ea.analysis._row_quartiles(alpha.copy()))
+    assert got.tobytes() == want.tobytes()
+    assert np.isnan(got[:, np.isnan(alpha).any(axis=1)]).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(alpha=arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 5)), elements=ALPHA))
+def test_property_row_quartiles_match_quantile(alpha):
+    assert_row_quartiles_match_quantile(alpha)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_property_row_quartiles_match_quantile_at_study_size(seed):
+    rng = np.random.default_rng(seed)
+    alpha = 1.0 - rng.standard_normal((6, 10_000)) ** 2
+    alpha[1] = np.round(alpha[1], 1)  # ties
+    alpha[2, rng.integers(0, 10_000, 3000)] = np.inf
+    alpha[3, rng.integers(0, 10_000, 3000)] = -np.inf
+    alpha[4, rng.integers(0, 10_000, 3)] = np.nan
+    alpha[5] = 0.5
+    assert_row_quartiles_match_quantile(alpha)
 
 
 def test_monte_carlo_zero_spread_equals_nominal(ref_model, targets, fb4):

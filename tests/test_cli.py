@@ -85,14 +85,14 @@ BAD_VALUES = {
     "latency-not-integer": ("simulate", ("simulate", "latency"), 1.7, "simulate.latency"),
     "estimate-factor-string": ("kundt", ("estimate_factors", "rss"), "x", "estimate_factors.rss"),
     "amplitude-nan": ("simulate", ("simulate", "amplitude_pa"), "nan", "simulate.amplitude_pa"),
-    "driver-rss-nan": ("design", ("driver", "rss"), "nan", "driver block: rss"),
-    "driver-csb-inf": ("kundt", ("driver", "csb_m_per_pa"), "inf", "driver block: csb"),
-    "feedback-fg-inf": ("kundt", ("feedback", "fg_hz"), "inf", "feedback block: omega_g"),
+    "driver-rss-nan": ("design", ("driver", "rss"), "nan", "driver.rss"),
+    "driver-csb-inf": ("kundt", ("driver", "csb_m_per_pa"), "inf", "driver.csb_m_per_pa"),
+    "feedback-fg-inf": ("kundt", ("feedback", "fg_hz"), "inf", "feedback.fg_hz"),
     "geometry-delta-x-nan": (
         "kundt",
         ("kundt", "geometry"),
         {"delta_x_m": "nan", "x1_m": 0.42, "length_m": 0.97, "diameter_m": 0.072},
-        "kundt.geometry: delta_x",
+        "kundt.geometry.delta_x_m",
     ),
 }
 
@@ -113,6 +113,36 @@ def test_bad_config_values_exit_2(tmp_path, capsys, case):
     assert run([verb, "--config", p, "--out", tmp_path / "o"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and name in err
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda c: c["target"]["resonators"][0].update(q="nan"), "target.resonators[0].q must be"),
+        (lambda c: c["target"]["resonators"].append([1]), "target.resonators[1] must be an object"),
+        (lambda c: c["target"].update(resonators=[]), "target.resonators must be a non-empty list"),
+        (lambda c: c["feedback"].update(kg=-1.0), "feedback.kg must be a non-negative number"),
+        (lambda c: c["feedback"].pop("fg_hz"), "feedback.fg_hz is missing"),
+        (lambda c: c.update(driver={"rss": 277.0}), "driver.f0_hz is missing"),
+        (lambda c: c.update(driver=[1]), "driver must be an object, got list"),
+    ],
+    ids=[
+        "resonator-q-nan",
+        "resonator-list",
+        "no-resonators",
+        "kg-negative",
+        "no-fg",
+        "driver-f0",
+        "driver-list",
+    ],
+)
+def test_nested_config_errors_name_the_key(tmp_path, capsys, edit, message):
+    cfg = json.loads((FIXTURES / "table1_1dof.json").read_text())
+    edit(cfg)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    assert run(["design", "--config", p, "--out", tmp_path / "o"]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
 
 
 @pytest.mark.parametrize(

@@ -227,6 +227,21 @@ def test_cascade_rejects_bad_shape(sos):
         ea.SosCascade(sos, 1.0, FS)
 
 
+@pytest.mark.parametrize("gain", [math.nan, math.inf, -math.inf])
+def test_cascade_rejects_non_finite_gain(gain):
+    with pytest.raises(ea.InvalidParameterError, match="gain"):
+        ea.SosCascade([[1.0, 0.0, 0.0, 0.0, 0.0]], gain, FS)
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("column", range(5))
+def test_cascade_rejects_non_finite_sos_entry(entry, column):
+    rows = [[1.0, 0.2, 0.1, -0.5, 0.25], [1.0, 0.0, 0.0, 0.0, 0.0]]
+    rows[1][column] = entry
+    with pytest.raises(ea.InvalidParameterError, match="sos"):
+        ea.SosCascade(rows, 1.0, FS)
+
+
 def test_is_stable_matches_pole_radius():
     rng = np.random.default_rng(3)
     for _ in range(200):
@@ -298,6 +313,19 @@ def test_loop_config_validation():
         ea.LoopConfig(hold="sloppy")
     with pytest.raises(ea.InvalidParameterError):
         ea.LoopConfig(duration=0.5, transient=0.5)
+
+
+@pytest.mark.parametrize(
+    "latency", [1.5, 2.0, math.nan, math.inf, True, False, np.float64(1.0), "1"]
+)
+def test_loop_latency_must_be_an_integer(latency):
+    with pytest.raises(ea.InvalidParameterError, match="latency"):
+        ea.LoopConfig(latency=latency)
+
+
+@pytest.mark.parametrize("latency", [0, 2, np.int64(1), np.uint8(3)])
+def test_loop_latency_accepts_numpy_integers(latency):
+    assert ea.LoopConfig(latency=latency).latency == latency
 
 
 @pytest.mark.parametrize("fs", [0.0, -FS, math.nan, math.inf])
