@@ -105,6 +105,13 @@ def _integer(value, key: str, allow_zero: bool = False) -> int:
     return value
 
 
+def _field(block: dict, name: str, key: str):
+    """block[key], else a ConfigError saying `name.key` is missing."""
+    if key not in block:
+        raise ConfigError(f"{name}.{key} is missing")
+    return block[key]
+
+
 def _numbers(block, name: str, keys, allow_zero=()) -> dict:
     """The numbers `keys` of the config object `name`, each checked by
     `_number` under its full key (`driver.rss`, `target.resonators[0].q`),
@@ -112,22 +119,17 @@ def _numbers(block, name: str, keys, allow_zero=()) -> dict:
     built from it."""
     if not isinstance(block, dict):
         raise ConfigError(f"{name} must be an object, got {type(block).__name__}")
-    for key in keys:
-        if key not in block:
-            raise ConfigError(f"{name}.{key} is missing")
-    return {key: _number(block[key], f"{name}.{key}", allow_zero=key in allow_zero) for key in keys}
+    return {
+        key: _number(_field(block, name, key), f"{name}.{key}", allow_zero=key in allow_zero)
+        for key in keys
+    }
 
 
 def _grid_from_config(cfg: dict) -> np.ndarray:
     g = _block(cfg, "grid")
     if not g:
         return analysis.default_frequency_grid()
-    try:
-        f_min, f_max, step = (
-            _number(g[key], f"grid.{key}") for key in ("f_min_hz", "f_max_hz", "step_hz")
-        )
-    except KeyError as exc:
-        raise ConfigError(f"grid.{exc.args[0]} is missing") from exc
+    f_min, f_max, step = _numbers(g, "grid", ("f_min_hz", "f_max_hz", "step_hz")).values()
     grid = np.arange(f_min, f_max + 1e-9, step)
     if grid.size == 0:
         raise ConfigError("frequency grid is empty")
@@ -182,15 +184,13 @@ def cmd_montecarlo(args) -> int:
     driver = _driver_from_config(cfg)
     target, fb = _specs_from_config(cfg, driver.air)
     mc = _block(cfg, "montecarlo")
-    try:
-        mc_cfg = analysis.MonteCarloConfig(
-            n_draws=_integer(mc["n_draws"], "montecarlo.n_draws"),
-            rel_std=_number(mc["rel_std"], "montecarlo.rel_std", allow_zero=True),
-            seed=args.seed if args.seed is not None else mc["seed"],
-            freqs_hz=_grid_from_config(cfg),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid montecarlo block: {exc}") from exc
+    seed = args.seed if args.seed is not None else _field(mc, "montecarlo", "seed")
+    mc_cfg = analysis.MonteCarloConfig(
+        n_draws=_integer(_field(mc, "montecarlo", "n_draws"), "montecarlo.n_draws"),
+        rel_std=_number(_field(mc, "montecarlo", "rel_std"), "montecarlo.rel_std", allow_zero=True),
+        seed=_integer(seed, "montecarlo.seed", allow_zero=True),
+        freqs_hz=_grid_from_config(cfg),
+    )
     band = analysis.monte_carlo_absorption(driver, target, fb, mc_cfg)
     out = _out_dir(args)
     band.to_csv(out / "montecarlo.csv")
@@ -270,18 +270,18 @@ def cmd_simulate(args) -> int:
     driver = _driver_from_config(cfg)
     target, fb = _specs_from_config(cfg, driver.air)
     sim = _block(cfg, "simulate")
-    try:
-        loop = dsp.LoopConfig(
-            fs=_number(sim.get("fs_hz", 50_000.0), "simulate.fs_hz"),
-            latency=_integer(sim.get("latency", 1), "simulate.latency", allow_zero=True),
-            hold=sim.get("hold", "centered"),
-            duration=_number(sim.get("duration_s", 1.0), "simulate.duration_s"),
-            transient=_number(sim.get("transient_s", 0.5), "simulate.transient_s", allow_zero=True),
-        )
-        freqs = [_number(f, "simulate.freqs_hz") for f in sim.get("freqs_hz", [205.5])]
-        amplitude = _number(sim.get("amplitude_pa", 1.0), "simulate.amplitude_pa")
-    except (TypeError, ValueError, InvalidParameterError) as exc:
-        raise ConfigError(f"invalid simulate block: {exc}") from exc
+    loop = dsp.LoopConfig(
+        fs=_number(sim.get("fs_hz", 50_000.0), "simulate.fs_hz"),
+        latency=_integer(sim.get("latency", 1), "simulate.latency", allow_zero=True),
+        hold=sim.get("hold", "centered"),
+        duration=_number(sim.get("duration_s", 1.0), "simulate.duration_s"),
+        transient=_number(sim.get("transient_s", 0.5), "simulate.transient_s", allow_zero=True),
+    )
+    freqs = sim.get("freqs_hz", [205.5])
+    if not isinstance(freqs, list) or not freqs:
+        raise ConfigError("simulate.freqs_hz must be a non-empty list")
+    freqs = [_number(f, "simulate.freqs_hz") for f in freqs]
+    amplitude = _number(sim.get("amplitude_pa", 1.0), "simulate.amplitude_pa")
 
     pair = synthesis.synthesize_controller(driver, target, fb)
     h1 = dsp.bilinear_discretize(pair.h1, loop.fs)

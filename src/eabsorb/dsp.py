@@ -10,8 +10,8 @@ discretized exactly: its half-period exponential and hold integral have a
 closed form (the Cayley-Hamilton form of a 2x2 exponential) and the sine
 excitation is integrated in closed form between ticks.  The excitation is
 the front pressure p_f(t) = amplitude * sin(2*pi*f_hz*t):
-`measure_impedance(model, cascades, loop, f_hz)` solves the steady state of
-that system at z = e^{jwT}, and `closed_loop_sim(model, cascades, loop,
+`measure_impedance(model, cascades, loop, f_hz)` solves its steady state at
+one frequency or a whole band, and `closed_loop_sim(model, cascades, loop,
 f_hz, amplitude)` propagates it tick by tick from rest.
 """
 
@@ -421,18 +421,32 @@ class SimulationResult:
 class SampledLoop(NamedTuple):
     """The closed loop driven by p_f(t) = Im(e^{jwt}), one row per tick.
 
-    s[k+1] = F s[k] + Im(G e^{jw t_k}) and the applied current is
-    i[k] = c s[k] + d p_f[k].  The state is [v, xi], the states of H1 and
-    of H2, then either the latency line [y[k-L], ..., y[k-1]] of the
-    controller output y, or (centered hold at latency 0) the command u[k]
-    computed one tick earlier.  z = e^{jwT} is the input's tick phasor.
+    s[k+1] = F s[k] + b u[k] and the applied current is i[k] = c s[k] +
+    d p_f[k].  The state is [v, xi], the states of H1 and of H2, then
+    either the latency line [y[k-L], ..., y[k-1]] of the controller output
+    y, or (centered hold at latency 0) the command u[k] computed one tick
+    earlier.  Only the real input u[k] = [g_v, g_xi, p_f[k], p_f[k+1]]
+    depends on w: g is the sine's exact contribution to [v, xi] over the
+    period, from `plant` = (a, b, e^{aT} b, T) of the continuous plant.
     """
 
     f: np.ndarray
-    g: np.ndarray
+    b: np.ndarray
     c: np.ndarray
     d: float
-    z: complex
+    plant: tuple
+
+    def drive(self, w):
+        """z = e^{jwT} and G(w) = b u(w), u[k] = Im(u(w) e^{jw t_k}), at a scalar or 1-D
+        angular frequency w: u(w) = [g, 1, z], g = (jwI - a)^-1 (zI - e^{aT}) b in closed form."""
+        ((a00, a01), (a10, a11)), (b0, b1), (p0, p1), dt = self.plant
+        jw = 1j * w
+        z = np.exp(jw * dt)
+        r0, r1 = z * b0 - p0, z * b1 - p1
+        det = (jw - a00) * (jw - a11) - a01 * a10
+        g_v = ((jw - a11) * r0 + a01 * r1) / det
+        g_xi = (a10 * r0 + (jw - a00) * r1) / det
+        return z, (self.b @ np.array([g_v, g_xi, np.ones_like(z), z])).T
 
 
 def _plant_step(a: np.ndarray, b: np.ndarray, tau: float):
@@ -482,21 +496,19 @@ def _plant_step(a: np.ndarray, b: np.ndarray, tau: float):
 
 
 def sampled_loop(
-    model: DriverModel, h1: SosCascade, h2: SosCascade, loop: LoopConfig, f_hz: float
+    model: DriverModel, h1: SosCascade, h2: SosCascade, loop: LoopConfig
 ) -> SampledLoop:
     """Exact discrete model of the plant under the two-input controller.
 
     Between ticks the plant d/dt [v, xi] = a [v, xi] + b (p_f - Bl/Sd * i)
     is integrated exactly: e^{a T/2} and the half-period hold integral come
-    from the closed form of `_plant_step`, and the sine input contributes
-    (jwI - a)^-1 (zI - e^{aT}) b per e^{jw t_k}.  Every signal below is a
-    row of coefficients over [s[k], e^{jw t_k}].
+    from the closed form of `_plant_step`, and the sine input enters
+    through g.  Every signal below is a real row of coefficients over
+    [s[k], g_v, g_xi, p_f[k], p_f[k+1]].  Nothing depends on frequency.
     """
     if h1.fs != loop.fs or h2.fs != loop.fs:
         raise InvalidParameterError("cascade sample rate must match the loop sample rate")
     dt = 1.0 / loop.fs
-    w = 2.0 * math.pi * f_hz
-    z = np.exp(1j * w * dt)
 
     a = np.array([[-model.rss / model.mss, -model.ksc / model.mss], [1.0, 0.0]])
     b = np.array([1.0 / model.mss, 0.0])
@@ -505,7 +517,6 @@ def sampled_loop(
     # current held over the first and over the second half of the period
     gam_first = -model.pressure_factor * (phi_half @ gam_half)
     gam_second = -model.pressure_factor * gam_half
-    g_pf = np.linalg.solve(1j * w * np.eye(2) - a, (z * np.eye(2) - phi) @ b)
 
     a1, b1, c1, d1 = h1.state_space()
     a2, b2, c2, d2 = h2.state_space()
@@ -514,8 +525,9 @@ def sampled_loop(
     centered = loop.hold == "centered"
     n_line = loop.latency or int(centered)
     n = 2 + n_ctrl + n_line
-    rows = np.eye(n + 1, dtype=complex)
-    x, ctrl, line, pf = rows[:2], rows[2 : 2 + n_ctrl], rows[2 + n_ctrl : n], rows[n]
+    rows = np.eye(n + 4)
+    x, ctrl, line = rows[:2], rows[2 : 2 + n_ctrl], rows[2 + n_ctrl : n]
+    g, pf, pf_next = rows[n : n + 2], rows[n + 2], rows[n + 3]
     q = np.array([0.0, 1.0 / model.csb])  # p_b = q @ [v, xi]
     a_ctrl = np.zeros((n_ctrl, n_ctrl))
     a_ctrl[:n1, :n1] = a1
@@ -531,18 +543,13 @@ def sampled_loop(
         return y, a_ctrl @ ctrl + np.outer(b_pf, pf_row) + np.outer(b_pb, pb)
 
     def plant(u_first, u_second):
-        return (
-            phi @ x
-            + np.outer(gam_first, u_first)
-            + np.outer(gam_second, u_second)
-            + np.outer(g_pf, pf)
-        )
+        return phi @ x + np.outer(gam_first, u_first) + np.outer(gam_second, u_second) + g
 
     if centered and loop.latency == 0:
         # the next command, from the next front pressure and the plant
         # state predicted under the current command over a whole period
         u_now = line[0]
-        u_next, ctrl_next = controller(z * pf, plant(u_now, u_now))
+        u_next, ctrl_next = controller(pf_next, plant(u_now, u_now))
         line_next = u_next[None]
     else:
         y, ctrl_next = controller(pf, x)
@@ -556,7 +563,17 @@ def sampled_loop(
     if not centered:
         u_next = u_now
     step = np.vstack([plant(u_now, u_next), ctrl_next, line_next])
-    return SampledLoop(f=step[:, :n].real, g=step[:, n], c=u_now[:n].real, d=u_now[n].real, z=z)
+    plant_data = (a.tolist(), b.tolist(), (phi @ b).tolist(), dt)
+    return SampledLoop(step[:, :n], step[:, n:], u_now[:n], u_now[n + 2], plant_data)
+
+
+def _check_frequencies(f_hz) -> np.ndarray:
+    """`f_hz` as a float array; every entry must be positive and finite."""
+    f = np.asarray(f_hz, dtype=float)
+    ok = (f > 0.0) & (f < math.inf)  # NaN fails both
+    if not ok.all():
+        raise InvalidParameterError(f"f_hz must be positive and finite, got {f[~ok].flat[0]!r}")
+    return f
 
 
 def closed_loop_sim(
@@ -576,16 +593,17 @@ def closed_loop_sim(
     Raises a divergence error, stamped with the simulation time, if the
     state grows beyond any physical scale.
     """
-    dlti = sampled_loop(model, *cascades, loop, f_hz)
+    w = 2.0 * math.pi * float(_check_frequencies(f_hz))
+    dlti = sampled_loop(model, *cascades, loop)
 
     dt = 1.0 / loop.fs
     n = int(round(loop.duration * loop.fs))
     t_grid = np.arange(n) * dt
-    pf_all = amplitude * np.sin(2.0 * math.pi * f_hz * t_grid)
-    phasor = amplitude * np.exp(2j * math.pi * f_hz * t_grid)
-    drive = (phasor[:, None] * dlti.g).imag
-    states = np.empty((n, len(dlti.g)))
-    s = np.zeros(len(dlti.g))  # p_f(0) = 0, so every branch starts at rest
+    pf_all = amplitude * np.sin(w * t_grid)
+    phasor = amplitude * np.exp(1j * w * t_grid)
+    drive = (phasor[:, None] * dlti.drive(w)[1]).imag
+    states = np.empty((n, len(dlti.f)))
+    s = np.zeros(len(dlti.f))  # p_f(0) = 0, so every branch starts at rest
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n):
             states[k] = s
@@ -609,22 +627,24 @@ def closed_loop_sim(
     )
 
 
-def measure_impedance(model: DriverModel, cascades, loop: LoopConfig, f_hz: float) -> complex:
+def measure_impedance(model: DriverModel, cascades, loop: LoopConfig, f_hz) -> complex | np.ndarray:
     """Exact steady-state impedance p_f/v of the closed loop at f_hz.
 
-    Solves (zI - F) X = G at z = e^{j 2 pi f_hz / fs} for the discrete
-    model of `sampled_loop`, so the result is the loop's true sinusoidal
-    steady state: no transient to discard and no time grid (the loop's
-    duration and transient do not enter).  Raises a divergence error
-    naming the spectral radius of F when the loop is unstable and has no
-    steady state.
+    Solves (zI - F) X = G(w) at z = e^{jwT} for the discrete model of
+    `sampled_loop`, built once for all frequencies: a scalar f_hz gives a
+    complex, an array an array of its shape.  The result is the loop's true
+    sinusoidal steady state, with no transient to discard and no time grid.
+    Every f_hz must be positive and finite.  Raises a divergence error naming
+    the spectral radius of F when the loop is unstable (no steady state).
     """
-    dlti = sampled_loop(model, *cascades, loop, f_hz)
+    f = _check_frequencies(f_hz)
+    dlti = sampled_loop(model, *cascades, loop)
     radius = float(np.max(np.abs(np.linalg.eigvals(dlti.f))))
     if radius >= 1.0:
         raise DivergenceError(
             f"closed loop is unstable (spectral radius {radius:.6g} >= 1): no steady state",
             time_s=None,
         )
-    x = np.linalg.solve(dlti.z * np.eye(len(dlti.g)) - dlti.f, dlti.g)
-    return complex(1.0 / x[0])
+    z, g = dlti.drive(2.0 * math.pi * (f.ravel() if f.ndim else f))
+    x = np.linalg.solve(z[..., None, None] * np.eye(len(dlti.f)) - dlti.f, g[..., None])
+    return complex(1.0 / x[0, 0]) if f.ndim == 0 else 1.0 / x[:, 0, 0].reshape(f.shape)

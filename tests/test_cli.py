@@ -78,6 +78,21 @@ BAD_VALUES = {
     "noise-not-a-number": ("kundt", ("kundt", "noise_rel_std"), "x", "kundt.noise_rel_std"),
     "noise-seed-negative": ("kundt", ("kundt", "noise_seed"), -3, "kundt.noise_seed"),
     "simulate-negative-freq": ("simulate", ("simulate", "freqs_hz"), [-5], "simulate.freqs_hz"),
+    "simulate-freqs-scalar": (
+        "simulate",
+        ("simulate", "freqs_hz"),
+        205.5,
+        "simulate.freqs_hz must be a non-empty list",
+    ),
+    "simulate-freqs-empty": (
+        "simulate",
+        ("simulate", "freqs_hz"),
+        [],
+        "simulate.freqs_hz must be a non-empty list",
+    ),
+    "n-draws-missing": ("montecarlo", ("montecarlo", "n_draws"), None, "montecarlo.n_draws is missing"),
+    "rel-std-missing": ("montecarlo", ("montecarlo", "rel_std"), None, "montecarlo.rel_std is missing"),
+    "seed-missing": ("montecarlo", ("montecarlo", "seed"), None, "montecarlo.seed is missing"),
     "seed-negative": ("montecarlo", ("montecarlo", "seed"), -1, "seed"),
     "seed-not-integer": ("montecarlo", ("montecarlo", "seed"), 1.5, "seed"),
     "seed-string": ("montecarlo", ("montecarlo", "seed"), "7", "seed"),

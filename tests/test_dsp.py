@@ -479,6 +479,89 @@ def test_cascade_rate_must_match_loop(ref_model, cascades_1dof):
         ea.closed_loop_sim(ref_model, cascades_1dof, loop, 400.0)
 
 
+@pytest.mark.parametrize(
+    "f_hz",
+    [math.nan, math.inf, -math.inf, 0.0, -1.0, [100.0, math.nan, 400.0]],
+    ids=["nan", "inf", "-inf", "zero", "negative", "mixed-array"],
+)
+def test_bad_frequency_is_refused(ref_model, cascades_1dof, f_hz):
+    loop = ea.LoopConfig(fs=FS, latency=0, duration=0.05, transient=0.01)
+    with pytest.raises(ea.InvalidParameterError, match="f_hz"):
+        ea.measure_impedance(ref_model, cascades_1dof, loop, f_hz)
+    with pytest.raises(ea.InvalidParameterError, match="f_hz"):
+        ea.closed_loop_sim(ref_model, cascades_1dof, loop, f_hz)
+
+
+@pytest.mark.parametrize(
+    "latency, hold", [(0, "centered"), (1, "centered"), (2, "centered"), (0, "causal"), (2, "causal")]
+)
+def test_band_matches_scalar_calls(ref_model, cascades_1dof, latency, hold):
+    # a scalar gives a complex, an array an array of its shape; each band
+    # entry is its scalar call
+    loop = ea.LoopConfig(fs=FS, latency=latency, hold=hold)
+    freqs = np.array([[50.0, 205.5, 400.0], [700.0, 990.0, 4000.0]])
+    band = ea.measure_impedance(ref_model, cascades_1dof, loop, freqs)
+    assert band.shape == freqs.shape and band.dtype == complex
+    for f, z in zip(freqs.flat, band.flat):
+        for scalar in (float(f), np.float64(f), np.array(f)):
+            ref = ea.measure_impedance(ref_model, cascades_1dof, loop, scalar)
+            assert type(ref) is complex
+            assert abs(z / ref - 1.0) <= 1e-14
+    row = ea.measure_impedance(ref_model, cascades_1dof, loop, list(freqs[1]))
+    assert row.shape == (3,)
+    assert np.all(np.abs(row / band[1] - 1.0) <= 1e-14)
+
+
+def test_band_builds_one_loop(ref_model, cascades_1dof, monkeypatch):
+    """A band builds the sampled loop and checks its spectral radius once,
+    and an unstable loop raises once, whatever the grid size."""
+    k = -2.0 * ref_model.ksc * ref_model.csb / ref_model.pressure_factor
+    unstable = (ea.SosCascade.zero(FS), ea.bilinear_discretize(RationalTransfer.constant(k), FS))
+    builds, radii = [], []
+    build, eigvals = dsp.sampled_loop, np.linalg.eigvals
+    monkeypatch.setattr(dsp, "sampled_loop", lambda *a: builds.append(1) or build(*a))
+    monkeypatch.setattr(np.linalg, "eigvals", lambda m: radii.append(1) or eigvals(m))
+    freqs = ea.default_frequency_grid()
+    loop = ea.LoopConfig(fs=FS, latency=1)
+    band = ea.measure_impedance(ref_model, cascades_1dof, loop, freqs)
+    assert band.shape == freqs.shape and np.all(np.isfinite(band))
+    assert len(builds) == len(radii) == 1
+    with pytest.raises(ea.DivergenceError, match="spectral radius"):
+        ea.measure_impedance(ref_model, unstable, loop, freqs)
+    assert len(builds) == len(radii) == 2
+
+
+def spectral_radius(model, cascades, loop):
+    return float(np.max(np.abs(np.linalg.eigvals(dsp.sampled_loop(model, *cascades, loop).f))))
+
+
+@pytest.mark.parametrize("hold", ["centered", "causal"])
+@pytest.mark.parametrize("name", ["1dof", "broadband", "2dof"])
+def test_latency_boundary_at_8khz(ref_model, targets, fb0, fb4, name, hold):
+    """At 8 kHz the loop with kg = 4 is stable through latency 4 and not at
+    latency 5 (625 us); without the rear-pressure path (kg = 0) it stays
+    stable through latency 8.  Measured: rho(F) <= 0.99441 at latency 4 and
+    1.00701 (causal) or 1.00082 (centered) at latency 5."""
+    fs = 8_000.0
+    freqs = np.array([100.0, 205.5, 400.0])
+
+    def realize(fb):
+        pair = ea.synthesize_controller(ref_model, targets[name], fb)
+        return ea.bilinear_discretize(pair.h1, fs), ea.bilinear_discretize(pair.h2, fs)
+
+    def loop(latency):
+        return ea.LoopConfig(fs=fs, latency=latency, hold=hold)
+
+    kg0, kg4 = realize(fb0), realize(fb4)
+    assert max(spectral_radius(ref_model, kg0, loop(n)) for n in range(9)) < 1.0
+    assert max(spectral_radius(ref_model, kg4, loop(n)) for n in range(5)) < 1.0
+    assert spectral_radius(ref_model, kg4, loop(5)) > 1.0
+    for cascades, latency in ((kg0, 8), (kg4, 4)):
+        assert np.all(np.isfinite(ea.measure_impedance(ref_model, cascades, loop(latency), freqs)))
+    with pytest.raises(ea.DivergenceError, match="spectral radius"):
+        ea.measure_impedance(ref_model, kg4, loop(5), freqs)
+
+
 # -- RK4 oracle -----------------------------------------------------------------
 
 
@@ -580,6 +663,8 @@ def test_exact_loop_matches_rk4_oracle(ref_model, cascades_1dof, latency, hold):
     z_oracle = oracle.measured_impedance(f)
     assert abs(sim.measured_impedance(f) / z_oracle - 1.0) < 1e-6
     assert abs(ea.measure_impedance(ref_model, cascades_1dof, loop, f) / z_oracle - 1.0) < 1e-6
+    band = ea.measure_impedance(ref_model, cascades_1dof, loop, [100.0, f, 990.0])
+    assert abs(band[1] / z_oracle - 1.0) < 1e-6
 
 
 # -- plant half step --------------------------------------------------------------
