@@ -270,12 +270,22 @@ def cmd_simulate(args) -> int:
     driver = _driver_from_config(cfg)
     target, fb = _specs_from_config(cfg, driver.air)
     sim = _block(cfg, "simulate")
+    hold = sim.get("hold", "centered")
+    if hold not in ("centered", "causal"):
+        raise ConfigError(f"simulate.hold must be 'centered' or 'causal', got {hold!r}")
+    duration = _number(sim.get("duration_s", 1.0), "simulate.duration_s")
+    transient = _number(sim.get("transient_s", 0.5), "simulate.transient_s", allow_zero=True)
+    if not transient < duration:
+        raise ConfigError(
+            "simulate.transient_s must be below simulate.duration_s, "
+            f"got {transient!r} >= {duration!r}"
+        )
     loop = dsp.LoopConfig(
         fs=_number(sim.get("fs_hz", 50_000.0), "simulate.fs_hz"),
         latency=_integer(sim.get("latency", 1), "simulate.latency", allow_zero=True),
-        hold=sim.get("hold", "centered"),
-        duration=_number(sim.get("duration_s", 1.0), "simulate.duration_s"),
-        transient=_number(sim.get("transient_s", 0.5), "simulate.transient_s", allow_zero=True),
+        hold=hold,
+        duration=duration,
+        transient=transient,
     )
     freqs = sim.get("freqs_hz", [205.5])
     if not isinstance(freqs, list) or not freqs:

@@ -31,6 +31,7 @@ from .errors import (
     DiscretizationError,
     DivergenceError,
     InvalidParameterError,
+    check_frequencies,
     check_positive,
     is_integer,
 )
@@ -567,15 +568,6 @@ def sampled_loop(
     return SampledLoop(step[:, :n], step[:, n:], u_now[:n], u_now[n + 2], plant_data)
 
 
-def _check_frequencies(f_hz) -> np.ndarray:
-    """`f_hz` as a float array; every entry must be positive and finite."""
-    f = np.asarray(f_hz, dtype=float)
-    ok = (f > 0.0) & (f < math.inf)  # NaN fails both
-    if not ok.all():
-        raise InvalidParameterError(f"f_hz must be positive and finite, got {f[~ok].flat[0]!r}")
-    return f
-
-
 def closed_loop_sim(
     model: DriverModel,
     cascades,
@@ -593,7 +585,7 @@ def closed_loop_sim(
     Raises a divergence error, stamped with the simulation time, if the
     state grows beyond any physical scale.
     """
-    w = 2.0 * math.pi * float(_check_frequencies(f_hz))
+    w = 2.0 * math.pi * float(check_frequencies(f_hz))
     dlti = sampled_loop(model, *cascades, loop)
 
     dt = 1.0 / loop.fs
@@ -637,7 +629,7 @@ def measure_impedance(model: DriverModel, cascades, loop: LoopConfig, f_hz) -> c
     Every f_hz must be positive and finite.  Raises a divergence error naming
     the spectral radius of F when the loop is unstable (no steady state).
     """
-    f = _check_frequencies(f_hz)
+    f = check_frequencies(f_hz)
     dlti = sampled_loop(model, *cascades, loop)
     radius = float(np.max(np.abs(np.linalg.eigvals(dlti.f))))
     if radius >= 1.0:

@@ -1,10 +1,12 @@
-"""Exception types shared across the toolkit, and the positivity and
-integer checks of parameter fields."""
+"""Exception types shared across the toolkit, and the positivity, integer
+and frequency checks of parameter fields."""
 
 from __future__ import annotations
 
 import math
 import numbers
+
+import numpy as np
 
 
 class EabsorbError(Exception):
@@ -53,3 +55,13 @@ def check_positive(obj, *names: str, allow_zero: bool = False) -> None:
 def is_integer(x) -> bool:
     """True for an int or a numpy integer, but not for a bool."""
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def check_frequencies(f_hz, name: str = "f_hz") -> np.ndarray:
+    """`f_hz` as a float array; every entry must be positive and finite,
+    else an InvalidParameterError names the parameter `name`."""
+    f = np.asarray(f_hz, dtype=float)
+    ok = (f > 0.0) & (f < math.inf)  # NaN fails both
+    if not ok.all():
+        raise InvalidParameterError(f"{name} must be positive and finite, got {f[~ok].flat[0]!r}")
+    return f

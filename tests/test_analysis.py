@@ -364,8 +364,12 @@ def test_monte_carlo_alpha_matches_complex_reflection(monkeypatch, ref_model, ta
 
     monkeypatch.setattr(ea.analysis, "_row_quartiles", record)
     cfg = ea.MonteCarloConfig(n_draws=10_000, rel_std=0.05, seed=11)
-    ea.monte_carlo_absorption(ref_model, targets[target], fb4, cfg)
+    band = ea.monte_carlo_absorption(ref_model, targets[target], fb4, cfg)
     (alpha,) = seen
+    # the quartiles read off the sorted draws are np.quantile's bytes
+    q1, q3 = np.quantile(alpha, [0.25, 0.75], axis=1)
+    assert band.q1.tobytes() == q1.tobytes()
+    assert band.q3.tobytes() == q3.tobytes()
     s = 2j * np.pi * cfg.freqs_hz
     num, den = ea.analysis._mismatch_kernel(ref_model, targets[target], fb4, s)
     rc = ref_model.air.characteristic_impedance
@@ -479,6 +483,18 @@ def test_monte_carlo_config_validation():
     with pytest.raises(ea.InvalidParameterError):
         ea.MonteCarloConfig(n_draws=10, rel_std=0.5, seed=1)
     ea.MonteCarloConfig(n_draws=10, rel_std=0.05, seed=np.uint32(7))
+
+
+@pytest.mark.parametrize(
+    "freqs",
+    [[0.0, 100.0], [np.nan], [-100.0], [100.0, np.inf], [[100.0, 200.0]], 100.0],
+    ids=["zero", "nan", "negative", "inf", "2-d", "scalar"],
+)
+def test_bad_frequencies_rejected(freqs):
+    # a bad frequency would give inf/NaN quartiles or a band at -100 Hz, and
+    # a grid that is not 1-D would fail inside the study
+    with pytest.raises(ea.InvalidParameterError, match="freqs_hz"):
+        ea.MonteCarloConfig(n_draws=10, rel_std=0.05, seed=1, freqs_hz=np.array(freqs))
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, "7", True, None])

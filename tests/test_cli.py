@@ -98,6 +98,19 @@ BAD_VALUES = {
     "seed-string": ("montecarlo", ("montecarlo", "seed"), "7", "seed"),
     "n-draws-not-integer": ("montecarlo", ("montecarlo", "n_draws"), 300.9, "montecarlo.n_draws"),
     "latency-not-integer": ("simulate", ("simulate", "latency"), 1.7, "simulate.latency"),
+    "hold-unknown": ("simulate", ("simulate", "hold"), "zoh", "simulate.hold must be"),
+    "transient-past-duration": (
+        "simulate",
+        ("simulate", "transient_s"),
+        2.0,
+        "simulate.transient_s must be below simulate.duration_s",
+    ),
+    "duration-below-transient": (
+        "simulate",
+        ("simulate", "duration_s"),
+        0.1,
+        "simulate.transient_s must be below simulate.duration_s",
+    ),
     "estimate-factor-string": ("kundt", ("estimate_factors", "rss"), "x", "estimate_factors.rss"),
     "amplitude-nan": ("simulate", ("simulate", "amplitude_pa"), "nan", "simulate.amplitude_pa"),
     "driver-rss-nan": ("design", ("driver", "rss"), "nan", "driver.rss"),
