@@ -72,15 +72,43 @@ def _driver_from_config(cfg: dict) -> model_mod.DriverModel:
 
 def _specs_from_config(cfg: dict, air) -> tuple[synthesis.TargetSpec, synthesis.FeedbackSpec]:
     fbk = cfg.get("feedback", {"kg": 0.0, "fg_hz": 500.0})
-    spec = _numbers(fbk, "feedback", ("kg", "fg_hz"), allow_zero=("kg",))
+    kg, fg_hz = _numbers(fbk, "feedback", ("kg", "fg_hz"), allow_zero=("kg",)).values()
     resonators = _block(cfg, "target").get("resonators")
     if not isinstance(resonators, list) or not resonators:
         raise ConfigError("target.resonators must be a non-empty list")
-    spec["resonators"] = [
-        _numbers(e, f"target.resonators[{i}]", ("rst_norm", "f_hz", "q"))
-        for i, e in enumerate(resonators)
-    ]
-    return synthesis.specs_from_dict(spec, air)
+    rc = air.characteristic_impedance
+    keys = ("rst_norm", "f_hz", "q")
+    rows = [_numbers(e, f"target.resonators[{i}]", keys) for i, e in enumerate(resonators)]
+    target = synthesis.TargetSpec.multi([(r["rst_norm"] * rc, r["f_hz"], r["q"]) for r in rows])
+    return target, synthesis.FeedbackSpec.from_hz(kg, fg_hz)
+
+
+def _specs_to_dict(target, fb, air) -> dict:
+    """The `"specs"` block of controller.json: the target and feedback in
+    the config's own units."""
+    rc = air.characteristic_impedance
+    return {
+        "resonators": [
+            {"rst_norm": r.rst / rc, "f_hz": r.omega_t / (2.0 * math.pi), "q": r.qt}
+            for r in target.resonators
+        ],
+        "kg": fb.kg,
+        "fg_hz": fb.omega_g / (2.0 * math.pi),
+    }
+
+
+def _load(path):
+    """The config at `path`, with the driver, target and feedback it
+    describes: what design, montecarlo, kundt and simulate all start from."""
+    cfg = load_config(path)
+    driver = _driver_from_config(cfg)
+    target, fb = _specs_from_config(cfg, driver.air)
+    return cfg, driver, target, fb
+
+
+def _sample_rate(cfg: dict) -> float:
+    """simulate.fs_hz, the one simulate key that design reads too."""
+    return _number(_block(cfg, "simulate").get("fs_hz", 50_000.0), "simulate.fs_hz")
 
 
 def _number(value, key: str, allow_zero: bool = False) -> float:
@@ -156,12 +184,10 @@ def _out_dir(args) -> Path:
 
 
 def cmd_design(args) -> int:
-    cfg = load_config(args.config)
-    driver = _driver_from_config(cfg)
-    target, fb = _specs_from_config(cfg, driver.air)
+    cfg, driver, target, fb = _load(args.config)
     pair = synthesis.synthesize_controller(driver, target, fb)
     report = synthesis.stability_report(driver, fb)
-    fs = _number(_block(cfg, "simulate").get("fs_hz", 50_000.0), "simulate.fs_hz")
+    fs = _sample_rate(cfg)
     h1_sos = dsp.bilinear_discretize(pair.h1, fs)
     h2_sos = dsp.bilinear_discretize(pair.h2, fs)
 
@@ -169,7 +195,7 @@ def cmd_design(args) -> int:
     controller = {
         "h1": {"num": list(pair.h1.num), "den": list(pair.h1.den)},
         "h2": {"num": list(pair.h2.num), "den": list(pair.h2.den)},
-        "specs": synthesis.specs_to_dict(target, fb, driver.air),
+        "specs": _specs_to_dict(target, fb, driver.air),
     }
     (out / "controller.json").write_text(json.dumps(controller, indent=2) + "\n")
     (out / "h1_sos.json").write_text(h1_sos.to_json() + "\n")
@@ -180,9 +206,7 @@ def cmd_design(args) -> int:
 
 
 def cmd_montecarlo(args) -> int:
-    cfg = load_config(args.config)
-    driver = _driver_from_config(cfg)
-    target, fb = _specs_from_config(cfg, driver.air)
+    cfg, driver, target, fb = _load(args.config)
     mc = _block(cfg, "montecarlo")
     seed = args.seed if args.seed is not None else _field(mc, "montecarlo", "seed")
     mc_cfg = analysis.MonteCarloConfig(
@@ -222,16 +246,14 @@ def cmd_identify(args) -> int:
 
 
 def cmd_kundt(args) -> int:
-    cfg = load_config(args.config)
-    driver = _driver_from_config(cfg)
-    target, fb = _specs_from_config(cfg, driver.air)
+    cfg, driver, target, fb = _load(args.config)
     kcfg = _block(cfg, "kundt")
     geom = vkundt.REFERENCE_GEOMETRY
     if "geometry" in kcfg:
         keys = ("delta_x_m", "x1_m", "length_m", "diameter_m")
-        lengths = _numbers(kcfg["geometry"], "kundt.geometry", keys)
+        lengths = _numbers(kcfg["geometry"], "kundt.geometry", keys).values()
         try:
-            geom = vkundt.WaveguideGeometry.from_dict(lengths)
+            geom = vkundt.WaveguideGeometry(*lengths)
         except InvalidParameterError as exc:
             raise ConfigError(f"invalid kundt.geometry: {exc}") from exc
     noise = _number(kcfg.get("noise_rel_std", 0.0), "kundt.noise_rel_std", allow_zero=True)
@@ -266,9 +288,7 @@ def cmd_kundt(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
-    driver = _driver_from_config(cfg)
-    target, fb = _specs_from_config(cfg, driver.air)
+    cfg, driver, target, fb = _load(args.config)
     sim = _block(cfg, "simulate")
     hold = sim.get("hold", "centered")
     if hold not in ("centered", "causal"):
@@ -281,7 +301,7 @@ def cmd_simulate(args) -> int:
             f"got {transient!r} >= {duration!r}"
         )
     loop = dsp.LoopConfig(
-        fs=_number(sim.get("fs_hz", 50_000.0), "simulate.fs_hz"),
+        fs=_sample_rate(cfg),
         latency=_integer(sim.get("latency", 1), "simulate.latency", allow_zero=True),
         hold=hold,
         duration=duration,

@@ -20,7 +20,6 @@ from __future__ import annotations
 import cmath
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -282,12 +281,14 @@ def bilinear_transform(num, den, fs: float):
     """Coefficients (b, a) of the z-domain map of num(s)/den(s).
 
     Substitutes s = 2*fs*(z-1)/(z+1), splitting the 2*fs factor as
-    sqrt(2*fs) between the two polynomial factors, normalizes a[0] to 1
-    and drops leading numerator coefficients of magnitude <= 1e-14 with a
-    warning.  Both arrays are in descending powers of z.  The operations
-    and their order are those of `scipy.signal.bilinear`, so the result is
-    the same to the bit: the least-squares refinement amplifies even
-    rounding-level differences in its seed.
+    sqrt(2*fs) between the two polynomial factors, and normalizes a[0]
+    to 1.  Both arrays are in descending powers of z.  The operations and
+    their order are those of `scipy.signal.bilinear`, so the result is the
+    same to the bit: the least-squares refinement amplifies even
+    rounding-level differences in its seed.  A leading numerator
+    coefficient of magnitude <= 1e-14 (a continuous zero at or near
+    s = 2*fs) raises DiscretizationError: scipy drops it with a warning,
+    which advances the filter by a sample.
     """
     num = np.trim_zeros(np.atleast_1d(np.asarray(num)), "f")
     den = np.trim_zeros(np.atleast_1d(np.asarray(den)), "f")
@@ -299,16 +300,12 @@ def bilinear_transform(num, den, fs: float):
     az = sum(c * zp1 ** (n - q) * zm1**q for q, c in enumerate(den[::-1]))
     bz, az = bz.coef[::-1], np.trim_zeros(az.coef[::-1], "f")
     bz, az = bz / az[0], az / az[0]
-    lead = 0
-    while lead < len(bz) - 1 and abs(bz[lead]) <= 1e-14:
-        lead += 1
-    if lead:
-        warnings.warn(
-            "badly conditioned numerator: leading coefficients <= 1e-14 dropped",
-            RuntimeWarning,
-            stacklevel=2,
+    if len(bz) > 1 and abs(bz[0]) <= 1e-14:
+        raise DiscretizationError(
+            f"badly conditioned numerator: leading z coefficient {float(bz[0])!r} <= 1e-14 "
+            "(a zero at or near s = 2*fs)"
         )
-    return bz[lead:], az
+    return bz, az
 
 
 def bilinear_discretize(ct: RationalTransfer, fs: float, refine: bool = True) -> SosCascade:

@@ -63,5 +63,6 @@ def check_frequencies(f_hz, name: str = "f_hz") -> np.ndarray:
     f = np.asarray(f_hz, dtype=float)
     ok = (f > 0.0) & (f < math.inf)  # NaN fails both
     if not ok.all():
-        raise InvalidParameterError(f"{name} must be positive and finite, got {f[~ok].flat[0]!r}")
+        bad = float(f[~ok].flat[0])
+        raise InvalidParameterError(f"{name} must be positive and finite, got {bad!r}")
     return f

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._csvio import read_columns, write_columns
-from .errors import IdentificationError, InvalidParameterError
+from .errors import IdentificationError, InvalidParameterError, check_frequencies
 from .model import AirProperties, DriverModel, passive_impedance
 
 #: default identification band: 170 Hz to 250 Hz in 1 Hz steps
@@ -35,8 +35,9 @@ class MeasuredSpectrum:
         z = np.asarray(self.z, dtype=complex)
         if omega.size != z.size or omega.size < 3:
             raise InvalidParameterError("need at least 3 matching samples")
-        if not (np.all(np.isfinite(omega) & (omega > 0)) and np.all(np.diff(omega) > 0)):
-            raise InvalidParameterError("frequencies must be finite, positive and increasing")
+        check_frequencies(omega, "angular frequencies")
+        if not np.all(np.diff(omega) > 0):
+            raise InvalidParameterError("frequencies must be strictly increasing")
         if not np.all(np.isfinite(z)):
             raise InvalidParameterError("impedance samples must be finite")
         object.__setattr__(self, "omega", omega)

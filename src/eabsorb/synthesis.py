@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidParameterError, SynthesisError, check_positive
-from .model import AirProperties, DriverModel, passive_impedance
+from .model import DriverModel, passive_impedance
 from .rational import RationalTransfer
 
 
@@ -230,26 +230,3 @@ def stability_report(model: DriverModel, fb: FeedbackSpec) -> StabilityReport:
         margin=margin,
     )
 
-
-# -- serialization of the control specs --------------------------------------
-
-
-def specs_to_dict(target: TargetSpec, fb: FeedbackSpec, air: AirProperties) -> dict:
-    rc = air.characteristic_impedance
-    return {
-        "resonators": [
-            {"rst_norm": r.rst / rc, "f_hz": r.omega_t / (2.0 * math.pi), "q": r.qt}
-            for r in target.resonators
-        ],
-        "kg": fb.kg,
-        "fg_hz": fb.omega_g / (2.0 * math.pi),
-    }
-
-
-def specs_from_dict(d: dict, air: AirProperties) -> tuple[TargetSpec, FeedbackSpec]:
-    rc = air.characteristic_impedance
-    target = TargetSpec.multi(
-        [(e["rst_norm"] * rc, e["f_hz"], e["q"]) for e in d["resonators"]]
-    )
-    fb = FeedbackSpec.from_hz(float(d["kg"]), float(d["fg_hz"]))
-    return target, fb

@@ -14,14 +14,13 @@ case.  The duct is lossless and restricted to the plane-wave regime.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._csvio import read_columns, write_columns
-from .errors import InvalidParameterError, check_positive
+from .errors import InvalidParameterError, check_frequencies, check_positive
 from .model import AirProperties
 
 #: first circular-duct cut-on: f = 1.8412 * c0 / (pi * diameter)
@@ -48,30 +47,6 @@ class WaveguideGeometry:
     def plane_wave_limit_hz(self, air: AirProperties) -> float:
         return FIRST_MODE_BESSEL_ROOT * air.c0 / (math.pi * self.diameter)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "delta_x_m": self.delta_x,
-                "x1_m": self.x1,
-                "length_m": self.length,
-                "diameter_m": self.diameter,
-            },
-            indent=2,
-        )
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "WaveguideGeometry":
-        return cls(
-            delta_x=float(d["delta_x_m"]),
-            x1=float(d["x1_m"]),
-            length=float(d["length_m"]),
-            diameter=float(d["diameter_m"]),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "WaveguideGeometry":
-        return cls.from_dict(json.loads(text))
-
 
 #: the reference tube of the experimental setup
 REFERENCE_GEOMETRY = WaveguideGeometry(delta_x=0.100, x1=0.420, length=0.970, diameter=0.072)
@@ -85,12 +60,10 @@ class TwoMicMeasurement:
     h12: np.ndarray
 
     def __post_init__(self):
-        freqs = np.asarray(self.freqs_hz, dtype=float)
+        freqs = check_frequencies(self.freqs_hz, "freqs_hz")
         h12 = np.asarray(self.h12, dtype=complex)
         if freqs.size != h12.size:
             raise InvalidParameterError("frequency and H12 arrays must match")
-        if not np.all(np.isfinite(freqs) & (freqs > 0)):
-            raise InvalidParameterError("frequencies must be positive and finite")
         if not np.all(np.isfinite(h12)):
             raise InvalidParameterError("H12 samples must be finite")
         object.__setattr__(self, "freqs_hz", freqs)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import eabsorb as ea
+from eabsorb import cli
 from eabsorb.cli import main
 from conftest import FIXTURES
 
@@ -50,6 +51,34 @@ def test_design_zero_feedback_h2_zero(tmp_path, onedof_config):
     assert run(["design", "--config", p, "--out", out]) == 0
     h2 = ea.SosCascade.from_json((out / "h2_sos.json").read_text())
     assert h2.gain == 0.0
+
+
+@pytest.mark.parametrize("name", ["1dof", "2dof", "broadband"])
+def test_controller_specs_read_back(tmp_path, name):
+    # controller.json's "specs" block, read back through the CLI's own
+    # config reader, gives the target and feedback the design came from
+    config = FIXTURES / f"table1_{name}.json"
+    assert run(["design", "--config", config, "--out", tmp_path]) == 0
+    specs = json.loads((tmp_path / "controller.json").read_text())["specs"]
+    _, driver, target, fb = cli._load(config)
+    echoed = {
+        "target": {"resonators": specs["resonators"]},
+        "feedback": {"kg": specs["kg"], "fg_hz": specs["fg_hz"]},
+    }
+    assert cli._specs_from_config(echoed, driver.air) == (target, fb)
+
+
+def test_config_keys_are_read_only_in_cli():
+    # the config format lives in cli.py: no other module spells its
+    # target, feedback or geometry keys, and cli.py reads simulate.fs_hz,
+    # with its default, in one place
+    package = Path(ea.__file__).resolve().parent
+    literals = ['"rst_norm"', '"fg_hz"', '"delta_x_m"', '"x1_m"', '"length_m"', '"diameter_m"']
+    for path in package.glob("*.py"):
+        text = path.read_text()
+        found = [key for key in literals if key in text]
+        assert found == [] or path.name == "cli.py", (path.name, found)
+    assert (package / "cli.py").read_text().count('.get("fs_hz", 50_000.0)') == 1
 
 
 def test_bad_config_exit_code(tmp_path):
@@ -194,6 +223,24 @@ def test_non_object_block_is_config_error(tmp_path, capsys, verb, block, value):
     assert capsys.readouterr().err == f"config error: {block} must be an object, got list\n"
 
 
+@pytest.mark.parametrize("verb, code", [("design", 3), ("simulate", 3), ("kundt", 0)])
+def test_tiny_compliance_is_a_numerical_error(tmp_path, capsys, verb, code):
+    # with csb at 1e-18 m/Pa, h2's continuous zero lies near s = 2*fs and
+    # its bilinear map loses the leading coefficient; the verbs that
+    # discretize report that, kundt does not discretize and runs
+    cfg = json.loads((FIXTURES / "table1_1dof.json").read_text())
+    cfg["driver"] = json.loads((FIXTURES / "table3_driver.json").read_text())
+    cfg["driver"]["csb_m_per_pa"] = 1e-18
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    assert run([verb, "--config", p, "--out", tmp_path / "o"]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("numerical error:") and "Traceback" not in err
+    else:
+        assert err == ""
+
+
 @pytest.mark.parametrize("verb", ["montecarlo", "kundt"])
 def test_negative_seed_flag_exits_2(tmp_path, capsys, verb):
     code = run([verb, "--config", FIXTURES / "table1_1dof.json", "--out", tmp_path, "--seed", -1])
@@ -294,7 +341,10 @@ def test_identify_command(tmp_path, ref_model):
 
 @pytest.mark.parametrize(
     "column, value, message",
-    [(0, "nan", "frequencies must be"), (1, "inf", "impedance samples must be finite")],
+    [
+        (0, "nan", "frequencies must be positive and finite, got nan\n"),
+        (1, "inf", "impedance samples must be finite"),
+    ],
     ids=["freq-nan", "impedance-inf"],
 )
 def test_identify_non_finite_cell_is_config_error(

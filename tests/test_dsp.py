@@ -69,6 +69,15 @@ def test_improper_rejected():
         ea.bilinear_discretize(improper, FS)
 
 
+@pytest.mark.parametrize("refine", [False, True])
+def test_zero_at_twice_fs_rejected(refine):
+    # a continuous zero at s = 2*fs maps to z = infinity: the leading z
+    # coefficient vanishes, and dropping it would advance the filter a sample
+    ct = RationalTransfer.from_coeffs([1.0, -2.0 * FS], [1.0, 1e3])
+    with pytest.raises(ea.DiscretizationError, match="leading z coefficient"):
+        ea.bilinear_discretize(ct, FS, refine=refine)
+
+
 def test_zero_transfer():
     cas = ea.bilinear_discretize(RationalTransfer.zero(), FS)
     assert cas.gain == 0.0

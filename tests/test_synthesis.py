@@ -173,14 +173,6 @@ def test_property_hurwitz_equals_root_test(a, b, c):
     assert ea.hurwitz_cubic_stable(a, b, c) == (margin < 0.0)
 
 
-def test_specs_round_trip(rc, targets, fb4):
-    air = ea.DEFAULT_AIR
-    d = ea.synthesis.specs_to_dict(targets["2dof"], fb4, air)
-    tg, fb = ea.synthesis.specs_from_dict(d, air)
-    assert fb == fb4
-    assert tg == targets["2dof"]
-
-
 def test_validation_errors():
     with pytest.raises(ea.InvalidParameterError):
         ea.Resonator(-1.0, 100.0, 1.0)

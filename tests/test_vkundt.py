@@ -28,11 +28,6 @@ def test_geometry_validation():
         ea.WaveguideGeometry(delta_x=-0.1, x1=0.4, length=1.0, diameter=0.07)
 
 
-def test_geometry_json_round_trip():
-    clone = ea.WaveguideGeometry.from_json(GEOM.to_json())
-    assert clone == GEOM
-
-
 def test_matched_termination_pure_delay():
     # no reflection: H12 is the pure propagation phase e^{-jk*dx}
     freqs = np.array([100.0, 300.0, 700.0])
