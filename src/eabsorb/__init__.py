@@ -70,7 +70,6 @@ from .synthesis import (
     Resonator,
     StabilityReport,
     TargetSpec,
-    check_target_admissibility,
     check_transfer_admissibility,
     feedback_filter,
     hurwitz_cubic_stable,
@@ -108,7 +107,7 @@ __all__ = [
     "opamp_current", "passive_impedance", "rear_pressure_gain", "table_reference_model",
     "RationalTransfer",
     "ControllerPair", "FeedbackSpec", "Resonator", "StabilityReport", "TargetSpec",
-    "check_target_admissibility", "check_transfer_admissibility", "feedback_filter",
+    "check_transfer_admissibility", "feedback_filter",
     "hurwitz_cubic_stable", "stability_report", "synthesize_controller", "target_impedance",
     "REFERENCE_GEOMETRY", "ReflectionResult", "TwoMicMeasurement", "WaveguideGeometry",
     "add_measurement_noise", "conditioning_report", "recover_reflection", "simulate_two_mic",

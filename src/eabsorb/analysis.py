@@ -88,14 +88,19 @@ def _mismatch_kernel(model: DriverModel, target: TargetSpec, fb: FeedbackSpec, s
     """The achieved impedance as a linear-fractional map of the estimates.
 
     Returns (6, n_freq) arrays N, D with Z_sa = (p @ N) / (p @ D) for the
-    estimate vector p of `_estimate_vector`.
+    estimate vector p of `_estimate_vector`.  Raises OverflowError if an
+    entry of N or D is not finite (the target impedance or its products
+    beyond the float64 range), so no study runs on overflowed coefficients.
     """
-    zst = target_impedance(target)(s)
-    g = feedback_filter(model, fb)(s)
-    zss = passive_impedance(model)(s)
-    zero = np.zeros_like(s)
-    num = np.array([zero, zst * g, zst * zss, zero, zero, zero])
-    den = np.array([g - zst, zero, zst, np.ones_like(s), s, 1.0 / s])
+    with np.errstate(over="ignore", invalid="ignore"):
+        zst = target_impedance(target)(s)
+        g = feedback_filter(model, fb)(s)
+        zss = passive_impedance(model)(s)
+        zero = np.zeros_like(s)
+        num = np.array([zero, zst * g, zst * zss, zero, zero, zero])
+        den = np.array([g - zst, zero, zst, np.ones_like(s), s, 1.0 / s])
+    if not (np.all(np.isfinite(num)) and np.all(np.isfinite(den))):
+        raise OverflowError("mismatch kernel coefficients overflow float64")
     return num, den
 
 
@@ -120,7 +125,8 @@ def achieved_impedance(
     from the assumed plant `estimate` (for instance `model.scaled(...)`).
 
     Singular evaluation frequencies (vanishing denominator) are flagged in
-    the optional mask and returned as inf, never raised.
+    the optional mask and returned as inf, never raised.  A kernel that
+    overflows float64 (see `_mismatch_kernel`) raises OverflowError.
     """
     num, den = _mismatch_kernel(model, target, fb, 1j * np.asarray(omega, dtype=float))
     p = _assumed_vector(model, estimate)

@@ -38,12 +38,14 @@ class ConfigError(Exception):
 def load_config(path) -> dict:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
         cfg = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer beyond int's digit limit
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(cfg).__name__}")
     if cfg.get("version") != CONFIG_VERSION:
         raise ConfigError(f"config version must be {CONFIG_VERSION}")
     return cfg
@@ -112,12 +114,15 @@ def _sample_rate(cfg: dict) -> float:
 
 
 def _number(value, key: str, allow_zero: bool = False) -> float:
-    """`value` as a finite float that is positive (or zero with allow_zero),
-    else a ConfigError naming the config key."""
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        x = math.nan
+    """`value`, a JSON number, as a finite float that is positive (or zero
+    with allow_zero), else a ConfigError naming the config key; booleans,
+    strings and integers beyond float range are refused."""
+    x = math.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:
+            pass
     if not (math.isfinite(x) and (x > 0.0 or (allow_zero and x == 0.0))):
         bound = "a non-negative" if allow_zero else "a positive"
         raise ConfigError(f"{key} must be {bound} number, got {value!r}")
@@ -402,7 +407,7 @@ def main(argv=None) -> int:
     except (ConfigError, InvalidParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except EabsorbError as exc:
+    except (EabsorbError, ArithmeticError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

@@ -233,8 +233,9 @@ def _sk_refine(b: np.ndarray, a: np.ndarray, ct: RationalTransfer, fs: float):
     Keeps the polynomial degrees of the seed, constrains the DC value to
     the exact continuous value, and reweights by the previous denominator
     (Sanathanan-Koerner style) so the effective error norm approaches the
-    true relative response error.  Returns the seed unchanged if the polish
-    ever produces an unstable denominator.
+    true relative response error.  If the polish produces an unstable
+    denominator, it stops and returns the last stable iterate (the seed if
+    the first one is unstable).
     """
     nb, na = len(b) - 1, len(a) - 1
     if na == 0:
@@ -251,30 +252,23 @@ def _sk_refine(b: np.ndarray, a: np.ndarray, ct: RationalTransfer, fs: float):
     zi = np.exp(-2j * np.pi * freqs / fs)
     zpow_b = np.stack([zi**k for k in range(1, nb + 1)], axis=1)
     zpow_a = np.stack([zi**k for k in range(1, na + 1)], axis=1)
+    # unknowns: b1..bnb, a1..ana, with b0 = h0*(1+sum a) - sum b
+    cols = np.concatenate([zpow_b - 1.0, h0 - h[:, None] * zpow_a], axis=1)
 
-    best_b, best_a = b, a
-    a_cur = a.copy()
     for _ in range(30):
-        a_val = np.polyval(a_cur[::-1], zi)  # A(z^-1), ascending coeffs
-        w = weight / np.maximum(np.abs(a_val), 1e-12)
-        # unknowns: b1..bnb, a1..ana, with b0 = h0*(1+sum a) - sum b
-        cols_b = zpow_b - 1.0
-        cols_a = h0 - h[:, None] * zpow_a
-        mat = np.concatenate([cols_b, cols_a], axis=1) * w[:, None]
+        w = weight / np.maximum(np.abs(np.polyval(a[::-1], zi)), 1e-12)  # A(z^-1)
+        mat = cols * w[:, None]
         rhs = (h - h0) * w
         mat_ri = np.concatenate([mat.real, mat.imag])
         rhs_ri = np.concatenate([rhs.real, rhs.imag])
         sol, _, _, _ = np.linalg.lstsq(mat_ri, rhs_ri, rcond=None)
-        b_tail = sol[:nb]
-        a_tail = sol[nb:]
+        b_tail, a_tail = sol[:nb], sol[nb:]
         a_new = np.concatenate([[1.0], a_tail])
         if np.any(np.abs(np.roots(a_new)) >= 1.0):
             break
-        b0 = h0 * (1.0 + a_tail.sum()) - b_tail.sum()
-        b_new = np.concatenate([[b0], b_tail])
-        best_b, best_a = b_new, a_new
-        a_cur = a_new
-    return best_b, best_a
+        b = np.concatenate([[h0 * (1.0 + a_tail.sum()) - b_tail.sum()], b_tail])
+        a = a_new
+    return b, a
 
 
 def bilinear_transform(num, den, fs: float):
@@ -322,28 +316,15 @@ def bilinear_discretize(ct: RationalTransfer, fs: float, refine: bool = True) ->
         raise InvalidParameterError("sample rate must be positive and finite")
     if not ct.is_proper:
         raise DiscretizationError("cannot discretize an improper transfer")
-    if ct.is_zero:
-        return SosCascade.zero(fs)
-    if ct.den_degree == 0:
-        # a proper transfer with a constant denominator is a constant gain
-        return SosCascade([_PASSTHROUGH], float(ct.num[0] / ct.den[0]), fs)
+    if ct.is_zero or ct.den_degree == 0:
+        # a proper transfer with a constant denominator is a constant gain;
+        # + 0.0 keeps the zero transfer's gain 0.0, never -0.0
+        return SosCascade([_PASSTHROUGH], float(ct.num[0] / ct.den[0]) + 0.0, fs)
 
     bz, az = bilinear_transform(ct.num, ct.den, fs)
     if refine:
         bz, az = _sk_refine(bz, az, ct, fs)
-
-    poles = np.roots(az) if len(az) > 1 else np.array([], dtype=complex)
-    nz = np.trim_zeros(bz, "f")
-    if nz.size == 0:
-        return SosCascade.zero(fs)
-    lead = nz[0]
-    zeros = np.roots(nz / lead) if len(nz) > 1 else np.array([], dtype=complex)
-    cascade = sos_partition(zeros, poles, float(lead), fs)
-    # exact leading numerator zeros are pure sample delays; the partitioner
-    # pads missing zeros at the origin (an advance), so cancel each with an
-    # explicit one-sample-delay section
-    delays = [(0.0, 1.0, 0.0, 0.0, 0.0)] * (len(bz) - len(nz))
-    return SosCascade([*cascade.sos.tolist(), *delays], cascade.gain, fs)
+    return sos_partition(np.roots(bz / bz[0]), np.roots(az), float(bz[0]), fs)
 
 
 # -- closed-loop simulation ---------------------------------------------------

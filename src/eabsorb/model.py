@@ -8,7 +8,6 @@ never appears outside of the raw-parameter conversion.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -100,9 +99,6 @@ class DriverModel:
 
     # -- serialization ------------------------------------------------------
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
     def to_dict(self) -> dict:
         return {
             "rss": self.rss,
@@ -124,10 +120,6 @@ class DriverModel:
             csb=float(d["csb_m_per_pa"]),
             air=AirProperties(float(d["rho0"]), float(d["c0"])),
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "DriverModel":
-        return cls.from_dict(json.loads(text))
 
 
 def table_reference_model(air: AirProperties = DEFAULT_AIR) -> DriverModel:

@@ -101,11 +101,6 @@ class RationalTransfer:
                 value[...] = np.ldexp(ratio, exp)
         return value[()]
 
-    def at_frequency(self, f_hz):
-        """Evaluate at s = j*2*pi*f for f in Hz."""
-        f_hz = np.asarray(f_hz, dtype=float)
-        return self(2j * np.pi * f_hz)
-
     # -- structure ----------------------------------------------------------
 
     @property

@@ -120,10 +120,6 @@ def check_transfer_admissibility(zst: RationalTransfer) -> AdmissibilityVerdict:
     return AdmissibilityVerdict(True, "ok", low_freq_compliance=compliance, high_freq_mass=mass)
 
 
-def check_target_admissibility(target: TargetSpec) -> AdmissibilityVerdict:
-    return check_transfer_admissibility(target_impedance(target))
-
-
 @dataclass(frozen=True)
 class ControllerPair:
     """The synthesized front-pressure (h1) and cavity-pressure (h2) filters."""

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csvio import read_columns, write_columns
 from .errors import InvalidParameterError, check_frequencies, check_positive
 from .model import AirProperties
 
@@ -68,17 +67,6 @@ class TwoMicMeasurement:
             raise InvalidParameterError("H12 samples must be finite")
         object.__setattr__(self, "freqs_hz", freqs)
         object.__setattr__(self, "h12", h12)
-
-    def to_csv(self, path) -> None:
-        columns = [self.freqs_hz, self.h12.real, self.h12.imag]
-        write_columns(path, ["freq_hz", "re_h12", "im_h12"], columns)
-
-    @classmethod
-    def from_csv(cls, path) -> "TwoMicMeasurement":
-        freqs, re, im = read_columns(path, 3)
-        h12 = re.astype(complex)
-        h12.imag = im
-        return cls(freqs, h12)
 
 
 def simulate_two_mic(

@@ -22,6 +22,7 @@ against the discrete closed loop at this point.
 """
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -222,7 +223,8 @@ def test_criterion_6_identification_round_trip(ref_model):
     )
     from conftest import FIXTURES
 
-    fixture_model = ea.DriverModel.from_json((FIXTURES / "table3_driver.json").read_text())
+    fixture_text = (FIXTURES / "table3_driver.json").read_text()
+    fixture_model = ea.DriverModel.from_dict(json.loads(fixture_text))
     refit, _ = ea.identify_model(
         ea.passive_spectrum(fixture_model),
         ea.probe_front_spectrum(fixture_model, k1),

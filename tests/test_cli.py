@@ -182,6 +182,19 @@ def test_bad_config_values_exit_2(tmp_path, capsys, case):
         (lambda c: c["feedback"].pop("fg_hz"), "feedback.fg_hz is missing"),
         (lambda c: c.update(driver={"rss": 277.0}), "driver.f0_hz is missing"),
         (lambda c: c.update(driver=[1]), "driver must be an object, got list"),
+        # JSON numbers only: no booleans, no strings, no integers beyond float
+        (
+            lambda c: c["feedback"].update(kg=True),
+            "feedback.kg must be a non-negative number, got True",
+        ),
+        (
+            lambda c: c["target"]["resonators"][0].update(q="7"),
+            "target.resonators[0].q must be a positive number, got '7'",
+        ),
+        (
+            lambda c: c["target"]["resonators"][0].update(q=10**400),
+            "target.resonators[0].q must be a positive number, got 1000",
+        ),
     ],
     ids=[
         "resonator-q-nan",
@@ -191,6 +204,9 @@ def test_bad_config_values_exit_2(tmp_path, capsys, case):
         "no-fg",
         "driver-f0",
         "driver-list",
+        "kg-bool",
+        "resonator-q-string",
+        "resonator-q-401-digits",
     ],
 )
 def test_nested_config_errors_name_the_key(tmp_path, capsys, edit, message):
@@ -221,6 +237,42 @@ def test_non_object_block_is_config_error(tmp_path, capsys, verb, block, value):
     p.write_text(json.dumps(cfg))
     assert run([verb, "--config", p, "--out", tmp_path / "o"]) == 2
     assert capsys.readouterr().err == f"config error: {block} must be an object, got list\n"
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '"x"', "5", "null"], ids=["list", "str", "int", "null"])
+def test_non_object_config_is_config_error(tmp_path, capsys, text):
+    p = tmp_path / "cfg.json"
+    p.write_text(text)
+    assert run(["design", "--config", p, "--out", tmp_path / "o"]) == 2
+    kind = type(json.loads(text)).__name__
+    assert capsys.readouterr().err == f"config error: config must be a JSON object, got {kind}\n"
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b'{"version": 1, "target": "\xff"}', b'{"version": 1, "q": 1' + b"0" * 5000 + b"}"],
+    ids=["not-utf8", "5001-digit-integer"],
+)
+def test_unparsable_config_text_is_config_error(tmp_path, capsys, data):
+    p = tmp_path / "cfg.json"
+    p.write_bytes(data)
+    assert run(["design", "--config", p, "--out", tmp_path / "o"]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("verb", ["design", "simulate", "montecarlo", "kundt"])
+def test_overflowing_target_is_a_numerical_error(tmp_path, capsys, verb):
+    # at q = 1e300 the target's products overflow float64: every config
+    # verb reports that, and montecarlo writes no band of NaN quartiles
+    cfg = json.loads((FIXTURES / "table1_1dof.json").read_text())
+    cfg["target"]["resonators"][0]["q"] = 1e300
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert run([verb, "--config", p, "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error:") and "Traceback" not in err
+    assert not (out / "montecarlo.csv").exists()
 
 
 @pytest.mark.parametrize("verb, code", [("design", 3), ("simulate", 3), ("kundt", 0)])

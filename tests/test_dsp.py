@@ -84,6 +84,10 @@ def test_zero_transfer():
     np.testing.assert_array_equal(cas.response([0.0, 100.0, 5000.0]), 0.0)
     step = df2t_stepper(cas)
     assert [step(1.0) for _ in range(8)] == [0.0] * 8
+    # a zero of either sign, over any denominator, is SosCascade.zero to the byte
+    negated = (-RationalTransfer.zero(), RationalTransfer.from_coeffs([0.0], [-1.0, 3.0]))
+    for ct in negated:
+        assert ea.bilinear_discretize(ct, FS).to_json() == ea.SosCascade.zero(FS).to_json()
 
 
 def test_h1_discrete_matches_continuous_at_400(pair_1dof, cascades_1dof):
@@ -258,17 +262,6 @@ def test_is_stable_matches_pole_radius():
         rows = [[1.0, 0.0, 0.0, -0.5, 0.2], [1.0, 0.3, 0.0, a1, a2]]  # a stable row, then a random one
         radius = np.max(np.abs(np.roots([1.0, a1, a2])))
         assert ea.SosCascade(rows, 1.0, FS).is_stable == (radius < 1.0)
-
-
-def test_leading_numerator_zero_is_one_sample_delay(monkeypatch):
-    # an exact leading zero of the z-domain numerator is a delay row at the end
-    ct = RationalTransfer.from_coeffs([1.0, 2.0e3], [1.0, 3.0e3, 4.0e6])
-    ref = ea.bilinear_discretize(ct, FS, refine=False)
-    monkeypatch.setattr(dsp, "_sk_refine", lambda b, a, ct, fs: (np.concatenate([[0.0], b]), a))
-    delayed = ea.bilinear_discretize(ct, FS)
-    assert delayed.sos.tolist() == [*ref.sos.tolist(), [0.0, 1.0, 0.0, 0.0, 0.0]]
-    z = np.exp(1j * np.linspace(0.01, 3.1, 50))
-    np.testing.assert_allclose(delayed.response_z(z), ref.response_z(z) / z, rtol=1e-12)
 
 
 def test_sine_steady_state_matches_frequency_response(ref_model, cascades_1dof):

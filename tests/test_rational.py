@@ -73,12 +73,6 @@ def test_poles_zeros():
     np.testing.assert_allclose(r.zeros(), [-4.0], atol=1e-12)
 
 
-def test_at_frequency():
-    r = RationalTransfer.from_coeffs([1.0], [1.0, 2.0 * np.pi * 100.0])
-    f = 100.0
-    assert r.at_frequency(f) == pytest.approx(r(2j * np.pi * f))
-
-
 def test_zero_denominator_rejected():
     with pytest.raises(ZeroDivisionError):
         RationalTransfer.from_coeffs([1.0], [0.0])

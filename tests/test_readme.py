@@ -1,10 +1,12 @@
 """The README's Python examples run as written, and the names they use are the public surface."""
 
+import argparse
 import re
 import types
 from pathlib import Path
 
 import eabsorb
+from eabsorb import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -31,3 +33,10 @@ def test_readme_names_are_exported():
     used = set(re.findall(r"\bea\.(\w+)", "".join(blocks)))
     assert used
     assert used <= set(eabsorb.__all__)
+
+
+def test_readme_cli_verbs_are_the_parser_subcommands():
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), flags=re.S)
+    verbs = set(re.findall(r"^eabsorb\s+([\w-]+)", "".join(blocks), flags=re.M))
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert verbs == set(sub.choices)

@@ -44,7 +44,7 @@ def test_feedback_filter_zero_gain(ref_model, fb0):
 
 def test_admissibility_of_reference_targets(targets):
     for spec in targets.values():
-        verdict = ea.check_target_admissibility(spec)
+        verdict = ea.check_transfer_admissibility(ea.target_impedance(spec))
         assert verdict
         assert verdict.high_freq_mass > 0
         assert verdict.low_freq_compliance > 0

@@ -111,18 +111,6 @@ def test_conditioning_with_reflection():
     assert hot[0] != pytest.approx(float(base[0]))
 
 
-def test_measurement_csv_round_trip(tmp_path):
-    freqs = np.arange(50.0, 500.0, 50.0)
-    z = np.full(freqs.size, 300.0 - 120.0j)
-    meas = ea.simulate_two_mic(freqs, z, GEOM, AIR)
-    path = tmp_path / "h12.csv"
-    meas.to_csv(path)
-    clone = ea.TwoMicMeasurement.from_csv(path)
-    np.testing.assert_array_equal(clone.freqs_hz, meas.freqs_hz)
-    np.testing.assert_array_equal(clone.h12, meas.h12)
-    assert path.read_text().splitlines()[0] == "freq_hz,re_h12,im_h12"
-
-
 @settings(max_examples=100, deadline=None)
 @given(
     re=st.floats(min_value=10.0, max_value=5e4),
