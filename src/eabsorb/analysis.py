@@ -31,9 +31,9 @@ Monte Carlo draw i of a study with seed `seed` is, bit for bit,
 so a draw depends only on (seed, i), not on the draw count or order.
 Building those objects per draw would cost more than the study's kernel, so
 `_draw_factors` reproduces them for a whole block of draws at once.  The
-SeedSequence hash of the seed words is shared by every draw and runs once,
-on Python ints; only its last round, which mixes in the spawn word i, and
-its output hash run on uint32 arrays over the block.  Each draw's words then
+hash of the seed words is numpy's own `SeedSequence(seed).pool`, shared by
+every draw; only the last round, which mixes in the spawn word i, and the
+output hash run here, on uint32 arrays over the block.  Each draw's words then
 become the PCG64 (state, inc) that PCG64 would seed itself with, and one
 reused PCG64 is set to it before the real `Generator.normal` is called.
 Both seeding algorithms are fixed: numpy's SeedSequence hash (stable under
@@ -272,24 +272,12 @@ def _mix(x, y):
 def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
     """SeedSequence's entropy pool after every entropy word but the spawn
     word, and the hash constant it has reached, for `SeedSequence(seed,
-    spawn_key=(i,))`: the seed words, zero-padded to the pool size of 4."""
-    entropy = []
-    while True:
-        entropy.append(seed & _MASK32)
-        seed >>= 32
-        if not seed:
-            break
-    entropy += [0] * (4 - len(entropy))
-    consts = _hash_constants(_HASH_INIT_A, _HASH_MULT_A)
-    pool = [_hashmix(word, consts) for word in entropy[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], _hashmix(word, consts))
-    return tuple(pool), next(consts)[0]
+    spawn_key=(i,))`: the pool is `SeedSequence(seed).pool`, and its hash
+    took 4*w steps for w = max(4, seed words): one per pool slot, 12 for
+    the cross-mix and 4 per word past the fourth."""
+    pool = tuple(int(word) for word in np.random.SeedSequence(seed).pool)
+    words = max(4, -(-seed.bit_length() // 32))
+    return pool, _HASH_INIT_A * pow(_HASH_MULT_A, 4 * words, 1 << 32) & _MASK32
 
 
 def _pcg64_seeds(seed: int, index) -> list[tuple[int, int]]:

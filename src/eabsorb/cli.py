@@ -3,7 +3,7 @@
 Verbs: design, montecarlo, identify, kundt, simulate, current-source.
 Every command is deterministic given its config (seeds included), so reruns
 produce byte-identical outputs.  Exit codes: 0 success, 2 config error,
-3 numerical failure, 4 I/O error.
+3 numerical failure or out of memory, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -239,8 +239,8 @@ def cmd_identify(args) -> int:
         except (ValueError, IndexError) as exc:
             raise ConfigError(f"malformed spectrum CSV {path}: {exc}") from exc
     passive, front, rear = spectra
-    k1 = identify.ProbeGain(args.k1, "front")
-    k2 = identify.ProbeGain(args.k2, "rear")
+    k1 = identify.ProbeGain(args.k1)
+    k2 = identify.ProbeGain(args.k2)
     fitted, diagnostics = identify.identify_model(passive, front, k1, rear, k2, air)
     out = _out_dir(args)
     payload = dict(fitted.to_dict())
@@ -305,9 +305,12 @@ def cmd_simulate(args) -> int:
             "simulate.transient_s must be below simulate.duration_s, "
             f"got {transient!r} >= {duration!r}"
         )
+    latency = _integer(sim.get("latency", 1), "simulate.latency", allow_zero=True)
+    if latency > dsp.MAX_LATENCY:
+        raise ConfigError(f"simulate.latency must be at most {dsp.MAX_LATENCY}, got {latency!r}")
     loop = dsp.LoopConfig(
         fs=_sample_rate(cfg),
-        latency=_integer(sim.get("latency", 1), "simulate.latency", allow_zero=True),
+        latency=latency,
         hold=hold,
         duration=duration,
         transient=transient,
@@ -409,6 +412,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (EabsorbError, ArithmeticError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

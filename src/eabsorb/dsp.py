@@ -41,6 +41,10 @@ from .rational import RationalTransfer
 #: divergence error in closed-loop simulation
 DIVERGENCE_FACTOR = 1e9
 
+#: largest latency in samples: the sampled loop has one state per latency
+#: sample in a dense matrix, so its memory grows as the latency squared
+MAX_LATENCY = 1000
+
 #: relative size of an imaginary part below which a root counts as real,
 #: and of the mismatch allowed between a root and its conjugate
 PAIR_TOL = 100 * np.finfo(float).eps
@@ -81,11 +85,6 @@ class SosCascade:
         object.__setattr__(self, "sos", sos)
         object.__setattr__(self, "gain", gain)
         object.__setattr__(self, "fs", float(self.fs))
-
-    @classmethod
-    def zero(cls, fs: float) -> "SosCascade":
-        """The all-zero filter (used when the cavity-pressure path is off)."""
-        return cls([_PASSTHROUGH], 0.0, fs)
 
     @property
     def is_stable(self) -> bool:
@@ -343,8 +342,8 @@ class LoopConfig:
     predicted one period ahead under the current command.  duration and
     transient set the time grid of `closed_loop_sim` and the part of it
     `SimulationResult.measured_impedance` discards; `measure_impedance`
-    ignores them.  latency is a whole number of samples: a non-negative
-    `int` or numpy integer, not a `bool`.
+    ignores them.  latency is a whole number of samples: an `int` or numpy
+    integer from 0 to MAX_LATENCY, not a `bool`.
     """
 
     fs: float = 50_000.0
@@ -358,6 +357,8 @@ class LoopConfig:
         latency = self.latency
         if not is_integer(latency) or latency < 0:
             raise InvalidParameterError(f"latency must be a non-negative integer, got {latency!r}")
+        if latency > MAX_LATENCY:
+            raise InvalidParameterError(f"latency must be at most {MAX_LATENCY}, got {latency!r}")
         if self.hold not in ("centered", "causal"):
             raise InvalidParameterError("hold must be 'centered' or 'causal'")
         if not (0.0 <= self.transient < self.duration < math.inf):

@@ -63,16 +63,14 @@ class MeasuredSpectrum:
 
 @dataclass(frozen=True)
 class ProbeGain:
-    """Proportional probe controller: i = K * (front or rear pressure)."""
+    """Proportional probe controller i = K * p: p is the front pressure for
+    a gain passed as `k1`, the cavity pressure for one passed as `k2`."""
 
     k: float  # A/Pa
-    input: str  # "front" or "rear"
 
     def __post_init__(self):
         if self.k == 0 or not math.isfinite(self.k):
             raise InvalidParameterError("probe gain must be finite and nonzero")
-        if self.input not in ("front", "rear"):
-            raise InvalidParameterError("probe input must be 'front' or 'rear'")
 
 
 class PassiveFit(NamedTuple):
@@ -128,8 +126,6 @@ def estimate_force_factor(
     F_hat = Re{ mean( (1 - Zss/Z1) / K1 ) }.
     """
     _check_same_grid(passive, probed)
-    if k1.input != "front":
-        raise InvalidParameterError("force-factor estimation needs a front-pressure probe")
     if np.any(probed.z == 0):
         raise IdentificationError("probed spectrum contains a zero impedance sample")
     quotient = np.mean((1.0 - passive.z / probed.z) / k1.k)
@@ -144,8 +140,6 @@ def estimate_box_compliance(
     Csb_hat = Re{ mean( (F_hat*K2/(j*omega)) / (Z2 - Zss) ) }.
     """
     _check_same_grid(passive, probed)
-    if k2.input != "rear":
-        raise InvalidParameterError("compliance estimation needs a rear-pressure probe")
     diff = probed.z - passive.z
     if np.any(diff == 0):
         raise IdentificationError("probed and passive spectra coincide at a sample")
@@ -173,8 +167,6 @@ def probe_front_spectrum(
 
     `mic_gain` models an uncalibrated front control microphone.
     """
-    if k1.input != "front":
-        raise InvalidParameterError("expected a front-pressure probe")
     omega = 2.0 * math.pi * np.asarray(freqs_hz, dtype=float)
     zss = passive_impedance(model)(1j * omega)
     loop = 1.0 - model.pressure_factor * k1.k * mic_gain
@@ -187,8 +179,6 @@ def probe_rear_spectrum(
     model: DriverModel, k2: ProbeGain, freqs_hz=DEFAULT_BAND_HZ, mic_gain: float = 1.0
 ) -> MeasuredSpectrum:
     """Impedance with i = K2*p_b: Z2 = Zss + F*K2*mic_gain/(s*Csb)."""
-    if k2.input != "rear":
-        raise InvalidParameterError("expected a rear-pressure probe")
     keff = k2.k * mic_gain
     if model.ksc + model.pressure_factor * keff / model.csb <= 0:
         raise IdentificationError("rear probe loop removes all stiffness (unstable)")
@@ -206,8 +196,8 @@ def default_probe_gains(model: DriverModel) -> tuple[ProbeGain, ProbeGain]:
     valid model: the front loop's residual gain 1 - F*K1 is 0.8, and the
     rear gain is positive, so it only adds stiffness.
     """
-    k1 = ProbeGain(0.2 / model.pressure_factor, "front")
-    k2 = ProbeGain(0.7 * model.rss * model.omega0 * model.csb / model.pressure_factor, "rear")
+    k1 = ProbeGain(0.2 / model.pressure_factor)
+    k2 = ProbeGain(0.7 * model.rss * model.omega0 * model.csb / model.pressure_factor)
     return k1, k2
 
 

@@ -163,9 +163,6 @@ class StabilityReport:
     a: float
     b: float
     c: float
-    m1: float
-    m2: float
-    m3: float
     poles: tuple[complex, complex, complex]
     stable: bool
     kg_lower_bound: float
@@ -177,7 +174,7 @@ class StabilityReport:
                 "a": self.a,
                 "b": self.b,
                 "c": self.c,
-                "minors": [self.m1, self.m2, self.m3],
+                "minors": list(_hurwitz_minors(self.a, self.b, self.c)),
                 "poles": [[p.real, p.imag] for p in self.poles],
                 "stable": self.stable,
                 "kg_lower_bound": self.kg_lower_bound,
@@ -208,7 +205,6 @@ def stability_report(model: DriverModel, fb: FeedbackSpec) -> StabilityReport:
     a = w0 / q + wg
     b = w0**2 + (w0 * wg / q) * (rc * fb.kg / model.rss + 1.0)
     c = w0**2 * wg
-    m1, m2, m3 = _hurwitz_minors(a, b, c)
     roots = np.roots([1.0, a, b, c])  # companion-matrix eigenvalues
     margin = float(np.max(roots.real))
     ratio = w0 / wg
@@ -217,9 +213,6 @@ def stability_report(model: DriverModel, fb: FeedbackSpec) -> StabilityReport:
         a=a,
         b=b,
         c=c,
-        m1=m1,
-        m2=m2,
-        m3=m3,
         poles=tuple(complex(r) for r in roots),
         stable=hurwitz_cubic_stable(a, b, c),
         kg_lower_bound=kg_bound,

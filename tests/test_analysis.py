@@ -308,7 +308,8 @@ def test_block_draws_cover_redraws():
 
 
 @pytest.mark.parametrize(
-    "seed", [0, 1, 20260823, 2**32 + 5, 2**100 + 3, int(1.2e22), 2**200 + 9]
+    "seed",
+    [0, 1, 20260823, 2**32 + 5, 2**100 + 3, int(1.2e22), 2**128 - 1, 2**128, 2**200 + 9],
 )
 def test_public_draw_matches_reference(seed):
     for index in (0, 1, 255, 256, 257, 99_999, 2**32 - 1):

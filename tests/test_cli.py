@@ -127,6 +127,12 @@ BAD_VALUES = {
     "seed-string": ("montecarlo", ("montecarlo", "seed"), "7", "seed"),
     "n-draws-not-integer": ("montecarlo", ("montecarlo", "n_draws"), 300.9, "montecarlo.n_draws"),
     "latency-not-integer": ("simulate", ("simulate", "latency"), 1.7, "simulate.latency"),
+    "latency-past-bound": (
+        "simulate",
+        ("simulate", "latency"),
+        1001,
+        "simulate.latency must be at most 1000, got 1001",
+    ),
     "hold-unknown": ("simulate", ("simulate", "hold"), "zoh", "simulate.hold must be"),
     "transient-past-duration": (
         "simulate",
@@ -273,6 +279,55 @@ def test_overflowing_target_is_a_numerical_error(tmp_path, capsys, verb):
     err = capsys.readouterr().err
     assert err.startswith("numerical error:") and "Traceback" not in err
     assert not (out / "montecarlo.csv").exists()
+
+
+# address-space cap of the subprocess: a case sized wrongly fails fast
+_AS_LIMIT = 3 * 2**30
+_CAPPED_MAIN = (
+    "import resource, sys\n"
+    f"resource.setrlimit(resource.RLIMIT_AS, ({_AS_LIMIT}, {_AS_LIMIT}))\n"
+    "from eabsorb.cli import main\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
+
+
+@pytest.mark.parametrize(
+    "verb, edit",
+    [
+        ("montecarlo", lambda c: c["grid"].update(step_hz=1e-12)),
+        ("kundt", lambda c: c["grid"].update(step_hz=1e-12)),
+        ("simulate", lambda c: c.update(simulate={"duration_s": 1e12})),
+        (
+            "montecarlo",
+            lambda c: (
+                c["montecarlo"].update(n_draws=2**32),
+                c["grid"].update(step_hz=0.005),
+            ),
+        ),
+    ],
+    ids=["grid-montecarlo", "grid-kundt", "duration", "n-draws"],
+)
+def test_oversized_config_is_out_of_memory(tmp_path, verb, edit):
+    # each config asks numpy for one array past 2**48 bytes (a 7 PiB grid,
+    # 355 PiB of samples, 6 PiB of draws on a 198 001-point grid), which
+    # no overcommit setting grants: exit 3 with one line, not a traceback
+    cfg = json.loads((FIXTURES / "table1_1dof.json").read_text())
+    edit(cfg)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    src = str(Path(ea.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_MAIN, verb, "--config", str(p), "--out", str(out)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("out of memory:") and proc.stderr.count("\n") == 1
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("verb, code", [("design", 3), ("simulate", 3), ("kundt", 0)])

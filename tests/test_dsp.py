@@ -15,6 +15,9 @@ from eabsorb.rational import RationalTransfer
 
 FS = 50_000.0
 
+#: the all-zero filter: one passthrough section behind a zero gain
+ZERO = ea.SosCascade([(1.0, 0.0, 0.0, 0.0, 0.0)], 0.0, FS)
+
 
 @pytest.fixture(scope="module")
 def pair_1dof(ref_model, targets, fb4):
@@ -84,10 +87,12 @@ def test_zero_transfer():
     np.testing.assert_array_equal(cas.response([0.0, 100.0, 5000.0]), 0.0)
     step = df2t_stepper(cas)
     assert [step(1.0) for _ in range(8)] == [0.0] * 8
-    # a zero of either sign, over any denominator, is SosCascade.zero to the byte
+    # a zero of either sign, over any denominator, is ZERO to the byte,
+    # with a gain of +0.0
     negated = (-RationalTransfer.zero(), RationalTransfer.from_coeffs([0.0], [-1.0, 3.0]))
-    for ct in negated:
-        assert ea.bilinear_discretize(ct, FS).to_json() == ea.SosCascade.zero(FS).to_json()
+    for zero in (cas, *(ea.bilinear_discretize(ct, FS) for ct in negated)):
+        assert zero.to_json() == ZERO.to_json()
+        assert math.copysign(1.0, zero.gain) == 1.0
 
 
 def test_h1_discrete_matches_continuous_at_400(pair_1dof, cascades_1dof):
@@ -325,9 +330,17 @@ def test_loop_latency_must_be_an_integer(latency):
         ea.LoopConfig(latency=latency)
 
 
-@pytest.mark.parametrize("latency", [0, 2, np.int64(1), np.uint8(3)])
+@pytest.mark.parametrize("latency", [0, 2, np.int64(1), np.uint8(3), dsp.MAX_LATENCY])
 def test_loop_latency_accepts_numpy_integers(latency):
     assert ea.LoopConfig(latency=latency).latency == latency
+
+
+@pytest.mark.parametrize("latency", [dsp.MAX_LATENCY + 1, np.int64(10**6)])
+def test_loop_latency_is_bounded(latency):
+    # the sampled loop's dense matrix grows as the latency squared
+    assert dsp.MAX_LATENCY == 1000
+    with pytest.raises(ea.InvalidParameterError, match="at most 1000"):
+        ea.LoopConfig(latency=latency)
 
 
 @pytest.mark.parametrize("fs", [0.0, -FS, math.nan, math.inf])
@@ -341,10 +354,9 @@ def test_sample_rate_must_be_positive_and_finite(fs):
 
 
 def test_passive_plant_reproduces_passive_impedance(ref_model):
-    zero = ea.SosCascade.zero(FS)
     loop = ea.LoopConfig(fs=FS, latency=0, duration=0.4, transient=0.2)
     f = 150.0
-    z = ea.measure_impedance(ref_model, (zero, ea.SosCascade.zero(FS)), loop, f)
+    z = ea.measure_impedance(ref_model, (ZERO, ZERO), loop, f)
     z_ref = complex(ea.passive_impedance(ref_model)(2j * np.pi * f))
     assert abs(z / z_ref - 1.0) < 1e-2
 
@@ -414,14 +426,12 @@ def test_divergence_detection(ref_model):
     h2 = ea.bilinear_discretize(RationalTransfer.constant(k), FS)
     loop = ea.LoopConfig(fs=FS, latency=0, duration=0.4, transient=0.2)
     with pytest.raises(ea.DivergenceError) as err:
-        ea.closed_loop_sim(
-            ref_model, (ea.SosCascade.zero(FS), h2), loop, 150.0
-        )
+        ea.closed_loop_sim(ref_model, (ZERO, h2), loop, 150.0)
     assert err.value.time_s is not None
     assert 0.0 < err.value.time_s <= 0.4
     # the same loop has no steady state
     with pytest.raises(ea.DivergenceError, match="spectral radius") as err:
-        ea.measure_impedance(ref_model, (ea.SosCascade.zero(FS), h2), loop, 150.0)
+        ea.measure_impedance(ref_model, (ZERO, h2), loop, 150.0)
     assert err.value.time_s is None
 
 
@@ -438,7 +448,7 @@ def test_timeseries_csv(tmp_path, ref_model):
     loop = ea.LoopConfig(fs=FS, latency=0, duration=0.05, transient=0.01)
     res = ea.closed_loop_sim(
         ref_model,
-        (ea.SosCascade.zero(FS), ea.SosCascade.zero(FS)),
+        (ZERO, ZERO),
         loop,
         200.0,
     )
@@ -518,7 +528,7 @@ def test_band_builds_one_loop(ref_model, cascades_1dof, monkeypatch):
     """A band builds the sampled loop and checks its spectral radius once,
     and an unstable loop raises once, whatever the grid size."""
     k = -2.0 * ref_model.ksc * ref_model.csb / ref_model.pressure_factor
-    unstable = (ea.SosCascade.zero(FS), ea.bilinear_discretize(RationalTransfer.constant(k), FS))
+    unstable = (ZERO, ea.bilinear_discretize(RationalTransfer.constant(k), FS))
     builds, radii = [], []
     build, eigvals = dsp.sampled_loop, np.linalg.eigvals
     monkeypatch.setattr(dsp, "sampled_loop", lambda *a: builds.append(1) or build(*a))

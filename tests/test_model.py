@@ -81,7 +81,7 @@ NON_FINITE_CASES = {
     "spectrum-z": lambda x: ea.MeasuredSpectrum(np.array([1.0, 2.0, 3.0]), np.array([1, x, 1j])),
     "two-mic-freq": lambda x: ea.TwoMicMeasurement(np.array([x]), np.ones(1, complex)),
     "two-mic-h12": lambda x: ea.TwoMicMeasurement(np.array([100.0]), np.array([x + 0j])),
-    "probe-gain": lambda x: ea.ProbeGain(x, "front"),
+    "probe-gain": ea.ProbeGain,
 }
 
 

@@ -111,7 +111,8 @@ def test_stability_report_json(ref_model, fb4):
     rep = ea.stability_report(ref_model, fb4)
     d = json.loads(rep.to_json())
     assert d["stable"] is True
-    assert d["minors"][0] == rep.m1
+    a, b, c = rep.a, rep.b, rep.c
+    assert d["minors"] == [a, a * b - c, c * (a * b - c)]
     assert len(d["poles"]) == 3
 
 
