@@ -60,7 +60,6 @@ from .model import (
     derive_specific_model,
     opamp_current,
     passive_impedance,
-    rear_pressure_gain,
     table_reference_model,
 )
 from .rational import RationalTransfer
@@ -104,7 +103,7 @@ __all__ = [
     "probe_front_spectrum", "probe_rear_spectrum",
     "AirProperties", "CurrentSourceDesign", "DEFAULT_AIR", "DriverModel", "RawDriverParams",
     "REFERENCE_CURRENT_SOURCE", "current_source_gains", "derive_specific_model",
-    "opamp_current", "passive_impedance", "rear_pressure_gain", "table_reference_model",
+    "opamp_current", "passive_impedance", "table_reference_model",
     "RationalTransfer",
     "ControllerPair", "FeedbackSpec", "Resonator", "StabilityReport", "TargetSpec",
     "check_transfer_admissibility", "feedback_filter",

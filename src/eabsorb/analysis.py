@@ -43,7 +43,6 @@ NEP 19) and PCG64's seeding step (O'Neill, "PCG", HMC-CS-2014-0905,
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,25 +118,20 @@ def achieved_impedance(
     target: TargetSpec,
     fb: FeedbackSpec,
     omega,
-    return_mask: bool = False,
 ):
     """Impedance Z_sa actually presented when the controller is designed
     from the assumed plant `estimate` (for instance `model.scaled(...)`).
 
-    Singular evaluation frequencies (vanishing denominator) are flagged in
-    the optional mask and returned as inf, never raised.  A kernel that
-    overflows float64 (see `_mismatch_kernel`) raises OverflowError.
+    Singular evaluation frequencies (vanishing denominator) are returned as
+    inf, never raised.  A kernel that overflows float64 (see
+    `_mismatch_kernel`) raises OverflowError.
     """
     num, den = _mismatch_kernel(model, target, fb, 1j * np.asarray(omega, dtype=float))
     p = _assumed_vector(model, estimate)
     den_p = p @ den
-    mask = np.abs(den_p) <= SINGULAR_TOL
     with np.errstate(divide="ignore", invalid="ignore"):
         zsa = (p @ num) / den_p
-    zsa = np.where(mask, np.inf + 0j, zsa)
-    if return_mask:
-        return zsa, mask
-    return zsa
+    return np.where(np.abs(den_p) <= SINGULAR_TOL, np.inf + 0j, zsa)
 
 
 @dataclass(frozen=True)
@@ -147,7 +141,10 @@ class SensitivityTriple:
     s_zss: np.ndarray
     s_f: np.ndarray
     s_csb: np.ndarray
-    singular: np.ndarray
+
+    @property
+    def singular(self) -> np.ndarray:  # frequencies where a sensitivity is not finite
+        return ~(np.isfinite(self.s_zss) & np.isfinite(self.s_f) & np.isfinite(self.s_csb))
 
 
 def sensitivities(
@@ -173,8 +170,7 @@ def sensitivities(
         s_zss = -(p[3:] @ den[3:]) / den_p
         s_f = p[2] * (num[2] / num_p - den[2] / den_p)
         s_csb = p[1] * num[1] / num_p
-    singular = ~(np.isfinite(s_zss) & np.isfinite(s_f) & np.isfinite(s_csb))
-    return SensitivityTriple(s_zss=s_zss, s_f=s_f, s_csb=s_csb, singular=singular)
+    return SensitivityTriple(s_zss=s_zss, s_f=s_f, s_csb=s_csb)
 
 
 def reflection_coefficient(z, air: AirProperties):
@@ -268,7 +264,6 @@ def _mix(x, y):
     return value ^ (value >> 16)
 
 
-@functools.lru_cache(maxsize=16)
 def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
     """SeedSequence's entropy pool after every entropy word but the spawn
     word, and the hash constant it has reached, for `SeedSequence(seed,

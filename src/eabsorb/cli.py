@@ -163,6 +163,8 @@ def _grid_from_config(cfg: dict) -> np.ndarray:
     if not g:
         return analysis.default_frequency_grid()
     f_min, f_max, step = _numbers(g, "grid", ("f_min_hz", "f_max_hz", "step_hz")).values()
+    if not (f_max + 1e-9 - f_min) / step < np.iinfo(np.intp).max:  # else numpy raises ValueError
+        raise MemoryError(f"grid.step_hz {step!r} gives more grid points than numpy can index")
     grid = np.arange(f_min, f_max + 1e-9, step)
     if grid.size == 0:
         raise ConfigError("frequency grid is empty")
@@ -319,6 +321,9 @@ def cmd_simulate(args) -> int:
     if not isinstance(freqs, list) or not freqs:
         raise ConfigError("simulate.freqs_hz must be a non-empty list")
     freqs = [_number(f, "simulate.freqs_hz") for f in freqs]
+    series = {f"timeseries_{f_hz:g}hz.csv": f_hz for f_hz in freqs}  # :g keeps 6 digits
+    if len(series) < len(freqs):
+        raise ConfigError(f"simulate.freqs_hz must differ to 6 significant digits, got {freqs!r}")
     amplitude = _number(sim.get("amplitude_pa", 1.0), "simulate.amplitude_pa")
 
     pair = synthesis.synthesize_controller(driver, target, fb)
@@ -326,10 +331,10 @@ def cmd_simulate(args) -> int:
     h2 = dsp.bilinear_discretize(pair.h2, loop.fs)
     out = _out_dir(args)
     impedances = []
-    for f_hz in freqs:
+    for name, f_hz in series.items():
         result = dsp.closed_loop_sim(driver, (h1, h2), loop, f_hz, amplitude)
-        result.to_csv(out / f"timeseries_{f_hz:g}hz.csv")
-        impedances.append(result.measured_impedance(f_hz))
+        result.to_csv(out / name)
+        impedances.append(result.measured_impedance())
     z = np.array(impedances, dtype=complex)
     columns = [freqs, z.real, z.imag]
     write_columns(out / "measured_impedance.csv", ["freq_hz", "re_z", "im_z"], columns)

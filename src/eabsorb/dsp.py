@@ -280,19 +280,22 @@ def bilinear_transform(num, den, fs: float):
     same to the bit: the least-squares refinement amplifies even
     rounding-level differences in its seed.  A leading numerator
     coefficient of magnitude <= 1e-14 (a continuous zero at or near
-    s = 2*fs) raises DiscretizationError: scipy drops it with a warning,
-    which advances the filter by a sample.
+    s = 2*fs; scipy drops it with a warning, advancing the filter by a
+    sample) and a coefficient beyond float64 raise DiscretizationError.
     """
     num = np.trim_zeros(np.atleast_1d(np.asarray(num)), "f")
     den = np.trim_zeros(np.atleast_1d(np.asarray(den)), "f")
-    fac = np.sqrt(float(fs) * 2)
-    zp1 = np.polynomial.Polynomial((+1, 1)) / fac  # (z + 1) / fac
-    zm1 = np.polynomial.Polynomial((-1, 1)) * fac  # (z - 1) * fac
-    n = max(len(den), len(num)) - 1
-    bz = sum(c * zp1 ** (n - q) * zm1**q for q, c in enumerate(num[::-1]))
-    az = sum(c * zp1 ** (n - q) * zm1**q for q, c in enumerate(den[::-1]))
-    bz, az = bz.coef[::-1], np.trim_zeros(az.coef[::-1], "f")
-    bz, az = bz / az[0], az / az[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        fac = np.sqrt(float(fs) * 2)
+        zp1 = np.polynomial.Polynomial((+1, 1)) / fac  # (z + 1) / fac
+        zm1 = np.polynomial.Polynomial((-1, 1)) * fac  # (z - 1) * fac
+        n = max(len(den), len(num)) - 1
+        bz = sum(c * zp1 ** (n - q) * zm1**q for q, c in enumerate(num[::-1]))
+        az = sum(c * zp1 ** (n - q) * zm1**q for q, c in enumerate(den[::-1]))
+        bz, az = bz.coef[::-1], np.trim_zeros(az.coef[::-1], "f")
+        bz, az = bz / az[0], az / az[0]
+    if not (np.all(np.isfinite(bz)) and np.all(np.isfinite(az))):
+        raise DiscretizationError(f"bilinear coefficients overflow float64 at {float(fs)!r} Hz")
     if len(bz) > 1 and abs(bz[0]) <= 1e-14:
         raise DiscretizationError(
             f"badly conditioned numerator: leading z coefficient {float(bz[0])!r} <= 1e-14 "
@@ -371,17 +374,17 @@ class SimulationResult:
 
     t: np.ndarray
     pf: np.ndarray  # front excitation pressure (Pa)
-    pb: np.ndarray  # cavity pressure (Pa)
+    pb: np.ndarray  # cavity pressure (Pa), membrane displacement / Csb
     v: np.ndarray  # membrane velocity (m/s)
-    xi: np.ndarray  # membrane displacement (m)
     i: np.ndarray  # applied control current (A)
+    f_hz: float  # excitation frequency
     transient: float
 
     def to_csv(self, path) -> None:
         columns = [self.t, self.pf, self.pb, self.i, self.v]
         write_columns(path, ["t_s", "pf_pa", "pb_pa", "i_a", "v_m_per_s"], columns)
 
-    def measured_impedance(self, f_hz: float) -> complex:
+    def measured_impedance(self) -> complex:
         """Steady-state impedance p_f/v at the excitation frequency.
 
         Both signals are least-squares projected onto in-phase and
@@ -389,7 +392,7 @@ class SimulationResult:
         """
         keep = self.t >= self.transient
         t = self.t[keep]
-        w = 2.0 * math.pi * f_hz
+        w = 2.0 * math.pi * self.f_hz
         basis = np.stack([np.cos(w * t), np.sin(w * t)], axis=1)
         cf, _, _, _ = np.linalg.lstsq(basis, self.pf[keep], rcond=None)
         cv, _, _, _ = np.linalg.lstsq(basis, self.v[keep], rcond=None)
@@ -561,15 +564,21 @@ def closed_loop_sim(
     the run starts from rest.  The exact discrete model of `sampled_loop` is
     propagated over loop.duration; the controller sees sampled front and
     cavity pressures and its output is delayed by the configured latency.
-    Raises a divergence error, stamped with the simulation time, if the
-    state grows beyond any physical scale.
+    Raises InvalidParameterError if fewer than the two ticks the fit needs
+    lie at or after loop.transient, MemoryError for a grid numpy cannot
+    index, and DivergenceError, stamped with the time, if the state blows up.
     """
-    w = 2.0 * math.pi * float(check_frequencies(f_hz))
-    dlti = sampled_loop(model, *cascades, loop)
-
+    f_hz = float(check_frequencies(f_hz))
+    w = 2.0 * math.pi * f_hz
+    if not loop.duration * loop.fs < np.iinfo(np.intp).max:  # else numpy raises ValueError
+        raise MemoryError(f"numpy cannot index a time grid of {loop.duration * loop.fs:.3g} ticks")
     dt = 1.0 / loop.fs
     n = int(round(loop.duration * loop.fs))
     t_grid = np.arange(n) * dt
+    if np.count_nonzero(t_grid >= loop.transient) < 2:
+        raise InvalidParameterError("fewer than 2 ticks of the time grid lie at or after transient")
+    dlti = sampled_loop(model, *cascades, loop)
+
     pf_all = amplitude * np.sin(w * t_grid)
     phasor = amplitude * np.exp(1j * w * t_grid)
     drive = (phasor[:, None] * dlti.drive(w)[1]).imag
@@ -586,14 +595,13 @@ def closed_loop_sim(
     diverged = ~np.isfinite(v) | (np.abs(v) > v_limit)
     if diverged.any():
         raise DivergenceError("closed loop diverged", time_s=float(t_grid[np.argmax(diverged)]))
-    xi = states[:, 1]
     return SimulationResult(
         t=t_grid,
         pf=pf_all,
-        pb=xi / model.csb,
+        pb=states[:, 1] / model.csb,
         v=v,
-        xi=xi,
         i=states @ dlti.c + dlti.d * pf_all,
+        f_hz=f_hz,
         transient=loop.transient,
     )
 

@@ -77,9 +77,15 @@ class PassiveFit(NamedTuple):
     mss: float
     rss: float
     ksc: float
-    omega0: float
-    qms: float
     residual: float  # rms of the least-squares residual
+
+    @property
+    def omega0(self) -> float:
+        return math.sqrt(self.ksc / self.mss)
+
+    @property
+    def qms(self) -> float:
+        return math.sqrt(self.mss * self.ksc) / self.rss
 
 
 def fit_passive_params(passive: MeasuredSpectrum) -> PassiveFit:
@@ -103,14 +109,7 @@ def fit_passive_params(passive: MeasuredSpectrum) -> PassiveFit:
     if mss <= 0 or rss <= 0 or ksc <= 0:
         raise IdentificationError("fit produced non-physical (non-positive) parameters")
     residual = float(np.sqrt(np.mean((a @ sol - rhs) ** 2)))
-    return PassiveFit(
-        mss=mss,
-        rss=rss,
-        ksc=ksc,
-        omega0=math.sqrt(ksc / mss),
-        qms=math.sqrt(mss * ksc) / rss,
-        residual=residual,
-    )
+    return PassiveFit(mss=mss, rss=rss, ksc=ksc, residual=residual)
 
 
 class EstimateResult(NamedTuple):
@@ -161,30 +160,29 @@ def passive_spectrum(model: DriverModel, freqs_hz=DEFAULT_BAND_HZ) -> MeasuredSp
 
 
 def probe_front_spectrum(
-    model: DriverModel, k1: ProbeGain, freqs_hz=DEFAULT_BAND_HZ, mic_gain: float = 1.0
+    model: DriverModel, k1: ProbeGain, freqs_hz=DEFAULT_BAND_HZ
 ) -> MeasuredSpectrum:
-    """Impedance with i = K1*p_f: Z1 = Zss / (1 - F*K1*mic_gain).
+    """Impedance with i = K1*p_f: Z1 = Zss / (1 - F*K1).
 
-    `mic_gain` models an uncalibrated front control microphone.
+    A front microphone of gain g reads g*p_f, so it is the probe ProbeGain(K1*g).
     """
     omega = 2.0 * math.pi * np.asarray(freqs_hz, dtype=float)
     zss = passive_impedance(model)(1j * omega)
-    loop = 1.0 - model.pressure_factor * k1.k * mic_gain
+    loop = 1.0 - model.pressure_factor * k1.k
     if loop <= 0:
         raise IdentificationError("front probe loop is unstable (F*K1 >= 1)")
     return MeasuredSpectrum(omega, zss / loop)
 
 
 def probe_rear_spectrum(
-    model: DriverModel, k2: ProbeGain, freqs_hz=DEFAULT_BAND_HZ, mic_gain: float = 1.0
+    model: DriverModel, k2: ProbeGain, freqs_hz=DEFAULT_BAND_HZ
 ) -> MeasuredSpectrum:
-    """Impedance with i = K2*p_b: Z2 = Zss + F*K2*mic_gain/(s*Csb)."""
-    keff = k2.k * mic_gain
-    if model.ksc + model.pressure_factor * keff / model.csb <= 0:
+    """Impedance with i = K2*p_b: Z2 = Zss + F*K2/(s*Csb)."""
+    if model.ksc + model.pressure_factor * k2.k / model.csb <= 0:
         raise IdentificationError("rear probe loop removes all stiffness (unstable)")
     omega = 2.0 * math.pi * np.asarray(freqs_hz, dtype=float)
     zss = passive_impedance(model)(1j * omega)
-    extra = model.pressure_factor * keff / (1j * omega * model.csb)
+    extra = model.pressure_factor * k2.k / (1j * omega * model.csb)
     return MeasuredSpectrum(omega, zss + extra)
 
 

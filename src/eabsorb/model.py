@@ -163,11 +163,6 @@ def passive_impedance(model: DriverModel) -> RationalTransfer:
     return RationalTransfer.from_coeffs(num, den)
 
 
-def rear_pressure_gain(model: DriverModel) -> RationalTransfer:
-    """Cavity pressure per unit membrane velocity: 1/(s*Csb)."""
-    return RationalTransfer.from_coeffs([1.0], [model.csb, 0.0])
-
-
 # -- voltage-controlled current source (drive electronics) -------------------
 
 

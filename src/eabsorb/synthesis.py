@@ -158,15 +158,24 @@ def synthesize_controller(
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Hurwitz analysis of the cubic characteristic polynomial of the loop."""
+    """Hurwitz analysis of the loop's characteristic cubic s^3 + a s^2 + b s + c."""
 
     a: float
     b: float
     c: float
-    poles: tuple[complex, complex, complex]
-    stable: bool
     kg_lower_bound: float
-    margin: float  # max real part of the poles (negative when stable)
+
+    @property
+    def poles(self) -> tuple[complex, complex, complex]:  # companion-matrix eigenvalues
+        return tuple(complex(r) for r in np.roots([1.0, self.a, self.b, self.c]))
+
+    @property
+    def stable(self) -> bool:
+        return hurwitz_cubic_stable(self.a, self.b, self.c)
+
+    @property
+    def margin(self) -> float:  # max real part of the poles (negative when stable)
+        return max(p.real for p in self.poles)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -205,17 +214,7 @@ def stability_report(model: DriverModel, fb: FeedbackSpec) -> StabilityReport:
     a = w0 / q + wg
     b = w0**2 + (w0 * wg / q) * (rc * fb.kg / model.rss + 1.0)
     c = w0**2 * wg
-    roots = np.roots([1.0, a, b, c])  # companion-matrix eigenvalues
-    margin = float(np.max(roots.real))
     ratio = w0 / wg
     kg_bound = -(model.rss / rc) * (1.0 + q * ratio**2 / (q + ratio))
-    return StabilityReport(
-        a=a,
-        b=b,
-        c=c,
-        poles=tuple(complex(r) for r in roots),
-        stable=hurwitz_cubic_stable(a, b, c),
-        kg_lower_bound=kg_bound,
-        margin=margin,
-    )
+    return StabilityReport(a=a, b=b, c=c, kg_lower_bound=kg_bound)
 

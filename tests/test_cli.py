@@ -148,6 +148,13 @@ BAD_VALUES = {
     ),
     "estimate-factor-string": ("kundt", ("estimate_factors", "rss"), "x", "estimate_factors.rss"),
     "amplitude-nan": ("simulate", ("simulate", "amplitude_pa"), "nan", "simulate.amplitude_pa"),
+    # both would write timeseries_205.5hz.csv, and the first series be lost
+    "freqs-one-file-name": (
+        "simulate",
+        ("simulate", "freqs_hz"),
+        [205.5, 205.50001],
+        "simulate.freqs_hz must differ to 6 significant digits, got [205.5, 205.50001]",
+    ),
     "driver-rss-nan": ("design", ("driver", "rss"), "nan", "driver.rss"),
     "driver-csb-inf": ("kundt", ("driver", "csb_m_per_pa"), "inf", "driver.csb_m_per_pa"),
     "feedback-fg-inf": ("kundt", ("feedback", "fg_hz"), "inf", "feedback.fg_hz"),
@@ -304,13 +311,29 @@ _CAPPED_MAIN = (
                 c["grid"].update(step_hz=0.005),
             ),
         ),
+        # grids past 2**63 elements, which numpy cannot even index
+        ("montecarlo", lambda c: c["grid"].update(step_hz=1e-20)),
+        ("kundt", lambda c: c["grid"].update(step_hz=1e-20)),
+        ("simulate", lambda c: c.update(simulate={"duration_s": 1e15})),
+        ("simulate", lambda c: c.update(simulate={"fs_hz": 1e19})),
     ],
-    ids=["grid-montecarlo", "grid-kundt", "duration", "n-draws"],
+    ids=[
+        "grid-montecarlo",
+        "grid-kundt",
+        "duration",
+        "n-draws",
+        "grid-montecarlo-unindexable",
+        "grid-kundt-unindexable",
+        "duration-unindexable",
+        "sample-rate-unindexable",
+    ],
 )
 def test_oversized_config_is_out_of_memory(tmp_path, verb, edit):
     # each config asks numpy for one array past 2**48 bytes (a 7 PiB grid,
     # 355 PiB of samples, 6 PiB of draws on a 198 001-point grid), which
-    # no overcommit setting grants: exit 3 with one line, not a traceback
+    # no overcommit setting grants, or for one past 2**63 elements (1e23
+    # grid points, 5e19 or 1e19 samples): exit 3 with one line, not a
+    # traceback
     cfg = json.loads((FIXTURES / "table1_1dof.json").read_text())
     edit(cfg)
     p = tmp_path / "cfg.json"
@@ -328,6 +351,43 @@ def test_oversized_config_is_out_of_memory(tmp_path, verb, edit):
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("out of memory:") and proc.stderr.count("\n") == 1
     assert not out.exists() or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "duration, transient",
+    [(1e-5, 0.0), (1e-4, 9.5e-5)],
+    ids=["no-tick", "no-tick-after-transient"],
+)
+def test_short_time_grid_is_config_error(tmp_path, capsys, duration, transient):
+    # at 50 kHz, 1e-5 s holds no tick, and 1e-4 s none from 9.5e-5 s on:
+    # no sinusoid can be fitted, so simulate writes no NaN impedance
+    cfg = json.loads((FIXTURES / "table1_1dof.json").read_text())
+    cfg["simulate"] = {"duration_s": duration, "transient_s": transient}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert run(["simulate", "--config", p, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "fewer than 2 ticks of the time grid" in err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("verb", ["design", "simulate"])
+def test_overflowing_sample_rate_is_a_numerical_error(tmp_path, capfd, verb):
+    # at fs = 1e300 the bilinear coefficients overflow float64; LAPACK must
+    # never see them (it printed a DLASCL line and the verb a traceback)
+    cfg = json.loads((FIXTURES / "table1_1dof.json").read_text())
+    cfg["simulate"] = {"fs_hz": 1e300}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert run([verb, "--config", p, "--out", out]) == 3
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical error: bilinear coefficients overflow")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("verb, code", [("design", 3), ("simulate", 3), ("kundt", 0)])

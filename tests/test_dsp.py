@@ -128,6 +128,15 @@ def test_bilinear_transform_matches_scipy_bitwise(ref_model, targets, fb4, name)
         assert az.tobytes() == az_ref.tobytes()
 
 
+def test_bilinear_transform_rejects_overflowed_coefficients(pair_1dof):
+    # at fs = 1e300 the powers of sqrt(2*fs) leave float64: an error, not
+    # NaN coefficients handed on to the least-squares polish
+    with pytest.raises(ea.DiscretizationError, match="overflow"):
+        dsp.bilinear_transform(pair_1dof.h1.num, pair_1dof.h1.den, 1e300)
+    with pytest.raises(ea.DiscretizationError, match="overflow"):
+        ea.bilinear_discretize(pair_1dof.h1, 1e300)
+
+
 # -- SOS partitioning ---------------------------------------------------------
 
 
@@ -457,8 +466,12 @@ def test_timeseries_csv(tmp_path, ref_model):
     lines = path.read_text().splitlines()
     assert lines[0] == "t_s,pf_pa,pb_pa,i_a,v_m_per_s"
     assert len(lines) == 1 + len(res.t)
-    # cavity pressure consistency with displacement at every step
-    np.testing.assert_allclose(res.pb, res.xi / ref_model.csb, rtol=1e-12, atol=1e-300)
+    # the cavity pressure is the integral of the velocity over Csb: each
+    # step's change matches the trapezoid rule to its (w*dt)^2/12 error
+    dt = 1.0 / FS
+    dpb = np.diff(res.pb) * ref_model.csb
+    trapezoid = 0.5 * dt * (res.v[1:] + res.v[:-1])
+    assert np.max(np.abs(dpb - trapezoid)) <= 1e-4 * np.max(np.abs(trapezoid))
 
 
 def test_timeseries_csv_matches_csv_writer(tmp_path):
@@ -469,8 +482,8 @@ def test_timeseries_csv_matches_csv_writer(tmp_path):
         pf=vals[::-1],
         pb=np.roll(vals, 3),
         v=np.roll(vals, 5),
-        xi=vals,
         i=np.roll(vals, 7).astype(np.float32),
+        f_hz=1.0,
         transient=0.0,
     )
     path = tmp_path / "ts.csv"
@@ -489,6 +502,23 @@ def test_cascade_rate_must_match_loop(ref_model, cascades_1dof):
         ea.measure_impedance(ref_model, cascades_1dof, loop, 400.0)
     with pytest.raises(ea.InvalidParameterError, match="sample rate"):
         ea.closed_loop_sim(ref_model, cascades_1dof, loop, 400.0)
+
+
+@pytest.mark.parametrize(
+    "duration, transient, fit_ticks",
+    [(1e-5, 0.0, 0), (1e-4, 9.5e-5, 0), (1e-4, 7.9e-5, 1), (1e-4, 5.9e-5, 2)],
+    ids=["no-tick", "no-tick-after-transient", "one-tick", "two-ticks"],
+)
+def test_closed_loop_sim_needs_two_ticks_to_fit(ref_model, duration, transient, fit_ticks):
+    # ticks at 0, 20, ..., 80 us for duration 1e-4 s at 50 kHz; none for 1e-5 s
+    loop = ea.LoopConfig(fs=FS, latency=0, duration=duration, transient=transient)
+    if fit_ticks < 2:
+        with pytest.raises(ea.InvalidParameterError, match="fewer than 2 ticks"):
+            ea.closed_loop_sim(ref_model, (ZERO, ZERO), loop, 205.5)
+    else:
+        res = ea.closed_loop_sim(ref_model, (ZERO, ZERO), loop, 205.5)
+        assert np.count_nonzero(res.t >= transient) == 2
+        assert np.isfinite(res.measured_impedance())
 
 
 @pytest.mark.parametrize(
@@ -658,7 +688,7 @@ def rk4_closed_loop(model, h1, h2, loop, f_hz, amplitude):
         v, xi = rk4(v, xi, t[k] + 0.5 * dt, 0.5 * dt, u_next)
     pf_all = amplitude * np.sin(w * t)
     return dsp.SimulationResult(
-        t=t, pf=pf_all, pb=xis / model.csb, v=vs, xi=xis, i=cur, transient=loop.transient
+        t=t, pf=pf_all, pb=xis / model.csb, v=vs, i=cur, f_hz=f_hz, transient=loop.transient
     )
 
 
@@ -669,11 +699,13 @@ def test_exact_loop_matches_rk4_oracle(ref_model, cascades_1dof, latency, hold):
     loop = ea.LoopConfig(fs=FS, latency=latency, hold=hold, duration=0.2, transient=0.1)
     oracle = rk4_closed_loop(ref_model, *cascades_1dof, loop, f, amplitude)
     sim = ea.closed_loop_sim(ref_model, cascades_1dof, loop, f, amplitude)
-    for name in ("v", "xi", "i"):
+    for name in ("v", "pb", "i"):
         ref = getattr(oracle, name)
         assert np.max(np.abs(getattr(sim, name) - ref)) <= 1e-6 * np.max(np.abs(ref))
-    z_oracle = oracle.measured_impedance(f)
-    assert abs(sim.measured_impedance(f) / z_oracle - 1.0) < 1e-6
+    # each series is fitted at the frequency it was simulated at
+    assert sim.f_hz == f
+    z_oracle = oracle.measured_impedance()
+    assert abs(sim.measured_impedance() / z_oracle - 1.0) < 1e-6
     assert abs(ea.measure_impedance(ref_model, cascades_1dof, loop, f) / z_oracle - 1.0) < 1e-6
     band = ea.measure_impedance(ref_model, cascades_1dof, loop, [100.0, f, 990.0])
     assert abs(band[1] / z_oracle - 1.0) < 1e-6

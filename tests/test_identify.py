@@ -58,13 +58,14 @@ def test_front_mic_gain_cancels_in_closed_loop(ref_model, probes, fb4, targets):
     """An uncalibrated front microphone biases F_hat but not the loop.
 
     With the same (scaled) front signal used for identification and for
-    control, the achieved impedance still equals the target exactly.
+    control, the achieved impedance still equals the target exactly.  A
+    probe K reading a microphone of gain g applies the current K*g*p.
     """
     k1, k2 = probes
     g1, g2 = 1.15, 0.92  # unknown microphone gain errors
     passive = ea.passive_spectrum(ref_model)
-    front = ea.probe_front_spectrum(ref_model, k1, mic_gain=g1)
-    rear = ea.probe_rear_spectrum(ref_model, k2, mic_gain=g2)
+    front = ea.probe_front_spectrum(ref_model, ea.ProbeGain(k1.k * g1))
+    rear = ea.probe_rear_spectrum(ref_model, ea.ProbeGain(k2.k * g2))
     fitted, _ = ea.identify_model(passive, front, k1, rear, k2, ref_model.air)
     # biased individual estimates...
     assert fitted.pressure_factor == pytest.approx(g1 * ref_model.pressure_factor, rel=1e-9)

@@ -51,12 +51,6 @@ def test_passive_impedance_oracles(ref_model):
     assert at_res.real == pytest.approx(ref_model.rss, rel=1e-12)
 
 
-def test_rear_pressure_gain(ref_model):
-    g = ea.rear_pressure_gain(ref_model)
-    s = 2j * np.pi * 150.0
-    assert complex(g(s)) == pytest.approx(1.0 / (s * ref_model.csb), rel=1e-12)
-
-
 def test_model_json_round_trip(ref_model):
     clone = ea.DriverModel.from_dict(json.loads(json.dumps(ref_model.to_dict())))
     assert clone == ref_model
