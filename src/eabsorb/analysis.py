@@ -253,7 +253,7 @@ def _hash_constants(init: int, mult: int):
 
 
 def _hashmix(value, consts):
-    # value is a Python int or a uint32 array, whose arithmetic wraps mod 2**32
+    # value is a uint32 array, whose arithmetic wraps mod 2**32
     old, new = next(consts)
     value = ((value ^ old) * new) & _MASK32
     return value ^ (value >> 16)
@@ -277,7 +277,7 @@ def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
 
 def _pcg64_seeds(seed: int, index) -> list[tuple[int, int]]:
     """PCG64(SeedSequence(seed, spawn_key=(i,))) as (state, inc) for each i
-    of `index`, a uint32 array or one Python int.
+    of `index`, a uint32 array.
 
     This finishes SeedSequence's mix_entropy with the spawn word i and runs
     its generate_state(4, uint64), on all draws at once.
@@ -304,8 +304,7 @@ def _draw_factors(seed: int, lo: int, hi: int, rel_std: float) -> np.ndarray:
     contract in the module docstring."""
     bitgen = np.random.PCG64(0)
     gen = np.random.Generator(bitgen)
-    # one draw hashes faster as a Python int than as a 1-element array
-    seeds = _pcg64_seeds(seed, lo if hi - lo == 1 else np.arange(lo, hi, dtype=np.uint32))
+    seeds = _pcg64_seeds(seed, np.arange(lo, hi, dtype=np.uint32))
 
     def stream(k: int) -> np.random.Generator:
         state, inc = seeds[k]
@@ -343,8 +342,11 @@ def draw_parameter_factors(seed: int, index: int, rel_std: float) -> np.ndarray:
         raise InvalidParameterError(
             f"draw index must be an integer in [0, {MAX_DRAWS}), got {index!r}"
         )
-    index = int(index)
-    return _draw_factors(seed, index, index + 1, rel_std)[0]
+    rng = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(int(index),)))
+    factors = rng.normal(1.0, rel_std, 5)
+    while np.any(factors <= 0.0):
+        factors = rng.normal(1.0, rel_std, 5)
+    return factors
 
 
 def _row_quartiles(alpha: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import analysis, dsp, identify, model as model_mod, synthesis, vkundt
 from ._csvio import write_columns
-from .errors import EabsorbError, InvalidParameterError
+from .errors import DiscretizationError, EabsorbError, InvalidParameterError
 
 CONFIG_VERSION = 1
 
@@ -48,69 +48,8 @@ def load_config(path) -> dict:
         raise ConfigError(f"config must be a JSON object, got {type(cfg).__name__}")
     if cfg.get("version") != CONFIG_VERSION:
         raise ConfigError(f"config version must be {CONFIG_VERSION}")
+    _read(cfg, "config")  # refuses a top-level key that names no block
     return cfg
-
-
-def _block(cfg: dict, name: str) -> dict:
-    """The optional config object `name`: {} when absent (or null), else a
-    ConfigError naming the block unless it is a JSON object."""
-    block = cfg.get(name)
-    if block is None:
-        return {}
-    if not isinstance(block, dict):
-        raise ConfigError(f"{name} must be an object, got {type(block).__name__}")
-    return block
-
-
-_DRIVER_KEYS = ("rss", "f0_hz", "qms", "f_pa_per_a", "csb_m_per_pa", "rho0", "c0")
-
-
-def _driver_from_config(cfg: dict) -> model_mod.DriverModel:
-    d = cfg.get("driver")
-    if d is None or d == {"reference": True}:
-        return model_mod.table_reference_model()
-    return model_mod.DriverModel.from_dict(_numbers(d, "driver", _DRIVER_KEYS))
-
-
-def _specs_from_config(cfg: dict, air) -> tuple[synthesis.TargetSpec, synthesis.FeedbackSpec]:
-    fbk = cfg.get("feedback", {"kg": 0.0, "fg_hz": 500.0})
-    kg, fg_hz = _numbers(fbk, "feedback", ("kg", "fg_hz"), allow_zero=("kg",)).values()
-    resonators = _block(cfg, "target").get("resonators")
-    if not isinstance(resonators, list) or not resonators:
-        raise ConfigError("target.resonators must be a non-empty list")
-    rc = air.characteristic_impedance
-    keys = ("rst_norm", "f_hz", "q")
-    rows = [_numbers(e, f"target.resonators[{i}]", keys) for i, e in enumerate(resonators)]
-    target = synthesis.TargetSpec.multi([(r["rst_norm"] * rc, r["f_hz"], r["q"]) for r in rows])
-    return target, synthesis.FeedbackSpec.from_hz(kg, fg_hz)
-
-
-def _specs_to_dict(target, fb, air) -> dict:
-    """The `"specs"` block of controller.json: the target and feedback in
-    the config's own units."""
-    rc = air.characteristic_impedance
-    return {
-        "resonators": [
-            {"rst_norm": r.rst / rc, "f_hz": r.omega_t / (2.0 * math.pi), "q": r.qt}
-            for r in target.resonators
-        ],
-        "kg": fb.kg,
-        "fg_hz": fb.omega_g / (2.0 * math.pi),
-    }
-
-
-def _load(path):
-    """The config at `path`, with the driver, target and feedback it
-    describes: what design, montecarlo, kundt and simulate all start from."""
-    cfg = load_config(path)
-    driver = _driver_from_config(cfg)
-    target, fb = _specs_from_config(cfg, driver.air)
-    return cfg, driver, target, fb
-
-
-def _sample_rate(cfg: dict) -> float:
-    """simulate.fs_hz, the one simulate key that design reads too."""
-    return _number(_block(cfg, "simulate").get("fs_hz", 50_000.0), "simulate.fs_hz")
 
 
 def _number(value, key: str, allow_zero: bool = False) -> float:
@@ -138,47 +77,126 @@ def _integer(value, key: str, allow_zero: bool = False) -> int:
     return value
 
 
-def _field(block: dict, name: str, key: str):
-    """block[key], else a ConfigError saying `name.key` is missing."""
-    if key not in block:
-        raise ConfigError(f"{name}.{key} is missing")
-    return block[key]
+_REQUIRED = object()  # the default of a key that must be given
+
+# The keys of each config object: key -> (check, allow_zero, default).  The
+# check, _number or _integer, gets the value, its full key (`simulate.latency`)
+# and allow_zero; None leaves a list, string or object to the code using it.
+_TABLES = {
+    "driver": dict.fromkeys(
+        ("rss", "f0_hz", "qms", "f_pa_per_a", "csb_m_per_pa", "rho0", "c0"),
+        (_number, False, _REQUIRED),
+    ),
+    "target": {"resonators": (None, False, _REQUIRED)},
+    "target.resonators": dict.fromkeys(("rst_norm", "f_hz", "q"), (_number, False, _REQUIRED)),
+    "feedback": {"kg": (_number, True, _REQUIRED), "fg_hz": (_number, False, _REQUIRED)},
+    "grid": dict.fromkeys(("f_min_hz", "f_max_hz", "step_hz"), (_number, False, _REQUIRED)),
+    "montecarlo": {
+        "n_draws": (_integer, False, _REQUIRED),
+        "rel_std": (_number, True, _REQUIRED),
+        "seed": (_integer, True, _REQUIRED),
+    },
+    "kundt": {
+        "geometry": (None, False, None),
+        "noise_rel_std": (_number, True, 0.0),
+        "noise_seed": (_integer, True, 0),
+    },
+    "kundt.geometry": dict.fromkeys(
+        ("delta_x_m", "x1_m", "length_m", "diameter_m"), (_number, False, _REQUIRED)
+    ),
+    "simulate": {
+        "fs_hz": (_number, False, dsp.LoopConfig.fs),
+        "latency": (_integer, True, dsp.LoopConfig.latency),
+        "hold": (None, False, dsp.LoopConfig.hold),
+        "duration_s": (_number, False, dsp.LoopConfig.duration),
+        "transient_s": (_number, True, dsp.LoopConfig.transient),
+        "freqs_hz": (None, False, [205.5]),
+        "amplitude_pa": (_number, False, 1.0),
+    },
+    "estimate_factors": dict.fromkeys(
+        ("rss", "omega0", "qms", "pressure_factor", "csb"), (_number, False, 1.0)
+    ),
+}
+# the top level: the version, which load_config checks, and the eight blocks
+_TABLES["config"] = dict.fromkeys(
+    ["version", *(block for block in _TABLES if "." not in block)], (None, False, None)
+)
 
 
-def _numbers(block, name: str, keys, allow_zero=()) -> dict:
-    """The numbers `keys` of the config object `name`, each checked by
-    `_number` under its full key (`driver.rss`, `target.resonators[0].q`),
-    so that errors name the config key rather than a field of the type
-    built from it."""
-    if not isinstance(block, dict):
-        raise ConfigError(f"{name} must be an object, got {type(block).__name__}")
+def _read(value, name: str, **flags) -> dict:
+    """The config object `name` (absent or null reads as {}) by the table of
+    `name` without its list index: each key checked under `name.key`, else
+    its default.  A key outside the table or a missing required key is a
+    ConfigError; `flags` that are not None replace the config's values."""
+    if value is None:
+        value = {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be an object, got {type(value).__name__}")
+    entries = _TABLES[name.split("[")[0]]
+    unknown = sorted(set(value) - set(entries))
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {unknown}")
+    value = {**value, **{key: x for key, x in flags.items() if x is not None}}
+    read = {}
+    for key, (check, allow_zero, default) in entries.items():
+        if key not in value and default is _REQUIRED:
+            raise ConfigError(f"{name}.{key} is missing")
+        x = value.get(key, default)
+        read[key] = x if check is None else check(x, f"{name}.{key}", allow_zero)
+    return read
+
+
+def _driver_from_config(cfg: dict) -> model_mod.DriverModel:
+    d = cfg.get("driver")
+    if d is None or d == {"reference": True}:
+        return model_mod.table_reference_model()
+    return model_mod.DriverModel.from_dict(_read(d, "driver"))
+
+
+def _specs_from_config(cfg: dict, air) -> tuple[synthesis.TargetSpec, synthesis.FeedbackSpec]:
+    kg, fg_hz = _read(cfg.get("feedback"), "feedback").values()
+    resonators = _read(cfg.get("target"), "target")["resonators"]
+    if not isinstance(resonators, list) or not resonators:
+        raise ConfigError("target.resonators must be a non-empty list")
+    rc = air.characteristic_impedance
+    rows = [_read(e, f"target.resonators[{i}]").values() for i, e in enumerate(resonators)]
+    target = synthesis.TargetSpec.multi([(rst_norm * rc, f_hz, q) for rst_norm, f_hz, q in rows])
+    return target, synthesis.FeedbackSpec.from_hz(kg, fg_hz)
+
+
+def _specs_to_dict(target, fb, air) -> dict:
+    """The `"specs"` block of controller.json: the target and feedback in
+    the config's own units."""
+    rc = air.characteristic_impedance
     return {
-        key: _number(_field(block, name, key), f"{name}.{key}", allow_zero=key in allow_zero)
-        for key in keys
+        "resonators": [
+            {"rst_norm": r.rst / rc, "f_hz": r.omega_t / (2.0 * math.pi), "q": r.qt}
+            for r in target.resonators
+        ],
+        "kg": fb.kg,
+        "fg_hz": fb.omega_g / (2.0 * math.pi),
     }
 
 
+def _load(path):
+    """The config at `path`, with the driver, target and feedback it
+    describes: what design, montecarlo, kundt and simulate all start from."""
+    cfg = load_config(path)
+    driver = _driver_from_config(cfg)
+    target, fb = _specs_from_config(cfg, driver.air)
+    return cfg, driver, target, fb
+
+
 def _grid_from_config(cfg: dict) -> np.ndarray:
-    g = _block(cfg, "grid")
-    if not g:
+    if cfg.get("grid") is None:
         return analysis.default_frequency_grid()
-    f_min, f_max, step = _numbers(g, "grid", ("f_min_hz", "f_max_hz", "step_hz")).values()
+    f_min, f_max, step = _read(cfg["grid"], "grid").values()
     if not (f_max + 1e-9 - f_min) / step < np.iinfo(np.intp).max:  # else numpy raises ValueError
         raise MemoryError(f"grid.step_hz {step!r} gives more grid points than numpy can index")
     grid = np.arange(f_min, f_max + 1e-9, step)
     if grid.size == 0:
         raise ConfigError("frequency grid is empty")
     return grid
-
-
-def _estimates_from_config(cfg: dict, driver) -> model_mod.DriverModel:
-    factors = _block(cfg, "estimate_factors")
-    allowed = {"rss", "omega0", "qms", "pressure_factor", "csb"}
-    bad = set(factors) - allowed
-    if bad:
-        raise ConfigError(f"unknown estimate factors: {sorted(bad)}")
-    scales = {k: _number(v, f"estimate_factors.{k}") for k, v in factors.items()}
-    return driver.scaled(**scales)
 
 
 def _out_dir(args) -> Path:
@@ -194,9 +212,12 @@ def cmd_design(args) -> int:
     cfg, driver, target, fb = _load(args.config)
     pair = synthesis.synthesize_controller(driver, target, fb)
     report = synthesis.stability_report(driver, fb)
-    fs = _sample_rate(cfg)
+    fs = _read(cfg.get("simulate"), "simulate")["fs_hz"]
     h1_sos = dsp.bilinear_discretize(pair.h1, fs)
     h2_sos = dsp.bilinear_discretize(pair.h2, fs)
+    for name, cascade in (("h1", h1_sos), ("h2", h2_sos)):
+        if not cascade.is_stable:
+            raise DiscretizationError(f"{name} is unstable once discretized at {fs!r} Hz")
 
     out = _out_dir(args)
     controller = {
@@ -214,14 +235,8 @@ def cmd_design(args) -> int:
 
 def cmd_montecarlo(args) -> int:
     cfg, driver, target, fb = _load(args.config)
-    mc = _block(cfg, "montecarlo")
-    seed = args.seed if args.seed is not None else _field(mc, "montecarlo", "seed")
-    mc_cfg = analysis.MonteCarloConfig(
-        n_draws=_integer(_field(mc, "montecarlo", "n_draws"), "montecarlo.n_draws"),
-        rel_std=_number(_field(mc, "montecarlo", "rel_std"), "montecarlo.rel_std", allow_zero=True),
-        seed=_integer(seed, "montecarlo.seed", allow_zero=True),
-        freqs_hz=_grid_from_config(cfg),
-    )
+    mc = _read(cfg.get("montecarlo"), "montecarlo", seed=args.seed)
+    mc_cfg = analysis.MonteCarloConfig(**mc, freqs_hz=_grid_from_config(cfg))
     band = analysis.monte_carlo_absorption(driver, target, fb, mc_cfg)
     out = _out_dir(args)
     band.to_csv(out / "montecarlo.csv")
@@ -254,20 +269,15 @@ def cmd_identify(args) -> int:
 
 def cmd_kundt(args) -> int:
     cfg, driver, target, fb = _load(args.config)
-    kcfg = _block(cfg, "kundt")
+    geometry, noise, noise_seed = _read(cfg.get("kundt"), "kundt", noise_seed=args.seed).values()
     geom = vkundt.REFERENCE_GEOMETRY
-    if "geometry" in kcfg:
-        keys = ("delta_x_m", "x1_m", "length_m", "diameter_m")
-        lengths = _numbers(kcfg["geometry"], "kundt.geometry", keys).values()
+    if geometry is not None:
         try:
-            geom = vkundt.WaveguideGeometry(*lengths)
+            geom = vkundt.WaveguideGeometry(*_read(geometry, "kundt.geometry").values())
         except InvalidParameterError as exc:
             raise ConfigError(f"invalid kundt.geometry: {exc}") from exc
-    noise = _number(kcfg.get("noise_rel_std", 0.0), "kundt.noise_rel_std", allow_zero=True)
-    noise_seed = args.seed if args.seed is not None else kcfg.get("noise_seed", 0)
-    _integer(noise_seed, "kundt.noise_seed", allow_zero=True)
     freqs = _grid_from_config(cfg)
-    estimates = _estimates_from_config(cfg, driver)
+    estimates = driver.scaled(**_read(cfg.get("estimate_factors"), "estimate_factors"))
     omega = 2.0 * np.pi * freqs
     air = driver.air
 
@@ -296,35 +306,24 @@ def cmd_kundt(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg, driver, target, fb = _load(args.config)
-    sim = _block(cfg, "simulate")
-    hold = sim.get("hold", "centered")
+    sim = _read(cfg.get("simulate"), "simulate")
+    fs, latency, hold, duration, transient, freqs, amplitude = sim.values()
     if hold not in ("centered", "causal"):
         raise ConfigError(f"simulate.hold must be 'centered' or 'causal', got {hold!r}")
-    duration = _number(sim.get("duration_s", 1.0), "simulate.duration_s")
-    transient = _number(sim.get("transient_s", 0.5), "simulate.transient_s", allow_zero=True)
     if not transient < duration:
         raise ConfigError(
             "simulate.transient_s must be below simulate.duration_s, "
             f"got {transient!r} >= {duration!r}"
         )
-    latency = _integer(sim.get("latency", 1), "simulate.latency", allow_zero=True)
     if latency > dsp.MAX_LATENCY:
         raise ConfigError(f"simulate.latency must be at most {dsp.MAX_LATENCY}, got {latency!r}")
-    loop = dsp.LoopConfig(
-        fs=_sample_rate(cfg),
-        latency=latency,
-        hold=hold,
-        duration=duration,
-        transient=transient,
-    )
-    freqs = sim.get("freqs_hz", [205.5])
+    loop = dsp.LoopConfig(fs=fs, latency=latency, hold=hold, duration=duration, transient=transient)
     if not isinstance(freqs, list) or not freqs:
         raise ConfigError("simulate.freqs_hz must be a non-empty list")
     freqs = [_number(f, "simulate.freqs_hz") for f in freqs]
     series = {f"timeseries_{f_hz:g}hz.csv": f_hz for f_hz in freqs}  # :g keeps 6 digits
     if len(series) < len(freqs):
         raise ConfigError(f"simulate.freqs_hz must differ to 6 significant digits, got {freqs!r}")
-    amplitude = _number(sim.get("amplitude_pa", 1.0), "simulate.amplitude_pa")
 
     pair = synthesis.synthesize_controller(driver, target, fb)
     h1 = dsp.bilinear_discretize(pair.h1, loop.fs)

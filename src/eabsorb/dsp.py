@@ -244,10 +244,9 @@ def _sk_refine(b: np.ndarray, a: np.ndarray, ct: RationalTransfer, fs: float):
     )
     weight = np.where(freqs <= 1300.0, 100.0, 1.0)
     h = ct(2j * np.pi * freqs)
-    h0 = complex(ct(0.0))
-    if not np.isfinite(h0) or abs(h0.imag) > 1e-9 * (abs(h0.real) + 1.0):
-        return b, a  # no finite real DC value to pin
-    h0 = h0.real
+    h0 = float(ct(0.0))  # real: real coefficients at real s
+    if not math.isfinite(h0):
+        return b, a  # no finite DC value to pin
     zi = np.exp(-2j * np.pi * freqs / fs)
     zpow_b = np.stack([zi**k for k in range(1, nb + 1)], axis=1)
     zpow_a = np.stack([zi**k for k in range(1, na + 1)], axis=1)

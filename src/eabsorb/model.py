@@ -190,10 +190,7 @@ def current_source_gains(design: CurrentSourceDesign) -> tuple[float, float]:
     r1, r2, r3, r4, r5 = design.r1, design.r2, design.r3, design.r4, design.r5
     den = (r1 + r4) * r2 * r5
     transconductance = (r3 * r4 + r2 * (r4 + r5)) / den
-    if r1 == r2 and r3 == r4 + r5:
-        leakage = 0.0
-    else:
-        leakage = (r1 * r3 - r2 * (r4 + r5)) / den
+    leakage = (r1 * r3 - r2 * (r4 + r5)) / den
     return transconductance, leakage
 
 

@@ -146,10 +146,7 @@ def synthesize_controller(
 
     quotient = ((zss + g) / zst).cancel_origin_roots()
     h1 = (inv_f * (1.0 - quotient)).cancel_origin_roots()
-    if fb.kg == 0.0:
-        h2 = RationalTransfer.zero()
-    else:
-        h2 = (RationalTransfer.differentiator(model.csb * inv_f) * g).cancel_origin_roots()
+    h2 = (RationalTransfer.differentiator(model.csb * inv_f) * g).cancel_origin_roots()
 
     if not h1.is_proper or not h2.is_proper:
         raise SynthesisError("synthesized controller is not proper")

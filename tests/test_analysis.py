@@ -308,6 +308,13 @@ def test_block_draws_cover_redraws():
     assert ea.analysis._draw_factors(3, 0, 600, 0.5).tobytes() == want.tobytes()
 
 
+def test_public_draw_redraws_within_its_stream():
+    # at rel_std 0.5 some 11 % of draws are rejected at least once; the
+    # public draw redraws them as the block draws of a study do
+    got = np.array([ea.analysis.draw_parameter_factors(3, i, 0.5) for i in range(600)])
+    assert got.tobytes() == ea.analysis._draw_factors(3, 0, 600, 0.5).tobytes()
+
+
 @pytest.mark.parametrize(
     "seed",
     [0, 1, 20260823, 2**32 + 5, 2**100 + 3, int(1.2e22), 2**128 - 1, 2**128, 2**200 + 9],
@@ -315,7 +322,7 @@ def test_block_draws_cover_redraws():
 def test_public_draw_matches_reference(seed):
     for index in (0, 1, 255, 256, 257, 99_999, 2**32 - 1):
         for rel_std in (0.0, 0.05, 0.19):
-            got = ea.analysis.draw_parameter_factors(seed, index, rel_std)
+            got = ea.analysis._draw_factors(seed, index, index + 1, rel_std)[0]
             assert got.tobytes() == reference_draw(seed, index, rel_std).tobytes()
     # numpy integer seeds and indices give the same draws as Python ints
     got = ea.analysis.draw_parameter_factors(np.uint64(seed % 2**64), np.int64(7), 0.05)

@@ -68,17 +68,20 @@ def test_controller_specs_read_back(tmp_path, name):
     assert cli._specs_from_config(echoed, driver.air) == (target, fb)
 
 
-def test_config_keys_are_read_only_in_cli():
+def test_config_keys_are_read_only_in_cli(tmp_path, onedof_config):
     # the config format lives in cli.py: no other module spells its
-    # target, feedback or geometry keys, and cli.py reads simulate.fs_hz,
-    # with its default, in one place
+    # target, feedback or geometry keys, and cli.py restates no default of
+    # dsp.LoopConfig: design without a simulate block runs at LoopConfig's rate
     package = Path(ea.__file__).resolve().parent
     literals = ['"rst_norm"', '"fg_hz"', '"delta_x_m"', '"x1_m"', '"length_m"', '"diameter_m"']
     for path in package.glob("*.py"):
         text = path.read_text()
         found = [key for key in literals if key in text]
         assert found == [] or path.name == "cli.py", (path.name, found)
-    assert (package / "cli.py").read_text().count('.get("fs_hz", 50_000.0)') == 1
+    assert "50_000" not in (package / "cli.py").read_text()
+    assert "simulate" not in json.loads(onedof_config.read_text())
+    assert run(["design", "--config", onedof_config, "--out", tmp_path]) == 0
+    assert '"fs_hz": 50000.0' in (tmp_path / "h1_sos.json").read_text()
 
 
 def test_bad_config_exit_code(tmp_path):
@@ -250,6 +253,87 @@ def test_non_object_block_is_config_error(tmp_path, capsys, verb, block, value):
     p.write_text(json.dumps(cfg))
     assert run([verb, "--config", p, "--out", tmp_path / "o"]) == 2
     assert capsys.readouterr().err == f"config error: {block} must be an object, got list\n"
+
+
+GEOMETRY = {"delta_x_m": 0.1, "x1_m": 0.42, "length_m": 0.97, "diameter_m": 0.072}
+
+
+@pytest.mark.parametrize(
+    "verb, edit, block, keys",
+    [
+        ("design", lambda c: c.update(simlate={}), "config", ["simlate"]),
+        ("design", lambda c: c["driver"].update(Rss=1.0), "driver", ["Rss"]),
+        ("design", lambda c: c["target"].update(resonator=[]), "target", ["resonator"]),
+        (
+            "design",
+            lambda c: c["target"]["resonators"][0].update(Q=3.0),
+            "target.resonators[0]",
+            ["Q"],
+        ),
+        ("design", lambda c: c["feedback"].update(kgg=1.0), "feedback", ["kgg"]),
+        ("kundt", lambda c: c["grid"].update(stepp_hz=5.0), "grid", ["stepp_hz"]),
+        ("montecarlo", lambda c: c["montecarlo"].update(ndraws=5), "montecarlo", ["ndraws"]),
+        ("kundt", lambda c: c.update(kundt={"noise_sed": 3, "geometri": {}}), "kundt",
+         ["geometri", "noise_sed"]),
+        ("kundt", lambda c: c.update(kundt={"geometry": dict(GEOMETRY, d=1.0)}), "kundt.geometry",
+         ["d"]),
+        ("simulate", lambda c: c.update(simulate={"latancy": 3}), "simulate", ["latancy"]),
+        # design reads simulate.fs_hz, so it checks every simulate key
+        ("design", lambda c: c.update(simulate={"latancy": 3}), "simulate", ["latancy"]),
+        ("kundt", lambda c: c.update(estimate_factors={"Rss": 1.0}), "estimate_factors", ["Rss"]),
+    ],
+    ids=[
+        "config",
+        "driver",
+        "target",
+        "resonator",
+        "feedback",
+        "grid",
+        "montecarlo",
+        "kundt",
+        "geometry",
+        "simulate",
+        "design-simulate",
+        "estimate-factors",
+    ],
+)
+def test_unknown_config_key_is_config_error(tmp_path, capsys, verb, edit, block, keys):
+    # a misspelt key is refused by name, never read as its default
+    cfg = json.loads((FIXTURES / "table1_1dof.json").read_text())
+    cfg["driver"] = json.loads((FIXTURES / "table3_driver.json").read_text())
+    edit(cfg)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert run([verb, "--config", p, "--out", out]) == 2
+    assert capsys.readouterr().err == f"config error: unknown {block} keys: {keys}\n"
+    assert not out.exists()
+
+
+def test_design_checks_every_simulate_key(tmp_path, capsys, onedof_config):
+    cfg = json.loads(onedof_config.read_text())
+    cfg["simulate"] = {"latency": 1.5}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    assert run(["design", "--config", p, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: simulate.latency must be a non-negative integer, got 1.5\n"
+
+
+def test_design_refuses_an_unstable_discrete_filter(tmp_path, capfd, onedof_config):
+    # the continuous loop is stable (stable=True), but at 1e12 Hz the
+    # bilinear map of h1 has a pole outside the unit circle: design says so
+    # and writes no filter
+    cfg = json.loads(onedof_config.read_text())
+    cfg["simulate"] = {"fs_hz": 1e12}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert run(["design", "--config", p, "--out", out]) == 3
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numerical error: h1 is unstable once discretized at 1000000000000.0 Hz\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text", ["[1, 2]", '"x"', "5", "null"], ids=["list", "str", "int", "null"])

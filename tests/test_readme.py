@@ -1,6 +1,7 @@
 """The README's Python examples run as written, and the names they use are the public surface."""
 
 import argparse
+import json
 import re
 import types
 from pathlib import Path
@@ -57,3 +58,33 @@ def test_readme_config_keys_are_read_by_cli():
     }
     source = Path(cli.__file__).read_text()
     assert [path for path, key in paths if f'"{key}"' not in source] == []
+
+
+def _table_value(check, allow_zero) -> str:
+    kind = {cli._number: "number", cli._integer: "integer"}[check]
+    return f"{kind} ≥ 0" if allow_zero else f"{kind} > 0"
+
+
+def test_readme_key_table_is_the_readers_tables():
+    # every row of README's key table is a key of the reader's tables, with
+    # its check and default, and every key of the tables has a row
+    rows = re.findall(r"^\| `([^`]+)` \| (.+) \| (.+) \|$", README.read_text(), flags=re.M)
+    documented = {key.replace("[i]", ""): (value, default) for key, value, default in rows}
+    assert len(documented) == len(rows)
+    entries = {
+        f"{name}.{key}": entry
+        for name, table in cli._TABLES.items()
+        if name != "config"
+        for key, entry in table.items()
+    }
+    assert set(documented) == set(entries)
+    for key, (check, allow_zero, default) in entries.items():
+        value, shown = documented[key]
+        if check is None:
+            assert not value.startswith(("number", "integer")), key
+        else:
+            assert value.startswith(_table_value(check, allow_zero)), key
+        want = "required" if default is cli._REQUIRED else f"`{json.dumps(default)}`"
+        assert shown == want or shown.startswith((want + ",", want + ":")), key
+    blocks = {key.split(".")[0] for key in documented}
+    assert set(cli._TABLES["config"]) == {"version"} | blocks
