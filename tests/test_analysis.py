@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -329,6 +330,13 @@ def test_public_draw_matches_reference(seed):
     assert got.tobytes() == reference_draw(seed % 2**64, 7, 0.05).tobytes()
 
 
+def matrix_product(a, b):
+    """a @ b on BLAS's matrix-product path, which the study takes for every
+    product: a product with one row or one column would take the
+    matrix-vector path, which rounds by another rule."""
+    return (np.vstack([a, a]) @ np.hstack([b, b]))[: a.shape[0], : b.shape[1]]
+
+
 def reference_study(model, tg, fb, cfg):
     """The study with reference draws, one row per draw and quantiles along
     the draw axis."""
@@ -342,9 +350,8 @@ def reference_study(model, tg, fb, cfg):
     for lo in range(0, cfg.n_draws, 256):
         p = ea.analysis._estimate_vector(model, *(true * factors[lo : lo + 256]).T)
         # 1 - |p @ gn|^2 / |p @ gd|^2 from real products, as p is real
-        alpha[lo : lo + 256] = 1.0 - ((p @ gn.real) ** 2 + (p @ gn.imag) ** 2) / (
-            (p @ gd.real) ** 2 + (p @ gd.imag) ** 2
-        )
+        a_re, a_im, b_re, b_im = (matrix_product(p, g) for g in (gn.real, gn.imag, gd.real, gd.imag))
+        alpha[lo : lo + 256] = 1.0 - (a_re**2 + a_im**2) / (b_re**2 + b_im**2)
     q1, q3 = np.quantile(alpha, [0.25, 0.75], axis=0)
     nominal = ea.absorption_coefficient(ea.target_impedance(tg)(s), model.air)
     return q1, q3, nominal
@@ -360,10 +367,23 @@ def test_monte_carlo_bytes_match_reference_study(ref_model, targets, fb4, target
     assert band.nominal.tobytes() == nominal.tobytes()
 
 
-@pytest.mark.parametrize("target", ["1dof", "broadband", "2dof"])
-def test_monte_carlo_alpha_matches_complex_reflection(monkeypatch, ref_model, targets, fb4, target):
-    # the study's alpha, taken as it reaches the quartile step, against the
-    # complex 1 - |Gamma|^2 of the same draws
+@pytest.mark.parametrize("n_freq", [1, 7, 8, 9, 13])
+@pytest.mark.parametrize("n_draws", [1, 255, 257, 601])
+def test_monte_carlo_bytes_at_tile_and_block_edges(ref_model, targets, fb4, n_freq, n_draws):
+    # grids one short of, at and past a frequency tile, and draw counts on
+    # either side of a draw block
+    freqs = np.linspace(40.0, 900.0, n_freq)
+    cfg = ea.MonteCarloConfig(n_draws=n_draws, rel_std=0.05, seed=20260823, freqs_hz=freqs)
+    band = ea.monte_carlo_absorption(ref_model, targets["2dof"], fb4, cfg)
+    q1, q3, nominal = reference_study(ref_model, targets["2dof"], fb4, cfg)
+    assert band.q1.tobytes() == q1.tobytes()
+    assert band.q3.tobytes() == q3.tobytes()
+    assert band.nominal.tobytes() == nominal.tobytes()
+
+
+def study_alpha(monkeypatch, model, tg, fb, cfg):
+    """The study's alpha, taken tile by tile as it reaches the quartile step,
+    one row per frequency."""
     seen = []
     row_quartiles = ea.analysis._row_quartiles
 
@@ -372,9 +392,49 @@ def test_monte_carlo_alpha_matches_complex_reflection(monkeypatch, ref_model, ta
         return row_quartiles(alpha)
 
     monkeypatch.setattr(ea.analysis, "_row_quartiles", record)
+    band = ea.monte_carlo_absorption(model, tg, fb, cfg)
+    monkeypatch.undo()
+    # the tiles, in call order, cover the grid row for row
+    n = cfg.freqs_hz.size
+    tile = ea.analysis._FREQ_TILE
+    assert [t.shape for t in seen] == [
+        (min(tile, n - lo), cfg.n_draws) for lo in range(0, n, tile)
+    ]
+    return band, np.concatenate(seen)
+
+
+@pytest.mark.parametrize("n_draws", [1, 2, 256, 257, 513])
+def test_monte_carlo_draw_alpha_does_not_depend_on_draw_count(
+    monkeypatch, ref_model, targets, fb4, n_draws
+):
+    # a draw's alpha is the same bytes however many draws follow it, also
+    # where it is alone in the study or in its block of draws
+    def alpha(n):
+        cfg = ea.MonteCarloConfig(n_draws=n, rel_std=0.05, seed=20260823)
+        return study_alpha(monkeypatch, ref_model, targets["1dof"], fb4, cfg)[1]
+
+    assert alpha(n_draws).tobytes() == alpha(600)[:, :n_draws].tobytes()
+
+
+def test_monte_carlo_memory_is_not_study_sized(ref_model, targets, fb4):
+    # a 10 000-draw study on the 496-point default grid peaks far below the
+    # n_freq * n_draws alpha array (37.8 MB) it does not hold
+    cfg = ea.MonteCarloConfig(n_draws=10_000, rel_std=0.05, seed=3)
+    alpha_bytes = cfg.freqs_hz.size * cfg.n_draws * 8
+    tracemalloc.start()
+    try:
+        ea.monte_carlo_absorption(ref_model, targets["2dof"], fb4, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * alpha_bytes
+
+
+@pytest.mark.parametrize("target", ["1dof", "broadband", "2dof"])
+def test_monte_carlo_alpha_matches_complex_reflection(monkeypatch, ref_model, targets, fb4, target):
+    # the study's alpha against the complex 1 - |Gamma|^2 of the same draws
     cfg = ea.MonteCarloConfig(n_draws=10_000, rel_std=0.05, seed=11)
-    band = ea.monte_carlo_absorption(ref_model, targets[target], fb4, cfg)
-    (alpha,) = seen
+    band, alpha = study_alpha(monkeypatch, ref_model, targets[target], fb4, cfg)
     # the quartiles read off the sorted draws are np.quantile's bytes
     q1, q3 = np.quantile(alpha, [0.25, 0.75], axis=1)
     assert band.q1.tobytes() == q1.tobytes()
@@ -435,13 +495,14 @@ def test_monte_carlo_zero_spread_equals_nominal(ref_model, targets, fb4):
 
 
 def test_monte_carlo_thread_determinism():
-    # the same study in fresh processes at BLAS thread counts 1 and 2
+    # the same study in fresh processes at BLAS thread counts 1 and 2, large
+    # enough that a tile's product against all draws is split across threads
     src = str(Path(ea.__file__).resolve().parent.parent)
     code = (
         "import hashlib, numpy as np, eabsorb as ea\n"
         "m = ea.table_reference_model()\n"
         "tg = ea.TargetSpec.single(m.air.characteristic_impedance, 400.0, 7.0)\n"
-        "cfg = ea.MonteCarloConfig(n_draws=600, rel_std=0.05, seed=99)\n"
+        "cfg = ea.MonteCarloConfig(n_draws=10_000, rel_std=0.05, seed=99)\n"
         "band = ea.monte_carlo_absorption(m, tg, ea.FeedbackSpec.from_hz(4.0, 500.0), cfg)\n"
         "print(hashlib.sha256(band.q1.tobytes() + band.q3.tobytes()).hexdigest())\n"
     )
@@ -492,6 +553,11 @@ def test_monte_carlo_config_validation():
     with pytest.raises(ea.InvalidParameterError):
         ea.MonteCarloConfig(n_draws=10, rel_std=0.5, seed=1)
     ea.MonteCarloConfig(n_draws=10, rel_std=0.05, seed=np.uint32(7))
+    ea.MonteCarloConfig(n_draws=np.int64(10), rel_std=0.05, seed=1)
+    # a float count would fail later inside the study with a bare TypeError
+    for n_draws in (2.5, 10.0, True, "10", None):
+        with pytest.raises(ea.InvalidParameterError, match="n_draws"):
+            ea.MonteCarloConfig(n_draws=n_draws, rel_std=0.05, seed=1)
 
 
 @pytest.mark.parametrize(
