@@ -131,9 +131,10 @@ def achieved_impedance(
 
     Singular evaluation frequencies (vanishing denominator) are returned as
     inf, never raised.  A kernel that overflows float64 (see
-    `_mismatch_kernel`) raises OverflowError.
+    `_mismatch_kernel`) raises OverflowError, and an `omega` that is not
+    positive and finite raises InvalidParameterError.
     """
-    num, den = _mismatch_kernel(model, target, fb, 1j * np.asarray(omega, dtype=float))
+    num, den = _mismatch_kernel(model, target, fb, 1j * check_frequencies(omega, "omega"))
     p = _assumed_vector(model, estimate)
     den_p = p @ den
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -169,7 +170,7 @@ def sensitivities(
     in the passive-impedance and force-factor estimates but passes
     compliance errors straight through.
     """
-    num, den = _mismatch_kernel(model, target, fb, 1j * np.asarray(omega, dtype=float))
+    num, den = _mismatch_kernel(model, target, fb, 1j * check_frequencies(omega, "omega"))
     p = _assumed_vector(model, estimate)
     with np.errstate(divide="ignore", invalid="ignore"):
         num_p = p @ num
@@ -218,8 +219,12 @@ class MonteCarloConfig:
             )
         if not (0.0 <= self.rel_std < 0.2):
             raise InvalidParameterError("rel_std must be in [0, 0.2)")
-        if check_frequencies(self.freqs_hz, "freqs_hz").ndim != 1:
+        freqs = check_frequencies(np.array(self.freqs_hz, dtype=float), "freqs_hz")
+        if freqs.ndim != 1:
             raise InvalidParameterError("freqs_hz must be a 1-D array")
+        # a read-only copy: the caller's later writes cannot undo the checks
+        freqs.flags.writeable = False
+        object.__setattr__(self, "freqs_hz", freqs)
 
 
 @dataclass(frozen=True)

@@ -250,9 +250,6 @@ def cmd_identify(args) -> int:
     for path in (args.passive, args.front, args.rear):
         try:
             spectra.append(identify.MeasuredSpectrum.from_csv(path, air))
-        except OSError as exc:
-            print(f"error: cannot read spectrum CSV: {exc}", file=sys.stderr)
-            return EXIT_IO
         except (ValueError, IndexError) as exc:
             raise ConfigError(f"malformed spectrum CSV {path}: {exc}") from exc
     passive, front, rear = spectra

@@ -95,12 +95,8 @@ class SosCascade:
     def response(self, freqs_hz) -> np.ndarray:
         """Frequency response at physical frequencies (Hz)."""
         freqs = np.asarray(freqs_hz, dtype=float)
-        return self.response_z(np.exp(2j * np.pi * freqs / self.fs))
-
-    def response_z(self, z) -> np.ndarray:
-        """Frequency response at points z of the complex plane."""
-        zi = 1.0 / np.asarray(z, dtype=complex)
-        h = np.full(np.shape(z), self.gain, dtype=complex)
+        zi = 1.0 / np.exp(2j * np.pi * freqs / self.fs)
+        h = np.full(freqs.shape, self.gain, dtype=complex)
         for b0, b1, b2, a1, a2 in self.sos.tolist():
             h = h * ((b0 + b1 * zi + b2 * zi**2) / (1.0 + a1 * zi + a2 * zi**2))
         return h
@@ -303,13 +299,13 @@ def bilinear_transform(num, den, fs: float):
     return bz, az
 
 
-def bilinear_discretize(ct: RationalTransfer, fs: float, refine: bool = True) -> SosCascade:
+def bilinear_discretize(ct: RationalTransfer, fs: float) -> SosCascade:
     """Map a continuous transfer to a second-order-section cascade at sample rate `fs`.
 
     The core substitution is s = 2*fs*(z-1)/(z+1) without frequency
-    prewarping; with `refine` (the default) the coefficients are then
-    polished by a DC-pinned weighted least-squares fit against the exact
-    continuous response, which removes the transform's residual in-band
+    prewarping (`bilinear_transform`); the coefficients are then polished
+    by a DC-pinned weighted least-squares fit against the exact continuous
+    response (`_sk_refine`), which removes the transform's residual in-band
     magnitude and phase bias while keeping the degrees and the exact DC
     value.  The result is factored through `sos_partition`.
     """
@@ -322,9 +318,7 @@ def bilinear_discretize(ct: RationalTransfer, fs: float, refine: bool = True) ->
         # + 0.0 keeps the zero transfer's gain 0.0, never -0.0
         return SosCascade([_PASSTHROUGH], float(ct.num[0] / ct.den[0]) + 0.0, fs)
 
-    bz, az = bilinear_transform(ct.num, ct.den, fs)
-    if refine:
-        bz, az = _sk_refine(bz, az, ct, fs)
+    bz, az = _sk_refine(*bilinear_transform(ct.num, ct.den, fs), ct, fs)
     return sos_partition(np.roots(bz / bz[0]), np.roots(az), float(bz[0]), fs)
 
 
@@ -563,11 +557,15 @@ def closed_loop_sim(
     the run starts from rest.  The exact discrete model of `sampled_loop` is
     propagated over loop.duration; the controller sees sampled front and
     cavity pressures and its output is delayed by the configured latency.
-    Raises InvalidParameterError if fewer than the two ticks the fit needs
-    lie at or after loop.transient, MemoryError for a grid numpy cannot
-    index, and DivergenceError, stamped with the time, if the state blows up.
+    Raises InvalidParameterError for an amplitude that is zero or not
+    finite (a negative one flips the phase) or if fewer than the two ticks
+    the fit needs lie at or after loop.transient, MemoryError for a grid
+    numpy cannot index, and DivergenceError, stamped with the time, if the
+    state blows up.
     """
     f_hz = float(check_frequencies(f_hz))
+    if amplitude == 0.0 or not math.isfinite(amplitude):
+        raise InvalidParameterError(f"amplitude must be finite and nonzero, got {amplitude!r}")
     w = 2.0 * math.pi * f_hz
     if not loop.duration * loop.fs < np.iinfo(np.intp).max:  # else numpy raises ValueError
         raise MemoryError(f"numpy cannot index a time grid of {loop.duration * loop.fs:.3g} ticks")

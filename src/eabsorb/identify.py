@@ -31,8 +31,8 @@ class MeasuredSpectrum:
     z: np.ndarray  # Pa.s/m
 
     def __post_init__(self):
-        omega = np.asarray(self.omega, dtype=float)
-        z = np.asarray(self.z, dtype=complex)
+        omega = np.array(self.omega, dtype=float)
+        z = np.array(self.z, dtype=complex)
         if omega.size != z.size or omega.size < 3:
             raise InvalidParameterError("need at least 3 matching samples")
         check_frequencies(omega, "angular frequencies")
@@ -40,6 +40,8 @@ class MeasuredSpectrum:
             raise InvalidParameterError("frequencies must be strictly increasing")
         if not np.all(np.isfinite(z)):
             raise InvalidParameterError("impedance samples must be finite")
+        # read-only copies: the caller's later writes cannot undo the checks
+        omega.flags.writeable = z.flags.writeable = False
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "z", z)
 
@@ -155,7 +157,7 @@ def _check_same_grid(a: MeasuredSpectrum, b: MeasuredSpectrum) -> None:
 
 
 def passive_spectrum(model: DriverModel, freqs_hz=DEFAULT_BAND_HZ) -> MeasuredSpectrum:
-    omega = 2.0 * math.pi * np.asarray(freqs_hz, dtype=float)
+    omega = 2.0 * math.pi * check_frequencies(freqs_hz, "freqs_hz")
     return MeasuredSpectrum(omega, passive_impedance(model)(1j * omega))
 
 
@@ -166,7 +168,7 @@ def probe_front_spectrum(
 
     A front microphone of gain g reads g*p_f, so it is the probe ProbeGain(K1*g).
     """
-    omega = 2.0 * math.pi * np.asarray(freqs_hz, dtype=float)
+    omega = 2.0 * math.pi * check_frequencies(freqs_hz, "freqs_hz")
     zss = passive_impedance(model)(1j * omega)
     loop = 1.0 - model.pressure_factor * k1.k
     if loop <= 0:
@@ -180,7 +182,7 @@ def probe_rear_spectrum(
     """Impedance with i = K2*p_b: Z2 = Zss + F*K2/(s*Csb)."""
     if model.ksc + model.pressure_factor * k2.k / model.csb <= 0:
         raise IdentificationError("rear probe loop removes all stiffness (unstable)")
-    omega = 2.0 * math.pi * np.asarray(freqs_hz, dtype=float)
+    omega = 2.0 * math.pi * check_frequencies(freqs_hz, "freqs_hz")
     zss = passive_impedance(model)(1j * omega)
     extra = model.pressure_factor * k2.k / (1j * omega * model.csb)
     return MeasuredSpectrum(omega, zss + extra)

@@ -62,10 +62,6 @@ class RationalTransfer:
         return cls.from_coeffs([float(gain)], [1.0])
 
     @classmethod
-    def zero(cls) -> "RationalTransfer":
-        return cls.from_coeffs([0.0], [1.0])
-
-    @classmethod
     def differentiator(cls, gain: float = 1.0) -> "RationalTransfer":
         """gain * s"""
         return cls.from_coeffs([float(gain), 0.0], [1.0])
@@ -118,12 +114,6 @@ class RationalTransfer:
     @property
     def is_zero(self) -> bool:
         return bool(np.all(self.num == 0.0))
-
-    def poles(self) -> np.ndarray:
-        return np.roots(self.den)
-
-    def zeros(self) -> np.ndarray:
-        return np.roots(self.num) if self.num_degree >= 1 else np.array([])
 
     def cancel_origin_roots(self) -> "RationalTransfer":
         """Divide out common exact roots at s = 0 from num and den."""

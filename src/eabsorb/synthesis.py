@@ -43,10 +43,6 @@ class TargetSpec:
             raise InvalidParameterError("at least one resonator is required")
 
     @classmethod
-    def single(cls, rst: float, f_hz: float, q: float) -> "TargetSpec":
-        return cls((Resonator(rst, 2.0 * math.pi * f_hz, q),))
-
-    @classmethod
     def multi(cls, entries: Sequence[tuple[float, float, float]]) -> "TargetSpec":
         """Entries are (rst, f_hz, q) triples."""
         return cls(tuple(Resonator(r, 2.0 * math.pi * f, q) for r, f, q in entries))
@@ -83,41 +79,29 @@ def target_impedance(spec: TargetSpec) -> RationalTransfer:
 def feedback_filter(model: DriverModel, fb: FeedbackSpec) -> RationalTransfer:
     """First-order low-pass velocity feedback G(s) with DC gain rho0*c0*kg."""
     if fb.kg == 0.0:
-        return RationalTransfer.zero()
+        return RationalTransfer.constant(0.0)
     rc = model.air.characteristic_impedance
     return RationalTransfer.from_coeffs([rc * fb.kg * fb.omega_g], [1.0, fb.omega_g])
 
 
-@dataclass(frozen=True)
-class AdmissibilityVerdict:
-    admissible: bool
-    reason: str
-    low_freq_compliance: float | None = None
-    high_freq_mass: float | None = None
-
-    def __bool__(self) -> bool:
-        return self.admissible
-
-
-def check_transfer_admissibility(zst: RationalTransfer) -> AdmissibilityVerdict:
+def check_transfer_admissibility(zst: RationalTransfer) -> None:
     """A target must look like a compliance at DC and a mass at infinity.
 
     Structurally: numerator degree exceeds denominator degree by one (mass
     asymptote s*M) and the denominator has a root at s = 0 while the
-    numerator does not (compliance asymptote 1/(s*C)).
+    numerator does not (compliance asymptote 1/(s*C)).  Raises
+    SynthesisError naming the missing asymptote.
     """
     num, den = zst.num, zst.den
     nscale = np.max(np.abs(num)) or 1.0
     dscale = np.max(np.abs(den)) or 1.0
-    has_mass = zst.num_degree == zst.den_degree + 1
-    has_compliance = abs(den[-1]) <= 1e-12 * dscale and abs(num[-1]) > 1e-12 * nscale
-    if not has_mass:
-        return AdmissibilityVerdict(False, "no mass asymptote: Z must grow like s*M at high frequency")
-    if not has_compliance:
-        return AdmissibilityVerdict(False, "no compliance asymptote: Z must grow like 1/(s*C) at low frequency")
-    mass = num[0]  # leading coefficient after den normalization
-    compliance = den[-2] / num[-1]
-    return AdmissibilityVerdict(True, "ok", low_freq_compliance=compliance, high_freq_mass=mass)
+    if zst.num_degree != zst.den_degree + 1:
+        reason = "no mass asymptote: Z must grow like s*M at high frequency"
+    elif not (abs(den[-1]) <= 1e-12 * dscale and abs(num[-1]) > 1e-12 * nscale):
+        reason = "no compliance asymptote: Z must grow like 1/(s*C) at low frequency"
+    else:
+        return
+    raise SynthesisError(f"inadmissible target impedance: {reason}")
 
 
 @dataclass(frozen=True)
@@ -136,9 +120,7 @@ def synthesize_controller(
     h1 = (1/F) * (1 - (Zss + G)/Zst),  h2 = s*Csb*G/F.
     """
     zst = target if isinstance(target, RationalTransfer) else target_impedance(target)
-    verdict = check_transfer_admissibility(zst)
-    if not verdict:
-        raise SynthesisError(f"inadmissible target impedance: {verdict.reason}")
+    check_transfer_admissibility(zst)
 
     zss = passive_impedance(model)
     g = feedback_filter(model, fb)

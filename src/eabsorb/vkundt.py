@@ -59,12 +59,14 @@ class TwoMicMeasurement:
     h12: np.ndarray
 
     def __post_init__(self):
-        freqs = check_frequencies(self.freqs_hz, "freqs_hz")
-        h12 = np.asarray(self.h12, dtype=complex)
+        freqs = check_frequencies(np.array(self.freqs_hz, dtype=float), "freqs_hz")
+        h12 = np.array(self.h12, dtype=complex)
         if freqs.size != h12.size:
             raise InvalidParameterError("frequency and H12 arrays must match")
         if not np.all(np.isfinite(h12)):
             raise InvalidParameterError("H12 samples must be finite")
+        # read-only copies: the caller's later writes cannot undo the checks
+        freqs.flags.writeable = h12.flags.writeable = False
         object.__setattr__(self, "freqs_hz", freqs)
         object.__setattr__(self, "h12", h12)
 
@@ -76,9 +78,10 @@ def simulate_two_mic(
 
     `z_term` is the complex specific impedance of the termination, sampled
     on `freqs_hz`.  H12 is an amplitude ratio, so the incident level never
-    enters.  Frequencies above the plane-wave cut-on are rejected.
+    enters.  Frequencies above the plane-wave cut-on, and any that are not
+    positive and finite, are rejected.
     """
-    freqs = np.asarray(freqs_hz, dtype=float)
+    freqs = check_frequencies(freqs_hz, "freqs_hz")
     z_term = np.asarray(z_term, dtype=complex)
     limit = geom.plane_wave_limit_hz(air)
     if np.any(freqs >= limit):

@@ -21,8 +21,8 @@ def rc(ref_model) -> float:
 def targets(rc) -> dict:
     """The three reference target configurations."""
     return {
-        "1dof": ea.TargetSpec.single(rc, 400.0, 7.0),
-        "broadband": ea.TargetSpec.single(rc, 200.0, 0.25),
+        "1dof": ea.TargetSpec.multi([(rc, 400.0, 7.0)]),
+        "broadband": ea.TargetSpec.multi([(rc, 200.0, 0.25)]),
         "2dof": ea.TargetSpec.multi([(rc, 100.0, 7.0), (rc, 400.0, 7.0)]),
     }
 

@@ -110,7 +110,9 @@ def test_criterion_3_sensitivities(ref_model):
             pressure_factor=rng.uniform(500.0, 2000.0),
             csb=rng.uniform(5e-7, 5e-6),
         )
-        tg = ea.TargetSpec.single(rc * rng.uniform(0.5, 2.0), rng.uniform(80.0, 600.0), rng.uniform(0.3, 10.0))
+        tg = ea.TargetSpec.multi(
+            [(rc * rng.uniform(0.5, 2.0), rng.uniform(80.0, 600.0), rng.uniform(0.3, 10.0))]
+        )
         fb = ea.FeedbackSpec(rng.uniform(0.5, 10.0), 2 * math.pi * rng.uniform(200.0, 2000.0))
         om = 2 * np.pi * rng.uniform(20.0, 900.0, 5)
         est = model.scaled(
@@ -136,7 +138,7 @@ def test_criterion_3_sensitivities(ref_model):
             worst = max(worst, float(np.max(np.abs(closed - fd) / np.maximum(np.abs(closed), 1e-12))))
     big = ea.FeedbackSpec(1e6, 2 * math.pi * 500.0)
     est0 = ref_model
-    tg0 = ea.TargetSpec.single(411.6, 400.0, 7.0)
+    tg0 = ea.TargetSpec.multi([(411.6, 400.0, 7.0)])
     om0 = 2 * np.pi * np.array([50.0, 205.5, 400.0, 800.0])
     tri = ea.sensitivities(ref_model, est0, tg0, big, om0)
     lim = max(

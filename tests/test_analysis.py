@@ -501,7 +501,7 @@ def test_monte_carlo_thread_determinism():
     code = (
         "import hashlib, numpy as np, eabsorb as ea\n"
         "m = ea.table_reference_model()\n"
-        "tg = ea.TargetSpec.single(m.air.characteristic_impedance, 400.0, 7.0)\n"
+        "tg = ea.TargetSpec.multi([(m.air.characteristic_impedance, 400.0, 7.0)])\n"
         "cfg = ea.MonteCarloConfig(n_draws=10_000, rel_std=0.05, seed=99)\n"
         "band = ea.monte_carlo_absorption(m, tg, ea.FeedbackSpec.from_hz(4.0, 500.0), cfg)\n"
         "print(hashlib.sha256(band.q1.tobytes() + band.q3.tobytes()).hexdigest())\n"

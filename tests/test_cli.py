@@ -414,10 +414,11 @@ _CAPPED_MAIN = (
 )
 def test_oversized_config_is_out_of_memory(tmp_path, verb, edit):
     # each config asks numpy for one array past 2**48 bytes (a 7 PiB grid,
-    # 355 PiB of samples, 6 PiB of draws on a 198 001-point grid), which
-    # no overcommit setting grants, or for one past 2**63 elements (1e23
-    # grid points, 5e19 or 1e19 samples): exit 3 with one line, not a
-    # traceback
+    # 355 PiB of samples), which no overcommit setting grants, for one past
+    # the 3 GiB address-space cap (the n-draws case: the study's 206 GB
+    # (6, 2**32) estimate array, allocated before any draw), or for one past
+    # 2**63 elements (1e23 grid points, 5e19 or 1e19 samples): exit 3 with
+    # one line, not a traceback
     cfg = json.loads((FIXTURES / "table1_1dof.json").read_text())
     edit(cfg)
     p = tmp_path / "cfg.json"
@@ -613,7 +614,7 @@ def test_identify_non_finite_cell_is_config_error(
     assert not (tmp_path / "id" / "identified_model.json").exists()
 
 
-def test_identify_missing_file_is_io_error(tmp_path):
+def test_identify_missing_file_is_io_error(tmp_path, capsys):
     code = run(
         [
             "identify",
@@ -626,6 +627,8 @@ def test_identify_missing_file_is_io_error(tmp_path):
         ]
     )
     assert code == 4
+    # main's one OSError path: "i/o error: " and the OS message
+    assert capsys.readouterr().err.startswith("i/o error: [Errno 2] No such file or directory")
 
 
 @pytest.mark.parametrize(

@@ -19,6 +19,12 @@ FS = 50_000.0
 ZERO = ea.SosCascade([(1.0, 0.0, 0.0, 0.0, 0.0)], 0.0, FS)
 
 
+def unrefined(ct):
+    """The bilinear seed that `bilinear_discretize` polishes, as a cascade."""
+    bz, az = dsp.bilinear_transform(ct.num, ct.den, FS)
+    return ea.sos_partition(np.roots(bz), np.roots(az), float(bz[0]), FS)
+
+
 @pytest.fixture(scope="module")
 def pair_1dof(ref_model, targets, fb4):
     return ea.synthesize_controller(ref_model, targets["1dof"], fb4)
@@ -47,8 +53,7 @@ def test_dc_gain_preserved_exactly(ref_model, fb4):
     # the transform maps s=0 to z=1, and refinement pins DC, so the DC gain
     # of the feedback low-pass survives exactly
     g = ea.feedback_filter(ref_model, fb4)
-    for refine in (False, True):
-        cas = ea.bilinear_discretize(g, FS, refine=refine)
+    for cas in (unrefined(g), ea.bilinear_discretize(g, FS)):
         dc_disc = complex(cas.response(np.array([0.0]))[0])
         dc_cont = complex(g(0.0))
         assert dc_disc == pytest.approx(dc_cont, rel=1e-12)
@@ -60,7 +65,7 @@ def test_dc_fixed_point_random_transfers():
         den = np.concatenate([[1.0], rng.uniform(0.5, 5.0, 2) * [1e3, 1e5]])
         num = rng.uniform(-2.0, 2.0, 3) * [1.0, 1e3, 1e5]
         ct = RationalTransfer.from_coeffs(num, den)
-        cas = ea.bilinear_discretize(ct, FS, refine=False)
+        cas = unrefined(ct)
         assert complex(cas.response(np.array([0.0]))[0]) == pytest.approx(
             complex(ct(0.0)), rel=1e-9
         )
@@ -72,24 +77,23 @@ def test_improper_rejected():
         ea.bilinear_discretize(improper, FS)
 
 
-@pytest.mark.parametrize("refine", [False, True])
-def test_zero_at_twice_fs_rejected(refine):
+def test_zero_at_twice_fs_rejected():
     # a continuous zero at s = 2*fs maps to z = infinity: the leading z
     # coefficient vanishes, and dropping it would advance the filter a sample
     ct = RationalTransfer.from_coeffs([1.0, -2.0 * FS], [1.0, 1e3])
     with pytest.raises(ea.DiscretizationError, match="leading z coefficient"):
-        ea.bilinear_discretize(ct, FS, refine=refine)
+        ea.bilinear_discretize(ct, FS)
 
 
 def test_zero_transfer():
-    cas = ea.bilinear_discretize(RationalTransfer.zero(), FS)
+    cas = ea.bilinear_discretize(RationalTransfer.constant(0.0), FS)
     assert cas.gain == 0.0
     np.testing.assert_array_equal(cas.response([0.0, 100.0, 5000.0]), 0.0)
     step = df2t_stepper(cas)
     assert [step(1.0) for _ in range(8)] == [0.0] * 8
     # a zero of either sign, over any denominator, is ZERO to the byte,
     # with a gain of +0.0
-    negated = (-RationalTransfer.zero(), RationalTransfer.from_coeffs([0.0], [-1.0, 3.0]))
+    negated = (-RationalTransfer.constant(0.0), RationalTransfer.from_coeffs([0.0], [-1.0, 3.0]))
     for zero in (cas, *(ea.bilinear_discretize(ct, FS) for ct in negated)):
         assert zero.to_json() == ZERO.to_json()
         assert math.copysign(1.0, zero.gain) == 1.0
@@ -165,11 +169,11 @@ def test_cascade_matches_direct_rational(pair_1dof):
     import scipy.signal
 
     bz, az = scipy.signal.bilinear(pair_1dof.h1.num, pair_1dof.h1.den, FS)
-    cas = ea.bilinear_discretize(pair_1dof.h1, FS, refine=False)
-    theta = np.linspace(1e-3, np.pi - 1e-3, 256)
-    z = np.exp(1j * theta)
+    cas = unrefined(pair_1dof.h1)
+    f = np.linspace(1e-3, np.pi - 1e-3, 256) * FS / (2 * np.pi)
+    z = np.exp(2j * np.pi * f / FS)
     direct = np.polyval(bz, z) / np.polyval(az, z)
-    np.testing.assert_allclose(cas.response_z(z), direct, rtol=1e-9)
+    np.testing.assert_allclose(cas.response(f), direct, rtol=1e-9)
 
 
 @settings(max_examples=60, deadline=None)
@@ -196,13 +200,13 @@ def test_property_partition_equivalence(data):
     gain = rng.uniform(0.1, 5.0)
 
     cas = ea.sos_partition(zeros, poles, gain, FS)
-    theta = np.linspace(1e-3, np.pi - 1e-3, 128)
-    z = np.exp(1j * theta)
+    f = np.linspace(1e-3, np.pi - 1e-3, 128) * FS / (2 * np.pi)
+    z = np.exp(2j * np.pi * f / FS)
     # zeros-at-origin padding convention for the missing zeros
     pad = np.zeros(len(poles) - len(zeros), dtype=complex)
     ref = gain * np.prod([z - q for q in np.concatenate([zeros, pad])], axis=0)
     ref /= np.prod([z - p for p in poles], axis=0)
-    np.testing.assert_allclose(cas.response_z(z), ref, rtol=1e-9, atol=1e-12 * np.max(np.abs(ref)))
+    np.testing.assert_allclose(cas.response(f), ref, rtol=1e-9, atol=1e-12 * np.max(np.abs(ref)))
 
     # the sections are scipy's "nearest" pairing, sorted by pole radius
     import scipy.signal
@@ -223,9 +227,10 @@ def test_state_space_matches_response():
     ]
     cas = ea.SosCascade(sos, 1.7, FS)
     a, b, c, d = cas.state_space()
-    z = np.exp(1j * np.linspace(0.01, 3.1, 50))
+    f = np.linspace(0.01, 3.1, 50) * FS / (2 * np.pi)
+    z = np.exp(2j * np.pi * f / FS)
     h = [c @ np.linalg.solve(zk * np.eye(len(b)) - a, b) + d for zk in z]
-    np.testing.assert_allclose(h, cas.response_z(z), rtol=1e-12)
+    np.testing.assert_allclose(h, cas.response(f), rtol=1e-12)
 
 
 # -- coefficient arrays -------------------------------------------------------
@@ -532,6 +537,23 @@ def test_bad_frequency_is_refused(ref_model, cascades_1dof, f_hz):
         ea.measure_impedance(ref_model, cascades_1dof, loop, f_hz)
     with pytest.raises(ea.InvalidParameterError, match="f_hz"):
         ea.closed_loop_sim(ref_model, cascades_1dof, loop, f_hz)
+
+
+@pytest.mark.parametrize("amplitude", [0.0, math.nan, math.inf, -math.inf])
+def test_bad_amplitude_is_refused(ref_model, cascades_1dof, amplitude):
+    # a zero drive has no impedance to fit, and a non-finite one is not a
+    # divergence of the loop
+    loop = ea.LoopConfig(fs=FS, latency=0, duration=0.05, transient=0.01)
+    with pytest.raises(ea.InvalidParameterError, match="amplitude must be finite and nonzero"):
+        ea.closed_loop_sim(ref_model, cascades_1dof, loop, 400.0, amplitude)
+
+
+def test_negative_amplitude_flips_the_phase(ref_model, cascades_1dof):
+    loop = ea.LoopConfig(fs=FS, latency=0, duration=0.05, transient=0.01)
+    pos = ea.closed_loop_sim(ref_model, cascades_1dof, loop, 400.0, 2.0)
+    neg = ea.closed_loop_sim(ref_model, cascades_1dof, loop, 400.0, -2.0)
+    np.testing.assert_allclose(neg.v, -pos.v, rtol=0, atol=1e-12 * np.max(np.abs(pos.v)))
+    assert neg.measured_impedance() == pytest.approx(pos.measured_impedance(), rel=1e-9)
 
 
 @pytest.mark.parametrize(

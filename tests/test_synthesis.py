@@ -25,8 +25,8 @@ def test_target_impedance_single(rc, targets):
 def test_target_impedance_parallel_sum(rc, targets):
     # the 2-DOF admittance is the sum of the branch admittances
     zst = ea.target_impedance(targets["2dof"])
-    b1 = ea.target_impedance(ea.TargetSpec.single(rc, 100.0, 7.0))
-    b2 = ea.target_impedance(ea.TargetSpec.single(rc, 400.0, 7.0))
+    b1 = ea.target_impedance(ea.TargetSpec.multi([(rc, 100.0, 7.0)]))
+    b2 = ea.target_impedance(ea.TargetSpec.multi([(rc, 400.0, 7.0)]))
     s = 2j * np.pi * np.linspace(20.0, 900.0, 57)
     np.testing.assert_allclose(1.0 / zst(s), 1.0 / b1(s) + 1.0 / b2(s), rtol=1e-9)
 
@@ -44,18 +44,15 @@ def test_feedback_filter_zero_gain(ref_model, fb0):
 
 def test_admissibility_of_reference_targets(targets):
     for spec in targets.values():
-        verdict = ea.check_transfer_admissibility(ea.target_impedance(spec))
-        assert verdict
-        assert verdict.high_freq_mass > 0
-        assert verdict.low_freq_compliance > 0
+        ea.check_transfer_admissibility(ea.target_impedance(spec))
 
 
 def test_admissibility_rejects_flat():
     from eabsorb.rational import RationalTransfer
 
     flat = RationalTransfer.constant(411.6)
-    verdict = ea.check_transfer_admissibility(flat)
-    assert not verdict
+    with pytest.raises(ea.SynthesisError, match="inadmissible target impedance: no mass asymptote"):
+        ea.check_transfer_admissibility(flat)
     with pytest.raises(ea.SynthesisError):
         ea.synthesize_controller(ea.table_reference_model(), flat, ea.FeedbackSpec.from_hz(4.0, 500.0))
 
@@ -89,8 +86,8 @@ def test_controller_proper(ref_model, targets, fb4, fb0):
 def test_controller_stable_poles(ref_model, targets, fb4):
     for tg in targets.values():
         pair = ea.synthesize_controller(ref_model, tg, fb4)
-        assert np.all(pair.h1.poles().real < 0)
-        assert np.all(pair.h2.poles().real < 0)
+        assert np.all(np.roots(pair.h1.den).real < 0)
+        assert np.all(np.roots(pair.h2.den).real < 0)
 
 
 # -- stability ----------------------------------------------------------------

@@ -1,0 +1,79 @@
+"""Checks that hold across modules: every public function that takes a
+frequency refuses one that is not positive and finite, and the frozen value
+types keep read-only copies of the arrays they are built from."""
+
+import math
+
+import numpy as np
+import pytest
+
+import eabsorb as ea
+
+FS = 50_000.0
+
+
+@pytest.fixture(scope="module")
+def cascades(ref_model, targets, fb4):
+    pair = ea.synthesize_controller(ref_model, targets["1dof"], fb4)
+    return ea.bilinear_discretize(pair.h1, FS), ea.bilinear_discretize(pair.h2, FS)
+
+
+#: name -> call(f, model, target, fb, cascades) passing the frequency f
+#: (Hz, or rad/s for the `omega` arguments) next to a valid one where the
+#: argument is an array
+FREQUENCY_TAKERS = {
+    "measure_impedance": lambda f, m, tg, fb, cas: ea.measure_impedance(
+        m, cas, ea.LoopConfig(fs=FS, latency=0), [100.0, f]
+    ),
+    "closed_loop_sim": lambda f, m, tg, fb, cas: ea.closed_loop_sim(
+        m, cas, ea.LoopConfig(fs=FS, latency=0), f
+    ),
+    "MonteCarloConfig": lambda f, m, tg, fb, cas: ea.MonteCarloConfig(
+        10, 0.05, 1, freqs_hz=[100.0, f]
+    ),
+    "achieved_impedance": lambda f, m, tg, fb, cas: ea.achieved_impedance(
+        m, m, tg, fb, [628.0, f]
+    ),
+    "sensitivities": lambda f, m, tg, fb, cas: ea.sensitivities(m, m, tg, fb, [628.0, f]),
+    "passive_spectrum": lambda f, m, tg, fb, cas: ea.passive_spectrum(m, [100.0, 150.0, f]),
+    "probe_front_spectrum": lambda f, m, tg, fb, cas: ea.probe_front_spectrum(
+        m, ea.default_probe_gains(m)[0], [100.0, 150.0, f]
+    ),
+    "probe_rear_spectrum": lambda f, m, tg, fb, cas: ea.probe_rear_spectrum(
+        m, ea.default_probe_gains(m)[1], [100.0, 150.0, f]
+    ),
+    "simulate_two_mic": lambda f, m, tg, fb, cas: ea.simulate_two_mic(
+        [100.0, f], [400.0 + 0j, 400.0 + 0j], ea.REFERENCE_GEOMETRY, m.air
+    ),
+}
+
+
+@pytest.mark.parametrize("f", [0.0, math.nan, math.inf], ids=["zero", "nan", "inf"])
+@pytest.mark.parametrize("name", sorted(FREQUENCY_TAKERS))
+def test_bad_frequency_is_refused_before_use(ref_model, targets, fb4, cascades, name, f):
+    # under the suite's error::RuntimeWarning filter, evaluating anything at
+    # the bad frequency before the check would fail with a warning instead
+    with pytest.raises(ea.InvalidParameterError, match="must be positive and finite"):
+        FREQUENCY_TAKERS[name](f, ref_model, targets["1dof"], fb4, cascades)
+
+
+@pytest.mark.parametrize(
+    "build, fields",
+    [
+        (lambda f, z: ea.MonteCarloConfig(10, 0.05, 1, freqs_hz=f), ("freqs_hz",)),
+        (lambda f, z: ea.TwoMicMeasurement(f, z), ("freqs_hz", "h12")),
+        (lambda f, z: ea.MeasuredSpectrum(f, z), ("omega", "z")),
+    ],
+    ids=["MonteCarloConfig", "TwoMicMeasurement", "MeasuredSpectrum"],
+)
+def test_value_types_keep_read_only_copies(build, fields):
+    f = np.array([100.0, 200.0, 300.0])
+    z = np.array([400.0 + 10j, 410.0 + 0j, 420.0 - 10j])
+    value = build(f, z)
+    stored = {name: getattr(value, name).copy() for name in fields}
+    # writing to the caller's arrays after construction gets past no check
+    f[0], z[0] = -5.0, math.nan
+    for name in fields:
+        np.testing.assert_array_equal(getattr(value, name), stored[name])
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(value, name)[0] = -5.0
