@@ -77,12 +77,17 @@ def test_improper_rejected():
         ea.bilinear_discretize(improper, FS)
 
 
-def test_zero_at_twice_fs_rejected():
+@pytest.mark.parametrize("via_discretize", [False, True])
+def test_zero_at_twice_fs_rejected(via_discretize):
     # a continuous zero at s = 2*fs maps to z = infinity: the leading z
-    # coefficient vanishes, and dropping it would advance the filter a sample
+    # coefficient vanishes, and dropping it would advance the filter a
+    # sample; the guard holds on the raw transform and through the cascade
     ct = RationalTransfer.from_coeffs([1.0, -2.0 * FS], [1.0, 1e3])
     with pytest.raises(ea.DiscretizationError, match="leading z coefficient"):
-        ea.bilinear_discretize(ct, FS)
+        if via_discretize:
+            ea.bilinear_discretize(ct, FS)
+        else:
+            dsp.bilinear_transform(ct.num, ct.den, FS)
 
 
 def test_zero_transfer():
