@@ -34,15 +34,23 @@ Monte Carlo draw i of a study with seed `seed` is, bit for bit,
 
 so a draw depends only on (seed, i), not on the draw count or order.
 Building those objects per draw would cost more than the study's kernel, so
-`_draw_factors` reproduces them for a whole block of draws at once.  The
-hash of the seed words is numpy's own `SeedSequence(seed).pool`, shared by
-every draw; only the last round, which mixes in the spawn word i, and the
-output hash run here, on uint32 arrays over the block.  Each draw's words then
-become the PCG64 (state, inc) that PCG64 would seed itself with, and one
-reused PCG64 is set to it before the real `Generator.normal` is called.
-Both seeding algorithms are fixed: numpy's SeedSequence hash (stable under
-NEP 19) and PCG64's seeding step (O'Neill, "PCG", HMC-CS-2014-0905,
-`pcg_setseq_128_srandom_r`).
+`_draw_factors` reproduces them with array arithmetic over a block of draws.
+The hash of the seed words is numpy's own `SeedSequence(seed).pool`, shared
+by every draw; only the last round, which mixes in the spawn word i, and the
+output hash run here, on uint32 arrays over the block.  Each draw's words
+become the PCG64 (state, inc) that PCG64 would seed itself with, held as
+(hi, lo) uint64 arrays, whose 128-bit products are built from 32-bit limbs.
+Five LCG steps and XSL-RR outputs per draw feed numpy's ziggurat fast path
+(the tables in `_ziggurat`), which turns one output into one normal value.
+A draw with a value off that path (about 7 % at any rel_std: the ziggurat's
+wedges and tail, which consume more outputs) or a factor <= 0 is made again
+by numpy's own `Generator.normal` on a PCG64 set to its (state, inc), and
+redrawn there.  Two of the algorithms are fixed: numpy's SeedSequence hash
+(stable under NEP 19) and PCG64's seeding step and XSL-RR output (O'Neill,
+"PCG", HMC-CS-2014-0905, `pcg_setseq_128_srandom_r`).  The third is
+numpy's ziggurat normal (Marsaglia & Tsang, J. Stat. Softw. 5(8), 2000),
+which `Generator` does not promise to keep; a test rebuilds its tables
+from the installed numpy, so a change there fails loudly.
 """
 
 from __future__ import annotations
@@ -51,6 +59,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _ziggurat
 from ._csvio import read_columns, write_columns
 from .errors import InvalidParameterError, check_frequencies, is_integer
 from .model import AirProperties, DriverModel, passive_impedance
@@ -66,18 +75,21 @@ SINGULAR_TOL = 1e-300
 MAX_DRAWS = 2**32
 
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 # numpy SeedSequence hash constants
 _HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
 _HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-# PCG64's 128-bit LCG multiplier
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-# draws are made and hashed a block at a time, which bounds their seed words
-_DRAW_BLOCK = 256
+# PCG64's 128-bit LCG multiplier 0x2360ED051FC65DA44385DF649FCCF645, in halves
+_PCG_MULT = (0x2360ED051FC65DA4, 0x4385DF649FCCF645)
+# numpy's ziggurat tables, indexed by the low byte of a PCG64 output
+_ZIG_WI = np.array(_ziggurat.WI)
+_ZIG_KI = np.array(_ziggurat.KI, dtype=np.uint64)
+# draws are made a block at a time, which bounds their seed and state arrays
+_DRAW_BLOCK = 4096
 # frequencies per tile of a study's products and sort, which hold
-# 4*_FREQ_TILE doubles per draw; tiles of 1 to 32 timed alike at 10 000 draws
-_FREQ_TILE = 8
+# 4*_FREQ_TILE doubles per draw: at 10 000 draws a tile of 4 keeps them
+# within a 2 MB L2 cache, and timed as fast as 2 and faster than 6 or 8
+_FREQ_TILE = 4
 
 
 def _estimate_vector(model: DriverModel, rss, omega0, qms, pressure_factor, csb) -> np.ndarray:
@@ -218,7 +230,7 @@ class MonteCarloConfig:
                 f"n_draws must be an integer in [1, {MAX_DRAWS}], got {self.n_draws!r}"
             )
         if not (0.0 <= self.rel_std < 0.2):
-            raise InvalidParameterError("rel_std must be in [0, 0.2)")
+            raise InvalidParameterError(f"rel_std must be in [0, 0.2), got {self.rel_std!r}")
         freqs = check_frequencies(np.array(self.freqs_hz, dtype=float), "freqs_hz")
         if freqs.ndim != 1:
             raise InvalidParameterError("freqs_hz must be a 1-D array")
@@ -258,6 +270,12 @@ def _check_seed(seed) -> None:
         raise InvalidParameterError(f"seed must be a non-negative integer, got {seed!r}")
 
 
+def _check_rel_std(rel_std) -> None:
+    # a NaN fails both comparisons
+    if not 0.0 <= rel_std < np.inf:
+        raise InvalidParameterError(f"rel_std must be non-negative and finite, got {rel_std!r}")
+
+
 def _hash_constants(init: int, mult: int):
     """Successive (old, new) hash constants of one SeedSequence hash pass."""
     while True:
@@ -289,9 +307,32 @@ def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
     return pool, _HASH_INIT_A * pow(_HASH_MULT_A, 4 * words, 1 << 32) & _MASK32
 
 
-def _pcg64_seeds(seed: int, index) -> list[tuple[int, int]]:
+def _add128(a, b):
+    """a + b mod 2**128 for (hi, lo) pairs of uint64 arrays."""
+    lo = a[1] + b[1]  # uint64 arrays wrap mod 2**64, and carry when lo < b[1]
+    return a[0] + b[0] + (lo < b[1]), lo
+
+
+def _mul_hi64(a, b: int):
+    """The high 64 bits of a * b for a uint64 array a and a 64-bit int b,
+    from 32-bit limb products, each of which fits in 64 bits."""
+    a_lo, a_hi = a & _MASK32, a >> 32
+    b_lo, b_hi = b & _MASK32, b >> 32
+    cross_a, cross_b = a_lo * b_hi, a_hi * b_lo
+    mid = (a_lo * b_lo >> 32) + (cross_a & _MASK32) + (cross_b & _MASK32)
+    return a_hi * b_hi + (cross_a >> 32) + (cross_b >> 32) + (mid >> 32)
+
+
+def _pcg_step(state, inc):
+    """One PCG64 LCG step, state * _PCG_MULT + inc mod 2**128."""
+    hi, lo = state
+    m_hi, m_lo = _PCG_MULT
+    return _add128((hi * m_lo + lo * m_hi + _mul_hi64(lo, m_lo), lo * m_lo), inc)
+
+
+def _pcg64_seeds(seed: int, index):
     """PCG64(SeedSequence(seed, spawn_key=(i,))) as (state, inc) for each i
-    of `index`, a uint32 array.
+    of `index`, a uint32 array; each is a (hi, lo) pair of uint64 arrays.
 
     This finishes SeedSequence's mix_entropy with the spawn word i and runs
     its generate_state(4, uint64), on all draws at once.
@@ -300,41 +341,72 @@ def _pcg64_seeds(seed: int, index) -> list[tuple[int, int]]:
     consts = _hash_constants(hash_const, _HASH_MULT_A)
     pool = [_mix(word, _hashmix(index, consts)) for word in pool]
     consts = _hash_constants(_HASH_INIT_B, _HASH_MULT_B)
-    words = np.array([_hashmix(pool[k % 4], consts) for k in range(8)], dtype=np.uint32)
-    seeds = []
-    for w in words.reshape(8, -1).T.tolist():
-        # generate_state(4, uint64) pairs its uint32 words little-endian;
-        # PCG64 takes words 0-1 as the initial state and 2-3 as the sequence
-        initstate = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
-        initseq = w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6]
-        # pcg_setseq_128_srandom_r: two LCG steps from state 0
-        inc = (initseq << 1 | 1) & _MASK128
-        seeds.append((((inc + initstate) * _PCG_MULT + inc) & _MASK128, inc))
-    return seeds
+    w = [_hashmix(pool[k % 4], consts).astype(np.uint64) for k in range(8)]
+    # generate_state(4, uint64) pairs its uint32 words little-endian;
+    # PCG64 takes words 0-1 as the initial state and 2-3 as the sequence
+    initstate = (w[1] << 32 | w[0], w[3] << 32 | w[2])
+    seq_hi, seq_lo = w[5] << 32 | w[4], w[7] << 32 | w[6]
+    # pcg_setseq_128_srandom_r: inc = 2*initseq + 1, and two LCG steps from 0
+    inc = (seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1)
+    return _pcg_step(_add128(inc, initstate), inc), inc
+
+
+def _fast_normals(state, inc, rel_std: float):
+    """`normal(1.0, rel_std, 5)` of each PCG64 (state, inc) by numpy's
+    ziggurat fast path, with a mask of the values that took it.
+
+    Each value is one LCG step and its XSL-RR output: hi ^ lo rotated right
+    by hi >> 58.  numpy's `random_standard_normal` takes the output's low
+    byte as the layer idx, bit 8 as the sign and bits 9-60 as rabs, and
+    returns +-rabs * wi[idx] when rabs < ki[idx]: one output per value.  Any
+    other value consumes more outputs, so the values after it in its draw
+    are not these.
+    """
+    r = np.empty((state[0].size, 5), dtype=np.uint64)
+    for k in range(5):
+        state = _pcg_step(state, inc)
+        hi, lo = state
+        xor, rot = hi ^ lo, hi >> 58
+        # & 63: a rotation by 0 must not shift left by 64
+        r[:, k] = xor >> rot | xor << ((64 - rot) & 63)
+    idx = (r & 0xFF).astype(np.intp)
+    negative = (r & 0x100).astype(bool)
+    # r becomes rabs, and x the factors, in place: a block's temporaries
+    # stay resident in the heap after it, and add to the study's peak memory
+    r >>= 9
+    r &= (1 << 52) - 1
+    fast = r < _ZIG_KI[idx]
+    x = _ZIG_WI[idx]
+    x *= r
+    np.negative(x, out=x, where=negative)
+    x *= rel_std
+    x += 1.0
+    return x, fast
 
 
 def _draw_factors(seed: int, lo: int, hi: int, rel_std: float) -> np.ndarray:
     """Factors of draws lo, ..., hi - 1 (one row each) of the stream
     contract in the module docstring."""
+    state, inc = _pcg64_seeds(seed, np.arange(lo, hi, dtype=np.uint32))
+    factors, fast = _fast_normals(state, inc, rel_std)
+    # a draw off the fast path, or rejected, is made by numpy's own
+    # Generator on a reused PCG64 set to its stream, then redrawn where its
+    # stream left off
+    slow = ~np.all(fast, axis=1) | np.any(factors <= 0.0, axis=1)
     bitgen = np.random.PCG64(0)
     gen = np.random.Generator(bitgen)
-    seeds = _pcg64_seeds(seed, np.arange(lo, hi, dtype=np.uint32))
-
-    def stream(k: int) -> np.random.Generator:
-        state, inc = seeds[k]
+    for k in np.flatnonzero(slow).tolist():
         bitgen.state = {
             "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
+            "state": {
+                "state": int(state[0][k]) << 64 | int(state[1][k]),
+                "inc": int(inc[0][k]) << 64 | int(inc[1][k]),
+            },
             "has_uint32": 0,
             "uinteger": 0,
         }
-        return gen
-
-    factors = np.array([stream(k).normal(1.0, rel_std, 5) for k in range(hi - lo)])
-    # a rejected draw is made again, then redrawn where its stream left off
-    for k in np.flatnonzero(np.any(factors <= 0.0, axis=1)):
-        row = stream(k).normal(1.0, rel_std, 5)
-        while np.any(row <= 0.0):
+        row = gen.normal(1.0, rel_std, 5)
+        while (row <= 0.0).any():
             row = gen.normal(1.0, rel_std, 5)
         factors[k] = row
     return factors
@@ -348,10 +420,12 @@ def draw_parameter_factors(seed: int, index: int, rel_std: float) -> np.ndarray:
     `np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
     .normal(1.0, rel_std, 5)`, bit for bit.  Draws yielding any non-positive
     factor are rejected and redrawn within the same stream.  The seed must
-    be a non-negative integer and the index an integer in [0, 2**32).
-    Monte Carlo studies make the same draws a block at a time.
+    be a non-negative integer, the index an integer in [0, 2**32) and
+    rel_std non-negative and finite.  Monte Carlo studies make the same
+    draws a block at a time.
     """
     _check_seed(seed)
+    _check_rel_std(rel_std)
     if not is_integer(index) or not 0 <= index < MAX_DRAWS:
         raise InvalidParameterError(
             f"draw index must be an integer in [0, {MAX_DRAWS}), got {index!r}"

@@ -285,11 +285,17 @@ def test_draw_factors_deterministic_per_index():
 SEEDS = st.one_of(st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**128))
 
 
+BLOCK = ea.analysis._DRAW_BLOCK
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=SEEDS,
-    lo=st.one_of(st.sampled_from([0, 1, 255, 256, 257, 511]), st.integers(0, 2**32 - 300)),
-    n_draws=st.one_of(st.sampled_from([1, 2, 255, 256, 257]), st.integers(1, 300)),
+    lo=st.one_of(
+        st.sampled_from([0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1]),
+        st.integers(0, 2**32 - BLOCK - 1),
+    ),
+    n_draws=st.one_of(st.sampled_from([1, 2, BLOCK - 1, BLOCK, BLOCK + 1]), st.integers(1, 300)),
 )
 def test_property_block_draws_match_reference(seed, lo, n_draws):
     # at rel_std 0.5, P(factor <= 0) = 2.3 % and ~11 % of draws are redrawn
@@ -330,6 +336,107 @@ def test_public_draw_matches_reference(seed):
     assert got.tobytes() == reference_draw(seed % 2**64, 7, 0.05).tobytes()
 
 
+def sfc64_normal(r):
+    """numpy's standard normal from the 64-bit output r, and the number of
+    outputs it consumed: SFC64 in state [r, 0, 0, 0] first outputs r, and
+    its last state word counts its outputs."""
+    bitgen = np.random.SFC64(0)
+    state = bitgen.state
+    state["state"]["state"] = np.array([r, 0, 0, 0], dtype=np.uint64)
+    bitgen.state = state
+    x = np.random.Generator(bitgen).standard_normal()
+    return x, int(bitgen.state["state"]["state"][3])
+
+
+def test_ziggurat_tables_match_installed_numpy():
+    # the fast path consumes exactly one output, the wedges and the tail at
+    # least two; ki[idx] is the least rabs off the fast path, and wi[idx] the
+    # value at rabs = 1 (never read for idx 1, where ki is 0)
+    wi, ki = ea._ziggurat.WI, ea._ziggurat.KI
+    for idx in range(256):
+        x, used = sfc64_normal(1 << 9 | idx)
+        assert (used == 1) == (idx != 1)
+        if used == 1:
+            assert x.hex() == wi[idx].hex()
+        lo, hi = 0, 1 << 52
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if sfc64_normal(mid << 9 | idx)[1] == 1:
+                lo = mid + 1
+            else:
+                hi = mid
+        assert lo == ki[idx]
+    # the sign bit negates the value
+    assert sfc64_normal(1 << 9 | 1 << 8 | 7)[0] == -wi[7]
+
+
+def first_slow_value(seed, index):
+    """Which part of numpy's ziggurat ("wedge", "tail" or "idx1") the first
+    of draw `index`'s five values off the fast path takes, from the raw
+    outputs of the draw's reference stream; None if all five take it."""
+    bitgen = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,)))
+    for r in bitgen.random_raw(5).tolist():
+        idx, rabs = r & 0xFF, r >> 9 & (1 << 52) - 1
+        if rabs >= ea._ziggurat.KI[idx]:
+            return "tail" if idx == 0 else "idx1" if idx == 1 else "wedge"
+    return None
+
+
+def rejections(seed, index, rel_std):
+    """How many times draw `index`'s reference stream is redrawn."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+    n = 0
+    while np.any(rng.normal(1.0, rel_std, 5) <= 0.0):
+        n += 1
+    return n
+
+
+def find_draw(seed, predicate):
+    return next(i for i in range(100_000) if predicate(i))
+
+
+@pytest.mark.parametrize(
+    "case, rel_std",
+    [("wedge", 0.05), ("tail", 0.05), ("idx1", 0.05), ("rejected", 0.5), ("rejected twice", 0.5)],
+)
+def test_block_draws_cover_every_slow_path(case, rel_std):
+    # each draw that leaves the array fast path, found by scanning the
+    # reference streams, comes out bit for bit inside a block of fast draws
+    seed = 20260823
+    if case.startswith("rejected"):
+        times = 2 if case.endswith("twice") else 1
+        i = find_draw(seed, lambda i: first_slow_value(seed, i) is None
+                      and rejections(seed, i, rel_std) == times)
+    else:
+        i = find_draw(seed, lambda i: first_slow_value(seed, i) == case)
+    lo = max(i - 10, 0)
+    neighbours = [j for j in range(lo, i + 11) if j != i]
+    fast = [j for j in neighbours
+            if first_slow_value(seed, j) is None and rejections(seed, j, rel_std) == 0]
+    assert len(fast) >= 8
+    want = np.array([reference_draw(seed, j, rel_std) for j in range(lo, i + 11)])
+    assert ea.analysis._draw_factors(seed, lo, i + 11, rel_std).tobytes() == want.tobytes()
+
+
+def test_few_draws_reach_the_generator(monkeypatch, ref_model, targets, fb4):
+    # ~7 % of draws leave the fast path; the gain rests on that share
+    calls = []
+    generator = np.random.Generator
+
+    class CountingGenerator:
+        def __init__(self, bitgen):
+            self.gen = generator(bitgen)
+
+        def normal(self, *args):
+            calls.append(args)
+            return self.gen.normal(*args)
+
+    monkeypatch.setattr(np.random, "Generator", CountingGenerator)
+    cfg = ea.MonteCarloConfig(n_draws=10_000, rel_std=0.05, seed=20260823, freqs_hz=[200.0])
+    ea.monte_carlo_absorption(ref_model, targets["1dof"], fb4, cfg)
+    assert 0 < len(calls) <= 0.1 * cfg.n_draws
+
+
 def matrix_product(a, b):
     """a @ b on BLAS's matrix-product path, which the study takes for every
     product: a product with one row or one column would take the
@@ -368,10 +475,10 @@ def test_monte_carlo_bytes_match_reference_study(ref_model, targets, fb4, target
 
 
 @pytest.mark.parametrize("n_freq", [1, 7, 8, 9, 13])
-@pytest.mark.parametrize("n_draws", [1, 255, 257, 601])
+@pytest.mark.parametrize("n_draws", [1, 255, 257, 601, BLOCK - 1, BLOCK + 1])
 def test_monte_carlo_bytes_at_tile_and_block_edges(ref_model, targets, fb4, n_freq, n_draws):
-    # grids one short of, at and past a frequency tile, and draw counts on
-    # either side of a draw block
+    # grids one short of, at and past a multiple of the frequency tile, and
+    # draw counts inside one draw block and on either side of a block edge
     freqs = np.linspace(40.0, 900.0, n_freq)
     cfg = ea.MonteCarloConfig(n_draws=n_draws, rel_std=0.05, seed=20260823, freqs_hz=freqs)
     band = ea.monte_carlo_absorption(ref_model, targets["2dof"], fb4, cfg)
@@ -403,7 +510,7 @@ def study_alpha(monkeypatch, model, tg, fb, cfg):
     return band, np.concatenate(seen)
 
 
-@pytest.mark.parametrize("n_draws", [1, 2, 256, 257, 513])
+@pytest.mark.parametrize("n_draws", [1, 2, 256, 257, 513, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
 def test_monte_carlo_draw_alpha_does_not_depend_on_draw_count(
     monkeypatch, ref_model, targets, fb4, n_draws
 ):
@@ -413,7 +520,7 @@ def test_monte_carlo_draw_alpha_does_not_depend_on_draw_count(
         cfg = ea.MonteCarloConfig(n_draws=n, rel_std=0.05, seed=20260823)
         return study_alpha(monkeypatch, ref_model, targets["1dof"], fb4, cfg)[1]
 
-    assert alpha(n_draws).tobytes() == alpha(600)[:, :n_draws].tobytes()
+    assert alpha(n_draws).tobytes() == alpha(2 * BLOCK + 600)[:, :n_draws].tobytes()
 
 
 def test_monte_carlo_memory_is_not_study_sized(ref_model, targets, fb4):
@@ -497,12 +604,13 @@ def test_monte_carlo_zero_spread_equals_nominal(ref_model, targets, fb4):
 def test_monte_carlo_thread_determinism():
     # the same study in fresh processes at BLAS thread counts 1 and 2, large
     # enough that a tile's product against all draws is split across threads
+    # (OpenBLAS splits a (16, 6) @ (6, n) product at 20 000 draws, not 10 000)
     src = str(Path(ea.__file__).resolve().parent.parent)
     code = (
         "import hashlib, numpy as np, eabsorb as ea\n"
         "m = ea.table_reference_model()\n"
         "tg = ea.TargetSpec.multi([(m.air.characteristic_impedance, 400.0, 7.0)])\n"
-        "cfg = ea.MonteCarloConfig(n_draws=10_000, rel_std=0.05, seed=99)\n"
+        "cfg = ea.MonteCarloConfig(n_draws=20_000, rel_std=0.05, seed=99)\n"
         "band = ea.monte_carlo_absorption(m, tg, ea.FeedbackSpec.from_hz(4.0, 500.0), cfg)\n"
         "print(hashlib.sha256(band.q1.tobytes() + band.q3.tobytes()).hexdigest())\n"
     )

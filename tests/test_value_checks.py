@@ -77,3 +77,20 @@ def test_value_types_keep_read_only_copies(build, fields):
         np.testing.assert_array_equal(getattr(value, name), stored[name])
         with pytest.raises(ValueError, match="read-only"):
             getattr(value, name)[0] = -5.0
+
+
+@pytest.mark.parametrize("rel_std", [math.nan, math.inf, -0.05], ids=["nan", "inf", "negative"])
+def test_bad_rel_std_is_refused(rel_std):
+    # NaN and inf would give NaN and inf factors, and a negative spread
+    # numpy's untyped ValueError
+    with pytest.raises(ea.InvalidParameterError, match="rel_std"):
+        ea.analysis.draw_parameter_factors(1, 0, rel_std)
+    with pytest.raises(ea.InvalidParameterError, match="rel_std"):
+        ea.MonteCarloConfig(10, rel_std, 1)
+
+
+def test_rel_std_limits():
+    # the public draw takes any finite spread, the study's config below 0.2
+    assert np.all(ea.analysis.draw_parameter_factors(1, 0, 0.5) > 0.0)
+    with pytest.raises(ea.InvalidParameterError, match=r"rel_std must be in \[0, 0.2\), got 0.2"):
+        ea.MonteCarloConfig(10, 0.2, 1)
