@@ -27,39 +27,40 @@ cache.  The quartiles are read straight off the sorted rows: Hyndman-Fan
 type 7 on sorted data is two indexed reads and one interpolation per
 quartile.
 
-Monte Carlo draw i of a study with seed `seed` is, bit for bit,
+Monte Carlo draw i of a study with seed `seed` reads its own PCG64 stream,
 
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-    factors = rng.normal(1.0, rel_std, 5)   # again while any factor <= 0
+    bitgen = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,)))
 
-so a draw depends only on (seed, i), not on the draw count or order.
-Building those objects per draw would cost more than the study's kernel, so
-`_draw_factors` reproduces them with array arithmetic over a block of draws.
-The hash of the seed words is numpy's own `SeedSequence(seed).pool`, shared
-by every draw; only the last round, which mixes in the spawn word i, and the
-output hash run here, on uint32 arrays over the block.  Each draw's words
-become the PCG64 (state, inc) that PCG64 would seed itself with, held as
-(hi, lo) uint64 arrays, whose 128-bit products are built from 32-bit limbs.
-Five LCG steps and XSL-RR outputs per draw feed numpy's ziggurat fast path
-(the tables in `_ziggurat`), which turns one output into one normal value.
-A draw with a value off that path (about 7 % at any rel_std: the ziggurat's
-wedges and tail, which consume more outputs) or a factor <= 0 is made again
-by numpy's own `Generator.normal` on a PCG64 set to its (state, inc), and
-redrawn there.  Two of the algorithms are fixed: numpy's SeedSequence hash
-(stable under NEP 19) and PCG64's seeding step and XSL-RR output (O'Neill,
-"PCG", HMC-CS-2014-0905, `pcg_setseq_128_srandom_r`).  The third is
-numpy's ziggurat normal (Marsaglia & Tsang, J. Stat. Softw. 5(8), 2000),
-which `Generator` does not promise to keep; a test rebuilds its tables
-from the installed numpy, so a change there fails loudly.
+six raw outputs at a time.  Attempt j takes outputs 6j, ..., 6j+5 as
+u = ((raw >> 11) + 1) * 2**-53 in (0, 1], and turns them into the Box-Muller
+normals (Box & Muller, Ann. Math. Stat. 29(2), 1958) rad_k * cos(theta_k)
+for k = 0, 1, 2 and rad_k * sin(theta_k) for k = 0, 1, with
+rad_k = sqrt(-2 ln u_k) and theta_k = 2*pi * u_(3+k); the sixth normal,
+rad_2 * sin(theta_2), is not used.  The factors are 1 + rel_std * z of the
+first attempt whose five factors are all positive.  A draw depends only on
+(seed, i), not on the draw count or order, and the contract rests only on
+what NEP 19 keeps stable: numpy's SeedSequence and the raw PCG64 stream.
+The last bits of a normal are those of numpy's log, sqrt, cos and sin on
+the platform, as the study's products are those of its BLAS.
+`draw_parameter_factors` makes one draw from numpy's own PCG64;
+`_draw_factors` makes a block of draws with array arithmetic.  The hash of
+the seed words is numpy's own `SeedSequence(seed).pool`, shared by every
+draw; only the last round, which mixes in the spawn word i, and the output
+hash run here, on uint32 arrays over the block.  Each draw's words become
+the PCG64 (state, inc) that PCG64 would seed itself with, held as (hi, lo)
+uint64 arrays, whose 128-bit products are built from 32-bit limbs, and each
+step's output is PCG64's XSL-RR (O'Neill, "PCG", HMC-CS-2014-0905,
+`pcg_setseq_128_srandom_r`).  Both paths apply `_box_muller` to contiguous
+rows, so each ufunc takes the same loop on both.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _ziggurat
 from ._csvio import read_columns, write_columns
 from .errors import InvalidParameterError, check_frequencies, is_integer
 from .model import AirProperties, DriverModel, passive_impedance
@@ -81,9 +82,6 @@ _HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 # PCG64's 128-bit LCG multiplier 0x2360ED051FC65DA44385DF649FCCF645, in halves
 _PCG_MULT = (0x2360ED051FC65DA4, 0x4385DF649FCCF645)
-# numpy's ziggurat tables, indexed by the low byte of a PCG64 output
-_ZIG_WI = np.array(_ziggurat.WI)
-_ZIG_KI = np.array(_ziggurat.KI, dtype=np.uint64)
 # draws are made a block at a time, which bounds their seed and state arrays
 _DRAW_BLOCK = 4096
 # frequencies per tile of a study's products and sort, which hold
@@ -229,7 +227,8 @@ class MonteCarloConfig:
             raise InvalidParameterError(
                 f"n_draws must be an integer in [1, {MAX_DRAWS}], got {self.n_draws!r}"
             )
-        if not (0.0 <= self.rel_std < 0.2):
+        object.__setattr__(self, "rel_std", _check_rel_std(self.rel_std))
+        if self.rel_std >= 0.2:
             raise InvalidParameterError(f"rel_std must be in [0, 0.2), got {self.rel_std!r}")
         freqs = check_frequencies(np.array(self.freqs_hz, dtype=float), "freqs_hz")
         if freqs.ndim != 1:
@@ -270,10 +269,16 @@ def _check_seed(seed) -> None:
         raise InvalidParameterError(f"seed must be a non-negative integer, got {seed!r}")
 
 
-def _check_rel_std(rel_std) -> None:
+def _check_rel_std(rel_std) -> float:
+    """`rel_std` as a float; it must be a real number (not a bool),
+    non-negative and finite."""
     # a NaN fails both comparisons
-    if not 0.0 <= rel_std < np.inf:
-        raise InvalidParameterError(f"rel_std must be non-negative and finite, got {rel_std!r}")
+    real = isinstance(rel_std, numbers.Real) and not isinstance(rel_std, bool)
+    if not (real and 0.0 <= rel_std < np.inf):
+        raise InvalidParameterError(
+            f"rel_std must be a non-negative finite number, got {rel_std!r}"
+        )
+    return float(rel_std)
 
 
 def _hash_constants(init: int, mult: int):
@@ -351,90 +356,84 @@ def _pcg64_seeds(seed: int, index):
     return _pcg_step(_add128(inc, initstate), inc), inc
 
 
-def _fast_normals(state, inc, rel_std: float):
-    """`normal(1.0, rel_std, 5)` of each PCG64 (state, inc) by numpy's
-    ziggurat fast path, with a mask of the values that took it.
+def _box_muller(raw) -> np.ndarray:
+    """The five used Box-Muller normals of the stream contract (module
+    docstring) from a (6, n) uint64 array of raw outputs, one attempt per
+    column; returned as a (5, n) array.
 
-    Each value is one LCG step and its XSL-RR output: hi ^ lo rotated right
-    by hi >> 58.  numpy's `random_standard_normal` takes the output's low
-    byte as the layer idx, bit 8 as the sign and bits 9-60 as rabs, and
-    returns +-rabs * wi[idx] when rabs < ki[idx]: one output per value.  Any
-    other value consumes more outputs, so the values after it in its draw
-    are not these.
+    Every ufunc works on contiguous rows, on which numpy's loops give each
+    element the value a one-column call gives it, so a column's values do
+    not depend on n; a strided view could take another loop.
     """
-    r = np.empty((state[0].size, 5), dtype=np.uint64)
-    for k in range(5):
-        state = _pcg_step(state, inc)
-        hi, lo = state
-        xor, rot = hi ^ lo, hi >> 58
-        # & 63: a rotation by 0 must not shift left by 64
-        r[:, k] = xor >> rot | xor << ((64 - rot) & 63)
-    idx = (r & 0xFF).astype(np.intp)
-    negative = (r & 0x100).astype(bool)
-    # r becomes rabs, and x the factors, in place: a block's temporaries
-    # stay resident in the heap after it, and add to the study's peak memory
-    r >>= 9
-    r &= (1 << 52) - 1
-    fast = r < _ZIG_KI[idx]
-    x = _ZIG_WI[idx]
-    x *= r
-    np.negative(x, out=x, where=negative)
-    x *= rel_std
-    x += 1.0
-    return x, fast
+    u = (raw >> 11) + 1
+    u = u * 2.0**-53  # exact: u is at most 2**53
+    rad = np.log(u[:3])
+    rad *= -2.0
+    np.sqrt(rad, out=rad)
+    theta = u[3:]
+    theta *= 2.0 * np.pi
+    z = np.empty((5, raw.shape[1]))
+    np.cos(theta, out=z[:3])
+    z[:3] *= rad
+    np.sin(theta[:2], out=z[3:])
+    z[3:] *= rad[:2]
+    return z
 
 
 def _draw_factors(seed: int, lo: int, hi: int, rel_std: float) -> np.ndarray:
     """Factors of draws lo, ..., hi - 1 (one row each) of the stream
     contract in the module docstring."""
     state, inc = _pcg64_seeds(seed, np.arange(lo, hi, dtype=np.uint32))
-    factors, fast = _fast_normals(state, inc, rel_std)
-    # a draw off the fast path, or rejected, is made by numpy's own
-    # Generator on a reused PCG64 set to its stream, then redrawn where its
-    # stream left off
-    slow = ~np.all(fast, axis=1) | np.any(factors <= 0.0, axis=1)
-    bitgen = np.random.PCG64(0)
-    gen = np.random.Generator(bitgen)
-    for k in np.flatnonzero(slow).tolist():
-        bitgen.state = {
-            "bit_generator": "PCG64",
-            "state": {
-                "state": int(state[0][k]) << 64 | int(state[1][k]),
-                "inc": int(inc[0][k]) << 64 | int(inc[1][k]),
-            },
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        row = gen.normal(1.0, rel_std, 5)
-        while (row <= 0.0).any():
-            row = gen.normal(1.0, rel_std, 5)
-        factors[k] = row
-    return factors
+    factors = np.empty((5, hi - lo))
+    todo = np.arange(hi - lo)
+    # each pass makes one attempt of every draw still rejected
+    while todo.size:
+        raw = np.empty((6, todo.size), dtype=np.uint64)
+        for k in range(6):
+            state = _pcg_step(state, inc)
+            # XSL-RR: hi ^ lo rotated right by hi >> 58; & 63 keeps a
+            # rotation by 0 from shifting left by 64
+            xor, rot = state[0] ^ state[1], state[0] >> 58
+            raw[k] = xor >> rot | xor << ((64 - rot) & 63)
+        x = _box_muller(raw)
+        x *= rel_std
+        x += 1.0
+        factors[:, todo] = x
+        rejected = np.any(x <= 0.0, axis=0)
+        todo = todo[rejected]
+        state = (state[0][rejected], state[1][rejected])
+        inc = (inc[0][rejected], inc[1][rejected])
+    return factors.T
 
 
 def draw_parameter_factors(seed: int, index: int, rel_std: float) -> np.ndarray:
     """Multiplicative Gaussian factors for draw `index`.
 
-    Each draw uses its own RNG stream keyed by (seed, index), so a draw does
-    not depend on how many others are made or in which order: it equals
-    `np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
-    .normal(1.0, rel_std, 5)`, bit for bit.  Draws yielding any non-positive
-    factor are rejected and redrawn within the same stream.  The seed must
-    be a non-negative integer, the index an integer in [0, 2**32) and
-    rel_std non-negative and finite.  Monte Carlo studies make the same
-    draws a block at a time.
+    Each draw uses its own PCG64 stream keyed by (seed, index), so a draw
+    does not depend on how many others are made or in which order.  Its
+    five factors are 1 + rel_std * z for the Box-Muller normals z of six raw
+    outputs of `np.random.PCG64(np.random.SeedSequence(seed,
+    spawn_key=(index,)))`; a draw yielding any non-positive factor is
+    rejected and made again from the stream's next six outputs.  The
+    contract (module docstring) rests only on numpy's NEP-19-stable
+    SeedSequence and raw PCG64 stream, not on `Generator`'s samplers.  The
+    seed must be a non-negative integer, the index an integer in [0, 2**32)
+    and rel_std a non-negative finite number.  Monte Carlo studies make the
+    same draws a block at a time.
     """
     _check_seed(seed)
-    _check_rel_std(rel_std)
+    rel_std = _check_rel_std(rel_std)
     if not is_integer(index) or not 0 <= index < MAX_DRAWS:
         raise InvalidParameterError(
             f"draw index must be an integer in [0, {MAX_DRAWS}), got {index!r}"
         )
-    rng = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(int(index),)))
-    factors = rng.normal(1.0, rel_std, 5)
-    while np.any(factors <= 0.0):
-        factors = rng.normal(1.0, rel_std, 5)
-    return factors
+    bitgen = np.random.PCG64(np.random.SeedSequence(int(seed), spawn_key=(int(index),)))
+    while True:
+        factors = _box_muller(bitgen.random_raw(6).reshape(6, 1))[:, 0]
+        factors *= rel_std
+        factors += 1.0
+        if np.all(factors > 0.0):
+            return factors
 
 
 def _row_quartiles(alpha: np.ndarray) -> np.ndarray:

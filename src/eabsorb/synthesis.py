@@ -113,13 +113,14 @@ class ControllerPair:
 
 
 def synthesize_controller(
-    model: DriverModel, target: TargetSpec | RationalTransfer, fb: FeedbackSpec
+    model: DriverModel, target: TargetSpec, fb: FeedbackSpec
 ) -> ControllerPair:
     """Build the two control filters for the requested target impedance.
 
     h1 = (1/F) * (1 - (Zss + G)/Zst),  h2 = s*Csb*G/F.
     """
-    zst = target if isinstance(target, RationalTransfer) else target_impedance(target)
+    zst = target_impedance(target)
+    # a valid spec can still be inadmissible once its coefficients underflow
     check_transfer_admissibility(zst)
 
     zss = passive_impedance(model)

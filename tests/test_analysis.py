@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import os
 import subprocess
@@ -89,14 +90,30 @@ def oracle_mismatch(model, est, tg, fb, omega):
     return zsa, (s_zss, s_f, s_csb)
 
 
+def reference_attempts(seed, index, rel_std):
+    """The factors of each attempt of draw `index` of the stream contract:
+    numpy's own PCG64 on the draw's SeedSequence, six raw outputs per
+    attempt, Box-Muller's rad*cos of the first three angles and rad*sin of
+    the first two."""
+    bitgen = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,)))
+    while True:
+        raw = bitgen.random_raw(6)
+        u = ((raw >> np.uint64(11)) + np.uint64(1)).astype(float) / 2.0**53
+        rad = np.sqrt(-2.0 * np.log(u[:3]))
+        theta = 2.0 * np.pi * u[3:]
+        z = np.concatenate([rad * np.cos(theta), rad * np.sin(theta)])[:5]
+        yield 1.0 + rel_std * z
+
+
 def reference_draw(seed, index, rel_std):
-    """Draw `index` of the stream contract: one SeedSequence and Generator
-    per draw, redrawn within its stream while any factor is <= 0."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
-    factors = rng.normal(1.0, rel_std, 5)
-    while np.any(factors <= 0.0):
-        factors = rng.normal(1.0, rel_std, 5)
-    return factors
+    """Draw `index` of the stream contract: its first all-positive attempt."""
+    return next(f for f in reference_attempts(seed, index, rel_std) if np.all(f > 0.0))
+
+
+def rejections(seed, index, rel_std):
+    """How many attempts of draw `index` are rejected."""
+    attempts = enumerate(reference_attempts(seed, index, rel_std))
+    return next(n for n, f in attempts if np.all(f > 0.0))
 
 
 def oracle_quartiles(model, tg, fb, cfg):
@@ -306,13 +323,48 @@ def test_property_block_draws_match_reference(seed, lo, n_draws):
 
 def test_block_draws_cover_redraws():
     # the redraw path, including draws rejected more than once, is exercised
-    first = np.array([
-        np.random.default_rng(np.random.SeedSequence(3, spawn_key=(i,))).normal(1.0, 0.5, 5)
-        for i in range(600)
-    ])
-    assert np.sum(np.any(first <= 0.0, axis=1)) > 30
+    counts = np.array([rejections(3, i, 0.5) for i in range(600)])
+    assert np.sum(counts > 0) > 30 and np.any(counts > 1)
     want = np.array([reference_draw(3, i, 0.5) for i in range(600)])
     assert ea.analysis._draw_factors(3, 0, 600, 0.5).tobytes() == want.tobytes()
+
+
+@functools.lru_cache(maxsize=None)
+def reference_block(lo, hi):
+    """Reference draws lo, ..., hi - 1 at rel_std 0.5, with how many times
+    each is rejected."""
+    draws = np.array([reference_draw(20260823, i, 0.5) for i in range(lo, hi)])
+    return draws, np.array([rejections(20260823, i, 0.5) for i in range(lo, hi)])
+
+
+@pytest.mark.parametrize("n_draws", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1])
+@pytest.mark.parametrize("at_end", [False, True], ids=["start", "end"])
+def test_block_draws_match_reference_at_block_sizes(n_draws, at_end):
+    # the blocks at each end of the index range are prefixes and suffixes
+    # of one reference run each
+    n_max = BLOCK + 1
+    if at_end:
+        lo = 2**32 - n_draws
+        draws, counts = (x[n_max - n_draws :] for x in reference_block(2**32 - n_max, 2**32))
+    else:
+        lo = 0
+        draws, counts = (x[:n_draws] for x in reference_block(0, n_max))
+    got = ea.analysis._draw_factors(20260823, lo, lo + n_draws, 0.5)
+    assert got.tobytes() == draws.tobytes()
+    if n_draws >= BLOCK - 1:
+        assert np.any(counts == 1) and np.any(counts == 2)
+
+
+def test_box_muller_normals_are_standard_normal():
+    from scipy import stats
+
+    raw = np.random.PCG64(20260823).random_raw((6, 20_000))
+    z = ea.analysis._box_muller(raw)
+    assert z.shape == (5, 20_000)
+    assert stats.kstest(z.ravel(), stats.norm.cdf).pvalue > 0.01
+    # the five rows are uncorrelated: no row repeats another radius-angle pair
+    corr = np.corrcoef(z)
+    assert np.max(np.abs(corr - np.eye(5))) < 0.03
 
 
 def test_public_draw_redraws_within_its_stream():
@@ -336,105 +388,23 @@ def test_public_draw_matches_reference(seed):
     assert got.tobytes() == reference_draw(seed % 2**64, 7, 0.05).tobytes()
 
 
-def sfc64_normal(r):
-    """numpy's standard normal from the 64-bit output r, and the number of
-    outputs it consumed: SFC64 in state [r, 0, 0, 0] first outputs r, and
-    its last state word counts its outputs."""
-    bitgen = np.random.SFC64(0)
-    state = bitgen.state
-    state["state"]["state"] = np.array([r, 0, 0, 0], dtype=np.uint64)
-    bitgen.state = state
-    x = np.random.Generator(bitgen).standard_normal()
-    return x, int(bitgen.state["state"]["state"][3])
-
-
-def test_ziggurat_tables_match_installed_numpy():
-    # the fast path consumes exactly one output, the wedges and the tail at
-    # least two; ki[idx] is the least rabs off the fast path, and wi[idx] the
-    # value at rabs = 1 (never read for idx 1, where ki is 0)
-    wi, ki = ea._ziggurat.WI, ea._ziggurat.KI
-    for idx in range(256):
-        x, used = sfc64_normal(1 << 9 | idx)
-        assert (used == 1) == (idx != 1)
-        if used == 1:
-            assert x.hex() == wi[idx].hex()
-        lo, hi = 0, 1 << 52
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if sfc64_normal(mid << 9 | idx)[1] == 1:
-                lo = mid + 1
-            else:
-                hi = mid
-        assert lo == ki[idx]
-    # the sign bit negates the value
-    assert sfc64_normal(1 << 9 | 1 << 8 | 7)[0] == -wi[7]
-
-
-def first_slow_value(seed, index):
-    """Which part of numpy's ziggurat ("wedge", "tail" or "idx1") the first
-    of draw `index`'s five values off the fast path takes, from the raw
-    outputs of the draw's reference stream; None if all five take it."""
-    bitgen = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,)))
-    for r in bitgen.random_raw(5).tolist():
-        idx, rabs = r & 0xFF, r >> 9 & (1 << 52) - 1
-        if rabs >= ea._ziggurat.KI[idx]:
-            return "tail" if idx == 0 else "idx1" if idx == 1 else "wedge"
-    return None
-
-
-def rejections(seed, index, rel_std):
-    """How many times draw `index`'s reference stream is redrawn."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
-    n = 0
-    while np.any(rng.normal(1.0, rel_std, 5) <= 0.0):
-        n += 1
-    return n
-
-
 def find_draw(seed, predicate):
     return next(i for i in range(100_000) if predicate(i))
 
 
-@pytest.mark.parametrize(
-    "case, rel_std",
-    [("wedge", 0.05), ("tail", 0.05), ("idx1", 0.05), ("rejected", 0.5), ("rejected twice", 0.5)],
-)
+@pytest.mark.parametrize("case, rel_std", [("rejected", 0.5), ("rejected twice", 0.5)])
 def test_block_draws_cover_every_slow_path(case, rel_std):
-    # each draw that leaves the array fast path, found by scanning the
-    # reference streams, comes out bit for bit inside a block of fast draws
+    # a draw rejected once or twice, found by scanning the reference
+    # streams, comes out bit for bit inside a block of draws accepted at once
     seed = 20260823
-    if case.startswith("rejected"):
-        times = 2 if case.endswith("twice") else 1
-        i = find_draw(seed, lambda i: first_slow_value(seed, i) is None
-                      and rejections(seed, i, rel_std) == times)
-    else:
-        i = find_draw(seed, lambda i: first_slow_value(seed, i) == case)
+    times = 2 if case.endswith("twice") else 1
+    i = find_draw(seed, lambda i: rejections(seed, i, rel_std) == times)
     lo = max(i - 10, 0)
     neighbours = [j for j in range(lo, i + 11) if j != i]
-    fast = [j for j in neighbours
-            if first_slow_value(seed, j) is None and rejections(seed, j, rel_std) == 0]
-    assert len(fast) >= 8
+    accepted = [j for j in neighbours if rejections(seed, j, rel_std) == 0]
+    assert len(accepted) >= 8
     want = np.array([reference_draw(seed, j, rel_std) for j in range(lo, i + 11)])
     assert ea.analysis._draw_factors(seed, lo, i + 11, rel_std).tobytes() == want.tobytes()
-
-
-def test_few_draws_reach_the_generator(monkeypatch, ref_model, targets, fb4):
-    # ~7 % of draws leave the fast path; the gain rests on that share
-    calls = []
-    generator = np.random.Generator
-
-    class CountingGenerator:
-        def __init__(self, bitgen):
-            self.gen = generator(bitgen)
-
-        def normal(self, *args):
-            calls.append(args)
-            return self.gen.normal(*args)
-
-    monkeypatch.setattr(np.random, "Generator", CountingGenerator)
-    cfg = ea.MonteCarloConfig(n_draws=10_000, rel_std=0.05, seed=20260823, freqs_hz=[200.0])
-    ea.monte_carlo_absorption(ref_model, targets["1dof"], fb4, cfg)
-    assert 0 < len(calls) <= 0.1 * cfg.n_draws
 
 
 def matrix_product(a, b):

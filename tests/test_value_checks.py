@@ -79,10 +79,14 @@ def test_value_types_keep_read_only_copies(build, fields):
             getattr(value, name)[0] = -5.0
 
 
-@pytest.mark.parametrize("rel_std", [math.nan, math.inf, -0.05], ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize(
+    "rel_std",
+    [math.nan, math.inf, -0.05, "0.1", None, True],
+    ids=["nan", "inf", "negative", "str", "none", "bool"],
+)
 def test_bad_rel_std_is_refused(rel_std):
-    # NaN and inf would give NaN and inf factors, and a negative spread
-    # numpy's untyped ValueError
+    # NaN and inf would give NaN and inf factors, a negative spread flipped
+    # normals, a string or None an untyped TypeError, and a bool a spread of 1
     with pytest.raises(ea.InvalidParameterError, match="rel_std"):
         ea.analysis.draw_parameter_factors(1, 0, rel_std)
     with pytest.raises(ea.InvalidParameterError, match="rel_std"):
