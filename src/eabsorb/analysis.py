@@ -27,11 +27,12 @@ cache.  The quartiles are read straight off the sorted rows: Hyndman-Fan
 type 7 on sorted data is two indexed reads and one interpolation per
 quartile.
 
-Monte Carlo draw i of a study with seed `seed` reads its own PCG64 stream,
+Monte Carlo draws of a study with seed `seed` all read one PCG64 stream,
 
-    bitgen = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,)))
+    bitgen = np.random.PCG64(np.random.SeedSequence(seed))
 
-six raw outputs at a time.  Attempt j takes outputs 6j, ..., 6j+5 as
+six raw outputs at a time.  Attempt j of draw i takes the six outputs from
+6*(j*2**32 + i) on (`bitgen.advance` skips to them) as
 u = ((raw >> 11) + 1) * 2**-53 in (0, 1], and turns them into the Box-Muller
 normals (Box & Muller, Ann. Math. Stat. 29(2), 1958) rad_k * cos(theta_k)
 for k = 0, 1, 2 and rad_k * sin(theta_k) for k = 0, 1, with
@@ -42,27 +43,20 @@ first attempt whose five factors are all positive.  A draw depends only on
 what NEP 19 keeps stable: numpy's SeedSequence and the raw PCG64 stream.
 The last bits of a normal are those of numpy's log, sqrt, cos and sin on
 the platform, as the study's products are those of its BLAS.
-`draw_parameter_factors` makes one draw from numpy's own PCG64;
-`_draw_factors` makes a block of draws with array arithmetic.  The hash of
-the seed words is numpy's own `SeedSequence(seed).pool`, shared by every
-draw; only the last round, which mixes in the spawn word i, and the output
-hash run here, on uint32 arrays over the block.  Each draw's words become
-the PCG64 (state, inc) that PCG64 would seed itself with, held as (hi, lo)
-uint64 arrays, whose 128-bit products are built from 32-bit limbs, and each
-step's output is PCG64's XSL-RR (O'Neill, "PCG", HMC-CS-2014-0905,
-`pcg_setseq_128_srandom_r`).  Both paths apply `_box_muller` to contiguous
-rows, so each ufunc takes the same loop on both.
+`draw_parameter_factors` makes one draw; `_draw_factors` makes attempt 0
+of a block of draws from one run of the stream and remakes its rare
+rejected draws one at a time.  Both paths apply `_box_muller` to
+contiguous rows, so each ufunc takes the same loop on both.
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._csvio import read_columns, write_columns
-from .errors import InvalidParameterError, check_frequencies, is_integer
+from .errors import InvalidParameterError, check_frequencies, check_rel_std, check_seed, is_integer
 from .model import AirProperties, DriverModel, passive_impedance
 from .synthesis import FeedbackSpec, TargetSpec, feedback_filter, target_impedance
 
@@ -72,17 +66,12 @@ from .synthesis import FeedbackSpec, TargetSpec, feedback_filter, target_impedan
 #: normal denominator still gives a finite, if large, impedance
 SINGULAR_TOL = 1e-300
 
-#: indices of Monte Carlo draws must fit one SeedSequence spawn word
+#: the most draws a study makes, and the stride between a draw's attempts:
+#: attempt j of draw i reads the six outputs from 6*(j*MAX_DRAWS + i) on of
+#: its seed's stream, so no two attempts of any draws share an output
 MAX_DRAWS = 2**32
 
-_MASK32 = 0xFFFFFFFF
-# numpy SeedSequence hash constants
-_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
-_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-# PCG64's 128-bit LCG multiplier 0x2360ED051FC65DA44385DF649FCCF645, in halves
-_PCG_MULT = (0x2360ED051FC65DA4, 0x4385DF649FCCF645)
-# draws are made a block at a time, which bounds their seed and state arrays
+# draws are made a block at a time, which bounds their raw and factor arrays
 _DRAW_BLOCK = 4096
 # frequencies per tile of a study's products and sort, which hold
 # 4*_FREQ_TILE doubles per draw: at 10 000 draws a tile of 4 keeps them
@@ -222,12 +211,12 @@ class MonteCarloConfig:
     freqs_hz: np.ndarray = field(default_factory=default_frequency_grid)
 
     def __post_init__(self):
-        _check_seed(self.seed)
+        check_seed(self.seed)
         if not is_integer(self.n_draws) or not 1 <= self.n_draws <= MAX_DRAWS:
             raise InvalidParameterError(
                 f"n_draws must be an integer in [1, {MAX_DRAWS}], got {self.n_draws!r}"
             )
-        object.__setattr__(self, "rel_std", _check_rel_std(self.rel_std))
+        object.__setattr__(self, "rel_std", check_rel_std(self.rel_std))
         if self.rel_std >= 0.2:
             raise InvalidParameterError(f"rel_std must be in [0, 0.2), got {self.rel_std!r}")
         freqs = check_frequencies(np.array(self.freqs_hz, dtype=float), "freqs_hz")
@@ -264,98 +253,6 @@ class QuartileBand:
         return cls(*read_columns(path, 4))
 
 
-def _check_seed(seed) -> None:
-    if not is_integer(seed) or seed < 0:
-        raise InvalidParameterError(f"seed must be a non-negative integer, got {seed!r}")
-
-
-def _check_rel_std(rel_std) -> float:
-    """`rel_std` as a float; it must be a real number (not a bool),
-    non-negative and finite."""
-    # a NaN fails both comparisons
-    real = isinstance(rel_std, numbers.Real) and not isinstance(rel_std, bool)
-    if not (real and 0.0 <= rel_std < np.inf):
-        raise InvalidParameterError(
-            f"rel_std must be a non-negative finite number, got {rel_std!r}"
-        )
-    return float(rel_std)
-
-
-def _hash_constants(init: int, mult: int):
-    """Successive (old, new) hash constants of one SeedSequence hash pass."""
-    while True:
-        new = (init * mult) & _MASK32
-        yield init, new
-        init = new
-
-
-def _hashmix(value, consts):
-    # value is a uint32 array, whose arithmetic wraps mod 2**32
-    old, new = next(consts)
-    value = ((value ^ old) * new) & _MASK32
-    return value ^ (value >> 16)
-
-
-def _mix(x, y):
-    value = (((_MIX_MULT_L * x) & _MASK32) - ((_MIX_MULT_R * y) & _MASK32)) & _MASK32
-    return value ^ (value >> 16)
-
-
-def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
-    """SeedSequence's entropy pool after every entropy word but the spawn
-    word, and the hash constant it has reached, for `SeedSequence(seed,
-    spawn_key=(i,))`: the pool is `SeedSequence(seed).pool`, and its hash
-    took 4*w steps for w = max(4, seed words): one per pool slot, 12 for
-    the cross-mix and 4 per word past the fourth."""
-    pool = tuple(int(word) for word in np.random.SeedSequence(seed).pool)
-    words = max(4, -(-seed.bit_length() // 32))
-    return pool, _HASH_INIT_A * pow(_HASH_MULT_A, 4 * words, 1 << 32) & _MASK32
-
-
-def _add128(a, b):
-    """a + b mod 2**128 for (hi, lo) pairs of uint64 arrays."""
-    lo = a[1] + b[1]  # uint64 arrays wrap mod 2**64, and carry when lo < b[1]
-    return a[0] + b[0] + (lo < b[1]), lo
-
-
-def _mul_hi64(a, b: int):
-    """The high 64 bits of a * b for a uint64 array a and a 64-bit int b,
-    from 32-bit limb products, each of which fits in 64 bits."""
-    a_lo, a_hi = a & _MASK32, a >> 32
-    b_lo, b_hi = b & _MASK32, b >> 32
-    cross_a, cross_b = a_lo * b_hi, a_hi * b_lo
-    mid = (a_lo * b_lo >> 32) + (cross_a & _MASK32) + (cross_b & _MASK32)
-    return a_hi * b_hi + (cross_a >> 32) + (cross_b >> 32) + (mid >> 32)
-
-
-def _pcg_step(state, inc):
-    """One PCG64 LCG step, state * _PCG_MULT + inc mod 2**128."""
-    hi, lo = state
-    m_hi, m_lo = _PCG_MULT
-    return _add128((hi * m_lo + lo * m_hi + _mul_hi64(lo, m_lo), lo * m_lo), inc)
-
-
-def _pcg64_seeds(seed: int, index):
-    """PCG64(SeedSequence(seed, spawn_key=(i,))) as (state, inc) for each i
-    of `index`, a uint32 array; each is a (hi, lo) pair of uint64 arrays.
-
-    This finishes SeedSequence's mix_entropy with the spawn word i and runs
-    its generate_state(4, uint64), on all draws at once.
-    """
-    pool, hash_const = _seed_pool(int(seed))
-    consts = _hash_constants(hash_const, _HASH_MULT_A)
-    pool = [_mix(word, _hashmix(index, consts)) for word in pool]
-    consts = _hash_constants(_HASH_INIT_B, _HASH_MULT_B)
-    w = [_hashmix(pool[k % 4], consts).astype(np.uint64) for k in range(8)]
-    # generate_state(4, uint64) pairs its uint32 words little-endian;
-    # PCG64 takes words 0-1 as the initial state and 2-3 as the sequence
-    initstate = (w[1] << 32 | w[0], w[3] << 32 | w[2])
-    seq_hi, seq_lo = w[5] << 32 | w[4], w[7] << 32 | w[6]
-    # pcg_setseq_128_srandom_r: inc = 2*initseq + 1, and two LCG steps from 0
-    inc = (seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1)
-    return _pcg_step(_add128(inc, initstate), inc), inc
-
-
 def _box_muller(raw) -> np.ndarray:
     """The five used Box-Muller normals of the stream contract (module
     docstring) from a (6, n) uint64 array of raw outputs, one attempt per
@@ -380,60 +277,61 @@ def _box_muller(raw) -> np.ndarray:
     return z
 
 
-def _draw_factors(seed: int, lo: int, hi: int, rel_std: float) -> np.ndarray:
-    """Factors of draws lo, ..., hi - 1 (one row each) of the stream
-    contract in the module docstring."""
-    state, inc = _pcg64_seeds(seed, np.arange(lo, hi, dtype=np.uint32))
-    factors = np.empty((5, hi - lo))
-    todo = np.arange(hi - lo)
-    # each pass makes one attempt of every draw still rejected
-    while todo.size:
-        raw = np.empty((6, todo.size), dtype=np.uint64)
-        for k in range(6):
-            state = _pcg_step(state, inc)
-            # XSL-RR: hi ^ lo rotated right by hi >> 58; & 63 keeps a
-            # rotation by 0 from shifting left by 64
-            xor, rot = state[0] ^ state[1], state[0] >> 58
-            raw[k] = xor >> rot | xor << ((64 - rot) & 63)
-        x = _box_muller(raw)
-        x *= rel_std
-        x += 1.0
-        factors[:, todo] = x
-        rejected = np.any(x <= 0.0, axis=0)
-        todo = todo[rejected]
-        state = (state[0][rejected], state[1][rejected])
-        inc = (inc[0][rejected], inc[1][rejected])
-    return factors.T
-
-
-def draw_parameter_factors(seed: int, index: int, rel_std: float) -> np.ndarray:
-    """Multiplicative Gaussian factors for draw `index`.
-
-    Each draw uses its own PCG64 stream keyed by (seed, index), so a draw
-    does not depend on how many others are made or in which order.  Its
-    five factors are 1 + rel_std * z for the Box-Muller normals z of six raw
-    outputs of `np.random.PCG64(np.random.SeedSequence(seed,
-    spawn_key=(index,)))`; a draw yielding any non-positive factor is
-    rejected and made again from the stream's next six outputs.  The
-    contract (module docstring) rests only on numpy's NEP-19-stable
-    SeedSequence and raw PCG64 stream, not on `Generator`'s samplers.  The
-    seed must be a non-negative integer, the index an integer in [0, 2**32)
-    and rel_std a non-negative finite number.  Monte Carlo studies make the
-    same draws a block at a time.
-    """
-    _check_seed(seed)
-    rel_std = _check_rel_std(rel_std)
-    if not is_integer(index) or not 0 <= index < MAX_DRAWS:
-        raise InvalidParameterError(
-            f"draw index must be an integer in [0, {MAX_DRAWS}), got {index!r}"
-        )
-    bitgen = np.random.PCG64(np.random.SeedSequence(int(seed), spawn_key=(int(index),)))
+def _draw(seed: int, index: int, rel_std: float, attempt: int) -> np.ndarray:
+    """Factors of draw `index` of the stream contract (module docstring),
+    from attempt `attempt` on; seed and index are Python ints, as
+    `PCG64.advance` refuses numpy integers."""
+    bitgen = np.random.PCG64(np.random.SeedSequence(seed))
+    bitgen.advance(6 * (attempt * MAX_DRAWS + index))
     while True:
         factors = _box_muller(bitgen.random_raw(6).reshape(6, 1))[:, 0]
         factors *= rel_std
         factors += 1.0
         if np.all(factors > 0.0):
             return factors
+        # the next attempt's six outputs start 6*MAX_DRAWS after this one's
+        bitgen.advance(6 * (MAX_DRAWS - 1))
+
+
+def _draw_factors(seed: int, lo: int, hi: int, rel_std: float) -> np.ndarray:
+    """Factors of draws lo, ..., hi - 1 (one row each) of the stream
+    contract in the module docstring.  The first attempts of the block's
+    draws are one run of the stream; the rare rejected draws are made again
+    one at a time."""
+    bitgen = np.random.PCG64(np.random.SeedSequence(int(seed)))
+    bitgen.advance(6 * lo)
+    # one attempt per column, with contiguous rows for _box_muller
+    raw = np.ascontiguousarray(bitgen.random_raw(6 * (hi - lo)).reshape(hi - lo, 6).T)
+    factors = _box_muller(raw)
+    factors *= rel_std
+    factors += 1.0
+    for k in np.flatnonzero(np.any(factors <= 0.0, axis=0)):
+        factors[:, k] = _draw(int(seed), lo + int(k), rel_std, attempt=1)
+    return factors.T
+
+
+def draw_parameter_factors(seed: int, index: int, rel_std: float) -> np.ndarray:
+    """Multiplicative Gaussian factors for draw `index`.
+
+    A draw depends only on (seed, index), not on how many others are made
+    or in which order.  Its five factors are 1 + rel_std * z for the
+    Box-Muller normals z of raw outputs 6*i, ..., 6*i + 5 of
+    `np.random.PCG64(np.random.SeedSequence(seed))`, for i = index; a draw
+    yielding any non-positive factor is rejected and made again from the
+    six outputs at i = j * 2**32 + index of its attempt j = 1, 2, ...  The
+    contract (module docstring) rests only on numpy's NEP-19-stable
+    SeedSequence and raw PCG64 stream, not on `Generator`'s samplers.  The
+    seed must be a non-negative integer, the index an integer in [0, 2**32)
+    and rel_std a non-negative finite number.  Monte Carlo studies make the
+    same draws a block at a time.
+    """
+    check_seed(seed)
+    rel_std = check_rel_std(rel_std)
+    if not is_integer(index) or not 0 <= index < MAX_DRAWS:
+        raise InvalidParameterError(
+            f"draw index must be an integer in [0, {MAX_DRAWS}), got {index!r}"
+        )
+    return _draw(int(seed), int(index), rel_std, attempt=0)
 
 
 def _row_quartiles(alpha: np.ndarray) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Exception types shared across the toolkit, and the positivity, integer
-and frequency checks of parameter fields."""
+"""Exception types shared across the toolkit, and the positivity, integer,
+frequency, seed and spread checks of parameter fields."""
 
 from __future__ import annotations
 
@@ -55,6 +55,24 @@ def check_positive(obj, *names: str, allow_zero: bool = False) -> None:
 def is_integer(x) -> bool:
     """True for an int or a numpy integer, but not for a bool."""
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def check_seed(seed) -> None:
+    """Raise InvalidParameterError unless `seed` is a non-negative integer."""
+    if not is_integer(seed) or seed < 0:
+        raise InvalidParameterError(f"seed must be a non-negative integer, got {seed!r}")
+
+
+def check_rel_std(rel_std) -> float:
+    """`rel_std` as a float; it must be a real number (not a bool),
+    non-negative and finite."""
+    # a NaN fails both comparisons
+    real = isinstance(rel_std, numbers.Real) and not isinstance(rel_std, bool)
+    if not (real and 0.0 <= rel_std < math.inf):
+        raise InvalidParameterError(
+            f"rel_std must be a non-negative finite number, got {rel_std!r}"
+        )
+    return float(rel_std)
 
 
 def check_frequencies(f_hz, name: str = "f_hz") -> np.ndarray:

@@ -65,7 +65,10 @@ class FeedbackSpec:
 
 
 def target_impedance(spec: TargetSpec) -> RationalTransfer:
-    """Impedance of the parallel resonator bank as one rational function."""
+    """Impedance of the parallel resonator bank as one rational function.
+
+    Raises SynthesisError when the bank's admittance underflows to zero.
+    """
     admittance = None
     for res in spec.resonators:
         branch = RationalTransfer.from_coeffs(
@@ -73,6 +76,9 @@ def target_impedance(spec: TargetSpec) -> RationalTransfer:
             [1.0, res.omega_t / res.qt, res.omega_t**2],
         )
         admittance = branch if admittance is None else admittance + branch
+    if admittance.is_zero:
+        # resonances so low that every branch's numerator underflows
+        raise SynthesisError("target admittance underflows to zero: no finite impedance")
     return admittance.inverse()
 
 

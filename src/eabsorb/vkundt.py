@@ -19,7 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, check_frequencies, check_positive
+from .errors import (
+    InvalidParameterError,
+    check_frequencies,
+    check_positive,
+    check_rel_std,
+    check_seed,
+)
 from .model import AirProperties
 
 #: first circular-duct cut-on: f = 1.8412 * c0 / (pi * diameter)
@@ -102,7 +108,13 @@ def simulate_two_mic(
 def add_measurement_noise(
     meas: TwoMicMeasurement, rel_std: float, seed: int
 ) -> TwoMicMeasurement:
-    """Additive complex Gaussian noise of relative size rel_std on H12."""
+    """Additive complex Gaussian noise of relative size rel_std on H12.
+
+    The seed must be a non-negative integer and rel_std a non-negative
+    finite number (not a bool).
+    """
+    check_seed(seed)
+    rel_std = check_rel_std(rel_std)
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, rel_std, meas.h12.size) + 1j * rng.normal(
         0.0, rel_std, meas.h12.size
@@ -147,8 +159,9 @@ def conditioning_report(
     For a termination of reflection coefficient `gamma` the closed form is
     |e^{-j*k*x1} + gamma*e^{j*k*x1}|^2 / (2*|sin(k*dx)|), which grows like
     1/sin(k*dx) toward DC and is smallest near quarter-wavelength spacing.
+    Frequencies that are not positive and finite are rejected.
     """
-    freqs = np.asarray(freqs_hz, dtype=float)
+    freqs = check_frequencies(freqs_hz, "freqs_hz")
     k = 2.0 * np.pi * freqs / air.c0
     gamma = np.asarray(gamma, dtype=complex)
     p1 = np.exp(-1j * k * geom.x1) + gamma * np.exp(1j * k * geom.x1)

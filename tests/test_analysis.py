@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import math
 import os
 import subprocess
@@ -90,19 +91,24 @@ def oracle_mismatch(model, est, tg, fb, omega):
     return zsa, (s_zss, s_f, s_csb)
 
 
+def reference_normals(raw):
+    """Box-Muller's rad*cos of the first three angles and rad*sin of the
+    first two, from six raw outputs."""
+    u = ((raw >> np.uint64(11)) + np.uint64(1)).astype(float) / 2.0**53
+    rad = np.sqrt(-2.0 * np.log(u[:3]))
+    theta = 2.0 * np.pi * u[3:]
+    return np.concatenate([rad * np.cos(theta), rad * np.sin(theta)])[:5]
+
+
 def reference_attempts(seed, index, rel_std):
-    """The factors of each attempt of draw `index` of the stream contract:
-    numpy's own PCG64 on the draw's SeedSequence, six raw outputs per
-    attempt, Box-Muller's rad*cos of the first three angles and rad*sin of
-    the first two."""
-    bitgen = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,)))
-    while True:
-        raw = bitgen.random_raw(6)
-        u = ((raw >> np.uint64(11)) + np.uint64(1)).astype(float) / 2.0**53
-        rad = np.sqrt(-2.0 * np.log(u[:3]))
-        theta = 2.0 * np.pi * u[3:]
-        z = np.concatenate([rad * np.cos(theta), rad * np.sin(theta)])[:5]
-        yield 1.0 + rel_std * z
+    """The factors of each attempt j of draw `index` of the stream
+    contract: numpy's own PCG64 on the seed's SeedSequence, advanced to the
+    attempt's six raw outputs at 6*(j*2**32 + index)."""
+    seed_seq = np.random.SeedSequence(seed)
+    for j in itertools.count():
+        bitgen = np.random.PCG64(seed_seq)
+        bitgen.advance(6 * (j * 2**32 + index))
+        yield 1.0 + rel_std * reference_normals(bitgen.random_raw(6))
 
 
 def reference_draw(seed, index, rel_std):
@@ -327,6 +333,16 @@ def test_block_draws_cover_redraws():
     assert np.sum(counts > 0) > 30 and np.any(counts > 1)
     want = np.array([reference_draw(3, i, 0.5) for i in range(600)])
     assert ea.analysis._draw_factors(3, 0, 600, 0.5).tobytes() == want.tobytes()
+
+
+def test_block_draws_read_the_stream_at_six_i():
+    # attempt 0 of draw i of a block past the stream's start is the six
+    # outputs at 6*i, read here from the start of the stream, not advanced to
+    seed, lo, hi = 20260823, 5000, 5300
+    raw = np.random.PCG64(np.random.SeedSequence(seed)).random_raw(6 * hi)
+    want = np.array([1.0 + 0.05 * reference_normals(raw[6 * i : 6 * i + 6]) for i in range(lo, hi)])
+    assert np.all(want > 0.0)
+    assert ea.analysis._draw_factors(seed, lo, hi, 0.05).tobytes() == want.tobytes()
 
 
 @functools.lru_cache(maxsize=None)

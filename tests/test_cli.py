@@ -372,6 +372,20 @@ def test_overflowing_target_is_a_numerical_error(tmp_path, capsys, verb):
     assert not (out / "montecarlo.csv").exists()
 
 
+def test_subnormal_resonance_is_a_numerical_error(tmp_path, capsys):
+    # the target's admittance underflows to zero: a typed SynthesisError,
+    # not a bare ZeroDivisionError
+    cfg = json.loads((FIXTURES / "table1_1dof.json").read_text())
+    cfg["target"]["resonators"][0]["f_hz"] = 5e-324
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert run(["design", "--config", p, "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert err == "numerical error: target admittance underflows to zero: no finite impedance\n"
+    assert not out.exists()
+
+
 # address-space cap of the subprocess: a case sized wrongly fails fast
 _AS_LIMIT = 3 * 2**30
 _CAPPED_MAIN = (

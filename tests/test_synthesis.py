@@ -60,6 +60,16 @@ def test_admissibility_rejects_flat():
         ea.synthesize_controller(ea.table_reference_model(), low, fb)
 
 
+def test_subnormal_resonance_is_a_synthesis_error():
+    # at 1e-300 Hz the target's constant coefficients underflow (see
+    # test_admissibility_rejects_flat); at a subnormal frequency its whole
+    # admittance does, and has no inverse
+    low = ea.TargetSpec.multi([(411.6, 5e-324, 1.0)])
+    fb = ea.FeedbackSpec.from_hz(4.0, 500.0)
+    with pytest.raises(ea.SynthesisError, match="target admittance underflows to zero"):
+        ea.synthesize_controller(ea.table_reference_model(), low, fb)
+
+
 @pytest.mark.parametrize("name", ["1dof", "broadband", "2dof"])
 def test_controller_constraint_identity(ref_model, targets, fb4, name):
     """The two filters satisfy the synthesis constraint on a dense grid:

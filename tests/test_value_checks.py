@@ -1,6 +1,7 @@
 """Checks that hold across modules: every public function that takes a
-frequency refuses one that is not positive and finite, and the frozen value
-types keep read-only copies of the arrays they are built from."""
+frequency refuses one that is not positive and finite, every one that takes
+a seed and a spread refuses a bad one of either, and the frozen value types
+keep read-only copies of the arrays they are built from."""
 
 import math
 
@@ -44,6 +45,9 @@ FREQUENCY_TAKERS = {
     ),
     "simulate_two_mic": lambda f, m, tg, fb, cas: ea.simulate_two_mic(
         [100.0, f], [400.0 + 0j, 400.0 + 0j], ea.REFERENCE_GEOMETRY, m.air
+    ),
+    "conditioning_report": lambda f, m, tg, fb, cas: ea.conditioning_report(
+        ea.REFERENCE_GEOMETRY, m.air, [100.0, f]
     ),
 }
 
@@ -91,6 +95,31 @@ def test_bad_rel_std_is_refused(rel_std):
         ea.analysis.draw_parameter_factors(1, 0, rel_std)
     with pytest.raises(ea.InvalidParameterError, match="rel_std"):
         ea.MonteCarloConfig(10, rel_std, 1)
+
+
+#: name -> call(seed, rel_std) of each public function taking both
+RANDOM_TAKERS = {
+    "draw_parameter_factors": lambda seed, rel_std: ea.analysis.draw_parameter_factors(
+        seed, 0, rel_std
+    ),
+    "MonteCarloConfig": lambda seed, rel_std: ea.MonteCarloConfig(10, rel_std, seed),
+    "add_measurement_noise": lambda seed, rel_std: ea.add_measurement_noise(
+        ea.TwoMicMeasurement([100.0, 200.0], [0.5 + 0.1j, 0.4 - 0.2j]), rel_std, seed
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "seed, rel_std, match",
+    [(1, True, "rel_std"), (1, -0.1, "rel_std"), (-1, 0.05, "seed"), (1.5, 0.05, "seed")],
+    ids=["bool-rel-std", "negative-rel-std", "negative-seed", "float-seed"],
+)
+@pytest.mark.parametrize("name", sorted(RANDOM_TAKERS))
+def test_bad_seed_or_rel_std_is_refused(name, seed, rel_std, match):
+    # numpy would take a bool spread as 1.0 and refuse the rest with an
+    # untyped ValueError or TypeError of its own
+    with pytest.raises(ea.InvalidParameterError, match=match):
+        RANDOM_TAKERS[name](seed, rel_std)
 
 
 def test_rel_std_limits():

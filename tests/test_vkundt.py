@@ -103,6 +103,12 @@ def test_conditioning_report_monotone_toward_dc():
     assert cond[0] > cond[1] > cond[2]
 
 
+def test_conditioning_report_refuses_a_negative_frequency():
+    # k*dx would flip sign, and |sin(k*dx)| would hide it
+    with pytest.raises(ea.InvalidParameterError, match="freqs_hz must be positive and finite"):
+        ea.conditioning_report(GEOM, AIR, [-100.0, 200.0])
+
+
 def test_conditioning_with_reflection():
     freqs = np.array([200.0])
     base = ea.conditioning_report(GEOM, AIR, freqs, gamma=0.0)
