@@ -31,6 +31,7 @@ from .errors import (
     DivergenceError,
     InvalidParameterError,
     check_frequencies,
+    check_nonzero,
     check_positive,
     is_integer,
 )
@@ -100,28 +101,6 @@ class SosCascade:
         for b0, b1, b2, a1, a2 in self.sos.tolist():
             h = h * ((b0 + b1 * zi + b2 * zi**2) / (1.0 + a1 * zi + a2 * zi**2))
         return h
-
-    def state_space(self):
-        """Matrices (A, B, C, D) of the cascade's direct-form-II-transposed realization.
-
-        The state stacks the two states of each section in cascade order:
-        s[k+1] = A s[k] + B x[k] and y[k] = C s[k] + D x[k].
-        """
-        n = 2 * len(self.sos)
-        a = np.zeros((n, n))
-        b = np.zeros(n)
-        c = np.zeros(n)
-        d = self.gain
-        for j, (b0, b1, b2, a1, a2) in zip(range(0, n, 2), self.sos.tolist()):
-            # the section's input is the output of the sections before it
-            feed = np.array([b1 - a1 * b0, b2 - a2 * b0])
-            a[j : j + 2, :j] = np.outer(feed, c[:j])
-            a[j : j + 2, j : j + 2] = [[-a1, 1.0], [-a2, 0.0]]
-            b[j : j + 2] = feed * d
-            c[:j] *= b0
-            c[j] = 1.0
-            d *= b0
-        return a, b, c, d
 
     # -- serialization ------------------------------------------------------
 
@@ -349,7 +328,7 @@ class LoopConfig:
     transient: float = 0.5
 
     def __post_init__(self):
-        check_positive(self, "fs")
+        check_positive(self, "fs", "duration")
         latency = self.latency
         if not is_integer(latency) or latency < 0:
             raise InvalidParameterError(f"latency must be a non-negative integer, got {latency!r}")
@@ -357,8 +336,9 @@ class LoopConfig:
             raise InvalidParameterError(f"latency must be at most {MAX_LATENCY}, got {latency!r}")
         if self.hold not in ("centered", "causal"):
             raise InvalidParameterError("hold must be 'centered' or 'causal'")
-        if not (0.0 <= self.transient < self.duration < math.inf):
-            raise InvalidParameterError("need 0 <= transient < duration, duration finite")
+        check_positive(self, "transient", allow_zero=True)
+        if not self.transient < self.duration:
+            raise InvalidParameterError("need transient < duration")
 
 
 @dataclass(frozen=True)
@@ -398,12 +378,13 @@ class SampledLoop(NamedTuple):
     """The closed loop driven by p_f(t) = Im(e^{jwt}), one row per tick.
 
     s[k+1] = F s[k] + b u[k] and the applied current is i[k] = c s[k] +
-    d p_f[k].  The state is [v, xi], the states of H1 and of H2, then
-    either the latency line [y[k-L], ..., y[k-1]] of the controller output
-    y, or (centered hold at latency 0) the command u[k] computed one tick
-    earlier.  Only the real input u[k] = [g_v, g_xi, p_f[k], p_f[k+1]]
-    depends on w: g is the sine's exact contribution to [v, xi] over the
-    period, from `plant` = (a, b, e^{aT} b, T) of the continuous plant.
+    d p_f[k].  The state is [v, xi], the states of H1 and of H2, then the
+    line of commands not yet applied, oldest first: [y[k-L], ..., y[k-1]]
+    of the controller output y at latency L, or (centered hold at latency
+    0) the command computed one tick earlier.  Only the real input
+    u[k] = [g_v, g_xi, p_f[k], p_f[k+1]] depends on w: g is the sine's exact
+    contribution to [v, xi] over the period, from `plant` = (a, b, e^{aT} b,
+    T) of the continuous plant.
     """
 
     f: np.ndarray
@@ -471,6 +452,20 @@ def _plant_step(a: np.ndarray, b: np.ndarray, tau: float):
     return phi, gam
 
 
+def _cascade_rows(cascade: SosCascade, x: np.ndarray, states: np.ndarray):
+    """One direct-form-II-transposed tick of `cascade` on coefficient rows:
+    the output row and the next rows of `states` (two per section, in
+    cascade order) for the input row `x`."""
+    y = cascade.gain * x
+    nxt = np.empty_like(states)
+    for j, (b0, b1, b2, a1, a2) in zip(range(0, len(states), 2), cascade.sos.tolist()):
+        x = y
+        y = b0 * x + states[j]
+        nxt[j] = b1 * x - a1 * y + states[j + 1]
+        nxt[j + 1] = b2 * x - a2 * y
+    return y, nxt
+
+
 def sampled_loop(
     model: DriverModel, h1: SosCascade, h2: SosCascade, loop: LoopConfig
 ) -> SampledLoop:
@@ -481,6 +476,9 @@ def sampled_loop(
     from the closed form of `_plant_step`, and the sine input enters
     through g.  Every signal below is a real row of coefficients over
     [s[k], g_v, g_xi, p_f[k], p_f[k+1]].  Nothing depends on frequency.
+    H1 and H2 step on these rows (`_cascade_rows`) and their output joins
+    the line of commands: its first is applied now and, under the centered
+    hold, its second over the period's second half.
     """
     if h1.fs != loop.fs or h2.fs != loop.fs:
         raise InvalidParameterError("cascade sample rate must match the loop sample rate")
@@ -494,51 +492,28 @@ def sampled_loop(
     gam_first = -model.pressure_factor * (phi_half @ gam_half)
     gam_second = -model.pressure_factor * gam_half
 
-    a1, b1, c1, d1 = h1.state_space()
-    a2, b2, c2, d2 = h2.state_space()
-    n1, n2 = len(b1), len(b2)
-    n_ctrl = n1 + n2
+    n1, n2 = 2 * len(h1.sos), 2 * len(h2.sos)
     centered = loop.hold == "centered"
     n_line = loop.latency or int(centered)
-    n = 2 + n_ctrl + n_line
+    n = 2 + n1 + n2 + n_line
     rows = np.eye(n + 4)
-    x, ctrl, line = rows[:2], rows[2 : 2 + n_ctrl], rows[2 + n_ctrl : n]
+    x, s1, s2, line = np.split(rows[:n], [2, 2 + n1, 2 + n1 + n2])
     g, pf, pf_next = rows[n : n + 2], rows[n + 2], rows[n + 3]
-    q = np.array([0.0, 1.0 / model.csb])  # p_b = q @ [v, xi]
-    a_ctrl = np.zeros((n_ctrl, n_ctrl))
-    a_ctrl[:n1, :n1] = a1
-    a_ctrl[n1:, n1:] = a2
-    b_pf = np.concatenate([b1, np.zeros(n2)])
-    b_pb = np.concatenate([np.zeros(n1), b2])
-    c_ctrl = np.concatenate([c1, c2])
-
-    def controller(pf_row, x_rows):
-        """Output row and next-state rows of one controller tick."""
-        pb = q @ x_rows
-        y = c_ctrl @ ctrl + d1 * pf_row + d2 * pb
-        return y, a_ctrl @ ctrl + np.outer(b_pf, pf_row) + np.outer(b_pb, pb)
 
     def plant(u_first, u_second):
         return phi @ x + np.outer(gam_first, u_first) + np.outer(gam_second, u_second) + g
 
-    if centered and loop.latency == 0:
-        # the next command, from the next front pressure and the plant
-        # state predicted under the current command over a whole period
-        u_now = line[0]
-        u_next, ctrl_next = controller(pf_next, plant(u_now, u_now))
-        line_next = u_next[None]
-    else:
-        y, ctrl_next = controller(pf, x)
-        if loop.latency == 0:
-            u_now = u_next = y
-            line_next = line
-        else:
-            u_now = line[0]
-            u_next = line[1] if loop.latency > 1 else y
-            line_next = np.vstack([line[1:], y])
-    if not centered:
-        u_next = u_now
-    step = np.vstack([plant(u_now, u_next), ctrl_next, line_next])
+    # at latency 0 the centered hold takes the next command from the next
+    # front pressure and the state predicted under the current command
+    predict = centered and loop.latency == 0
+    pf_in, x_in = (pf_next, plant(line[0], line[0])) if predict else (pf, x)
+    y1, s1_next = _cascade_rows(h1, pf_in, s1)
+    y2, s2_next = _cascade_rows(h2, x_in[1] / model.csb, s2)
+    # the commands not yet applied, oldest first, then this tick's output
+    cmds = np.vstack([line, y1 + y2])
+    u_now = cmds[0]
+    u_next = cmds[1] if centered else u_now
+    step = np.vstack([plant(u_now, u_next), s1_next, s2_next, cmds[1:]])
     plant_data = (a.tolist(), b.tolist(), (phi @ b).tolist(), dt)
     return SampledLoop(step[:, :n], step[:, n:], u_now[:n], u_now[n + 2], plant_data)
 
@@ -564,8 +539,7 @@ def closed_loop_sim(
     state blows up.
     """
     f_hz = float(check_frequencies(f_hz))
-    if amplitude == 0.0 or not math.isfinite(amplitude):
-        raise InvalidParameterError(f"amplitude must be finite and nonzero, got {amplitude!r}")
+    check_nonzero(amplitude, "amplitude")
     w = 2.0 * math.pi * f_hz
     if not loop.duration * loop.fs < np.iinfo(np.intp).max:  # else numpy raises ValueError
         raise MemoryError(f"numpy cannot index a time grid of {loop.duration * loop.fs:.3g} ticks")

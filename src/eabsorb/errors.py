@@ -1,5 +1,5 @@
-"""Exception types shared across the toolkit, and the positivity, integer,
-frequency, seed and spread checks of parameter fields."""
+"""Exception types shared across the toolkit, and the positivity, nonzero,
+integer, frequency, seed and spread checks of parameter fields."""
 
 from __future__ import annotations
 
@@ -43,11 +43,12 @@ class DivergenceError(EabsorbError):
 
 
 def check_positive(obj, *names: str, allow_zero: bool = False) -> None:
-    """Raise InvalidParameterError unless each named field of `obj` is finite
-    and above zero (or zero, with allow_zero); NaN would pass `x <= 0`."""
+    """Raise InvalidParameterError unless each named field of `obj` is a real
+    number (not a bool), finite and above zero (or zero, with allow_zero);
+    NaN would pass `x <= 0`."""
     for name in names:
         x = getattr(obj, name)
-        if not (math.isfinite(x) and (x > 0 or (allow_zero and x == 0))):
+        if not (is_real(x) and math.isfinite(x) and (x > 0 or (allow_zero and x == 0))):
             bound = "non-negative" if allow_zero else "strictly positive"
             raise InvalidParameterError(f"{name} must be {bound} and finite, got {x!r}")
 
@@ -55,6 +56,19 @@ def check_positive(obj, *names: str, allow_zero: bool = False) -> None:
 def is_integer(x) -> bool:
     """True for an int or a numpy integer, but not for a bool."""
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def is_real(x) -> bool:
+    """True for a real number (int, float or their numpy kinds), but not
+    for a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def check_nonzero(x, name: str) -> None:
+    """Raise InvalidParameterError unless `x` is a finite nonzero real
+    number (not a bool)."""
+    if not (is_real(x) and math.isfinite(x) and x != 0):
+        raise InvalidParameterError(f"{name} must be finite and nonzero, got {x!r}")
 
 
 def check_seed(seed) -> None:
@@ -67,8 +81,7 @@ def check_rel_std(rel_std) -> float:
     """`rel_std` as a float; it must be a real number (not a bool),
     non-negative and finite."""
     # a NaN fails both comparisons
-    real = isinstance(rel_std, numbers.Real) and not isinstance(rel_std, bool)
-    if not (real and 0.0 <= rel_std < math.inf):
+    if not (is_real(rel_std) and 0.0 <= rel_std < math.inf):
         raise InvalidParameterError(
             f"rel_std must be a non-negative finite number, got {rel_std!r}"
         )

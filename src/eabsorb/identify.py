@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._csvio import read_columns, write_columns
-from .errors import IdentificationError, InvalidParameterError, check_frequencies
+from .errors import IdentificationError, InvalidParameterError, check_frequencies, check_nonzero
 from .model import AirProperties, DriverModel, passive_impedance
 
 #: default identification band: 170 Hz to 250 Hz in 1 Hz steps
@@ -71,8 +71,7 @@ class ProbeGain:
     k: float  # A/Pa
 
     def __post_init__(self):
-        if self.k == 0 or not math.isfinite(self.k):
-            raise InvalidParameterError("probe gain must be finite and nonzero")
+        check_nonzero(self.k, "probe gain")
 
 
 class PassiveFit(NamedTuple):

@@ -345,6 +345,24 @@ def test_block_draws_read_the_stream_at_six_i():
     assert ea.analysis._draw_factors(seed, lo, hi, 0.05).tobytes() == want.tobytes()
 
 
+def test_box_muller_gets_contiguous_rows(monkeypatch):
+    # _box_muller's docstring asks for contiguous rows, on which the block
+    # and the one-draw paths take the same ufunc loops; the strided
+    # transpose of the raw block could round otherwise on some platform
+    box_muller, columns = ea.analysis._box_muller, []
+
+    def checked(raw):
+        assert raw.flags.c_contiguous
+        columns.append(raw.shape[1])
+        return box_muller(raw)
+
+    monkeypatch.setattr(ea.analysis, "_box_muller", checked)
+    assert any(rejections(3, i, 0.5) for i in range(40))  # a redraw runs too
+    ea.analysis._draw_factors(3, 0, 40, 0.5)
+    ea.analysis.draw_parameter_factors(3, 7, 0.5)
+    assert columns[0] == 40 and columns.count(1) >= 2
+
+
 @functools.lru_cache(maxsize=None)
 def reference_block(lo, hi):
     """Reference draws lo, ..., hi - 1 at rel_std 0.5, with how many times

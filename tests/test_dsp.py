@@ -231,7 +231,11 @@ def test_state_space_matches_response():
         [*rng.uniform(-2.0, 2.0, 3), 0.3, 0.1],
     ]
     cas = ea.SosCascade(sos, 1.7, FS)
-    a, b, c, d = cas.state_space()
+    # the rows over [states, input] of one tick are the matrices (A, B, C, D)
+    n = 2 * len(sos)
+    rows = np.eye(n + 1)
+    y, nxt = dsp._cascade_rows(cas, rows[n], rows[:n])
+    a, b, c, d = nxt[:, :n], nxt[:, n], y[:n], y[n]
     f = np.linspace(0.01, 3.1, 50) * FS / (2 * np.pi)
     z = np.exp(2j * np.pi * f / FS)
     h = [c @ np.linalg.solve(zk * np.eye(len(b)) - a, b) + d for zk in z]
@@ -610,7 +614,8 @@ def test_latency_boundary_at_8khz(ref_model, targets, fb0, fb4, name, hold):
     """At 8 kHz the loop with kg = 4 is stable through latency 4 and not at
     latency 5 (625 us); without the rear-pressure path (kg = 0) it stays
     stable through latency 8.  Measured: rho(F) <= 0.99441 at latency 4 and
-    1.00701 (causal) or 1.00082 (centered) at latency 5."""
+    1.00701 (causal) or 1.00082 (centered) at latency 5, where a 205.5 Hz
+    run from rest diverges at about 0.39 s (causal) or 3.3-3.4 s (centered)."""
     fs = 8_000.0
     freqs = np.array([100.0, 205.5, 400.0])
 
@@ -629,6 +634,18 @@ def test_latency_boundary_at_8khz(ref_model, targets, fb0, fb4, name, hold):
         assert np.all(np.isfinite(ea.measure_impedance(ref_model, cascades, loop(latency), freqs)))
     with pytest.raises(ea.DivergenceError, match="spectral radius"):
         ea.measure_impedance(ref_model, kg4, loop(5), freqs)
+
+    # the time domain agrees: from rest, latency 4 stays bounded over 5 s
+    # and latency 5 diverges within them
+    def simulate(latency):
+        run = ea.LoopConfig(fs=fs, latency=latency, hold=hold, duration=5.0, transient=2.5)
+        return ea.closed_loop_sim(ref_model, kg4, run, 205.5)
+
+    sim = simulate(4)
+    assert all(np.all(np.isfinite(getattr(sim, k))) for k in ("v", "pb", "i"))
+    with pytest.raises(ea.DivergenceError) as diverged:
+        simulate(5)
+    assert 0.0 < diverged.value.time_s < 5.0
 
 
 # -- RK4 oracle -----------------------------------------------------------------
@@ -720,7 +737,7 @@ def rk4_closed_loop(model, h1, h2, loop, f_hz, amplitude):
 
 
 @pytest.mark.parametrize("hold", ["centered", "causal"])
-@pytest.mark.parametrize("latency", [0, 1, 2])
+@pytest.mark.parametrize("latency", [0, 1, 2, 3])
 def test_exact_loop_matches_rk4_oracle(ref_model, cascades_1dof, latency, hold):
     f, amplitude = 400.0, 2.0
     loop = ea.LoopConfig(fs=FS, latency=latency, hold=hold, duration=0.2, transient=0.1)

@@ -1,7 +1,8 @@
 """Checks that hold across modules: every public function that takes a
 frequency refuses one that is not positive and finite, every one that takes
-a seed and a spread refuses a bad one of either, and the frozen value types
-keep read-only copies of the arrays they are built from."""
+a seed and a spread refuses a bad one of either, every physical parameter
+refuses a bool or a value that is not a real number, and the frozen value
+types keep read-only copies of the arrays they are built from."""
 
 import math
 
@@ -127,3 +128,47 @@ def test_rel_std_limits():
     assert np.all(ea.analysis.draw_parameter_factors(1, 0, 0.5) > 0.0)
     with pytest.raises(ea.InvalidParameterError, match=r"rel_std must be in \[0, 0.2\), got 0.2"):
         ea.MonteCarloConfig(10, 0.2, 1)
+
+
+#: name -> (call(value, model, cascades) passing `value` as one physical
+#: parameter, the start of the message that refuses a bad one)
+PARAMETER_TAKERS = {
+    "DriverModel.rss": (lambda x, m, cas: ea.DriverModel(x, 1.0, 1.0, 1.0, 1.0), "rss must be"),
+    "Resonator.qt": (lambda x, m, cas: ea.Resonator(1.0, 1.0, x), "qt must be"),
+    "FeedbackSpec.kg": (lambda x, m, cas: ea.FeedbackSpec(x, 1.0), "kg must be"),
+    "LoopConfig.fs": (lambda x, m, cas: ea.LoopConfig(fs=x), "fs must be"),
+    "LoopConfig.duration": (
+        lambda x, m, cas: ea.LoopConfig(duration=x, transient=0.0),
+        "duration must be",
+    ),
+    "LoopConfig.transient": (
+        lambda x, m, cas: ea.LoopConfig(duration=2.0, transient=x),
+        "transient must be",
+    ),
+    "ProbeGain.k": (lambda x, m, cas: ea.ProbeGain(x), "probe gain must be"),
+    "closed_loop_sim.amplitude": (
+        lambda x, m, cas: ea.closed_loop_sim(
+            m, cas, ea.LoopConfig(fs=FS, duration=0.01, transient=0.005), 400.0, x
+        ),
+        "amplitude must be",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "value", [True, np.True_, "5e4", None, 1j], ids=["bool", "numpy-bool", "str", "none", "complex"]
+)
+@pytest.mark.parametrize("name", sorted(PARAMETER_TAKERS))
+def test_non_real_parameter_is_refused(ref_model, cascades, name, value):
+    # a bool would be taken as 1 or 0, and a string, None or a complex would
+    # raise an untyped TypeError from the comparison
+    call, match = PARAMETER_TAKERS[name]
+    with pytest.raises(ea.InvalidParameterError, match=match):
+        call(value, ref_model, cascades)
+
+
+@pytest.mark.parametrize("name", sorted(PARAMETER_TAKERS))
+def test_numpy_real_parameter_is_taken(ref_model, cascades, name):
+    call, _ = PARAMETER_TAKERS[name]
+    for value in (np.float64(0.25), np.int64(1)):
+        call(value, ref_model, cascades)
