@@ -19,13 +19,15 @@ every draw from the squared magnitudes of four real matrix products.
 The estimate vectors are real, so Re(p @ N) = p @ Re(N): the real and
 imaginary parts of the reflection coefficient's numerator and denominator
 are real products, and alpha = 1 - |num|^2 / |den|^2 needs no complex
-arithmetic.  A study makes all its draws first, then works through the
-frequencies a small tile at a time (loop blocking: Lam, Rothberg & Wolf,
-ASPLOS 1991): the tile's products against every draw, its absorption, and
-an in-place sort of each of its rows of draws while they are still in
-cache.  The quartiles are read straight off the sorted rows: Hyndman-Fan
+arithmetic.  A study makes all its draws first, then splits the frequency
+grid into two contiguous halves: the calling thread takes one and a helper
+thread the other, as numpy releases the GIL in the products, ufuncs and
+sorts that make up the work.  Each half takes one frequency at a time in
+its own (4, n_draws) buffer: one (4, 6) product against every draw, the
+absorption, and an in-place sort of the frequency's draws.  Of each sorted
+row it keeps the five order statistics the quartiles read: Hyndman-Fan
 type 7 on sorted data is two indexed reads and one interpolation per
-quartile.
+quartile, taken once over the whole grid when both halves are done.
 
 Monte Carlo draws of a study with seed `seed` all read one PCG64 stream,
 
@@ -51,6 +53,8 @@ contiguous rows, so each ufunc takes the same loop on both.
 
 from __future__ import annotations
 
+import contextvars
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,10 +77,10 @@ MAX_DRAWS = 2**32
 
 # draws are made a block at a time, which bounds their raw and factor arrays
 _DRAW_BLOCK = 4096
-# frequencies per tile of a study's products and sort, which hold
-# 4*_FREQ_TILE doubles per draw: at 10 000 draws a tile of 4 keeps them
-# within a 2 MB L2 cache, and timed as fast as 2 and faster than 6 or 8
-_FREQ_TILE = 4
+# the most draws one of a study's products takes: a longer product is taken
+# in equal column blocks, each too small for OpenBLAS to split across its
+# threads, which would compete with the study's own two
+_PRODUCT_COLUMNS = 16384
 
 
 def _estimate_vector(model: DriverModel, rss, omega0, qms, pressure_factor, csb) -> np.ndarray:
@@ -334,37 +338,56 @@ def draw_parameter_factors(seed: int, index: int, rel_std: float) -> np.ndarray:
     return _draw(int(seed), int(index), rel_std, attempt=0)
 
 
-def _row_quartiles(alpha: np.ndarray) -> np.ndarray:
-    """First and third quartiles of each row of `alpha`, which is sorted in
-    place; returned as a (2, n_rows) array.
+def _quartile_rule(n: int):
+    """Hyndman-Fan type 7 on a sorted row of n values, by numpy's own rule.
 
-    Hyndman-Fan type 7 by numpy's own rule: the virtual index (n - 1)*q,
-    its floor and the next index (both the last element once the virtual
-    index reaches n - 1), and numpy's two-sided lerp between the two.  On
-    sorted rows that is two indexed reads and one interpolation per row, no
-    second selection pass.  The order statistics are the same values, so
-    the quartiles are the bytes `np.quantile` gives on the unsorted rows,
-    with the same floating-point warnings, and a row with a NaN gives its
-    NaN.  Only the order of values that compare equal but differ in bits
-    (-0.0 and 0.0, NaN payloads) is left to each algorithm.
+    Returns the indices of the five order statistics the first and third
+    quartiles read, [lower q1, lower q3, upper q1, upper q3, last], and the
+    weights of their lerp.  The virtual index is (n - 1)*q, the lower index
+    its floor and the upper index the next (both the last element once the
+    virtual index reaches n - 1).  The last element is read because a NaN
+    sorts last and a row holding one gives it.
     """
-    alpha.sort(axis=1)
-    n = alpha.shape[1]
     virtual = (n - 1) * np.array([0.25, 0.75])
     lower = np.floor(virtual)
     upper = lower + 1.0
     last = virtual >= n - 1
     lower[last] = upper[last] = -1.0
-    gamma = (virtual - lower)[:, None]
-    a = alpha[:, lower.astype(np.intp)].T
-    b = alpha[:, upper.astype(np.intp)].T
+    index = np.concatenate([lower, upper, [-1.0]]).astype(np.intp)
+    return index, virtual - lower
+
+
+def _lerp_quartiles(stats: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """First and third quartiles, as a (2, n_rows) array, of the (n_rows, 5)
+    order statistics and the weights of `_quartile_rule`.
+
+    They are the bytes `np.quantile` gives on the unsorted rows, with the
+    same floating-point warnings, and a row with a NaN gives its NaN.  Only
+    the order of values that compare equal but differ in bits (-0.0 and
+    0.0, NaN payloads) is left to each algorithm.
+    """
+    a, b = stats[:, :2].T, stats[:, 2:4].T
+    gamma = gamma[:, None]
     # numpy's lerp: from below where gamma < 0.5, from above elsewhere
     d = b - a
     q = a + d * gamma
     np.subtract(b, d * (1.0 - gamma), out=q, where=gamma >= 0.5)
-    # a NaN sorts last, and a row holding one gives it
-    np.copyto(q, alpha[:, -1], where=np.isnan(alpha[:, -1]))
+    np.copyto(q, stats[:, 4], where=np.isnan(stats[:, 4]))
     return q
+
+
+def _absorption_row(parts: np.ndarray, i: int, p: np.ndarray, x: np.ndarray, columns) -> np.ndarray:
+    """1 - (a_re^2 + a_im^2) / (b_re^2 + b_im^2) of every draw at frequency
+    i, in the first row of the (4, n) buffer x: the rows of x are
+    [a_re, a_im, b_re, b_im] = parts[i] @ p, taken over the column blocks
+    `columns`."""
+    for c in columns:
+        np.matmul(parts[i], p[:, c], out=x[:, c])
+    x *= x
+    x[::2] += x[1::2]
+    np.divide(x[0], x[2], out=x[0])
+    np.subtract(1.0, x[0], out=x[0])
+    return x[0]
 
 
 def monte_carlo_absorption(
@@ -382,13 +405,19 @@ def monte_carlo_absorption(
     a time.  With P, the mismatch kernel gives the reflection coefficients
     as (P @ (N - rho0*c0*D)) / (P @ (N + rho0*c0*D)).  P is real, so the
     absorption 1 - |Gamma|^2 is 1 - (a_re^2 + a_im^2) / (b_re^2 + b_im^2)
-    with a_re = P @ Re(N - rho0*c0*D) and so on: four real products.  They
-    are taken one tile of frequencies at a time, as one (4*tile, 6) @ P
-    product, and each tile's rows of draws are sorted in place while they
-    are still in cache.  The quartiles (Hyndman-Fan type 7) are read off the
-    sorted rows, the bytes `np.quantile` gives on the unsorted draws.
-    Nothing of size n_freq * n_draws is held.  Deterministic for a fixed
-    seed, whatever the BLAS thread count.
+    with a_re = P @ Re(N - rho0*c0*D) and so on: four real products.  The
+    frequency grid is split into two contiguous halves, one taken by the
+    calling thread and one by a helper thread that runs in a copy of the
+    caller's context, so numpy's error state holds in both; an error raised
+    in the helper's half is raised here.  Each half takes one frequency at a
+    time, as one (4, 6) @ P product (in column blocks of at most
+    `_PRODUCT_COLUMNS` draws), and sorts its row of draws in place.  The
+    quartiles (Hyndman-Fan type 7) are read off the sorted rows, the bytes
+    `np.quantile` gives on the unsorted draws.  A study holds 6 + 2*4
+    doubles per draw, nothing of size n_freq * n_draws.  Every frequency
+    takes the same calls on the same shapes whichever thread runs it, so
+    the band is deterministic for a fixed seed, whatever the BLAS thread
+    count.
     """
     freqs = np.asarray(cfg.freqs_hz, dtype=float)
     s = 2j * np.pi * freqs
@@ -397,15 +426,16 @@ def monte_carlo_absorption(
     gamma_num = num - rc * den
     gamma_den = num + rc * den
     # [Re, Im] of the numerator coefficients, then [Re, Im] of the
-    # denominator's: (4, n_freq, 6), one row per frequency
+    # denominator's: a contiguous (4, 6) matrix per frequency
     parts = np.stack([gamma_num.real, gamma_num.imag, gamma_den.real, gamma_den.imag])
-    parts = parts.transpose(0, 2, 1)
+    parts = np.ascontiguousarray(parts.transpose(2, 0, 1))
 
     # allocated before any draw, so a study too large for memory fails at
     # once.  BLAS rounds a one-column (matrix-vector) product by another
     # rule, which depends on the row count, so a one-draw study repeats its
     # draw and takes the matrix-product path of every other study
-    p = np.empty((6, max(cfg.n_draws, 2)))
+    n = max(cfg.n_draws, 2)
+    p = np.empty((6, n))
     true_values = np.array([model.rss, model.omega0, model.qms, model.pressure_factor, model.csb])
     for lo in range(0, cfg.n_draws, _DRAW_BLOCK):
         hi = min(lo + _DRAW_BLOCK, cfg.n_draws)
@@ -413,22 +443,40 @@ def monte_carlo_absorption(
         p[:, lo:hi] = _estimate_vector(model, *(true_values * factors).T).T
     p[:, cfg.n_draws :] = p[:, :1]
 
-    quartiles = np.empty((2, freqs.size))
-    products = np.empty((4 * min(_FREQ_TILE, freqs.size), p.shape[1]))
-    for lo in range(0, freqs.size, _FREQ_TILE):
-        k = min(_FREQ_TILE, freqs.size - lo)
-        # rows [a_re, a_im, b_re, b_im] of the tile's k frequencies each
-        x = products[: 4 * k]
-        np.matmul(parts[:, lo : lo + k].reshape(4 * k, 6), p, out=x)
-        x *= x
-        a, b = x[:k], x[2 * k : 3 * k]
-        a += x[k : 2 * k]
-        b += x[3 * k :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(a, b, out=a)
-        np.subtract(1.0, a, out=a)
-        quartiles[:, lo : lo + k] = _row_quartiles(a[:, : cfg.n_draws])
+    # one (4, n) buffer per half, allocated once the draws' temporaries are
+    # freed
+    buffers = np.empty((2, 4, n))
+    index, gamma = _quartile_rule(cfg.n_draws)
+    stats = np.empty((freqs.size, index.size))
+    blocks = -(-n // _PRODUCT_COLUMNS)
+    columns = [slice(n * j // blocks, n * (j + 1) // blocks) for j in range(blocks)]
 
-    q1, q3 = quartiles
+    def study_rows(rows, x):
+        # each frequency's sorted draws leave only their order statistics
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for i in rows:
+                alpha = _absorption_row(parts, i, p, x, columns)[: cfg.n_draws]
+                alpha.sort()
+                stats[i] = alpha[index]
+
+    half = (freqs.size + 1) // 2
+    errors = []
+
+    def upper_half():
+        try:
+            study_rows(range(half, freqs.size), buffers[1])
+        except BaseException as exc:  # raised in the caller after the join
+            errors.append(exc)
+
+    helper = threading.Thread(target=contextvars.copy_context().run, args=(upper_half,))
+    helper.start()
+    try:
+        study_rows(range(half), buffers[0])
+    finally:
+        helper.join()
+    if errors:
+        raise errors[0]
+
+    q1, q3 = _lerp_quartiles(stats, gamma)
     nominal = absorption_coefficient(target_impedance(target)(s), model.air)
     return QuartileBand(freqs_hz=freqs, q1=q1, q3=q3, nominal=nominal)

@@ -42,6 +42,9 @@ from .rational import RationalTransfer
 #: divergence error in closed-loop simulation
 DIVERGENCE_FACTOR = 1e9
 
+# ticks of closed-loop simulation between divergence checks
+_CHECK_TICKS = 1024
+
 #: largest latency in samples: the sampled loop has one state per latency
 #: sample in a dense matrix, so its memory grows as the latency squared
 MAX_LATENCY = 1000
@@ -553,19 +556,25 @@ def closed_loop_sim(
     pf_all = amplitude * np.sin(w * t_grid)
     phasor = amplitude * np.exp(1j * w * t_grid)
     drive = (phasor[:, None] * dlti.drive(w)[1]).imag
+    pf_scale = max(np.max(np.abs(pf_all)), 1e-30)
+    v_limit = DIVERGENCE_FACTOR * pf_scale / model.rss
     states = np.empty((n, len(dlti.f)))
     s = np.zeros(len(dlti.f))  # p_f(0) = 0, so every branch starts at rest
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n):
-            states[k] = s
-            s = dlti.f @ s + drive[k]
+        # a block of ticks at a time, so a diverging run stops at the end of
+        # the block in which its velocity first leaves the limit
+        for lo in range(0, n, _CHECK_TICKS):
+            hi = min(lo + _CHECK_TICKS, n)
+            for k in range(lo, hi):
+                states[k] = s
+                s = dlti.f @ s + drive[k]
+            v = states[lo:hi, 0]
+            diverged = ~np.isfinite(v) | (np.abs(v) > v_limit)
+            if diverged.any():
+                time_s = float(t_grid[lo + np.argmax(diverged)])
+                raise DivergenceError("closed loop diverged", time_s=time_s)
 
     v = states[:, 0]
-    pf_scale = max(np.max(np.abs(pf_all)), 1e-30)
-    v_limit = DIVERGENCE_FACTOR * pf_scale / model.rss
-    diverged = ~np.isfinite(v) | (np.abs(v) > v_limit)
-    if diverged.any():
-        raise DivergenceError("closed loop diverged", time_s=float(t_grid[np.argmax(diverged)]))
     return SimulationResult(
         t=t_grid,
         pf=pf_all,

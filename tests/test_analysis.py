@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -481,8 +482,9 @@ def test_monte_carlo_bytes_match_reference_study(ref_model, targets, fb4, target
 @pytest.mark.parametrize("n_freq", [1, 7, 8, 9, 13])
 @pytest.mark.parametrize("n_draws", [1, 255, 257, 601, BLOCK - 1, BLOCK + 1])
 def test_monte_carlo_bytes_at_tile_and_block_edges(ref_model, targets, fb4, n_freq, n_draws):
-    # grids one short of, at and past a multiple of the frequency tile, and
-    # draw counts inside one draw block and on either side of a block edge
+    # a one-point grid (the helper thread's half is empty), grids that split
+    # into halves of equal and of unequal length, and draw counts inside one
+    # draw block and on either side of a block edge
     freqs = np.linspace(40.0, 900.0, n_freq)
     cfg = ea.MonteCarloConfig(n_draws=n_draws, rel_std=0.05, seed=20260823, freqs_hz=freqs)
     band = ea.monte_carlo_absorption(ref_model, targets["2dof"], fb4, cfg)
@@ -493,25 +495,24 @@ def test_monte_carlo_bytes_at_tile_and_block_edges(ref_model, targets, fb4, n_fr
 
 
 def study_alpha(monkeypatch, model, tg, fb, cfg):
-    """The study's alpha, taken tile by tile as it reaches the quartile step,
-    one row per frequency."""
-    seen = []
-    row_quartiles = ea.analysis._row_quartiles
+    """The study's alpha, recorded at each frequency's index as it is made
+    (by either thread), one row per frequency."""
+    n = cfg.freqs_hz.size
+    seen = [None] * n
+    absorption_row = ea.analysis._absorption_row
 
-    def record(alpha):
-        seen.append(alpha.copy())
-        return row_quartiles(alpha)
+    def record(parts, i, *args):
+        alpha = absorption_row(parts, i, *args)
+        assert seen[i] is None
+        seen[i] = alpha[: cfg.n_draws].copy()
+        return alpha
 
-    monkeypatch.setattr(ea.analysis, "_row_quartiles", record)
+    monkeypatch.setattr(ea.analysis, "_absorption_row", record)
     band = ea.monte_carlo_absorption(model, tg, fb, cfg)
     monkeypatch.undo()
-    # the tiles, in call order, cover the grid row for row
-    n = cfg.freqs_hz.size
-    tile = ea.analysis._FREQ_TILE
-    assert [t.shape for t in seen] == [
-        (min(tile, n - lo), cfg.n_draws) for lo in range(0, n, tile)
-    ]
-    return band, np.concatenate(seen)
+    # every frequency was taken once, against every draw
+    assert [None if a is None else a.shape for a in seen] == [(cfg.n_draws,)] * n
+    return band, np.stack(seen)
 
 
 @pytest.mark.parametrize("n_draws", [1, 2, 256, 257, 513, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
@@ -571,10 +572,17 @@ ALPHA = st.one_of(
 )
 
 
+def row_quartiles(alpha):
+    """The study's quartile rule on each row of alpha: sort the row, read
+    the order statistics of `_quartile_rule` and lerp them."""
+    index, gamma = ea.analysis._quartile_rule(alpha.shape[1])
+    return ea.analysis._lerp_quartiles(np.sort(alpha, axis=1)[:, index], gamma)
+
+
 def assert_row_quartiles_match_quantile(alpha):
     with np.errstate(invalid="ignore", over="ignore"):
         want = np.quantile(alpha, [0.25, 0.75], axis=1)
-        got = np.array(ea.analysis._row_quartiles(alpha.copy()))
+        got = row_quartiles(alpha)
     assert got.tobytes() == want.tobytes()
     assert np.isnan(got[:, np.isnan(alpha).any(axis=1)]).all()
 
@@ -606,20 +614,26 @@ def test_monte_carlo_zero_spread_equals_nominal(ref_model, targets, fb4):
 
 
 def test_monte_carlo_thread_determinism():
-    # the same study in fresh processes at BLAS thread counts 1 and 2, large
-    # enough that a tile's product against all draws is split across threads
-    # (OpenBLAS splits a (16, 6) @ (6, n) product at 20 000 draws, not 10 000)
+    # the same study in fresh processes at BLAS thread counts 1 and 2, and in
+    # one pinned to a single CPU, where the study's two threads and BLAS's
+    # share it.  50 000 draws is more than one column block of a product
+    # (`_PRODUCT_COLUMNS`), and more than OpenBLAS needs to split an
+    # unblocked (4, 6) @ (6, n) product across its threads
     src = str(Path(ea.__file__).resolve().parent.parent)
-    code = (
+    study = (
         "import hashlib, numpy as np, eabsorb as ea\n"
         "m = ea.table_reference_model()\n"
         "tg = ea.TargetSpec.multi([(m.air.characteristic_impedance, 400.0, 7.0)])\n"
-        "cfg = ea.MonteCarloConfig(n_draws=20_000, rel_std=0.05, seed=99)\n"
+        "cfg = ea.MonteCarloConfig(n_draws=50_000, rel_std=0.05, seed=99)\n"
         "band = ea.monte_carlo_absorption(m, tg, ea.FeedbackSpec.from_hz(4.0, 500.0), cfg)\n"
         "print(hashlib.sha256(band.q1.tobytes() + band.q3.tobytes()).hexdigest())\n"
     )
+    children = [("1", study), ("2", study)]
+    if hasattr(os, "sched_setaffinity"):
+        pin = f"import os\nos.sched_setaffinity(0, {{{min(os.sched_getaffinity(0))}}})\n"
+        children.append(("2", pin + study))
     digests = []
-    for n in ("1", "2"):
+    for n, code in children:
         env = dict(
             os.environ,
             PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
@@ -631,7 +645,62 @@ def test_monte_carlo_thread_determinism():
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         digests.append(out.stdout.strip())
-    assert digests[0] == digests[1]
+    assert len(set(digests)) == 1
+
+
+def test_monte_carlo_concurrent_studies_keep_their_bytes(ref_model, targets, fb4):
+    # more studies at once than cores, each with its own helper thread, under
+    # a short switch interval: every band has the bytes of a study run alone
+    cfgs = [
+        ea.MonteCarloConfig(n_draws=300 + 7 * k, rel_std=0.05, seed=k, freqs_hz=np.linspace(40.0, 900.0, 9 + k))
+        for k in range(4)
+    ]
+    want = [ea.monte_carlo_absorption(ref_model, targets["2dof"], fb4, cfg) for cfg in cfgs]
+    got = [[] for _ in cfgs]
+
+    def study(k):
+        for _ in range(5):
+            got[k].append(ea.monte_carlo_absorption(ref_model, targets["2dof"], fb4, cfgs[k]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=study, args=(k,)) for k in range(len(cfgs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for bands, ref in zip(got, want):
+        assert len(bands) == 5
+        assert all(band.q1.tobytes() == ref.q1.tobytes() for band in bands)
+        assert all(band.q3.tobytes() == ref.q3.tobytes() for band in bands)
+
+
+@pytest.mark.parametrize("upper", [False, True], ids=["caller_half", "helper_half"])
+@pytest.mark.parametrize("mode", ["warning", "raise"])
+def test_monte_carlo_error_in_either_half_is_raised(monkeypatch, ref_model, targets, fb4, upper, mode):
+    # finite 1e200 coefficients at the frequencies of one half only overflow
+    # when the study squares their products: the suite's error::RuntimeWarning
+    # filter, or the caller's errstate(over="raise"), holds in both threads
+    cfg = ea.MonteCarloConfig(n_draws=64, rel_std=0.05, seed=1, freqs_hz=np.linspace(50.0, 900.0, 9))
+    half = slice(5, None) if upper else slice(None, 5)
+    kernel = ea.analysis._mismatch_kernel
+
+    def overflowing(*args):
+        num, den = kernel(*args)
+        num[1, half] = 1e200
+        return num, den
+
+    monkeypatch.setattr(ea.analysis, "_mismatch_kernel", overflowing)
+    if mode == "warning":
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            ea.monte_carlo_absorption(ref_model, targets["1dof"], fb4, cfg)
+    else:
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            ea.monte_carlo_absorption(ref_model, targets["1dof"], fb4, cfg)
 
 
 def test_monte_carlo_feedback_narrows_band(ref_model, targets, fb0, fb4):

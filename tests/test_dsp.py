@@ -637,15 +637,22 @@ def test_latency_boundary_at_8khz(ref_model, targets, fb0, fb4, name, hold):
 
     # the time domain agrees: from rest, latency 4 stays bounded over 5 s
     # and latency 5 diverges within them
-    def simulate(latency):
-        run = ea.LoopConfig(fs=fs, latency=latency, hold=hold, duration=5.0, transient=2.5)
+    def simulate(latency, duration=5.0):
+        run = ea.LoopConfig(fs=fs, latency=latency, hold=hold, duration=duration, transient=duration / 2)
         return ea.closed_loop_sim(ref_model, kg4, run, 205.5)
 
     sim = simulate(4)
     assert all(np.all(np.isfinite(getattr(sim, k))) for k in ("v", "pb", "i"))
     with pytest.raises(ea.DivergenceError) as diverged:
         simulate(5)
-    assert 0.0 < diverged.value.time_s < 5.0
+    t_div = diverged.value.time_s
+    assert 0.0 < t_div < 5.0
+    # it is the time of the first tick past the limit, in whichever block of
+    # ticks it falls: a run that ends just before it does not diverge
+    assert np.all(np.abs(simulate(5, t_div).v) <= ea.dsp.DIVERGENCE_FACTOR / ref_model.rss)
+    with pytest.raises(ea.DivergenceError) as again:
+        simulate(5, t_div + 1.0 / fs)
+    assert again.value.time_s == t_div
 
 
 # -- RK4 oracle -----------------------------------------------------------------
