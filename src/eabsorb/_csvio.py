@@ -11,17 +11,23 @@ import csv
 import numpy as np
 
 
+#: rows rendered at a time: a long series never exists as Python floats whole
+_CHUNK_ROWS = 4096
+
+
 def write_columns(path, header, columns) -> None:
     """Write equal-length float columns under `header`.
 
     Cells are rendered a column at a time, the last one with its line end,
-    so no Python code runs per row.
+    so no Python code runs per row, and _CHUNK_ROWS rows at a time.
     """
-    *cols, last = [np.asarray(col, dtype=float).tolist() for col in columns]
-    cells = [map(repr, col) for col in cols] + [map("{!r}\n".format, last)]
+    columns = [np.asarray(col, dtype=float) for col in columns]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(map(",".join, zip(*cells)))
+        for lo in range(0, len(columns[0]), _CHUNK_ROWS):
+            *cols, last = [col[lo : lo + _CHUNK_ROWS].tolist() for col in columns]
+            cells = [map(repr, col) for col in cols] + [map("{!r}\n".format, last)]
+            fh.writelines(map(",".join, zip(*cells)))
 
 
 def read_columns(path, n_columns: int) -> np.ndarray:

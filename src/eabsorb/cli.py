@@ -325,6 +325,8 @@ def cmd_simulate(args) -> int:
     pair = synthesis.synthesize_controller(driver, target, fb)
     h1 = dsp.bilinear_discretize(pair.h1, loop.fs)
     h2 = dsp.bilinear_discretize(pair.h2, loop.fs)
+    for f_hz in freqs:  # every run's grid is checked before any file is written
+        loop.time_grid(f_hz)
     out = _out_dir(args)
     impedances = []
     for name, f_hz in series.items():

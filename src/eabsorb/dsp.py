@@ -12,7 +12,8 @@ excitation is integrated in closed form between ticks.  The excitation is
 the front pressure p_f(t) = amplitude * sin(2*pi*f_hz*t):
 `measure_impedance(model, cascades, loop, f_hz)` solves its steady state at
 one frequency or a whole band, and `closed_loop_sim(model, cascades, loop,
-f_hz, amplitude)` propagates it tick by tick from rest.
+f_hz, amplitude)` propagates it from rest a block of ticks at a time, through
+precomputed powers of the loop matrix and forced responses.
 """
 
 from __future__ import annotations
@@ -42,8 +43,18 @@ from .rational import RationalTransfer
 #: divergence error in closed-loop simulation
 DIVERGENCE_FACTOR = 1e9
 
-# ticks of closed-loop simulation between divergence checks
+# most ticks per block of closed-loop simulation: `closed_loop_sim` advances
+# the loop and checks it for divergence a block at a time
 _CHECK_TICKS = 1024
+
+# most entries per signal row of the block table of `closed_loop_sim`:
+# (ticks per block) x (loop states), 1.5 MB for its three rows
+_TABLE_ENTRIES = 2**16
+
+#: smallest ratio of the two singular values of the cos/sin basis that
+#: `SimulationResult.measured_impedance` fits: at a multiple of fs/2 the
+#: sampled sine vanishes and the ratio falls to rounding level (~1e-11)
+FIT_RATIO_MIN = 1e-8
 
 #: largest latency in samples: the sampled loop has one state per latency
 #: sample in a dense matrix, so its memory grows as the latency squared
@@ -343,6 +354,32 @@ class LoopConfig:
         if not self.transient < self.duration:
             raise InvalidParameterError("need transient < duration")
 
+    def time_grid(self, f_hz: float) -> np.ndarray:
+        """Tick times of `closed_loop_sim` at f_hz, checked for the fit of
+        `SimulationResult.measured_impedance`.
+
+        Raises MemoryError for a grid numpy cannot index, and
+        InvalidParameterError if f_hz is not positive and finite, if fewer
+        than the two ticks the fit needs lie at or after transient, or if
+        its cos/sin basis over them is singular: near a multiple of fs/2 the
+        sampled sine vanishes (singular-value ratio below FIT_RATIO_MIN).
+        """
+        f_hz = float(check_frequencies(f_hz))
+        if not self.duration * self.fs < np.iinfo(np.intp).max:  # else numpy raises ValueError
+            raise MemoryError(f"numpy cannot index a time grid of {self.duration * self.fs:.3g} ticks")
+        t_grid = np.arange(int(round(self.duration * self.fs))) * (1.0 / self.fs)
+        basis = _fit_basis(t_grid[t_grid >= self.transient], f_hz)
+        if len(basis) < 2:
+            raise InvalidParameterError("fewer than 2 ticks of the time grid lie at or after transient")
+        sv = np.linalg.svd(basis, compute_uv=False)
+        if not sv[1] >= FIT_RATIO_MIN * sv[0]:
+            raise InvalidParameterError(
+                f"f_hz {f_hz!r} cannot be fitted at fs {self.fs!r}: its cos/sin basis over the "
+                f"ticks from transient on is singular (singular-value ratio {sv[1] / sv[0]:.3g} "
+                f"< {FIT_RATIO_MIN:g}), as at a multiple of fs/2"
+            )
+        return t_grid
+
 
 @dataclass(frozen=True)
 class SimulationResult:
@@ -367,14 +404,18 @@ class SimulationResult:
         quadrature components after discarding the transient.
         """
         keep = self.t >= self.transient
-        t = self.t[keep]
-        w = 2.0 * math.pi * self.f_hz
-        basis = np.stack([np.cos(w * t), np.sin(w * t)], axis=1)
+        basis = _fit_basis(self.t[keep], self.f_hz)
         cf, _, _, _ = np.linalg.lstsq(basis, self.pf[keep], rcond=None)
         cv, _, _, _ = np.linalg.lstsq(basis, self.v[keep], rcond=None)
         x_pf = cf[0] - 1j * cf[1]
         x_v = cv[0] - 1j * cv[1]
         return complex(x_pf / x_v)
+
+
+def _fit_basis(t: np.ndarray, f_hz: float) -> np.ndarray:
+    """The (len(t), 2) in-phase and quadrature columns cos(wt), sin(wt)."""
+    w = 2.0 * math.pi * f_hz
+    return np.stack([np.cos(w * t), np.sin(w * t)], axis=1)
 
 
 class SampledLoop(NamedTuple):
@@ -521,6 +562,49 @@ def sampled_loop(
     return SampledLoop(step[:, :n], step[:, n:], u_now[:n], u_now[n + 2], plant_data)
 
 
+def _block_ticks(states: int, ticks: int) -> int:
+    """Ticks per block of `closed_loop_sim` for a loop of `states` states run
+    over `ticks` ticks: the largest power of two B up to _CHECK_TICKS whose
+    table rows hold at most _TABLE_ENTRIES entries each (B x states) and
+    at most 8 per tick of the run.  The second bound keeps the table's
+    build, log2(B) squarings of the loop matrix, within a few of the run's
+    per-tick steps: a matrix product costs ~states/10 matrix-vector ones.
+    """
+    b = 1
+    while 2 * b <= _CHECK_TICKS and 2 * b * states <= min(_TABLE_ENTRIES, 8 * ticks):
+        b *= 2
+    return b
+
+
+def _block_table(dlti: SampledLoop, rows: np.ndarray, w: float, ticks: int):
+    """Propagators of a block of `ticks` ticks (a power of two) under the
+    drive Im(e^{jw t_k} G), G from `dlti.drive(w)`.
+
+    Returns (rp, rw, p, g): rp[:, j] = rows F^j and rw[:, j] = rows W[j]
+    for j < ticks, where W[j] = sum_{i<j} F^{j-1-i} z^i G (z = e^{jwT}) is
+    the response from rest after j ticks, then p = F^ticks and g =
+    W[ticks].  A complex vector is held as its columns [Re, Im], times z as
+    a product by `rot`, so no real matrix is ever copied to complex.
+    Doubling builds the table in log2(ticks) steps, with no solve, so an
+    unstable F needs no special case: F^{J+j} = F^j F^J and W[J+j] =
+    F^j W[J] + z^J W[j].
+    """
+    z, g = dlti.drive(w)
+    p, g = dlti.f, np.stack([g.real, g.imag], axis=1)
+    rot = np.array([[z.real, z.imag], [-z.imag, z.real]])
+    rp = np.empty((len(rows), ticks, len(p)))
+    rw = np.empty((len(rows), ticks, 2))
+    rp[:, 0], rw[:, 0] = rows, 0.0
+    j = 1
+    while j < ticks:
+        np.matmul(rp[:, :j], p, out=rp[:, j : 2 * j])
+        rw[:, j : 2 * j] = rp[:, :j] @ g + rw[:, :j] @ rot
+        g = p @ g + g @ rot
+        p = p @ p
+        rot, j = rot @ rot, 2 * j
+    return rp, rw, p, g
+
+
 def closed_loop_sim(
     model: DriverModel,
     cascades,
@@ -533,56 +617,53 @@ def closed_loop_sim(
     `cascades` is an (H1, H2) pair and the front pressure is the sine
     p_f(t) = amplitude * sin(2*pi*f_hz*t); the loop's latency applies and
     the run starts from rest.  The exact discrete model of `sampled_loop` is
-    propagated over loop.duration; the controller sees sampled front and
-    cavity pressures and its output is delayed by the configured latency.
+    propagated over loop.duration a block of ticks at a time: from tick
+    lo, s[lo + j] = F^j s[lo] + Im(amplitude e^{jw t_lo} W[j]), with the
+    powers of F and the responses W from rest of `_block_table`, mapped
+    straight to the three reported signals; only the state at each block's
+    end is kept.  Each block is checked for divergence before the next.
     Raises InvalidParameterError for an amplitude that is zero or not
-    finite (a negative one flips the phase) or if fewer than the two ticks
-    the fit needs lie at or after loop.transient, MemoryError for a grid
-    numpy cannot index, and DivergenceError, stamped with the time, if the
-    state blows up.
+    finite (a negative one flips the phase) and for a grid that cannot be
+    fitted (`LoopConfig.time_grid`: fewer than two ticks at or after
+    loop.transient, or f_hz near a multiple of fs/2), MemoryError for a
+    grid numpy cannot index, and DivergenceError, stamped with the time of
+    the first tick past the limit, if the state blows up.
     """
     f_hz = float(check_frequencies(f_hz))
     check_nonzero(amplitude, "amplitude")
-    w = 2.0 * math.pi * f_hz
-    if not loop.duration * loop.fs < np.iinfo(np.intp).max:  # else numpy raises ValueError
-        raise MemoryError(f"numpy cannot index a time grid of {loop.duration * loop.fs:.3g} ticks")
-    dt = 1.0 / loop.fs
-    n = int(round(loop.duration * loop.fs))
-    t_grid = np.arange(n) * dt
-    if np.count_nonzero(t_grid >= loop.transient) < 2:
-        raise InvalidParameterError("fewer than 2 ticks of the time grid lie at or after transient")
+    t_grid = loop.time_grid(f_hz)
     dlti = sampled_loop(model, *cascades, loop)
+    n, m = len(t_grid), len(dlti.f)
+    w = 2.0 * math.pi * f_hz
 
     pf_all = amplitude * np.sin(w * t_grid)
-    phasor = amplitude * np.exp(1j * w * t_grid)
-    drive = (phasor[:, None] * dlti.drive(w)[1]).imag
     pf_scale = max(np.max(np.abs(pf_all)), 1e-30)
     v_limit = DIVERGENCE_FACTOR * pf_scale / model.rss
-    states = np.empty((n, len(dlti.f)))
-    s = np.zeros(len(dlti.f))  # p_f(0) = 0, so every branch starts at rest
+    # the reported signals v, pb and i - d p_f as rows over the state
+    rows = np.zeros((3, m))
+    rows[0, 0], rows[1, 1], rows[2] = 1.0, 1.0 / model.csb, dlti.c
+    ticks = _block_ticks(m, n)
+    out = np.empty((3, n))
+    s = np.zeros(m)  # p_f(0) = 0, so every branch starts at rest
     with np.errstate(over="ignore", invalid="ignore"):
-        # a block of ticks at a time, so a diverging run stops at the end of
-        # the block in which its velocity first leaves the limit
-        for lo in range(0, n, _CHECK_TICKS):
-            hi = min(lo + _CHECK_TICKS, n)
-            for k in range(lo, hi):
-                states[k] = s
-                s = dlti.f @ s + drive[k]
-            v = states[lo:hi, 0]
-            diverged = ~np.isfinite(v) | (np.abs(v) > v_limit)
+        rp, rw, p_block, g_block = _block_table(dlti, rows, w, ticks)
+        for lo in range(0, n, ticks):
+            hi = min(lo + ticks, n)
+            a = amplitude * cmath.exp(1j * w * t_grid[lo])
+            im_a = (a.imag, a.real)  # Im(a W) = [Re W, Im W] @ im_a
+            block = out[:, lo:hi]
+            np.matmul(rp[:, : hi - lo], s, out=block)
+            block += rw[:, : hi - lo] @ im_a
+            diverged = ~np.isfinite(block[0]) | (np.abs(block[0]) > v_limit)
             if diverged.any():
                 time_s = float(t_grid[lo + np.argmax(diverged)])
                 raise DivergenceError("closed loop diverged", time_s=time_s)
+            s = p_block @ s + g_block @ im_a
 
-    v = states[:, 0]
+    v, pb, i = out
+    i += dlti.d * pf_all
     return SimulationResult(
-        t=t_grid,
-        pf=pf_all,
-        pb=states[:, 1] / model.csb,
-        v=v,
-        i=states @ dlti.c + dlti.d * pf_all,
-        f_hz=f_hz,
-        transient=loop.transient,
+        t=t_grid, pf=pf_all, pb=pb, v=v, i=i, f_hz=f_hz, transient=loop.transient
     )
 
 

@@ -472,6 +472,27 @@ def test_short_time_grid_is_config_error(tmp_path, capsys, duration, transient):
     assert not out.exists() or list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "freqs",
+    [[25_000.0], [205.5, 25_000.0], [205.5, 400.0, 50_000.0]],
+    ids=["half-fs", "half-fs-second", "fs-third"],
+)
+def test_unfittable_frequency_is_config_error(tmp_path, capsys, freqs):
+    # at a multiple of fs/2 (50 kHz here) the sampled sine vanishes and its
+    # fit is meaningless: no time series is written, not even those of the
+    # frequencies before it
+    cfg = json.loads((FIXTURES / "table1_1dof.json").read_text())
+    cfg["simulate"] = {"freqs_hz": freqs}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert run(["simulate", "--config", p, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert f"f_hz {freqs[-1]!r}" in err and "fs/2" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("verb", ["design", "simulate"])
 def test_overflowing_sample_rate_is_a_numerical_error(tmp_path, capfd, verb):
     # at fs = 1e300 the bilinear coefficients overflow float64; LAPACK must

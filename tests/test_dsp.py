@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import eabsorb as ea
-from eabsorb import dsp
+from eabsorb import _csvio, dsp
 from eabsorb.rational import RationalTransfer
 
 FS = 50_000.0
@@ -760,6 +761,190 @@ def test_exact_loop_matches_rk4_oracle(ref_model, cascades_1dof, latency, hold):
     assert abs(ea.measure_impedance(ref_model, cascades_1dof, loop, f) / z_oracle - 1.0) < 1e-6
     band = ea.measure_impedance(ref_model, cascades_1dof, loop, [100.0, f, 990.0])
     assert abs(band[1] / z_oracle - 1.0) < 1e-6
+
+
+# -- per-tick oracle -------------------------------------------------------------
+
+
+def per_tick_closed_loop(model, cascades, loop, f_hz, amplitude=1.0):
+    """Reference for `closed_loop_sim`: the exact discrete model of
+    `sampled_loop` stepped one tick at a time from rest, s[k+1] = F s[k] +
+    Im(amplitude e^{jw t_k} G), every state kept.  Raises DivergenceError
+    stamped with the first tick whose velocity leaves the limit."""
+    dlti = dsp.sampled_loop(model, *cascades, loop)
+    n = int(round(loop.duration * loop.fs))
+    t = np.arange(n) * (1.0 / loop.fs)
+    w = 2.0 * math.pi * f_hz
+    pf = amplitude * np.sin(w * t)
+    drive = ((amplitude * np.exp(1j * w * t))[:, None] * dlti.drive(w)[1]).imag
+    states = np.empty((n, len(dlti.f)))
+    s = np.zeros(len(dlti.f))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):
+            states[k] = s
+            s = dlti.f @ s + drive[k]
+        v = states[:, 0]
+        limit = dsp.DIVERGENCE_FACTOR * max(np.max(np.abs(pf)), 1e-30) / model.rss
+        diverged = ~np.isfinite(v) | (np.abs(v) > limit)
+    if diverged.any():
+        raise ea.DivergenceError("closed loop diverged", time_s=float(t[np.argmax(diverged)]))
+    return dsp.SimulationResult(
+        t=t,
+        pf=pf,
+        pb=states[:, 1] / model.csb,
+        v=v,
+        i=states @ dlti.c + dlti.d * pf,
+        f_hz=f_hz,
+        transient=loop.transient,
+    )
+
+
+def assert_series_close(sim, ref, rtol):
+    """Same grid and excitation to the bit; v, pb and i within rtol of each
+    reference series' largest magnitude."""
+    assert np.array_equal(sim.t, ref.t) and np.array_equal(sim.pf, ref.pf)
+    for name in ("v", "pb", "i"):
+        want = getattr(ref, name)
+        assert np.max(np.abs(getattr(sim, name) - want)) <= rtol * np.max(np.abs(want)), name
+
+
+@pytest.fixture(scope="module")
+def realized(ref_model, targets, fb4):
+    """(name, fs) -> the fixture's (H1, H2) at fs with kg = 4, made once."""
+    made = {}
+
+    def realize(name, fs):
+        if (name, fs) not in made:
+            pair = ea.synthesize_controller(ref_model, targets[name], fb4)
+            made[name, fs] = (ea.bilinear_discretize(pair.h1, fs), ea.bilinear_discretize(pair.h2, fs))
+        return made[name, fs]
+
+    return realize
+
+
+@pytest.mark.parametrize("fs", [8_000.0, FS])
+@pytest.mark.parametrize(
+    "latency, hold", [(0, "centered"), (1, "centered"), (1, "causal"), (3, "causal")]
+)
+@pytest.mark.parametrize("name", ["1dof", "broadband", "2dof"])
+def test_block_propagation_matches_per_tick_oracle(ref_model, realized, name, latency, hold, fs):
+    # 0.25 s: several whole blocks of ticks and a partial one at either rate
+    loop = ea.LoopConfig(fs=fs, latency=latency, hold=hold, duration=0.25, transient=0.125)
+    cascades = realized(name, fs)
+    sim = ea.closed_loop_sim(ref_model, cascades, loop, 205.5, 2.0)
+    assert_series_close(sim, per_tick_closed_loop(ref_model, cascades, loop, 205.5, 2.0), 1e-10)
+
+
+@pytest.mark.parametrize("latency", [300, dsp.MAX_LATENCY])
+def test_high_latency_matches_per_tick_oracle(ref_model, cascades_1dof, latency):
+    # 1000 ticks: a few ticks per block, so the loop matrix is still squared
+    loop = ea.LoopConfig(fs=FS, latency=latency, duration=0.02, transient=0.01)
+    m = len(dsp.sampled_loop(ref_model, *cascades_1dof, loop).f)
+    assert 1 < dsp._block_ticks(m, 1000) < 64
+    sim = ea.closed_loop_sim(ref_model, cascades_1dof, loop, 205.5)
+    assert_series_close(sim, per_tick_closed_loop(ref_model, cascades_1dof, loop, 205.5), 1e-10)
+
+
+def diverging_loop(hold, duration=5.0):
+    """8 kHz at latency 5: unstable with kg = 4 (see test_latency_boundary_at_8khz)."""
+    return ea.LoopConfig(fs=8_000.0, latency=5, hold=hold, duration=duration, transient=duration / 2)
+
+
+@pytest.mark.parametrize("hold", ["centered", "causal"])
+@pytest.mark.parametrize("name", ["1dof", "broadband", "2dof"])
+def test_divergence_stamp_matches_per_tick_oracle(ref_model, realized, name, hold):
+    cascades = realized(name, 8_000.0)
+    with pytest.raises(ea.DivergenceError) as oracle:
+        per_tick_closed_loop(ref_model, cascades, diverging_loop(hold), 205.5)
+    with pytest.raises(ea.DivergenceError) as sim:
+        ea.closed_loop_sim(ref_model, cascades, diverging_loop(hold), 205.5)
+    assert sim.value.time_s == oracle.value.time_s
+
+
+def test_block_size_moves_neither_series_nor_stamp(ref_model, realized, monkeypatch):
+    # one tick per block (the per-tick recurrence), a cap that is no power
+    # of two, and the default cap
+    cascades = realized("1dof", 8_000.0)
+    stamps, series = [], []
+    for cap in (1, 7, 1024):
+        monkeypatch.setattr(dsp, "_CHECK_TICKS", cap)
+        with pytest.raises(ea.DivergenceError) as err:
+            ea.closed_loop_sim(ref_model, cascades, diverging_loop("causal"), 205.5)
+        stamps.append(err.value.time_s)
+        # the same run up to the last tick before the limit
+        series.append(ea.closed_loop_sim(ref_model, cascades, diverging_loop("causal", stamps[0]), 205.5))
+    assert stamps[1] == stamps[0] and stamps[2] == stamps[0]
+    for sim in series[1:]:
+        assert_series_close(sim, series[0], 1e-12)
+
+
+def test_block_ticks_bounds():
+    for states in (9, 16, 39, 310, 1010):
+        for ticks in (2, 1000, 50_000, 10**7):
+            b = dsp._block_ticks(states, ticks)
+            assert b & (b - 1) == 0 and 1 <= b <= dsp._CHECK_TICKS
+            assert b == 1 or b * states <= min(dsp._TABLE_ENTRIES, 8 * ticks)
+
+
+@pytest.mark.parametrize("name", ["1dof", "broadband", "2dof"])
+def test_fixture_runs_take_blocks_of_1024_ticks(ref_model, realized, name):
+    # the simulate default: 50 kHz over 1 s, one Python iteration per 1024 ticks
+    m = len(dsp.sampled_loop(ref_model, *realized(name, FS), ea.LoopConfig()).f)
+    assert m <= 16
+    assert dsp._block_ticks(m, 50_000) == 1024
+
+
+@pytest.mark.parametrize("f_hz", [25_000.0, 50_000.0, 75_000.0])
+def test_multiple_of_half_fs_is_refused(ref_model, cascades_1dof, f_hz):
+    # the sampled sine vanishes: its fit would flip the sign of Re Z
+    with pytest.raises(ea.InvalidParameterError, match="fs/2"):
+        ea.closed_loop_sim(ref_model, cascades_1dof, ea.LoopConfig(), f_hz)
+    with pytest.raises(ea.InvalidParameterError, match="fs/2"):
+        ea.LoopConfig().time_grid(f_hz)
+
+
+def test_just_below_half_fs_still_fits(ref_model, cascades_1dof):
+    # singular-value ratio ~9e-5, well above FIT_RATIO_MIN
+    loop, f = ea.LoopConfig(), 24_999.9999
+    z_fit = ea.closed_loop_sim(ref_model, cascades_1dof, loop, f).measured_impedance()
+    z = ea.measure_impedance(ref_model, cascades_1dof, loop, f)
+    assert z_fit.real > 0 and abs(z_fit / z - 1.0) < 1e-9
+
+
+def test_simulation_memory_is_bounded(tmp_path, ref_model, realized):
+    # 2-DOF at the simulate default (50 000 ticks): no (ticks, states)
+    # array and no series of Python floats whole
+    cascades = realized("2dof", FS)
+    tracemalloc.start()
+    try:
+        ea.closed_loop_sim(ref_model, cascades, ea.LoopConfig(), 205.5).to_csv(tmp_path / "ts.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6e6
+
+
+def one_shot_write_columns(path, header, columns):
+    """`write_columns` as it was before it rendered rows in chunks."""
+    *cols, last = [np.asarray(col, dtype=float).tolist() for col in columns]
+    cells = [map(repr, col) for col in cols] + [map("{!r}\n".format, last)]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(map(",".join, zip(*cells)))
+
+
+CHUNK = _csvio._CHUNK_ROWS
+
+
+@pytest.mark.parametrize("rows", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1])
+def test_chunked_columns_keep_the_bytes(tmp_path, rows):
+    special = [0.0, -0.0, 5e-324, 1e-300, 1.0 / 3.0, -2.5e17, 1e16, np.inf, -np.inf, np.nan]
+    vals = np.resize(special, rows) * np.random.default_rng(rows).uniform(0.5, 2.0, rows)
+    columns = [np.arange(rows) / 7.0, vals, list(vals[::-1]), vals.astype(np.float32)]
+    header = ["a", "b", "c", "d"]
+    _csvio.write_columns(tmp_path / "chunked.csv", header, columns)
+    one_shot_write_columns(tmp_path / "one_shot.csv", header, columns)
+    assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "one_shot.csv").read_bytes()
 
 
 # -- plant half step --------------------------------------------------------------
