@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._csvio import read_columns, write_columns
-from .errors import InvalidParameterError, check_frequencies, check_rel_std, check_seed, is_integer
+from .errors import InvalidParameterError, check_count, check_frequencies, check_number
 from .model import AirProperties, DriverModel, passive_impedance
 from .synthesis import FeedbackSpec, TargetSpec, feedback_filter, target_impedance
 
@@ -209,21 +209,23 @@ def default_frequency_grid() -> np.ndarray:
 
 @dataclass(frozen=True)
 class MonteCarloConfig:
+    """`n_draws` draws (an integer from 1 to MAX_DRAWS) of spread `rel_std` (a
+    number in [0, 0.2)) from the stream of `seed` (a non-negative integer), on
+    the positive and finite `freqs_hz` (`errors.check_count`, `check_number`)."""
+
     n_draws: int
     rel_std: float
     seed: int
     freqs_hz: np.ndarray = field(default_factory=default_frequency_grid)
 
     def __post_init__(self):
-        check_seed(self.seed)
-        if not is_integer(self.n_draws) or not 1 <= self.n_draws <= MAX_DRAWS:
-            raise InvalidParameterError(
-                f"n_draws must be an integer in [1, {MAX_DRAWS}], got {self.n_draws!r}"
-            )
-        object.__setattr__(self, "rel_std", check_rel_std(self.rel_std))
+        check_count(self.seed, "seed", allow_zero=True)
+        if check_count(self.n_draws, "n_draws") > MAX_DRAWS:
+            raise InvalidParameterError(f"n_draws must be at most {MAX_DRAWS}, got {self.n_draws}")
+        object.__setattr__(self, "rel_std", check_number(self.rel_std, "rel_std", allow_zero=True))
         if self.rel_std >= 0.2:
             raise InvalidParameterError(f"rel_std must be in [0, 0.2), got {self.rel_std!r}")
-        freqs = check_frequencies(np.array(self.freqs_hz, dtype=float), "freqs_hz")
+        freqs = check_frequencies(self.freqs_hz, "freqs_hz")
         if freqs.ndim != 1:
             raise InvalidParameterError("freqs_hz must be a 1-D array")
         # a read-only copy: the caller's later writes cannot undo the checks
@@ -325,16 +327,15 @@ def draw_parameter_factors(seed: int, index: int, rel_std: float) -> np.ndarray:
     six outputs at i = j * 2**32 + index of its attempt j = 1, 2, ...  The
     contract (module docstring) rests only on numpy's NEP-19-stable
     SeedSequence and raw PCG64 stream, not on `Generator`'s samplers.  The
-    seed must be a non-negative integer, the index an integer in [0, 2**32)
-    and rel_std a non-negative finite number.  Monte Carlo studies make the
-    same draws a block at a time.
+    seed is a non-negative integer, the index an integer in [0, 2**32) and
+    rel_std a non-negative number (`errors.check_count`,
+    `errors.check_number`).  Monte Carlo studies make the same draws a
+    block at a time.
     """
-    check_seed(seed)
-    rel_std = check_rel_std(rel_std)
-    if not is_integer(index) or not 0 <= index < MAX_DRAWS:
-        raise InvalidParameterError(
-            f"draw index must be an integer in [0, {MAX_DRAWS}), got {index!r}"
-        )
+    check_count(seed, "seed", allow_zero=True)
+    rel_std = check_number(rel_std, "rel_std", allow_zero=True)
+    if check_count(index, "draw index", allow_zero=True) >= MAX_DRAWS:
+        raise InvalidParameterError(f"draw index must be below {MAX_DRAWS}, got {index!r}")
     return _draw(int(seed), int(index), rel_std, attempt=0)
 
 

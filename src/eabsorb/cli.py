@@ -18,7 +18,13 @@ import numpy as np
 
 from . import analysis, dsp, identify, model as model_mod, synthesis, vkundt
 from ._csvio import write_columns
-from .errors import DiscretizationError, EabsorbError, InvalidParameterError
+from .errors import (
+    DiscretizationError,
+    EabsorbError,
+    InvalidParameterError,
+    check_count,
+    check_number,
+)
 
 CONFIG_VERSION = 1
 
@@ -28,10 +34,6 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 
-class ConfigError(Exception):
-    pass
-
-
 # -- config handling ----------------------------------------------------------
 
 
@@ -39,82 +41,58 @@ def load_config(path) -> dict:
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
+        raise InvalidParameterError(f"cannot read config: {exc}") from exc
     try:
         cfg = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer beyond int's digit limit
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        raise InvalidParameterError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
-        raise ConfigError(f"config must be a JSON object, got {type(cfg).__name__}")
+        raise InvalidParameterError(f"config must be a JSON object, got {type(cfg).__name__}")
     if cfg.get("version") != CONFIG_VERSION:
-        raise ConfigError(f"config version must be {CONFIG_VERSION}")
+        raise InvalidParameterError(f"config version must be {CONFIG_VERSION}")
     _read(cfg, "config")  # refuses a top-level key that names no block
     return cfg
-
-
-def _number(value, key: str, allow_zero: bool = False) -> float:
-    """`value`, a JSON number, as a finite float that is positive (or zero
-    with allow_zero), else a ConfigError naming the config key; booleans,
-    strings and integers beyond float range are refused."""
-    x = math.nan
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            x = float(value)
-        except OverflowError:
-            pass
-    if not (math.isfinite(x) and (x > 0.0 or (allow_zero and x == 0.0))):
-        bound = "a non-negative" if allow_zero else "a positive"
-        raise ConfigError(f"{key} must be {bound} number, got {value!r}")
-    return x
-
-
-def _integer(value, key: str, allow_zero: bool = False) -> int:
-    """`value` as an int that is positive (or zero with allow_zero), else a
-    ConfigError naming the config key; floats, integral or not, are refused."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < (0 if allow_zero else 1):
-        bound = "a non-negative" if allow_zero else "a positive"
-        raise ConfigError(f"{key} must be {bound} integer, got {value!r}")
-    return value
 
 
 _REQUIRED = object()  # the default of a key that must be given
 
 # The keys of each config object: key -> (check, allow_zero, default).  The
-# check, _number or _integer, gets the value, its full key (`simulate.latency`)
-# and allow_zero; None leaves a list, string or object to the code using it.
+# check, errors.check_number or errors.check_count (the ones every library
+# type makes), gets the value, its full key (`simulate.latency`) and
+# allow_zero; None leaves a list, string or object to the code using it.
 _TABLES = {
     "driver": dict.fromkeys(
         ("rss", "f0_hz", "qms", "f_pa_per_a", "csb_m_per_pa", "rho0", "c0"),
-        (_number, False, _REQUIRED),
+        (check_number, False, _REQUIRED),
     ),
     "target": {"resonators": (None, False, _REQUIRED)},
-    "target.resonators": dict.fromkeys(("rst_norm", "f_hz", "q"), (_number, False, _REQUIRED)),
-    "feedback": {"kg": (_number, True, _REQUIRED), "fg_hz": (_number, False, _REQUIRED)},
-    "grid": dict.fromkeys(("f_min_hz", "f_max_hz", "step_hz"), (_number, False, _REQUIRED)),
+    "target.resonators": dict.fromkeys(("rst_norm", "f_hz", "q"), (check_number, False, _REQUIRED)),
+    "feedback": {"kg": (check_number, True, _REQUIRED), "fg_hz": (check_number, False, _REQUIRED)},
+    "grid": dict.fromkeys(("f_min_hz", "f_max_hz", "step_hz"), (check_number, False, _REQUIRED)),
     "montecarlo": {
-        "n_draws": (_integer, False, _REQUIRED),
-        "rel_std": (_number, True, _REQUIRED),
-        "seed": (_integer, True, _REQUIRED),
+        "n_draws": (check_count, False, _REQUIRED),
+        "rel_std": (check_number, True, _REQUIRED),
+        "seed": (check_count, True, _REQUIRED),
     },
     "kundt": {
         "geometry": (None, False, None),
-        "noise_rel_std": (_number, True, 0.0),
-        "noise_seed": (_integer, True, 0),
+        "noise_rel_std": (check_number, True, 0.0),
+        "noise_seed": (check_count, True, 0),
     },
     "kundt.geometry": dict.fromkeys(
-        ("delta_x_m", "x1_m", "length_m", "diameter_m"), (_number, False, _REQUIRED)
+        ("delta_x_m", "x1_m", "length_m", "diameter_m"), (check_number, False, _REQUIRED)
     ),
     "simulate": {
-        "fs_hz": (_number, False, dsp.LoopConfig.fs),
-        "latency": (_integer, True, dsp.LoopConfig.latency),
+        "fs_hz": (check_number, False, dsp.LoopConfig.fs),
+        "latency": (check_count, True, dsp.LoopConfig.latency),
         "hold": (None, False, dsp.LoopConfig.hold),
-        "duration_s": (_number, False, dsp.LoopConfig.duration),
-        "transient_s": (_number, True, dsp.LoopConfig.transient),
+        "duration_s": (check_number, False, dsp.LoopConfig.duration),
+        "transient_s": (check_number, True, dsp.LoopConfig.transient),
         "freqs_hz": (None, False, [205.5]),
-        "amplitude_pa": (_number, False, 1.0),
+        "amplitude_pa": (check_number, False, 1.0),
     },
     "estimate_factors": dict.fromkeys(
-        ("rss", "omega0", "qms", "pressure_factor", "csb"), (_number, False, 1.0)
+        ("rss", "omega0", "qms", "pressure_factor", "csb"), (check_number, False, 1.0)
     ),
 }
 # the top level: the version, which load_config checks, and the eight blocks
@@ -126,21 +104,22 @@ _TABLES["config"] = dict.fromkeys(
 def _read(value, name: str, **flags) -> dict:
     """The config object `name` (absent or null reads as {}) by the table of
     `name` without its list index: each key checked under `name.key`, else
-    its default.  A key outside the table or a missing required key is a
-    ConfigError; `flags` that are not None replace the config's values."""
+    its default.  A key outside the table or a missing required key is an
+    InvalidParameterError; `flags` that are not None replace the config's
+    values."""
     if value is None:
         value = {}
     if not isinstance(value, dict):
-        raise ConfigError(f"{name} must be an object, got {type(value).__name__}")
+        raise InvalidParameterError(f"{name} must be an object, got {type(value).__name__}")
     entries = _TABLES[name.split("[")[0]]
     unknown = sorted(set(value) - set(entries))
     if unknown:
-        raise ConfigError(f"unknown {name} keys: {unknown}")
+        raise InvalidParameterError(f"unknown {name} keys: {unknown}")
     value = {**value, **{key: x for key, x in flags.items() if x is not None}}
     read = {}
     for key, (check, allow_zero, default) in entries.items():
         if key not in value and default is _REQUIRED:
-            raise ConfigError(f"{name}.{key} is missing")
+            raise InvalidParameterError(f"{name}.{key} is missing")
         x = value.get(key, default)
         read[key] = x if check is None else check(x, f"{name}.{key}", allow_zero)
     return read
@@ -157,7 +136,7 @@ def _specs_from_config(cfg: dict, air) -> tuple[synthesis.TargetSpec, synthesis.
     kg, fg_hz = _read(cfg.get("feedback"), "feedback").values()
     resonators = _read(cfg.get("target"), "target")["resonators"]
     if not isinstance(resonators, list) or not resonators:
-        raise ConfigError("target.resonators must be a non-empty list")
+        raise InvalidParameterError("target.resonators must be a non-empty list")
     rc = air.characteristic_impedance
     rows = [_read(e, f"target.resonators[{i}]").values() for i, e in enumerate(resonators)]
     target = synthesis.TargetSpec.multi([(rst_norm * rc, f_hz, q) for rst_norm, f_hz, q in rows])
@@ -195,8 +174,36 @@ def _grid_from_config(cfg: dict) -> np.ndarray:
         raise MemoryError(f"grid.step_hz {step!r} gives more grid points than numpy can index")
     grid = np.arange(f_min, f_max + 1e-9, step)
     if grid.size == 0:
-        raise ConfigError("frequency grid is empty")
+        raise InvalidParameterError("frequency grid is empty")
     return grid
+
+
+def _realize(cfg: dict, driver, target, fb):
+    """The `simulate` block of `cfg`, read and checked, its loop, and the
+    controller pair synthesized and discretized at the loop's rate: what
+    design and simulate both start from.  A filter that is unstable once
+    discretized is a DiscretizationError."""
+    sim = _read(cfg.get("simulate"), "simulate")
+    fs, latency, hold, duration, transient, _, _ = sim.values()
+    # LoopConfig makes these checks too; here they name the config key
+    if hold not in ("centered", "causal"):
+        raise InvalidParameterError(f"simulate.hold must be 'centered' or 'causal', got {hold!r}")
+    if not transient < duration:
+        raise InvalidParameterError(
+            "simulate.transient_s must be below simulate.duration_s, "
+            f"got {transient!r} >= {duration!r}"
+        )
+    if latency > dsp.MAX_LATENCY:
+        raise InvalidParameterError(
+            f"simulate.latency must be at most {dsp.MAX_LATENCY}, got {latency!r}"
+        )
+    loop = dsp.LoopConfig(fs=fs, latency=latency, hold=hold, duration=duration, transient=transient)
+    pair = synthesis.synthesize_controller(driver, target, fb)
+    cascades = tuple(dsp.bilinear_discretize(h, loop.fs) for h in (pair.h1, pair.h2))
+    for name, cascade in zip(("h1", "h2"), cascades):
+        if not cascade.is_stable:
+            raise DiscretizationError(f"{name} is unstable once discretized at {loop.fs!r} Hz")
+    return sim, loop, pair, cascades
 
 
 def _out_dir(args) -> Path:
@@ -210,15 +217,8 @@ def _out_dir(args) -> Path:
 
 def cmd_design(args) -> int:
     cfg, driver, target, fb = _load(args.config)
-    pair = synthesis.synthesize_controller(driver, target, fb)
+    _, _, pair, (h1_sos, h2_sos) = _realize(cfg, driver, target, fb)
     report = synthesis.stability_report(driver, fb)
-    fs = _read(cfg.get("simulate"), "simulate")["fs_hz"]
-    h1_sos = dsp.bilinear_discretize(pair.h1, fs)
-    h2_sos = dsp.bilinear_discretize(pair.h2, fs)
-    for name, cascade in (("h1", h1_sos), ("h2", h2_sos)):
-        if not cascade.is_stable:
-            raise DiscretizationError(f"{name} is unstable once discretized at {fs!r} Hz")
-
     out = _out_dir(args)
     controller = {
         "h1": {"num": list(pair.h1.num), "den": list(pair.h1.den)},
@@ -251,7 +251,7 @@ def cmd_identify(args) -> int:
         try:
             spectra.append(identify.MeasuredSpectrum.from_csv(path, air))
         except (ValueError, IndexError) as exc:
-            raise ConfigError(f"malformed spectrum CSV {path}: {exc}") from exc
+            raise InvalidParameterError(f"malformed spectrum CSV {path}: {exc}") from exc
     passive, front, rear = spectra
     k1 = identify.ProbeGain(args.k1)
     k2 = identify.ProbeGain(args.k2)
@@ -269,10 +269,11 @@ def cmd_kundt(args) -> int:
     geometry, noise, noise_seed = _read(cfg.get("kundt"), "kundt", noise_seed=args.seed).values()
     geom = vkundt.REFERENCE_GEOMETRY
     if geometry is not None:
+        values = _read(geometry, "kundt.geometry").values()
         try:
-            geom = vkundt.WaveguideGeometry(*_read(geometry, "kundt.geometry").values())
+            geom = vkundt.WaveguideGeometry(*values)
         except InvalidParameterError as exc:
-            raise ConfigError(f"invalid kundt.geometry: {exc}") from exc
+            raise InvalidParameterError(f"invalid kundt.geometry: {exc}") from exc
     freqs = _grid_from_config(cfg)
     estimates = driver.scaled(**_read(cfg.get("estimate_factors"), "estimate_factors"))
     omega = 2.0 * np.pi * freqs
@@ -303,34 +304,22 @@ def cmd_kundt(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg, driver, target, fb = _load(args.config)
-    sim = _read(cfg.get("simulate"), "simulate")
-    fs, latency, hold, duration, transient, freqs, amplitude = sim.values()
-    if hold not in ("centered", "causal"):
-        raise ConfigError(f"simulate.hold must be 'centered' or 'causal', got {hold!r}")
-    if not transient < duration:
-        raise ConfigError(
-            "simulate.transient_s must be below simulate.duration_s, "
-            f"got {transient!r} >= {duration!r}"
-        )
-    if latency > dsp.MAX_LATENCY:
-        raise ConfigError(f"simulate.latency must be at most {dsp.MAX_LATENCY}, got {latency!r}")
-    loop = dsp.LoopConfig(fs=fs, latency=latency, hold=hold, duration=duration, transient=transient)
+    sim, loop, _, cascades = _realize(cfg, driver, target, fb)
+    freqs, amplitude = sim["freqs_hz"], sim["amplitude_pa"]
     if not isinstance(freqs, list) or not freqs:
-        raise ConfigError("simulate.freqs_hz must be a non-empty list")
-    freqs = [_number(f, "simulate.freqs_hz") for f in freqs]
+        raise InvalidParameterError("simulate.freqs_hz must be a non-empty list")
+    freqs = [check_number(f, "simulate.freqs_hz") for f in freqs]
     series = {f"timeseries_{f_hz:g}hz.csv": f_hz for f_hz in freqs}  # :g keeps 6 digits
     if len(series) < len(freqs):
-        raise ConfigError(f"simulate.freqs_hz must differ to 6 significant digits, got {freqs!r}")
-
-    pair = synthesis.synthesize_controller(driver, target, fb)
-    h1 = dsp.bilinear_discretize(pair.h1, loop.fs)
-    h2 = dsp.bilinear_discretize(pair.h2, loop.fs)
+        raise InvalidParameterError(
+            f"simulate.freqs_hz must differ to 6 significant digits, got {freqs!r}"
+        )
     for f_hz in freqs:  # every run's grid is checked before any file is written
         loop.time_grid(f_hz)
     out = _out_dir(args)
     impedances = []
     for name, f_hz in series.items():
-        result = dsp.closed_loop_sim(driver, (h1, h2), loop, f_hz, amplitude)
+        result = dsp.closed_loop_sim(driver, cascades, loop, f_hz, amplitude)
         result.to_csv(out / name)
         impedances.append(result.measured_impedance())
     z = np.array(impedances, dtype=complex)
@@ -410,7 +399,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, InvalidParameterError) as exc:
+    except InvalidParameterError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (EabsorbError, ArithmeticError) as exc:

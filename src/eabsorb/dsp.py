@@ -31,10 +31,12 @@ from .errors import (
     DiscretizationError,
     DivergenceError,
     InvalidParameterError,
+    as_float,
+    check_count,
     check_frequencies,
     check_nonzero,
+    check_number,
     check_positive,
-    is_integer,
 )
 from .model import DriverModel
 from .rational import RationalTransfer
@@ -78,7 +80,8 @@ class SosCascade:
     `sos` is a read-only (n, 5) array of rows (b0, b1, b2, a1, a2), each
     the section (b0 + b1 z^-1 + b2 z^-2) / (1 + a1 z^-1 + a2 z^-2).  The
     frequency response is gain times the product of the section responses.
-    The gain and every `sos` entry must be finite.
+    The sample rate `fs` is a positive number, and the gain and every `sos`
+    entry are finite.
     """
 
     sos: np.ndarray
@@ -86,20 +89,19 @@ class SosCascade:
     fs: float
 
     def __post_init__(self):
-        if not 0.0 < self.fs < math.inf:
-            raise InvalidParameterError("sample rate must be positive and finite")
+        fs = check_number(self.fs, "fs")
         sos = np.array(self.sos, dtype=float)
         if sos.ndim != 2 or sos.shape[1] != 5:
             raise InvalidParameterError("sos must be an (n, 5) array of rows (b0, b1, b2, a1, a2)")
         if not np.all(np.isfinite(sos)):
             raise InvalidParameterError("sos entries must be finite")
-        gain = float(self.gain)
+        gain = as_float(self.gain)
         if not math.isfinite(gain):
-            raise InvalidParameterError(f"gain must be finite, got {gain!r}")
+            raise InvalidParameterError(f"gain must be finite, got {self.gain!r}")
         sos.flags.writeable = False
         object.__setattr__(self, "sos", sos)
         object.__setattr__(self, "gain", gain)
-        object.__setattr__(self, "fs", float(self.fs))
+        object.__setattr__(self, "fs", fs)
 
     @property
     def is_stable(self) -> bool:
@@ -302,8 +304,7 @@ def bilinear_discretize(ct: RationalTransfer, fs: float) -> SosCascade:
     magnitude and phase bias while keeping the degrees and the exact DC
     value.  The result is factored through `sos_partition`.
     """
-    if not 0.0 < fs < math.inf:
-        raise InvalidParameterError("sample rate must be positive and finite")
+    fs = check_number(fs, "fs")
     if not ct.is_proper:
         raise DiscretizationError("cannot discretize an improper transfer")
     if ct.is_zero or ct.den_degree == 0:
@@ -343,11 +344,8 @@ class LoopConfig:
 
     def __post_init__(self):
         check_positive(self, "fs", "duration")
-        latency = self.latency
-        if not is_integer(latency) or latency < 0:
-            raise InvalidParameterError(f"latency must be a non-negative integer, got {latency!r}")
-        if latency > MAX_LATENCY:
-            raise InvalidParameterError(f"latency must be at most {MAX_LATENCY}, got {latency!r}")
+        if check_count(self.latency, "latency", allow_zero=True) > MAX_LATENCY:
+            raise InvalidParameterError(f"latency must be at most {MAX_LATENCY}, got {self.latency}")
         if self.hold not in ("centered", "causal"):
             raise InvalidParameterError("hold must be 'centered' or 'causal'")
         check_positive(self, "transient", allow_zero=True)
@@ -559,7 +557,8 @@ def sampled_loop(
     u_next = cmds[1] if centered else u_now
     step = np.vstack([plant(u_now, u_next), s1_next, s2_next, cmds[1:]])
     plant_data = (a.tolist(), b.tolist(), (phi @ b).tolist(), dt)
-    return SampledLoop(step[:, :n], step[:, n:], u_now[:n], u_now[n + 2], plant_data)
+    # a copy, so the loop does not keep the whole command array alive
+    return SampledLoop(step[:, :n], step[:, n:], u_now[:n].copy(), u_now[n + 2], plant_data)
 
 
 def _block_ticks(states: int, ticks: int) -> int:
@@ -629,9 +628,9 @@ def closed_loop_sim(
     grid numpy cannot index, and DivergenceError, stamped with the time of
     the first tick past the limit, if the state blows up.
     """
-    f_hz = float(check_frequencies(f_hz))
-    check_nonzero(amplitude, "amplitude")
     t_grid = loop.time_grid(f_hz)
+    f_hz = float(f_hz)
+    check_nonzero(amplitude, "amplitude")
     dlti = sampled_loop(model, *cascades, loop)
     n, m = len(t_grid), len(dlti.f)
     w = 2.0 * math.pi * f_hz

@@ -1,5 +1,6 @@
-"""Exception types shared across the toolkit, and the positivity, nonzero,
-integer, frequency, seed and spread checks of parameter fields."""
+"""Exception types shared across the toolkit, and the one set of value checks
+(positive or non-negative numbers and integers, nonzero numbers, frequency
+arrays) that the config reader and every library type make."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ class EabsorbError(Exception):
 
 
 class InvalidParameterError(EabsorbError, ValueError):
-    """A physical parameter is out of its valid range."""
+    """A parameter or config value is out of its valid range."""
 
 
 class SynthesisError(EabsorbError):
@@ -42,56 +43,60 @@ class DivergenceError(EabsorbError):
         self.time_s = time_s
 
 
+def as_float(x) -> float:
+    """`x` as a float: NaN for a bool or a value that is not a real number,
+    and an infinity of its sign for an integer beyond float range, so that a
+    finiteness check refuses all three."""
+    if not isinstance(x, numbers.Real) or isinstance(x, bool):
+        return math.nan
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def check_number(x, name: str, allow_zero: bool = False) -> float:
+    """`x` as a float that is finite and positive (or zero, with
+    allow_zero), else an InvalidParameterError naming `name`; bools, values
+    that are not real numbers and integers beyond float range are refused."""
+    f = as_float(x)
+    if not (f < math.inf and (f > 0.0 or (allow_zero and f == 0.0))):  # NaN fails both
+        bound = "a non-negative" if allow_zero else "a positive"
+        raise InvalidParameterError(f"{name} must be {bound} number, got {x!r}")
+    return f
+
+
+def check_count(x, name: str, allow_zero: bool = False):
+    """`x`, an int or numpy integer (not a bool) that is positive (or zero,
+    with allow_zero), else an InvalidParameterError naming `name`; floats,
+    integral or not, are refused."""
+    integer = isinstance(x, numbers.Integral) and not isinstance(x, bool)
+    if not (integer and x >= (0 if allow_zero else 1)):
+        bound = "a non-negative" if allow_zero else "a positive"
+        raise InvalidParameterError(f"{name} must be {bound} integer, got {x!r}")
+    return x
+
+
 def check_positive(obj, *names: str, allow_zero: bool = False) -> None:
-    """Raise InvalidParameterError unless each named field of `obj` is a real
-    number (not a bool), finite and above zero (or zero, with allow_zero);
-    NaN would pass `x <= 0`."""
+    """`check_number` on each named field of `obj`."""
     for name in names:
-        x = getattr(obj, name)
-        if not (is_real(x) and math.isfinite(x) and (x > 0 or (allow_zero and x == 0))):
-            bound = "non-negative" if allow_zero else "strictly positive"
-            raise InvalidParameterError(f"{name} must be {bound} and finite, got {x!r}")
-
-
-def is_integer(x) -> bool:
-    """True for an int or a numpy integer, but not for a bool."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
-
-
-def is_real(x) -> bool:
-    """True for a real number (int, float or their numpy kinds), but not
-    for a bool."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+        check_number(getattr(obj, name), name, allow_zero)
 
 
 def check_nonzero(x, name: str) -> None:
     """Raise InvalidParameterError unless `x` is a finite nonzero real
     number (not a bool)."""
-    if not (is_real(x) and math.isfinite(x) and x != 0):
+    if not (math.isfinite(as_float(x)) and x != 0):
         raise InvalidParameterError(f"{name} must be finite and nonzero, got {x!r}")
 
 
-def check_seed(seed) -> None:
-    """Raise InvalidParameterError unless `seed` is a non-negative integer."""
-    if not is_integer(seed) or seed < 0:
-        raise InvalidParameterError(f"seed must be a non-negative integer, got {seed!r}")
-
-
-def check_rel_std(rel_std) -> float:
-    """`rel_std` as a float; it must be a real number (not a bool),
-    non-negative and finite."""
-    # a NaN fails both comparisons
-    if not (is_real(rel_std) and 0.0 <= rel_std < math.inf):
-        raise InvalidParameterError(
-            f"rel_std must be a non-negative finite number, got {rel_std!r}"
-        )
-    return float(rel_std)
-
-
 def check_frequencies(f_hz, name: str = "f_hz") -> np.ndarray:
-    """`f_hz` as a float array; every entry must be positive and finite,
+    """`f_hz` as a new float array; every entry must be positive and finite,
     else an InvalidParameterError names the parameter `name`."""
-    f = np.asarray(f_hz, dtype=float)
+    try:
+        f = np.array(f_hz, dtype=float)
+    except OverflowError:  # an integer beyond float range, read as inf below
+        f = np.vectorize(as_float, otypes=[float])(np.array(f_hz, dtype=object))
     ok = (f > 0.0) & (f < math.inf)  # NaN fails both
     if not ok.all():
         bad = float(f[~ok].flat[0])

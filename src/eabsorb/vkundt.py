@@ -21,10 +21,10 @@ import numpy as np
 
 from .errors import (
     InvalidParameterError,
+    check_count,
     check_frequencies,
+    check_number,
     check_positive,
-    check_rel_std,
-    check_seed,
 )
 from .model import AirProperties
 
@@ -65,7 +65,7 @@ class TwoMicMeasurement:
     h12: np.ndarray
 
     def __post_init__(self):
-        freqs = check_frequencies(np.array(self.freqs_hz, dtype=float), "freqs_hz")
+        freqs = check_frequencies(self.freqs_hz, "freqs_hz")
         h12 = np.array(self.h12, dtype=complex)
         if freqs.size != h12.size:
             raise InvalidParameterError("frequency and H12 arrays must match")
@@ -110,11 +110,11 @@ def add_measurement_noise(
 ) -> TwoMicMeasurement:
     """Additive complex Gaussian noise of relative size rel_std on H12.
 
-    The seed must be a non-negative integer and rel_std a non-negative
-    finite number (not a bool).
+    The seed is a non-negative integer and rel_std a non-negative number
+    (`errors.check_count`, `errors.check_number`).
     """
-    check_seed(seed)
-    rel_std = check_rel_std(rel_std)
+    check_count(seed, "seed", allow_zero=True)
+    rel_std = check_number(rel_std, "rel_std", allow_zero=True)
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, rel_std, meas.h12.size) + 1j * rng.normal(
         0.0, rel_std, meas.h12.size

@@ -84,6 +84,31 @@ def test_config_keys_are_read_only_in_cli(tmp_path, onedof_config):
     assert '"fs_hz": 50000.0' in (tmp_path / "h1_sos.json").read_text()
 
 
+def test_value_checks_are_declared_only_in_errors():
+    # one vocabulary for config keys and library fields: no module but
+    # errors.py spells a value check's message, and the reader's tables
+    # name errors' checks, with none of cli.py's own
+    package = Path(ea.__file__).resolve().parent
+    phrases = [
+        f"must be a {bound} {kind}"
+        for bound in ("positive", "non-negative")
+        for kind in ("number", "integer")
+    ]
+    for path in package.glob("*.py"):
+        text = path.read_text()
+        found = [phrase for phrase in phrases if phrase in text]
+        assert found == [] or path.name == "errors.py", (path.name, found)
+    checks = {check for table in cli._TABLES.values() for check, _, _ in table.values()}
+    assert checks == {None, ea.errors.check_number, ea.errors.check_count}
+    own = [
+        name
+        for name, value in vars(cli).items()
+        if callable(value) and getattr(value, "__module__", None) == cli.__name__
+        and ("check" in name or name in ("_number", "_integer"))
+    ]
+    assert own == []
+
+
 def test_bad_config_exit_code(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
@@ -170,10 +195,22 @@ BAD_VALUES = {
 }
 
 
-@pytest.mark.parametrize("case", list(BAD_VALUES), ids=list(BAD_VALUES))
-def test_bad_config_values_exit_2(tmp_path, capsys, case):
-    # each bad value is a config error naming its key, never a traceback
-    verb, (block, key), value, name = BAD_VALUES[case]
+#: the cases of the simulate block that design, which realizes the same
+#: loop, refuses alike
+REALIZATION_CASES = (
+    "latency-past-bound", "hold-unknown", "transient-past-duration", "duration-below-transient"
+)
+
+
+@pytest.mark.parametrize(
+    "case, verb",
+    [pytest.param(case, BAD_VALUES[case][0], id=case) for case in BAD_VALUES]
+    + [pytest.param(case, "design", id=f"{case}-design") for case in REALIZATION_CASES],
+)
+def test_bad_config_values_exit_2(tmp_path, capsys, case, verb):
+    # each bad value is a config error naming its key, never a traceback,
+    # and no output directory is made
+    _, (block, key), value, name = BAD_VALUES[case]
     cfg = json.loads((FIXTURES / "table1_1dof.json").read_text())
     if block == "driver":  # the fixture's is {"reference": true}
         cfg["driver"] = json.loads((FIXTURES / "table3_driver.json").read_text())
@@ -186,6 +223,7 @@ def test_bad_config_values_exit_2(tmp_path, capsys, case):
     assert run([verb, "--config", p, "--out", tmp_path / "o"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and name in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(
@@ -320,19 +358,31 @@ def test_design_checks_every_simulate_key(tmp_path, capsys, onedof_config):
     assert err == "config error: simulate.latency must be a non-negative integer, got 1.5\n"
 
 
-def test_design_refuses_an_unstable_discrete_filter(tmp_path, capfd, onedof_config):
+@pytest.mark.parametrize(
+    "verb, simulate, fs",
+    [
+        ("design", {"fs_hz": 1e12}, "1000000000000.0"),
+        ("simulate", {"fs_hz": 1e12, "duration_s": 1e-9, "transient_s": 0.0}, "1000000000000.0"),
+        ("simulate", {"fs_hz": 1e19}, "1e+19"),
+    ],
+    ids=["design", "simulate", "simulate-1e19"],
+)
+def test_design_refuses_an_unstable_discrete_filter(
+    tmp_path, capfd, onedof_config, verb, simulate, fs
+):
     # the continuous loop is stable (stable=True), but at 1e12 Hz the
     # bilinear map of h1 has a pole outside the unit circle: design says so
-    # and writes no filter
+    # and writes no filter, and simulate runs no loop on it, whose fit
+    # would read Re Z = 2.3e9 Pa.s/m
     cfg = json.loads(onedof_config.read_text())
-    cfg["simulate"] = {"fs_hz": 1e12}
+    cfg["simulate"] = simulate
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))
     out = tmp_path / "o"
-    assert run(["design", "--config", p, "--out", out]) == 3
+    assert run([verb, "--config", p, "--out", out]) == 3
     captured = capfd.readouterr()
     assert captured.out == ""
-    assert captured.err == "numerical error: h1 is unstable once discretized at 1000000000000.0 Hz\n"
+    assert captured.err == f"numerical error: h1 is unstable once discretized at {fs} Hz\n"
     assert not out.exists()
 
 
@@ -413,7 +463,8 @@ _CAPPED_MAIN = (
         ("montecarlo", lambda c: c["grid"].update(step_hz=1e-20)),
         ("kundt", lambda c: c["grid"].update(step_hz=1e-20)),
         ("simulate", lambda c: c.update(simulate={"duration_s": 1e15})),
-        ("simulate", lambda c: c.update(simulate={"fs_hz": 1e19})),
+        # 1e19 ticks, with both filters stable at 1e10 Hz
+        ("simulate", lambda c: c.update(simulate={"fs_hz": 1e10, "duration_s": 1e9})),
     ],
     ids=[
         "grid-montecarlo",

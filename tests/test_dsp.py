@@ -845,6 +845,14 @@ def test_high_latency_matches_per_tick_oracle(ref_model, cascades_1dof, latency)
     assert_series_close(sim, per_tick_closed_loop(ref_model, cascades_1dof, loop, 205.5), 1e-10)
 
 
+def test_sampled_loop_output_row_owns_its_data(ref_model, cascades_1dof):
+    # a view of the build's (n+1, n+4) command array would keep it alive
+    # with the loop: 16.3 MB held at latency 1000 where F needs 8.2 MB
+    dlti = dsp.sampled_loop(ref_model, *cascades_1dof, ea.LoopConfig(fs=FS, latency=300))
+    assert dlti.c.base is None
+    assert dlti.c.shape == (len(dlti.f),)
+
+
 def diverging_loop(hold, duration=5.0):
     """8 kHz at latency 5: unstable with kg = 4 (see test_latency_boundary_at_8khz)."""
     return ea.LoopConfig(fs=8_000.0, latency=5, hold=hold, duration=duration, transient=duration / 2)

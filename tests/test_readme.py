@@ -7,7 +7,7 @@ import types
 from pathlib import Path
 
 import eabsorb
-from eabsorb import cli
+from eabsorb import cli, errors
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -61,7 +61,7 @@ def test_readme_config_keys_are_read_by_cli():
 
 
 def _table_value(check, allow_zero) -> str:
-    kind = {cli._number: "number", cli._integer: "integer"}[check]
+    kind = {errors.check_number: "number", errors.check_count: "integer"}[check]
     return f"{kind} ≥ 0" if allow_zero else f"{kind} > 0"
 
 

@@ -1,8 +1,9 @@
 """Checks that hold across modules: every public function that takes a
 frequency refuses one that is not positive and finite, every one that takes
 a seed and a spread refuses a bad one of either, every physical parameter
-refuses a bool or a value that is not a real number, and the frozen value
-types keep read-only copies of the arrays they are built from."""
+refuses a bool, a value that is not a real number or an integer beyond
+float range, and the frozen value types keep read-only copies of the arrays
+they are built from."""
 
 import math
 
@@ -53,11 +54,14 @@ FREQUENCY_TAKERS = {
 }
 
 
-@pytest.mark.parametrize("f", [0.0, math.nan, math.inf], ids=["zero", "nan", "inf"])
+@pytest.mark.parametrize(
+    "f", [0.0, math.nan, math.inf, 10**400], ids=["zero", "nan", "inf", "beyond-float"]
+)
 @pytest.mark.parametrize("name", sorted(FREQUENCY_TAKERS))
 def test_bad_frequency_is_refused_before_use(ref_model, targets, fb4, cascades, name, f):
     # under the suite's error::RuntimeWarning filter, evaluating anything at
-    # the bad frequency before the check would fail with a warning instead
+    # the bad frequency before the check would fail with a warning instead;
+    # an integer beyond float range would raise a bare OverflowError
     with pytest.raises(ea.InvalidParameterError, match="must be positive and finite"):
         FREQUENCY_TAKERS[name](f, ref_model, targets["1dof"], fb4, cascades)
 
@@ -112,8 +116,14 @@ RANDOM_TAKERS = {
 
 @pytest.mark.parametrize(
     "seed, rel_std, match",
-    [(1, True, "rel_std"), (1, -0.1, "rel_std"), (-1, 0.05, "seed"), (1.5, 0.05, "seed")],
-    ids=["bool-rel-std", "negative-rel-std", "negative-seed", "float-seed"],
+    [
+        (1, True, "rel_std"),
+        (1, -0.1, "rel_std"),
+        (1, 10**400, "rel_std"),
+        (-1, 0.05, "seed"),
+        (1.5, 0.05, "seed"),
+    ],
+    ids=["bool-rel-std", "negative-rel-std", "beyond-float-rel-std", "negative-seed", "float-seed"],
 )
 @pytest.mark.parametrize("name", sorted(RANDOM_TAKERS))
 def test_bad_seed_or_rel_std_is_refused(name, seed, rel_std, match):
@@ -130,9 +140,13 @@ def test_rel_std_limits():
         ea.MonteCarloConfig(10, 0.2, 1)
 
 
+#: the section row of H(z) = 1
+PASSTHROUGH = (1.0, 0.0, 0.0, 0.0, 0.0)
+
 #: name -> (call(value, model, cascades) passing `value` as one physical
 #: parameter, the start of the message that refuses a bad one)
 PARAMETER_TAKERS = {
+    "AirProperties.c0": (lambda x, m, cas: ea.AirProperties(c0=x), "c0 must be"),
     "DriverModel.rss": (lambda x, m, cas: ea.DriverModel(x, 1.0, 1.0, 1.0, 1.0), "rss must be"),
     "Resonator.qt": (lambda x, m, cas: ea.Resonator(1.0, 1.0, x), "qt must be"),
     "FeedbackSpec.kg": (lambda x, m, cas: ea.FeedbackSpec(x, 1.0), "kg must be"),
@@ -146,6 +160,16 @@ PARAMETER_TAKERS = {
         "transient must be",
     ),
     "ProbeGain.k": (lambda x, m, cas: ea.ProbeGain(x), "probe gain must be"),
+    "WaveguideGeometry.diameter": (
+        lambda x, m, cas: ea.WaveguideGeometry(0.1, 0.42, 0.97, x),
+        "diameter must be",
+    ),
+    "SosCascade.gain": (lambda x, m, cas: ea.SosCascade([PASSTHROUGH], x, FS), "gain must be"),
+    "SosCascade.fs": (lambda x, m, cas: ea.SosCascade([PASSTHROUGH], 1.0, x), "fs must be"),
+    "bilinear_discretize.fs": (
+        lambda x, m, cas: ea.bilinear_discretize(ea.RationalTransfer.constant(1.0), x),
+        "fs must be",
+    ),
     "closed_loop_sim.amplitude": (
         lambda x, m, cas: ea.closed_loop_sim(
             m, cas, ea.LoopConfig(fs=FS, duration=0.01, transient=0.005), 400.0, x
@@ -156,12 +180,15 @@ PARAMETER_TAKERS = {
 
 
 @pytest.mark.parametrize(
-    "value", [True, np.True_, "5e4", None, 1j], ids=["bool", "numpy-bool", "str", "none", "complex"]
+    "value",
+    [True, np.True_, "5e4", None, 1j, 10**400],
+    ids=["bool", "numpy-bool", "str", "none", "complex", "beyond-float"],
 )
 @pytest.mark.parametrize("name", sorted(PARAMETER_TAKERS))
 def test_non_real_parameter_is_refused(ref_model, cascades, name, value):
-    # a bool would be taken as 1 or 0, and a string, None or a complex would
-    # raise an untyped TypeError from the comparison
+    # a bool would be taken as 1 or 0, a string, None or a complex would
+    # raise an untyped TypeError from the comparison, and an integer beyond
+    # float range a bare OverflowError
     call, match = PARAMETER_TAKERS[name]
     with pytest.raises(ea.InvalidParameterError, match=match):
         call(value, ref_model, cascades)
