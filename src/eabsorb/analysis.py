@@ -45,10 +45,11 @@ first attempt whose five factors are all positive.  A draw depends only on
 what NEP 19 keeps stable: numpy's SeedSequence and the raw PCG64 stream.
 The last bits of a normal are those of numpy's log, sqrt, cos and sin on
 the platform, as the study's products are those of its BLAS.
-`draw_parameter_factors` makes one draw; `_draw_factors` makes attempt 0
-of a block of draws from one run of the stream and remakes its rare
-rejected draws one at a time.  Both paths apply `_box_muller` to
-contiguous rows, so each ufunc takes the same loop on both.
+`_draw_factors` makes every draw: a block of draws from one run of the
+stream, whose rare rejected draws it remakes as blocks of one draw from
+their next attempt.  A study takes its draws a block at a time, and
+`draw_parameter_factors` is a block of one.  `_box_muller` gives a draw
+the same bytes whatever the block width.
 """
 
 from __future__ import annotations
@@ -283,36 +284,20 @@ def _box_muller(raw) -> np.ndarray:
     return z
 
 
-def _draw(seed: int, index: int, rel_std: float, attempt: int) -> np.ndarray:
-    """Factors of draw `index` of the stream contract (module docstring),
-    from attempt `attempt` on; seed and index are Python ints, as
-    `PCG64.advance` refuses numpy integers."""
-    bitgen = np.random.PCG64(np.random.SeedSequence(seed))
-    bitgen.advance(6 * (attempt * MAX_DRAWS + index))
-    while True:
-        factors = _box_muller(bitgen.random_raw(6).reshape(6, 1))[:, 0]
-        factors *= rel_std
-        factors += 1.0
-        if np.all(factors > 0.0):
-            return factors
-        # the next attempt's six outputs start 6*MAX_DRAWS after this one's
-        bitgen.advance(6 * (MAX_DRAWS - 1))
-
-
-def _draw_factors(seed: int, lo: int, hi: int, rel_std: float) -> np.ndarray:
+def _draw_factors(seed: int, lo: int, hi: int, rel_std: float, attempt: int = 0) -> np.ndarray:
     """Factors of draws lo, ..., hi - 1 (one row each) of the stream
-    contract in the module docstring.  The first attempts of the block's
-    draws are one run of the stream; the rare rejected draws are made again
-    one at a time."""
+    contract in the module docstring, from attempt `attempt` on.  The
+    block's attempts are one run of the stream; a draw with a factor at or
+    below zero is remade as a block of one draw from its next attempt."""
     bitgen = np.random.PCG64(np.random.SeedSequence(int(seed)))
-    bitgen.advance(6 * lo)
+    bitgen.advance(6 * (attempt * MAX_DRAWS + int(lo)))  # advance refuses numpy integers
     # one attempt per column, with contiguous rows for _box_muller
     raw = np.ascontiguousarray(bitgen.random_raw(6 * (hi - lo)).reshape(hi - lo, 6).T)
     factors = _box_muller(raw)
     factors *= rel_std
     factors += 1.0
     for k in np.flatnonzero(np.any(factors <= 0.0, axis=0)):
-        factors[:, k] = _draw(int(seed), lo + int(k), rel_std, attempt=1)
+        factors[:, k] = _draw_factors(seed, lo + k, lo + k + 1, rel_std, attempt + 1)[0]
     return factors.T
 
 
@@ -329,14 +314,14 @@ def draw_parameter_factors(seed: int, index: int, rel_std: float) -> np.ndarray:
     SeedSequence and raw PCG64 stream, not on `Generator`'s samplers.  The
     seed is a non-negative integer, the index an integer in [0, 2**32) and
     rel_std a non-negative number (`errors.check_count`,
-    `errors.check_number`).  Monte Carlo studies make the same draws a
-    block at a time.
+    `errors.check_number`).  `_draw_factors` makes it as a block of one,
+    as it makes a Monte Carlo study's draws a block at a time.
     """
     check_count(seed, "seed", allow_zero=True)
     rel_std = check_number(rel_std, "rel_std", allow_zero=True)
     if check_count(index, "draw index", allow_zero=True) >= MAX_DRAWS:
         raise InvalidParameterError(f"draw index must be below {MAX_DRAWS}, got {index!r}")
-    return _draw(int(seed), int(index), rel_std, attempt=0)
+    return _draw_factors(seed, index, index + 1, rel_std)[0]
 
 
 def _quartile_rule(n: int):

@@ -357,12 +357,15 @@ class LoopConfig:
         `SimulationResult.measured_impedance`.
 
         Raises MemoryError for a grid numpy cannot index, and
-        InvalidParameterError if f_hz is not positive and finite, if fewer
-        than the two ticks the fit needs lie at or after transient, or if
-        its cos/sin basis over them is singular: near a multiple of fs/2 the
-        sampled sine vanishes (singular-value ratio below FIT_RATIO_MIN).
+        InvalidParameterError if f_hz is not one positive and finite number,
+        if fewer than the two ticks the fit needs lie at or after transient,
+        or if its cos/sin basis over them is singular: near a multiple of
+        fs/2 the sampled sine vanishes (singular-value ratio below FIT_RATIO_MIN).
         """
-        f_hz = float(check_frequencies(f_hz))
+        f = check_frequencies(f_hz)
+        if f.ndim != 0:
+            raise InvalidParameterError(f"f_hz must be a single frequency, got {f_hz!r}")
+        f_hz = float(f)
         if not self.duration * self.fs < np.iinfo(np.intp).max:  # else numpy raises ValueError
             raise MemoryError(f"numpy cannot index a time grid of {self.duration * self.fs:.3g} ticks")
         t_grid = np.arange(int(round(self.duration * self.fs))) * (1.0 / self.fs)
@@ -670,9 +673,9 @@ def measure_impedance(model: DriverModel, cascades, loop: LoopConfig, f_hz) -> c
     """Exact steady-state impedance p_f/v of the closed loop at f_hz.
 
     Solves (zI - F) X = G(w) at z = e^{jwT} for the discrete model of
-    `sampled_loop`, built once for all frequencies: a scalar f_hz gives a
-    complex, an array an array of its shape.  The result is the loop's true
-    sinusoidal steady state, with no transient to discard and no time grid.
+    `sampled_loop`, built once and solved one frequency at a time: a scalar
+    f_hz gives a complex, an array an array of its shape.  The result is the
+    loop's true sinusoidal steady state, with no transient and no time grid.
     Every f_hz must be positive and finite.  Raises a divergence error naming
     the spectral radius of F when the loop is unstable (no steady state).
     """
@@ -685,5 +688,9 @@ def measure_impedance(model: DriverModel, cascades, loop: LoopConfig, f_hz) -> c
             time_s=None,
         )
     z, g = dlti.drive(2.0 * math.pi * (f.ravel() if f.ndim else f))
-    x = np.linalg.solve(z[..., None, None] * np.eye(len(dlti.f)) - dlti.f, g[..., None])
-    return complex(1.0 / x[0, 0]) if f.ndim == 0 else 1.0 / x[:, 0, 0].reshape(f.shape)
+    eye = np.eye(len(dlti.f))
+    if f.ndim == 0:
+        return complex(1.0 / np.linalg.solve(z * eye - dlti.f, g[:, None])[0, 0])
+    # one system per frequency: stacked, a band's would hold n_f * m^2 values
+    v = [np.linalg.solve(zk * eye - dlti.f, gk[:, None])[0, 0] for zk, gk in zip(z, g)]
+    return 1.0 / np.array(v, dtype=complex).reshape(f.shape)

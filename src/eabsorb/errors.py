@@ -91,14 +91,18 @@ def check_nonzero(x, name: str) -> None:
 
 
 def check_frequencies(f_hz, name: str = "f_hz") -> np.ndarray:
-    """`f_hz` as a new float array; every entry must be positive and finite,
-    else an InvalidParameterError names the parameter `name`."""
-    try:
-        f = np.array(f_hz, dtype=float)
-    except OverflowError:  # an integer beyond float range, read as inf below
-        f = np.vectorize(as_float, otypes=[float])(np.array(f_hz, dtype=object))
+    """`f_hz` as a new float array; every entry must be a positive and
+    finite real number, by `as_float`'s rule (so not a bool or a string),
+    else an InvalidParameterError names the parameter `name`.  A float or
+    an array of real dtype is converted by numpy alone, anything else entry
+    by entry."""
+    if isinstance(f_hz, float) or (isinstance(f_hz, np.ndarray) and f_hz.dtype.kind in "fiu"):
+        entries = f = np.array(f_hz, dtype=float)
+    else:
+        entries = np.array(f_hz, dtype=object)
+        f = np.array([as_float(x) for x in entries.flat], dtype=float).reshape(entries.shape)
     ok = (f > 0.0) & (f < math.inf)  # NaN fails both
     if not ok.all():
-        bad = float(f[~ok].flat[0])
+        bad = entries[~ok].tolist()[0]
         raise InvalidParameterError(f"{name} must be positive and finite, got {bad!r}")
     return f

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import functools
 import itertools
@@ -362,6 +363,30 @@ def test_box_muller_gets_contiguous_rows(monkeypatch):
     ea.analysis._draw_factors(3, 0, 40, 0.5)
     ea.analysis.draw_parameter_factors(3, 7, 0.5)
     assert columns[0] == 40 and columns.count(1) >= 2
+
+
+def calls_in_src(callee):
+    """(module, innermost enclosing function) of every call in the package
+    whose callee reads `callee`."""
+    found = []
+
+    def visit(node, module, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and ast.unparse(child.func) == callee:
+                found.append((module, owner))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, module, child.name if inner else owner)
+
+    for path in sorted(Path(ea.__file__).resolve().parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.name, None)
+    return found
+
+
+def test_one_function_makes_every_draw():
+    # the stream is placed, and its normals made, in one place: a study's
+    # blocks, their redraws and the public draw all go through it
+    assert calls_in_src("np.random.PCG64") == [("analysis.py", "_draw_factors")]
+    assert calls_in_src("_box_muller") == [("analysis.py", "_draw_factors")]
 
 
 @functools.lru_cache(maxsize=None)

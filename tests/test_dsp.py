@@ -605,6 +605,22 @@ def test_band_builds_one_loop(ref_model, cascades_1dof, monkeypatch):
     assert len(builds) == len(radii) == 2
 
 
+def test_band_memory_is_bounded(ref_model, targets, fb0):
+    # one system per frequency: stacked, the default grid's 496 systems at
+    # latency 100 held 179 MB (the (n_f, m, m) matrix alone grows as m^2)
+    pair = ea.synthesize_controller(ref_model, targets["1dof"], fb0)
+    cascades = ea.bilinear_discretize(pair.h1, FS), ea.bilinear_discretize(pair.h2, FS)
+    loop = ea.LoopConfig(fs=FS, latency=100)
+    tracemalloc.start()
+    try:
+        band = ea.measure_impedance(ref_model, cascades, loop, ea.default_frequency_grid())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert band.shape == (496,) and np.all(np.isfinite(band))
+    assert peak < 16e6
+
+
 def spectral_radius(model, cascades, loop):
     return float(np.max(np.abs(np.linalg.eigvals(dsp.sampled_loop(model, *cascades, loop).f))))
 

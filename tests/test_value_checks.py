@@ -55,15 +55,55 @@ FREQUENCY_TAKERS = {
 
 
 @pytest.mark.parametrize(
-    "f", [0.0, math.nan, math.inf, 10**400], ids=["zero", "nan", "inf", "beyond-float"]
+    "f",
+    [0.0, math.nan, math.inf, 10**400, "100", "x", True, np.True_, 1 + 2j, None],
+    ids=[
+        "zero", "nan", "inf", "beyond-float", "numeric-str", "str", "bool", "numpy-bool",
+        "complex", "none",
+    ],
 )
 @pytest.mark.parametrize("name", sorted(FREQUENCY_TAKERS))
 def test_bad_frequency_is_refused_before_use(ref_model, targets, fb4, cascades, name, f):
     # under the suite's error::RuntimeWarning filter, evaluating anything at
     # the bad frequency before the check would fail with a warning instead;
-    # an integer beyond float range would raise a bare OverflowError
+    # an integer beyond float range would raise a bare OverflowError, a
+    # non-numeric string a bare ValueError and a complex a bare TypeError,
+    # while numpy reads a numeric string as its number and a bool as 1 Hz
     with pytest.raises(ea.InvalidParameterError, match="must be positive and finite"):
         FREQUENCY_TAKERS[name](f, ref_model, targets["1dof"], fb4, cascades)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [100, np.int64(100), np.float32(100.0), [100, 200.0], np.array([100, 200], dtype=np.int32),
+     np.array([[100.0], [200.0]], dtype=np.float32)],
+    ids=["int", "numpy-int", "numpy-float32", "list", "int-array", "float32-array"],
+)
+def test_real_frequencies_are_taken(f):
+    got = ea.errors.check_frequencies(f)
+    assert got.dtype == np.float64 and got.shape == np.shape(f)
+    np.testing.assert_array_equal(got, np.asarray(f, dtype=float))
+
+
+#: name -> call(f, model, cascades) of each taker of one frequency
+SINGLE_FREQUENCY_TAKERS = {
+    "LoopConfig.time_grid": lambda f, m, cas: ea.LoopConfig().time_grid(f),
+    "closed_loop_sim": lambda f, m, cas: ea.closed_loop_sim(
+        m, cas, ea.LoopConfig(fs=FS, latency=0), f
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "f", [[100.0, 200.0], [205.5], np.array([205.5])], ids=["list", "one-item-list", "array"]
+)
+@pytest.mark.parametrize("name", sorted(SINGLE_FREQUENCY_TAKERS))
+def test_frequency_array_is_refused_by_single_frequency_takers(ref_model, cascades, name, f):
+    # numpy 2 raises a bare TypeError converting the array to a float;
+    # numpy 1.25 to 1.26 read a one-item array as its item, with a
+    # DeprecationWarning
+    with pytest.raises(ea.InvalidParameterError, match="f_hz must be a single frequency"):
+        SINGLE_FREQUENCY_TAKERS[name](f, ref_model, cascades)
 
 
 @pytest.mark.parametrize(
