@@ -65,6 +65,12 @@ from .errors import InvalidParameterError, check_count, check_frequencies, check
 from .model import AirProperties, DriverModel, passive_impedance
 from .synthesis import FeedbackSpec, TargetSpec, feedback_filter, target_impedance
 
+__all__ = [
+    "MonteCarloConfig", "QuartileBand", "SensitivityTriple", "absorption_coefficient",
+    "achieved_impedance", "default_frequency_grid", "monte_carlo_absorption",
+    "reflection_coefficient", "sensitivities",
+]
+
 #: denominator magnitudes at or below this absolute value are flagged as
 #: singular evaluation frequencies.  It catches exact zeros and values near
 #: underflow only; it is not a relative conditioning test, since a small but

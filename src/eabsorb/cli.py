@@ -9,6 +9,7 @@ produce byte-identical outputs.  Exit codes: 0 success, 2 config error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -125,11 +126,24 @@ def _read(value, name: str, **flags) -> dict:
     return read
 
 
+@contextlib.contextmanager
+def _block(name: str):
+    """Names the config object `name` in a library refusal of a value built
+    from it: an InvalidParameterError is re-raised as "name: message".  The
+    values are read (`_read`) outside, as those messages name their key."""
+    try:
+        yield
+    except InvalidParameterError as exc:
+        raise InvalidParameterError(f"{name}: {exc}") from exc
+
+
 def _driver_from_config(cfg: dict) -> model_mod.DriverModel:
     d = cfg.get("driver")
     if d is None or d == {"reference": True}:
         return model_mod.table_reference_model()
-    return model_mod.DriverModel.from_dict(_read(d, "driver"))
+    d = _read(d, "driver")
+    with _block("driver"):
+        return model_mod.DriverModel.from_dict(d)
 
 
 def _specs_from_config(cfg: dict, air) -> tuple[synthesis.TargetSpec, synthesis.FeedbackSpec]:
@@ -139,8 +153,12 @@ def _specs_from_config(cfg: dict, air) -> tuple[synthesis.TargetSpec, synthesis.
         raise InvalidParameterError("target.resonators must be a non-empty list")
     rc = air.characteristic_impedance
     rows = [_read(e, f"target.resonators[{i}]").values() for i, e in enumerate(resonators)]
-    target = synthesis.TargetSpec.multi([(rst_norm * rc, f_hz, q) for rst_norm, f_hz, q in rows])
-    return target, synthesis.FeedbackSpec.from_hz(kg, fg_hz)
+    with _block("target"):
+        target = synthesis.TargetSpec.multi(
+            [(rst_norm * rc, f_hz, q) for rst_norm, f_hz, q in rows]
+        )
+    with _block("feedback"):
+        return target, synthesis.FeedbackSpec.from_hz(kg, fg_hz)
 
 
 def _specs_to_dict(target, fb, air) -> dict:
@@ -174,7 +192,7 @@ def _grid_from_config(cfg: dict) -> np.ndarray:
         raise MemoryError(f"grid.step_hz {step!r} gives more grid points than numpy can index")
     grid = np.arange(f_min, f_max + 1e-9, step)
     if grid.size == 0:
-        raise InvalidParameterError("frequency grid is empty")
+        raise InvalidParameterError(f"grid is empty: f_max_hz {f_max!r} < f_min_hz {f_min!r}")
     return grid
 
 
@@ -185,19 +203,10 @@ def _realize(cfg: dict, driver, target, fb):
     discretized is a DiscretizationError."""
     sim = _read(cfg.get("simulate"), "simulate")
     fs, latency, hold, duration, transient, _, _ = sim.values()
-    # LoopConfig makes these checks too; here they name the config key
-    if hold not in ("centered", "causal"):
-        raise InvalidParameterError(f"simulate.hold must be 'centered' or 'causal', got {hold!r}")
-    if not transient < duration:
-        raise InvalidParameterError(
-            "simulate.transient_s must be below simulate.duration_s, "
-            f"got {transient!r} >= {duration!r}"
+    with _block("simulate"):
+        loop = dsp.LoopConfig(
+            fs=fs, latency=latency, hold=hold, duration=duration, transient=transient
         )
-    if latency > dsp.MAX_LATENCY:
-        raise InvalidParameterError(
-            f"simulate.latency must be at most {dsp.MAX_LATENCY}, got {latency!r}"
-        )
-    loop = dsp.LoopConfig(fs=fs, latency=latency, hold=hold, duration=duration, transient=transient)
     pair = synthesis.synthesize_controller(driver, target, fb)
     cascades = tuple(dsp.bilinear_discretize(h, loop.fs) for h in (pair.h1, pair.h2))
     for name, cascade in zip(("h1", "h2"), cascades):
@@ -236,7 +245,9 @@ def cmd_design(args) -> int:
 def cmd_montecarlo(args) -> int:
     cfg, driver, target, fb = _load(args.config)
     mc = _read(cfg.get("montecarlo"), "montecarlo", seed=args.seed)
-    mc_cfg = analysis.MonteCarloConfig(**mc, freqs_hz=_grid_from_config(cfg))
+    freqs = _grid_from_config(cfg)
+    with _block("montecarlo"):
+        mc_cfg = analysis.MonteCarloConfig(**mc, freqs_hz=freqs)
     band = analysis.monte_carlo_absorption(driver, target, fb, mc_cfg)
     out = _out_dir(args)
     band.to_csv(out / "montecarlo.csv")
@@ -270,12 +281,12 @@ def cmd_kundt(args) -> int:
     geom = vkundt.REFERENCE_GEOMETRY
     if geometry is not None:
         values = _read(geometry, "kundt.geometry").values()
-        try:
+        with _block("kundt.geometry"):
             geom = vkundt.WaveguideGeometry(*values)
-        except InvalidParameterError as exc:
-            raise InvalidParameterError(f"invalid kundt.geometry: {exc}") from exc
     freqs = _grid_from_config(cfg)
-    estimates = driver.scaled(**_read(cfg.get("estimate_factors"), "estimate_factors"))
+    factors = _read(cfg.get("estimate_factors"), "estimate_factors")
+    with _block("estimate_factors"):
+        estimates = driver.scaled(**factors)
     omega = 2.0 * np.pi * freqs
     air = driver.air
 
@@ -289,7 +300,8 @@ def cmd_kundt(args) -> int:
     columns = [freqs]
     header = ["freq_hz"]
     for name, z in curves.items():
-        meas = vkundt.simulate_two_mic(freqs, z, geom, air)
+        with _block("kundt"):  # a grid past the tube's plane-wave limit
+            meas = vkundt.simulate_two_mic(freqs, z, geom, air)
         if noise > 0.0:
             meas = vkundt.add_measurement_noise(meas, noise, noise_seed)
         rec = vkundt.recover_reflection(meas, geom, air)
@@ -314,8 +326,9 @@ def cmd_simulate(args) -> int:
         raise InvalidParameterError(
             f"simulate.freqs_hz must differ to 6 significant digits, got {freqs!r}"
         )
-    for f_hz in freqs:  # every run's grid is checked before any file is written
-        loop.time_grid(f_hz)
+    with _block("simulate"):  # every run's grid is checked before any file is written
+        for f_hz in freqs:
+            loop.time_grid(f_hz)
     out = _out_dir(args)
     impedances = []
     for name, f_hz in series.items():

@@ -41,6 +41,11 @@ from .errors import (
 from .model import DriverModel
 from .rational import RationalTransfer
 
+__all__ = [
+    "LoopConfig", "SosCascade", "bilinear_discretize", "closed_loop_sim", "measure_impedance",
+    "sos_partition",
+]
+
 #: state norm (relative to the running input scale) that triggers the
 #: divergence error in closed-loop simulation
 DIVERGENCE_FACTOR = 1e9
@@ -347,10 +352,14 @@ class LoopConfig:
         if check_count(self.latency, "latency", allow_zero=True) > MAX_LATENCY:
             raise InvalidParameterError(f"latency must be at most {MAX_LATENCY}, got {self.latency}")
         if self.hold not in ("centered", "causal"):
-            raise InvalidParameterError("hold must be 'centered' or 'causal'")
+            raise InvalidParameterError(
+                f"hold must be 'centered' or 'causal', got {self.hold!r}"
+            )
         check_positive(self, "transient", allow_zero=True)
         if not self.transient < self.duration:
-            raise InvalidParameterError("need transient < duration")
+            raise InvalidParameterError(
+                f"transient must be below duration, got {self.transient!r} >= {self.duration!r}"
+            )
 
     def time_grid(self, f_hz: float) -> np.ndarray:
         """Tick times of `closed_loop_sim` at f_hz, checked for the fit of

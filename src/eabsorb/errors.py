@@ -9,6 +9,11 @@ import numbers
 
 import numpy as np
 
+__all__ = [
+    "DiscretizationError", "DivergenceError", "EabsorbError", "IdentificationError",
+    "InvalidParameterError", "SingularDesignError", "SynthesisError",
+]
+
 
 class EabsorbError(Exception):
     """Base class for all toolkit errors."""

@@ -17,6 +17,12 @@ from ._csvio import read_columns, write_columns
 from .errors import IdentificationError, InvalidParameterError, check_frequencies, check_nonzero
 from .model import AirProperties, DriverModel, passive_impedance
 
+__all__ = [
+    "MeasuredSpectrum", "ProbeGain", "default_probe_gains", "estimate_box_compliance",
+    "estimate_force_factor", "fit_passive_params", "identify_model", "passive_spectrum",
+    "probe_front_spectrum", "probe_rear_spectrum",
+]
+
 #: default identification band: 170 Hz to 250 Hz in 1 Hz steps
 DEFAULT_BAND_HZ = np.arange(170.0, 250.0 + 1e-9, 1.0)
 

@@ -15,6 +15,12 @@ from typing import Optional
 from .errors import SingularDesignError, check_positive
 from .rational import RationalTransfer
 
+__all__ = [
+    "AirProperties", "CurrentSourceDesign", "DEFAULT_AIR", "DriverModel", "RawDriverParams",
+    "REFERENCE_CURRENT_SOURCE", "current_source_gains", "derive_specific_model", "opamp_current",
+    "passive_impedance", "table_reference_model",
+]
+
 
 @dataclass(frozen=True)
 class AirProperties:

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+__all__ = ["RationalTransfer"]
+
 # Leading/trailing coefficients below this fraction of the largest
 # coefficient of the same polynomial are treated as exact zeros.
 COEFF_TOL = 1e-12

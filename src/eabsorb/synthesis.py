@@ -19,6 +19,12 @@ from .errors import InvalidParameterError, SynthesisError, check_positive
 from .model import DriverModel, passive_impedance
 from .rational import RationalTransfer
 
+__all__ = [
+    "ControllerPair", "FeedbackSpec", "Resonator", "StabilityReport", "TargetSpec",
+    "check_transfer_admissibility", "feedback_filter", "hurwitz_cubic_stable", "stability_report",
+    "synthesize_controller", "target_impedance",
+]
+
 
 @dataclass(frozen=True)
 class Resonator:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import reflection_coefficient
 from .errors import (
     InvalidParameterError,
     check_count,
@@ -27,6 +28,11 @@ from .errors import (
     check_positive,
 )
 from .model import AirProperties
+
+__all__ = [
+    "REFERENCE_GEOMETRY", "ReflectionResult", "TwoMicMeasurement", "WaveguideGeometry",
+    "add_measurement_noise", "conditioning_report", "recover_reflection", "simulate_two_mic",
+]
 
 #: first circular-duct cut-on: f = 1.8412 * c0 / (pi * diameter)
 FIRST_MODE_BESSEL_ROOT = 1.8412
@@ -88,15 +94,12 @@ def simulate_two_mic(
     positive and finite, are rejected.
     """
     freqs = check_frequencies(freqs_hz, "freqs_hz")
-    z_term = np.asarray(z_term, dtype=complex)
     limit = geom.plane_wave_limit_hz(air)
     if np.any(freqs >= limit):
         raise InvalidParameterError(
             f"frequencies above the plane-wave limit ({limit:.0f} Hz) are not supported"
         )
-    rc = air.characteristic_impedance
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gamma = (z_term - rc) / (z_term + rc)
+    gamma = reflection_coefficient(z_term, air)
     k = 2.0 * np.pi * freqs / air.c0
     xi1 = geom.x1
     xi2 = geom.x1 + geom.delta_x

@@ -161,6 +161,24 @@ def test_two_real_poles_single_section():
     assert cas.gain == 2.0
 
 
+@pytest.mark.parametrize(
+    "poles",
+    [
+        [0.5 + 0.3j, 0.5 - 0.3j, 0.5 + 0.6j, 0.5 - 0.6j],
+        # one conjugate's real part off within PAIR_TOL: sorted by real part
+        # alone, 0.5 - 0.6j would meet 0.5 + 0.3j
+        [0.5 + 0.3j, 0.5 + 1e-15 - 0.3j, 0.5 + 0.6j, 0.5 - 0.6j],
+    ],
+    ids=["shared-real-part", "shared-real-part-within-tolerance"],
+)
+def test_conjugate_pairs_sharing_a_real_part(poles):
+    cas = ea.sos_partition(np.array([]), np.array(poles), 1.5, FS)
+    f = np.linspace(1e-3, np.pi - 1e-3, 128) * FS / (2 * np.pi)
+    z = np.exp(2j * np.pi * f / FS)
+    direct = 1.5 * z**4 / np.prod([z - p for p in poles], axis=0)
+    np.testing.assert_allclose(cas.response(f), direct, rtol=1e-12)
+
+
 def test_sections_ordered_by_pole_radius(cascades_1dof):
     for cas in cascades_1dof:
         radii = [

@@ -135,6 +135,55 @@ def test_unstable_front_probe_rejected(ref_model):
         ea.probe_front_spectrum(ref_model, hot)
 
 
+def _with_sample(spectrum, i, z):
+    """`spectrum` with its impedance sample i replaced by z."""
+    zs = spectrum.z.copy()
+    zs[i] = z
+    return ea.MeasuredSpectrum(spectrum.omega, zs)
+
+
+#: name -> (call(model, spectra, probes) on crafted spectra or gains, message)
+REFUSALS = {
+    # a negative resistance is no driver
+    "non-physical-fit": (
+        lambda m, sp, pr: ea.fit_passive_params(ea.MeasuredSpectrum(sp[0].omega, -sp[0].z.conj())),
+        "fit produced non-physical (non-positive) parameters",
+    ),
+    "zero-probed-sample": (
+        lambda m, sp, pr: ea.estimate_force_factor(sp[0], _with_sample(sp[1], 5, 0.0), pr[0]),
+        "probed spectrum contains a zero impedance sample",
+    ),
+    "spectra-coincide": (
+        lambda m, sp, pr: ea.estimate_box_compliance(
+            sp[0], _with_sample(sp[2], 5, sp[0].z[5]), pr[1], m.pressure_factor
+        ),
+        "probed and passive spectra coincide at a sample",
+    ),
+    # a rear gain of -2 Ksc Csb / F takes twice the suspension's stiffness
+    "rear-probe-removes-stiffness": (
+        lambda m, sp, pr: ea.probe_rear_spectrum(
+            m, ea.ProbeGain(-2.0 * m.ksc * m.csb / m.pressure_factor)
+        ),
+        "rear probe loop removes all stiffness (unstable)",
+    ),
+    # the front spectrum read under the opposite gain gives F_hat = -F
+    "non-positive-estimate": (
+        lambda m, sp, pr: ea.identify_model(
+            sp[0], sp[1], ea.ProbeGain(-pr[0].k), sp[2], pr[1], m.air
+        ),
+        "estimated parameters are non-positive",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(REFUSALS))
+def test_identification_refusals(ref_model, spectra, probes, name):
+    call, message = REFUSALS[name]
+    with pytest.raises(ea.IdentificationError) as exc:
+        call(ref_model, spectra, probes)
+    assert str(exc.value) == message
+
+
 def test_default_band():
     band = ea.identify.DEFAULT_BAND_HZ
     assert band[0] == 170.0
