@@ -305,6 +305,9 @@ def cmd_kundt(args) -> int:
         if noise > 0.0:
             meas = vkundt.add_measurement_noise(meas, noise, noise_seed)
         rec = vkundt.recover_reflection(meas, geom, air)
+        if rec.singular.any():  # e.g. a spacing of half a wavelength: no alpha there
+            f_hz = float(freqs[rec.singular][0])
+            raise InvalidParameterError(f"kundt: two-microphone inversion singular at {f_hz!r} Hz")
         alpha = 1.0 - np.abs(rec.gamma) ** 2
         header.append(f"alpha_{name}")
         columns.append(alpha)

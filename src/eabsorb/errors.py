@@ -11,7 +11,7 @@ import numpy as np
 
 __all__ = [
     "DiscretizationError", "DivergenceError", "EabsorbError", "IdentificationError",
-    "InvalidParameterError", "SingularDesignError", "SynthesisError",
+    "InvalidParameterError", "SynthesisError",
 ]
 
 
@@ -25,10 +25,6 @@ class InvalidParameterError(EabsorbError, ValueError):
 
 class SynthesisError(EabsorbError):
     """Controller synthesis failed (e.g. inadmissible target impedance)."""
-
-
-class SingularDesignError(EabsorbError):
-    """A circuit design hits a singular operating condition."""
 
 
 class IdentificationError(EabsorbError):

@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
-from .errors import SingularDesignError, check_positive
+from .errors import check_positive
 from .rational import RationalTransfer
 
 __all__ = [
     "AirProperties", "CurrentSourceDesign", "DEFAULT_AIR", "DriverModel", "RawDriverParams",
-    "REFERENCE_CURRENT_SOURCE", "current_source_gains", "derive_specific_model", "opamp_current",
-    "passive_impedance", "table_reference_model",
+    "current_source_gains", "derive_specific_model", "passive_impedance", "table_reference_model",
 ]
 
 
@@ -181,7 +179,6 @@ class CurrentSourceDesign:
     r3: float
     r4: float
     r5: float
-    zl: Optional[complex] = None  # load impedance, if known
 
     def __post_init__(self):
         check_positive(self, "r1", "r2", "r3", "r4", "r5")
@@ -198,16 +195,3 @@ def current_source_gains(design: CurrentSourceDesign) -> tuple[float, float]:
     transconductance = (r3 * r4 + r2 * (r4 + r5)) / den
     leakage = (r1 * r3 - r2 * (r4 + r5)) / den
     return transconductance, leakage
-
-
-def opamp_current(design: CurrentSourceDesign, i_out: complex) -> complex:
-    """Current the op-amp must deliver for a given output current."""
-    r1, r3, r5 = design.r1, design.r3, design.r5
-    if r1 + r3 == r5:
-        raise SingularDesignError("R1 + R3 = R5 makes the op-amp current singular")
-    zl = design.zl if design.zl is not None else 0.0
-    factor = (r3 - r5) / r3 * (r1 + r3 + r5) / (r1 + r3 - r5) + 2.0 * zl / (r1 + r3 - r5)
-    return i_out * factor
-
-
-REFERENCE_CURRENT_SOURCE = CurrentSourceDesign(r1=92e3, r2=92e3, r3=1.1e3, r4=1.1e3, r5=1.2)

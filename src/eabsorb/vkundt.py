@@ -31,7 +31,7 @@ from .model import AirProperties
 
 __all__ = [
     "REFERENCE_GEOMETRY", "ReflectionResult", "TwoMicMeasurement", "WaveguideGeometry",
-    "add_measurement_noise", "conditioning_report", "recover_reflection", "simulate_two_mic",
+    "add_measurement_noise", "recover_reflection", "simulate_two_mic",
 ]
 
 #: first circular-duct cut-on: f = 1.8412 * c0 / (pi * diameter)
@@ -54,6 +54,11 @@ class WaveguideGeometry:
         check_positive(self, "delta_x", "x1", "length", "diameter")
         if self.delta_x >= self.x1:
             raise InvalidParameterError("delta_x must be smaller than x1")
+        end = self.x1 + self.delta_x  # the farther microphone
+        if end >= self.length:
+            raise InvalidParameterError(
+                f"x1 + delta_x must be below length, got {end!r} >= {self.length!r}"
+            )
 
     def plane_wave_limit_hz(self, air: AirProperties) -> float:
         return FIRST_MODE_BESSEL_ROOT * air.c0 / (math.pi * self.diameter)
@@ -152,21 +157,3 @@ def recover_reflection(
         gamma = (meas.h12 - e_minus) / den * np.exp(-2j * k * geom.x1)
         z = air.characteristic_impedance * (1.0 + gamma) / (1.0 - gamma)
     return ReflectionResult(freqs_hz=meas.freqs_hz, gamma=gamma, z=z, singular=singular)
-
-
-def conditioning_report(
-    geom: WaveguideGeometry, air: AirProperties, freqs_hz, gamma=0.0
-) -> np.ndarray:
-    """First-order noise amplification |dGamma/dH12| on the noiseless manifold.
-
-    For a termination of reflection coefficient `gamma` the closed form is
-    |e^{-j*k*x1} + gamma*e^{j*k*x1}|^2 / (2*|sin(k*dx)|), which grows like
-    1/sin(k*dx) toward DC and is smallest near quarter-wavelength spacing.
-    Frequencies that are not positive and finite are rejected.
-    """
-    freqs = check_frequencies(freqs_hz, "freqs_hz")
-    k = 2.0 * np.pi * freqs / air.c0
-    gamma = np.asarray(gamma, dtype=complex)
-    p1 = np.exp(-1j * k * geom.x1) + gamma * np.exp(1j * k * geom.x1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.abs(p1) ** 2 / (2.0 * np.abs(np.sin(k * geom.delta_x)))

@@ -310,7 +310,8 @@ def test_criterion_8_discrete_realization(ref_model, targets, fb4):
 
 
 def test_criterion_9_current_source():
-    tc, leak = ea.current_source_gains(ea.REFERENCE_CURRENT_SOURCE)
+    design = ea.CurrentSourceDesign(r1=92e3, r2=92e3, r3=1.1e3, r4=1.1e3, r5=1.2)
+    tc, leak = ea.current_source_gains(design)
     tc_ok = abs(tc - 9.97e-3) / 9.97e-3 <= 5e-3
     leak_ok = abs(leak - (-10.7e-6)) / 10.7e-6 <= 1e-2
     rng = np.random.default_rng(3)

@@ -1,8 +1,12 @@
 import ast
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tokenize
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -133,11 +137,32 @@ def test_public_names_are_listed_once():
         defined = _top_level_names(ast.parse(Path(module.__file__).read_text()))
         assert set(module.__all__) <= defined, module.__name__
     assert ea.__all__ == [name for module in modules for name in module.__all__]
-    assert len(set(ea.__all__)) == len(ea.__all__) == 63
+    assert len(set(ea.__all__)) == len(ea.__all__) == 59
     init = ast.parse((package / "__init__.py").read_text())
     spelt = {node.name for node in ast.walk(init) if isinstance(node, ast.alias)}
     spelt |= {node.value for node in ast.walk(init) if isinstance(node, ast.Constant)}
     assert spelt & set(ea.__all__) == set()
+
+
+def _name_tokens(text) -> Counter:
+    """How often each NAME token occurs in the Python source `text`: names
+    inside strings and comments are not counted."""
+    tokens = tokenize.generate_tokens(io.StringIO(text).readline)
+    return Counter(token.string for token in tokens if token.type == tokenize.NAME)
+
+
+def test_public_names_have_callers():
+    # a user reaches each public name: the package uses it beyond its own
+    # definition, the benchmark runs it, or a README example shows it
+    package = Path(ea.__file__).resolve().parent
+    root = package.parent.parent
+    in_package = sum((_name_tokens(p.read_text()) for p in package.glob("*.py")), Counter())
+    reached = {name for name, count in in_package.items() if count > 1}
+    for path in (root / "perfbench").glob("*.py"):
+        reached |= set(_name_tokens(path.read_text()))
+    for block in re.findall(r"```python\n(.*?)```", (root / "README.md").read_text(), flags=re.S):
+        reached |= set(_name_tokens(block))
+    assert sorted(set(ea.__all__) - reached) == []
 
 
 def test_cli_restates_no_loop_check():
@@ -253,6 +278,19 @@ BAD_VALUES = {
         ("kundt", "geometry"),
         {"delta_x_m": 0.5, "x1_m": 0.42, "length_m": 0.97, "diameter_m": 0.072},
         "kundt.geometry: delta_x must be smaller than x1",
+    ),
+    "geometry-mics-past-end": (
+        "kundt",
+        ("kundt", "geometry"),
+        {"delta_x_m": 0.1, "x1_m": 0.42, "length_m": 0.3, "diameter_m": 0.072},
+        "kundt.geometry: x1 + delta_x must be below length, got 0.52 >= 0.3",
+    ),
+    # 700 Hz = c0 / (2 * delta_x): the two-microphone inversion is singular
+    "geometry-half-wavelength-spacing": (
+        "kundt",
+        ("kundt", "geometry"),
+        {"delta_x_m": 0.245, "x1_m": 0.42, "length_m": 0.97, "diameter_m": 0.072},
+        "kundt: two-microphone inversion singular at 700.0 Hz",
     ),
     # values each key's own check takes, refused by the library where the
     # value is built, under the name of the config object it is built from

@@ -127,7 +127,8 @@ def test_raw_scale_consistency():
 
 def test_current_source_reference_values():
     # independent 40-digit evaluation of the resistor network
-    tc, leak = ea.current_source_gains(ea.REFERENCE_CURRENT_SOURCE)
+    design = ea.CurrentSourceDesign(r1=92e3, r2=92e3, r3=1.1e3, r4=1.1e3, r5=1.2)
+    tc, leak = ea.current_source_gains(design)
     assert tc == pytest.approx(0.0099745092545027164, rel=1e-12)
     assert leak == pytest.approx(-1.0741138560687433e-5, rel=1e-12)
 
@@ -146,21 +147,6 @@ def test_property_leakage_zero_under_simplification(r1, r4, r5):
     design = ea.CurrentSourceDesign(r1=r1, r2=r1, r3=r4 + r5, r4=r4, r5=r5)
     _, leak = ea.current_source_gains(design)
     assert leak == 0.0
-
-
-def test_opamp_current():
-    d = ea.CurrentSourceDesign(r1=92e3, r2=92e3, r3=1.1e3, r4=1.1e3, r5=1.2, zl=8.0)
-    i = ea.opamp_current(d, 0.01)
-    factor = (d.r3 - d.r5) / d.r3 * (d.r1 + d.r3 + d.r5) / (d.r1 + d.r3 - d.r5) + (
-        2.0 * 8.0 / (d.r1 + d.r3 - d.r5)
-    )
-    assert i == pytest.approx(0.01 * factor)
-
-
-def test_opamp_current_singular():
-    d = ea.CurrentSourceDesign(r1=100.0, r2=100.0, r3=50.0, r4=50.0, r5=150.0)
-    with pytest.raises(ea.SingularDesignError):
-        ea.opamp_current(d, 0.01)
 
 
 def test_driver_fixture_file(ref_model):

@@ -48,9 +48,6 @@ FREQUENCY_TAKERS = {
     "simulate_two_mic": lambda f, m, tg, fb, cas: ea.simulate_two_mic(
         [100.0, f], [400.0 + 0j, 400.0 + 0j], ea.REFERENCE_GEOMETRY, m.air
     ),
-    "conditioning_report": lambda f, m, tg, fb, cas: ea.conditioning_report(
-        ea.REFERENCE_GEOMETRY, m.air, [100.0, f]
-    ),
 }
 
 
