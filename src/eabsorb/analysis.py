@@ -14,20 +14,23 @@ plant the controller assumes: a `DriverModel` in the true model's air, such
 as `model.scaled(pressure_factor=0.95)`.  `_mismatch_kernel` returns the
 per-frequency coefficient arrays N and D with Z_sa = (p @ N) / (p @ D):
 `achieved_impedance` evaluates that ratio, `sensitivities` are its
-log-derivatives, and `monte_carlo_absorption` evaluates the absorption of
-every draw from the squared magnitudes of four real matrix products.
-The estimate vectors are real, so Re(p @ N) = p @ Re(N): the real and
-imaginary parts of the reflection coefficient's numerator and denominator
-are real products, and alpha = 1 - |num|^2 / |den|^2 needs no complex
+log-derivatives, and `monte_carlo_absorption` evaluates the reflectance
+|Gamma|^2 of every draw from the squared magnitudes of four real matrix
+products.  The estimate vectors are real, so Re(p @ N) = p @ Re(N): the
+real and imaginary parts of the reflection coefficient's numerator and
+denominator are real products, and r = |num|^2 / |den|^2 needs no complex
 arithmetic.  A study makes all its draws first, then splits the frequency
 grid into two contiguous halves: the calling thread takes one and a helper
 thread the other, as numpy releases the GIL in the products, ufuncs and
 sorts that make up the work.  Each half takes one frequency at a time in
 its own (4, n_draws) buffer: one (4, 6) product against every draw, the
-absorption, and an in-place sort of the frequency's draws.  Of each sorted
-row it keeps the five order statistics the quartiles read: Hyndman-Fan
-type 7 on sorted data is two indexed reads and one interpolation per
-quartile, taken once over the whole grid when both halves are done.
+ratio r, and an in-place sort of the frequency's ratios.  Of each sorted
+row it keeps the five order statistics the quartiles read: alpha = 1 - r
+falls as r rises, so the quartiles of alpha are read mirrored off the
+sorted r, and 1 - r is taken of those order statistics alone.
+Hyndman-Fan type 7 on sorted data is two indexed reads and one
+interpolation per quartile, taken once over the whole grid when both
+halves are done.
 
 Monte Carlo draws of a study with seed `seed` all read one PCG64 stream,
 
@@ -159,10 +162,6 @@ class SensitivityTriple:
     s_zss: np.ndarray
     s_f: np.ndarray
     s_csb: np.ndarray
-
-    @property
-    def singular(self) -> np.ndarray:  # frequencies where a sensitivity is not finite
-        return ~(np.isfinite(self.s_zss) & np.isfinite(self.s_f) & np.isfinite(self.s_csb))
 
 
 def sensitivities(
@@ -331,34 +330,45 @@ def draw_parameter_factors(seed: int, index: int, rel_std: float) -> np.ndarray:
 
 
 def _quartile_rule(n: int):
-    """Hyndman-Fan type 7 on a sorted row of n values, by numpy's own rule.
+    """Hyndman-Fan type 7, by numpy's own rule, of alpha = 1 - r on a row of
+    n ratios r = |Gamma|^2 sorted in ascending order.
 
-    Returns the indices of the five order statistics the first and third
-    quartiles read, [lower q1, lower q3, upper q1, upper q3, last], and the
-    weights of their lerp.  The virtual index is (n - 1)*q, the lower index
-    its floor and the upper index the next (both the last element once the
-    virtual index reaches n - 1).  The last element is read because a NaN
-    sorts last and a row holding one gives it.
+    Returns the indices into the sorted row of the five order statistics the
+    first and third quartiles read, [lower q1, lower q3, upper q1, upper q3]
+    of alpha and the last r, and the weights of their lerp.  The virtual
+    index is (n - 1)*q, the lower index its floor and the upper index the
+    next (both the last element once the virtual index reaches n - 1).
+    1 - r falls as r rises and rounding is monotone, so the k-th smallest
+    alpha is 1 - (the k-th largest r), at index n - 1 - k of the sorted row.
+    The last r is read because a NaN sorts last and a row holding one gives
+    it; the mirrored index, the first, would hide it.
     """
     virtual = (n - 1) * np.array([0.25, 0.75])
     lower = np.floor(virtual)
     upper = lower + 1.0
     last = virtual >= n - 1
     lower[last] = upper[last] = -1.0
-    index = np.concatenate([lower, upper, [-1.0]]).astype(np.intp)
+    # alpha's index k is r's n - 1 - k, and alpha's last (-1) is r's first
+    mirrored = (n - 1 - np.concatenate([lower, upper])) % n
+    index = np.append(mirrored, n - 1).astype(np.intp)
     return index, virtual - lower
 
 
 def _lerp_quartiles(stats: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """First and third quartiles, as a (2, n_rows) array, of the (n_rows, 5)
-    order statistics and the weights of `_quartile_rule`.
+    """First and third quartiles of alpha = 1 - r, as a (2, n_rows) array,
+    of the (n_rows, 5) order statistics of r and the weights of
+    `_quartile_rule`.  The first four columns of `stats` are overwritten
+    with their alpha: a temporary here left heap holes between the bands a
+    caller keeps, 1.9 KB of resident memory per default-grid band.
 
-    They are the bytes `np.quantile` gives on the unsorted rows, with the
-    same floating-point warnings, and a row with a NaN gives its NaN.  Only
-    the order of values that compare equal but differ in bits (-0.0 and
-    0.0, NaN payloads) is left to each algorithm.
+    On a row without NaN they are the bytes `np.quantile` gives on the
+    unsorted 1 - r, with the same floating-point warnings; a row with a NaN
+    gives its NaN (its other order statistics are shifted by its NaNs, so
+    the lerp's warnings may differ there).  Only the order of NaN payloads
+    is left to each algorithm.
     """
-    a, b = stats[:, :2].T, stats[:, 2:4].T
+    alpha = np.subtract(1.0, stats[:, :4], out=stats[:, :4])
+    a, b = alpha[:, :2].T, alpha[:, 2:].T
     gamma = gamma[:, None]
     # numpy's lerp: from below where gamma < 0.5, from above elsewhere
     d = b - a
@@ -368,18 +378,18 @@ def _lerp_quartiles(stats: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     return q
 
 
-def _absorption_row(parts: np.ndarray, i: int, p: np.ndarray, x: np.ndarray, columns) -> np.ndarray:
-    """1 - (a_re^2 + a_im^2) / (b_re^2 + b_im^2) of every draw at frequency
-    i, in the first row of the (4, n) buffer x: the rows of x are
-    [a_re, a_im, b_re, b_im] = parts[i] @ p, taken over the column blocks
-    `columns`."""
-    for c in columns:
-        np.matmul(parts[i], p[:, c], out=x[:, c])
-    x *= x
-    x[::2] += x[1::2]
-    np.divide(x[0], x[2], out=x[0])
-    np.subtract(1.0, x[0], out=x[0])
-    return x[0]
+def _reflectance_row(parts: np.ndarray, i: int, views: tuple) -> np.ndarray:
+    """|Gamma|^2 = (a_re^2 + a_im^2) / (b_re^2 + b_im^2) of every draw at
+    frequency i, in the first row of a (4, n) buffer x.  `views` are, made
+    once per buffer, the (p, x) column blocks of the product, then x, x[:2],
+    x[2:], x[0] and x[1]; the rows of x are [a_re, b_re, a_im, b_im] =
+    parts[i] @ p, so that one sum of contiguous halves adds the squares."""
+    blocks, x, re2, im2, num, den = views
+    for p_block, x_block in blocks:
+        np.matmul(parts[i], p_block, out=x_block)
+    np.multiply(x, x, out=x)
+    np.add(re2, im2, out=re2)
+    return np.divide(num, den, out=num)
 
 
 def monte_carlo_absorption(
@@ -396,16 +406,18 @@ def monte_carlo_absorption(
     (6, n_draws) array P of all draws' estimate vectors, a block of draws at
     a time.  With P, the mismatch kernel gives the reflection coefficients
     as (P @ (N - rho0*c0*D)) / (P @ (N + rho0*c0*D)).  P is real, so the
-    absorption 1 - |Gamma|^2 is 1 - (a_re^2 + a_im^2) / (b_re^2 + b_im^2)
+    reflectance |Gamma|^2 is r = (a_re^2 + a_im^2) / (b_re^2 + b_im^2)
     with a_re = P @ Re(N - rho0*c0*D) and so on: four real products.  The
     frequency grid is split into two contiguous halves, one taken by the
     calling thread and one by a helper thread that runs in a copy of the
     caller's context, so numpy's error state holds in both; an error raised
     in the helper's half is raised here.  Each half takes one frequency at a
     time, as one (4, 6) @ P product (in column blocks of at most
-    `_PRODUCT_COLUMNS` draws), and sorts its row of draws in place.  The
-    quartiles (Hyndman-Fan type 7) are read off the sorted rows, the bytes
-    `np.quantile` gives on the unsorted draws.  A study holds 6 + 2*4
+    `_PRODUCT_COLUMNS` draws), and sorts its row of ratios r in place.  The
+    absorption is alpha = 1 - r, which falls as r rises, so the quartiles
+    of alpha (Hyndman-Fan type 7) are read mirrored off the sorted r, with
+    1 - r taken of the order statistics they read alone: the bytes
+    `np.quantile` gives on the unsorted 1 - r.  A study holds 6 + 2*4
     doubles per draw, nothing of size n_freq * n_draws.  Every frequency
     takes the same calls on the same shapes whichever thread runs it, so
     the band is deterministic for a fixed seed, whatever the BLAS thread
@@ -417,9 +429,9 @@ def monte_carlo_absorption(
     rc = model.air.characteristic_impedance
     gamma_num = num - rc * den
     gamma_den = num + rc * den
-    # [Re, Im] of the numerator coefficients, then [Re, Im] of the
-    # denominator's: a contiguous (4, 6) matrix per frequency
-    parts = np.stack([gamma_num.real, gamma_num.imag, gamma_den.real, gamma_den.imag])
+    # the real parts of the numerator and denominator coefficients, then
+    # their imaginary parts: a contiguous (4, 6) matrix per frequency
+    parts = np.stack([gamma_num.real, gamma_den.real, gamma_num.imag, gamma_den.imag])
     parts = np.ascontiguousarray(parts.transpose(2, 0, 1))
 
     # allocated before any draw, so a study too large for memory fails at
@@ -444,12 +456,15 @@ def monte_carlo_absorption(
     columns = [slice(n * j // blocks, n * (j + 1) // blocks) for j in range(blocks)]
 
     def study_rows(rows, x):
-        # each frequency's sorted draws leave only their order statistics
+        # each frequency's sorted ratios leave only their order statistics;
+        # the views are made once, as the loop holds the GIL between calls
+        views = ([(p[:, c], x[:, c]) for c in columns], x, x[:2], x[2:], x[0], x[1])
+        r = x[0, : cfg.n_draws]
         with np.errstate(divide="ignore", invalid="ignore"):
-            for i in rows:
-                alpha = _absorption_row(parts, i, p, x, columns)[: cfg.n_draws]
-                alpha.sort()
-                stats[i] = alpha[index]
+            for i, out in zip(rows, stats[rows.start : rows.stop]):
+                _reflectance_row(parts, i, views)
+                r.sort()
+                out[:] = r[index]  # np.take(..., out=out) is slower here
 
     half = (freqs.size + 1) // 2
     errors = []

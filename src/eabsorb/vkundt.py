@@ -40,6 +40,11 @@ FIRST_MODE_BESSEL_ROOT = 1.8412
 #: |e^{jk dx} - H12| below this is flagged as a singular inversion frequency
 SINGULAR_TOL = 1e-12
 
+#: |sin(k dx)| at or below this flags a spacing resonance, k dx = m pi: the
+#: inversion's rounding error in alpha grows like 1e-16 / |sin(k dx)|, so
+#: an unflagged frequency keeps it near 1e-10 or below
+SPACING_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class WaveguideGeometry:
@@ -143,15 +148,15 @@ def recover_reflection(
 ) -> ReflectionResult:
     """Invert H12 into the termination reflection coefficient and impedance.
 
-    Frequencies where the inversion denominator collapses (including
-    half-wavelength microphone spacing, k*dx = m*pi) are flagged, not
-    raised.
+    Frequencies where the inversion denominator collapses, and those with
+    |sin(k*dx)| at most `SPACING_TOL` (a spacing of a whole number of half
+    wavelengths, k*dx = m*pi, or a hair off one), are flagged, not raised.
     """
     k = 2.0 * np.pi * meas.freqs_hz / air.c0
     e_plus = np.exp(1j * k * geom.delta_x)
     e_minus = np.exp(-1j * k * geom.delta_x)
     den = e_plus - meas.h12
-    spacing_resonance = np.abs(np.sin(k * geom.delta_x)) <= SINGULAR_TOL
+    spacing_resonance = np.abs(np.sin(k * geom.delta_x)) <= SPACING_TOL
     singular = (np.abs(den) <= SINGULAR_TOL) | spacing_resonance
     with np.errstate(divide="ignore", invalid="ignore"):
         gamma = (meas.h12 - e_minus) / den * np.exp(-2j * k * geom.x1)

@@ -981,6 +981,19 @@ def test_kundt_geometry_is_the_tube_simulated(tmp_path, onedof_config):
         np.testing.assert_array_equal(column, 1.0 - np.abs(gamma) ** 2)
 
 
+def test_kundt_refuses_a_grid_a_hair_off_half_wave_spacing(tmp_path, capsys, onedof_config):
+    # 1e-4 Hz off the reference tube's 1715 Hz = c0 / (2 * delta_x), rounding
+    # alone moves alpha by 3e-10: no file is written
+    cfg = json.loads(onedof_config.read_text())
+    cfg["grid"] = {"f_min_hz": 1715.0001, "f_max_hz": 1715.0001, "step_hz": 1.0}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    assert run(["kundt", "--config", p, "--out", tmp_path / "k"]) == 2
+    err = capsys.readouterr().err
+    assert "config error: kundt: two-microphone inversion singular at 1715.0001 Hz" in err
+    assert not (tmp_path / "k").exists()
+
+
 def test_simulate_command(tmp_path, onedof_config):
     cfg = json.loads(onedof_config.read_text())
     cfg["simulate"] = {

@@ -78,6 +78,20 @@ def test_half_wave_spacing_flagged():
     assert rec.singular[0]
 
 
+@pytest.mark.parametrize("offset_hz, flagged", [(1e-9, True), (1e-4, True), (1e-2, False)])
+def test_near_half_wave_spacing_flagged(ref_model, offset_hz, flagged):
+    # a hair off k*dx = pi the inversion's rounding error in alpha grows like
+    # 1e-16 / |sin(k*dx)|: 8.8e-6 at +1e-9 Hz and 3.2e-10 at +1e-4 Hz, both
+    # flagged; at +1e-2 Hz it is below the 1e-9 alpha is checked to
+    f = np.array([AIR.c0 / (2.0 * GEOM.delta_x) + offset_hz])
+    z = ea.passive_impedance(ref_model)(2j * np.pi * f)
+    rec = ea.recover_reflection(ea.simulate_two_mic(f, z, GEOM, AIR), GEOM, AIR)
+    assert rec.singular[0] == flagged
+    if not flagged:
+        alpha = 1.0 - np.abs(rec.gamma) ** 2
+        np.testing.assert_allclose(alpha, ea.absorption_coefficient(z, AIR), rtol=0, atol=1e-9)
+
+
 def test_noise_determinism_and_effect():
     freqs = np.arange(20.0, 500.0, 10.0)
     z = np.full(freqs.size, 2.0 * AIR.characteristic_impedance, dtype=complex)
