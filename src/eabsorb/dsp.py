@@ -228,9 +228,13 @@ def _sk_refine(b: np.ndarray, a: np.ndarray, ct: RationalTransfer, fs: float):
     Keeps the polynomial degrees of the seed, constrains the DC value to
     the exact continuous value, and reweights by the previous denominator
     (Sanathanan-Koerner style) so the effective error norm approaches the
-    true relative response error.  If the polish produces an unstable
-    denominator, it stops and returns the last stable iterate (the seed if
-    the first one is unstable).
+    true relative response error.  The real system [Re; Im] of the fit is
+    stacked once; each pass scales its rows by that pass's weights and
+    solves it.  If the polish produces an unstable denominator, it stops
+    and returns the last stable iterate (the seed if the first one is
+    unstable).  A pass depends only on the previous denominator, so the
+    polish also stops once a denominator repeats to the bit: every later
+    pass would return the same iterate.  Otherwise it runs 30 passes.
     """
     nb, na = len(b) - 1, len(a) - 1
     if na == 0:
@@ -248,19 +252,20 @@ def _sk_refine(b: np.ndarray, a: np.ndarray, ct: RationalTransfer, fs: float):
     zpow_a = np.stack([zi**k for k in range(1, na + 1)], axis=1)
     # unknowns: b1..bnb, a1..ana, with b0 = h0*(1+sum a) - sum b
     cols = np.concatenate([zpow_b - 1.0, h0 - h[:, None] * zpow_a], axis=1)
+    mat_ri = np.concatenate([cols.real, cols.imag])
+    rhs_ri = np.concatenate([(h - h0).real, (h - h0).imag])
 
     for _ in range(30):
         w = weight / np.maximum(np.abs(np.polyval(a[::-1], zi)), 1e-12)  # A(z^-1)
-        mat = cols * w[:, None]
-        rhs = (h - h0) * w
-        mat_ri = np.concatenate([mat.real, mat.imag])
-        rhs_ri = np.concatenate([rhs.real, rhs.imag])
-        sol, _, _, _ = np.linalg.lstsq(mat_ri, rhs_ri, rcond=None)
+        w_ri = np.concatenate([w, w])
+        sol, _, _, _ = np.linalg.lstsq(mat_ri * w_ri[:, None], rhs_ri * w_ri, rcond=None)
         b_tail, a_tail = sol[:nb], sol[nb:]
         a_new = np.concatenate([[1.0], a_tail])
         if np.any(np.abs(np.roots(a_new)) >= 1.0):
             break
         b = np.concatenate([[h0 * (1.0 + a_tail.sum()) - b_tail.sum()], b_tail])
+        if a_new.tobytes() == a.tobytes():
+            break  # a fixed point: every later pass would repeat this one
         a = a_new
     return b, a
 
@@ -271,23 +276,32 @@ def bilinear_transform(num, den, fs: float):
     Substitutes s = 2*fs*(z-1)/(z+1), splitting the 2*fs factor as
     sqrt(2*fs) between the two polynomial factors, and normalizes a[0]
     to 1.  Both arrays are in descending powers of z.  The operations and
-    their order are those of `scipy.signal.bilinear`, so the result is the
-    same to the bit: the least-squares refinement amplifies even
-    rounding-level differences in its seed.  A leading numerator
-    coefficient of magnitude <= 1e-14 (a continuous zero at or near
-    s = 2*fs; scipy drops it with a warning, advancing the filter by a
-    sample) and a coefficient beyond float64 raise DiscretizationError.
+    their order are those of `scipy.signal.bilinear`, as `np.convolve`,
+    scalar products and sums on coefficient arrays (scipy steps them
+    through `numpy.polynomial`), so the result is the same to the bit: the
+    least-squares refinement amplifies even rounding-level differences in
+    its seed.  A leading numerator coefficient of magnitude <= 1e-14 (a
+    continuous zero at or near s = 2*fs; scipy drops it, with a warning
+    unless it is exactly zero, advancing the filter by a sample) and a
+    coefficient beyond float64 raise DiscretizationError.
     """
     num = np.trim_zeros(np.atleast_1d(np.asarray(num)), "f")
     den = np.trim_zeros(np.atleast_1d(np.asarray(den)), "f")
     with np.errstate(over="ignore", invalid="ignore"):
         fac = np.sqrt(float(fs) * 2)
-        zp1 = np.polynomial.Polynomial((+1, 1)) / fac  # (z + 1) / fac
-        zm1 = np.polynomial.Polynomial((-1, 1)) * fac  # (z - 1) * fac
         n = max(len(den), len(num)) - 1
-        bz = sum(c * zp1 ** (n - q) * zm1**q for q, c in enumerate(num[::-1]))
-        az = sum(c * zp1 ** (n - q) * zm1**q for q, c in enumerate(den[::-1]))
-        bz, az = bz.coef[::-1], np.trim_zeros(az.coef[::-1], "f")
+        # powers 0..n of (z + 1) / fac and (z - 1) * fac, in ascending powers of z
+        zp1, zm1 = [np.ones(1)], [np.ones(1)]
+        for _ in range(n):
+            zp1.append(np.convolve(zp1[-1], np.array([1.0, 1.0]) / fac))
+            zm1.append(np.convolve(zm1[-1], np.array([-1.0, 1.0]) * fac))
+        # numpy.polynomial also drops leading z coefficients that are exactly
+        # zero: the denominator's are trimmed here, a numerator's refused below
+        bz, az = (
+            sum(np.convolve(c * zp1[n - q], zm1[q]) for q, c in enumerate(coef[::-1]))[::-1]
+            for coef in (num, den)
+        )
+        az = np.trim_zeros(az, "f")
         bz, az = bz / az[0], az / az[0]
     if not (np.all(np.isfinite(bz)) and np.all(np.isfinite(az))):
         raise DiscretizationError(f"bilinear coefficients overflow float64 at {float(fs)!r} Hz")

@@ -1046,3 +1046,21 @@ def test_cli_import_leaves_scipy_out():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert json.loads(out.stdout) == [[], [], False]
+
+
+def test_design_leaves_numpy_polynomial_out(tmp_path):
+    # the bilinear transform works on coefficient arrays: a cold design never
+    # loads numpy.polynomial (~1.9 ms of import)
+    src = str(Path(ea.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    config = FIXTURES / "table1_2dof.json"
+    code = (
+        "import sys\n"
+        "from eabsorb.cli import main\n"
+        f"assert main(['design', '--config', {str(config)!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+        "print('numpy.polynomial' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.splitlines()[-1] == "False"

@@ -4,11 +4,12 @@ import io
 import json
 import math
 import tracemalloc
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import eabsorb as ea
 from eabsorb import _csvio, dsp
@@ -91,6 +92,16 @@ def test_zero_at_twice_fs_rejected(via_discretize):
             dsp.bilinear_transform(ct.num, ct.den, FS)
 
 
+@pytest.mark.parametrize(("num", "fs"), [([1.0, -4096.0], 2048.0), ([5e-324], FS)])
+def test_vanished_leading_coefficient_rejected(num, fs):
+    # at fs = 2048, sqrt(2*fs) = 64 is exact and a zero at s = 2*fs cancels
+    # the leading z coefficient to exactly 0.0; a subnormal numerator
+    # underflows to zero: a refusal, not a shorter numerator for the polish
+    ct = RationalTransfer.from_coeffs(num, [1.0, 1e3])
+    with pytest.raises(ea.DiscretizationError, match="leading z coefficient 0.0 "):
+        ea.bilinear_discretize(ct, fs)
+
+
 def test_zero_transfer():
     cas = ea.bilinear_discretize(RationalTransfer.constant(0.0), FS)
     assert cas.gain == 0.0
@@ -145,6 +156,159 @@ def test_bilinear_transform_rejects_overflowed_coefficients(pair_1dof):
         dsp.bilinear_transform(pair_1dof.h1.num, pair_1dof.h1.den, 1e300)
     with pytest.raises(ea.DiscretizationError, match="overflow"):
         ea.bilinear_discretize(pair_1dof.h1, 1e300)
+
+
+def coefficient(lo_exp):
+    """A float coefficient: exact zero, or mantissa in (-10, 10) times 10**e."""
+    return st.one_of(
+        st.just(0.0),
+        st.builds(
+            lambda m, e: m * 10.0**e,
+            st.floats(-10.0, 10.0, allow_nan=False),
+            st.integers(lo_exp, 9),
+        ),
+    )
+
+
+@st.composite
+def proper_coefficients(draw):
+    """(num, den) of a proper transfer of order 0-6 with non-zero leading terms."""
+    order = draw(st.integers(0, 6))
+    num_order = draw(st.integers(0, order))
+    leading = st.floats(0.1, 10.0) | st.floats(-10.0, -0.1)
+    den = [draw(leading)] + draw(st.lists(coefficient(-3), min_size=order, max_size=order))
+    num = [draw(leading)] + draw(
+        st.lists(coefficient(-30), min_size=num_order, max_size=num_order)
+    )
+    return np.array(num), np.array(den)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coeffs=proper_coefficients(), fs=st.floats(1e3, 1e6))
+@example(coeffs=(np.array([1.0, -4096.0]), np.array([1.0, 1e3])), fs=2048.0)
+@example(coeffs=(np.array([5e-324]), np.array([1.0, 1e3])), fs=FS)
+def test_bilinear_transform_matches_scipy_on_random_transfers(coeffs, fs):
+    # to the bit, exact zero coefficients included; where the transform
+    # refuses, scipy drops the leading numerator coefficient: with a warning,
+    # or silently where it is exactly zero (the examples)
+    import scipy.signal
+
+    num, den = coeffs
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        bz_ref, az_ref = scipy.signal.bilinear(num, den, fs)
+    try:
+        bz, az = dsp.bilinear_transform(num, den, fs)
+    except ea.DiscretizationError as exc:
+        assert "leading z coefficient" in str(exc)
+        warned = any(issubclass(w.category, scipy.signal.BadCoefficients) for w in caught)
+        assert warned or len(bz_ref) < len(den)
+        return
+    assert not caught
+    assert bz.tobytes() == bz_ref.tobytes()
+    assert az.tobytes() == az_ref.tobytes()
+
+
+def thirty_pass_sk_refine(b, a, ct, fs):
+    """The SK polish run for all 30 passes, each building its complex system
+    anew: the reference that `dsp._sk_refine`, which stacks the real system
+    once and stops at a fixed point, matches to the bit."""
+    nb, na = len(b) - 1, len(a) - 1
+    if na == 0:
+        return b, a
+    freqs = np.concatenate(
+        [np.linspace(1.0, 1300.0, 400), np.geomspace(1300.0, 0.4 * fs, 121)[1:]]
+    )
+    weight = np.where(freqs <= 1300.0, 100.0, 1.0)
+    h = ct(2j * np.pi * freqs)
+    h0 = float(ct(0.0))
+    if not math.isfinite(h0):
+        return b, a
+    zi = np.exp(-2j * np.pi * freqs / fs)
+    zpow_b = np.stack([zi**k for k in range(1, nb + 1)], axis=1)
+    zpow_a = np.stack([zi**k for k in range(1, na + 1)], axis=1)
+    cols = np.concatenate([zpow_b - 1.0, h0 - h[:, None] * zpow_a], axis=1)
+    for _ in range(30):
+        w = weight / np.maximum(np.abs(np.polyval(a[::-1], zi)), 1e-12)
+        mat = cols * w[:, None]
+        rhs = (h - h0) * w
+        mat_ri = np.concatenate([mat.real, mat.imag])
+        rhs_ri = np.concatenate([rhs.real, rhs.imag])
+        sol, _, _, _ = np.linalg.lstsq(mat_ri, rhs_ri, rcond=None)
+        b_tail, a_tail = sol[:nb], sol[nb:]
+        a_new = np.concatenate([[1.0], a_tail])
+        if np.any(np.abs(np.roots(a_new)) >= 1.0):
+            break
+        b = np.concatenate([[h0 * (1.0 + a_tail.sum()) - b_tail.sum()], b_tail])
+        a = a_new
+    return b, a
+
+
+def assert_matches_thirty_pass_loop(ct, fs):
+    import scipy.signal
+
+    bz, az = thirty_pass_sk_refine(*scipy.signal.bilinear(ct.num, ct.den, fs), ct, fs)
+    ref = ea.sos_partition(np.roots(bz / bz[0]), np.roots(az), float(bz[0]), fs)
+    cas = ea.bilinear_discretize(ct, fs)
+    assert cas.to_json() == ref.to_json()
+    assert cas.sos.tobytes() == ref.sos.tobytes()
+
+
+@pytest.mark.parametrize("fs", [8e3, 16e3, 44.1e3, 48e3, 50e3, 96e3])
+@pytest.mark.parametrize("name", ["1dof", "broadband", "2dof"])
+def test_discretize_matches_thirty_pass_loop_on_fixtures(ref_model, targets, fb4, name, fs):
+    pair = ea.synthesize_controller(ref_model, targets[name], fb4)
+    for ct in (pair.h1, pair.h2):
+        assert_matches_thirty_pass_loop(ct, fs)
+
+
+def real_factors(freqs_hz, damping):
+    """Product of s + w (even places) and s**2 + 2*damping*w*s + w**2 (odd ones)."""
+    poly = np.array([1.0])
+    for i, f in enumerate(freqs_hz):
+        w = 2 * np.pi * f
+        poly = np.convolve(poly, [1.0, 2 * damping * w, w * w] if i % 2 else [1.0, w])
+    return poly
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    poles_hz=st.lists(st.floats(10.0, 5000.0), min_size=1, max_size=4),
+    pole_damping=st.floats(0.05, 2.0),
+    zeros_hz=st.lists(st.floats(10.0, 5000.0), max_size=4),
+    zero_damping=st.floats(-2.0, 2.0),
+    gain=st.floats(0.1, 10.0) | st.floats(-10.0, -0.1),
+    fs=st.sampled_from([16e3, 50e3]),
+)
+def test_discretize_matches_thirty_pass_loop_on_random_stable_transfers(
+    poles_hz, pole_damping, zeros_hz, zero_damping, gain, fs
+):
+    # poles in the left half-plane, zeros in either, gain scaled per
+    # excess pole by 2*pi*1 kHz
+    den = real_factors(poles_hz, pole_damping)
+    num = real_factors(zeros_hz, zero_damping)
+    assume(len(num) <= len(den))
+    num = num * gain * (2 * np.pi * 1e3) ** (len(den) - len(num))
+    assert_matches_thirty_pass_loop(RationalTransfer.from_coeffs(num, den), fs)
+
+
+@pytest.mark.parametrize("name", ["1dof", "broadband", "2dof"])
+def test_sk_refine_stops_at_a_fixed_point(ref_model, targets, fb4, name, monkeypatch):
+    # H2's iterate repeats to the bit within a few passes, where the polish
+    # stops; H1's iterates keep moving in their last digits for all 30
+    pair = ea.synthesize_controller(ref_model, targets[name], fb4)
+    lstsq, calls = np.linalg.lstsq, []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    ea.bilinear_discretize(pair.h2, FS)
+    assert 1 <= len(calls) <= 8
+    calls.clear()
+    ea.bilinear_discretize(pair.h1, FS)
+    assert len(calls) == 30
 
 
 # -- SOS partitioning ---------------------------------------------------------
