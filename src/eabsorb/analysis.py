@@ -64,7 +64,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._csvio import read_columns, write_columns
-from .errors import InvalidParameterError, check_count, check_frequencies, check_number
+from .errors import (
+    InvalidParameterError,
+    check_count,
+    check_frequencies,
+    check_number,
+    check_positive,
+)
 from .model import AirProperties, DriverModel, passive_impedance
 from .synthesis import FeedbackSpec, TargetSpec, feedback_filter, target_impedance
 
@@ -228,7 +234,7 @@ class MonteCarloConfig:
         check_count(self.seed, "seed", allow_zero=True)
         if check_count(self.n_draws, "n_draws") > MAX_DRAWS:
             raise InvalidParameterError(f"n_draws must be at most {MAX_DRAWS}, got {self.n_draws}")
-        object.__setattr__(self, "rel_std", check_number(self.rel_std, "rel_std", allow_zero=True))
+        check_positive(self, "rel_std", allow_zero=True)
         if self.rel_std >= 0.2:
             raise InvalidParameterError(f"rel_std must be in [0, 0.2), got {self.rel_std!r}")
         freqs = check_frequencies(self.freqs_hz, "freqs_hz")

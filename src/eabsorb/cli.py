@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -161,20 +160,6 @@ def _specs_from_config(cfg: dict, air) -> tuple[synthesis.TargetSpec, synthesis.
         return target, synthesis.FeedbackSpec.from_hz(kg, fg_hz)
 
 
-def _specs_to_dict(target, fb, air) -> dict:
-    """The `"specs"` block of controller.json: the target and feedback in
-    the config's own units."""
-    rc = air.characteristic_impedance
-    return {
-        "resonators": [
-            {"rst_norm": r.rst / rc, "f_hz": r.omega_t / (2.0 * math.pi), "q": r.qt}
-            for r in target.resonators
-        ],
-        "kg": fb.kg,
-        "fg_hz": fb.omega_g / (2.0 * math.pi),
-    }
-
-
 def _load(path):
     """The config at `path`, with the driver, target and feedback it
     describes: what design, montecarlo, kundt and simulate all start from."""
@@ -232,7 +217,7 @@ def cmd_design(args) -> int:
     controller = {
         "h1": {"num": list(pair.h1.num), "den": list(pair.h1.den)},
         "h2": {"num": list(pair.h2.num), "den": list(pair.h2.den)},
-        "specs": _specs_to_dict(target, fb, driver.air),
+        "specs": {"resonators": cfg["target"]["resonators"], **cfg["feedback"]},
     }
     (out / "controller.json").write_text(json.dumps(controller, indent=2) + "\n")
     (out / "h1_sos.json").write_text(h1_sos.to_json() + "\n")

@@ -94,7 +94,7 @@ class SosCascade:
     fs: float
 
     def __post_init__(self):
-        fs = check_number(self.fs, "fs")
+        check_positive(self, "fs")
         sos = np.array(self.sos, dtype=float)
         if sos.ndim != 2 or sos.shape[1] != 5:
             raise InvalidParameterError("sos must be an (n, 5) array of rows (b0, b1, b2, a1, a2)")
@@ -106,7 +106,6 @@ class SosCascade:
         sos.flags.writeable = False
         object.__setattr__(self, "sos", sos)
         object.__setattr__(self, "gain", gain)
-        object.__setattr__(self, "fs", fs)
 
     @property
     def is_stable(self) -> bool:
@@ -656,7 +655,7 @@ def closed_loop_sim(
     """
     t_grid = loop.time_grid(f_hz)
     f_hz = float(f_hz)
-    check_nonzero(amplitude, "amplitude")
+    amplitude = check_nonzero(amplitude, "amplitude")
     dlti = sampled_loop(model, *cascades, loop)
     n, m = len(t_grid), len(dlti.f)
     w = 2.0 * math.pi * f_hz

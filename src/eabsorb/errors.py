@@ -1,6 +1,8 @@
 """Exception types shared across the toolkit, and the one set of value checks
 (positive or non-negative numbers and integers, nonzero numbers, frequency
-arrays) that the config reader and every library type make."""
+arrays) that the config reader and every library type make.  A checked
+number is kept as the Python float its check returns, so a `numpy.float32`
+parameter computes in float64; a checked count keeps the integer given."""
 
 from __future__ import annotations
 
@@ -79,16 +81,20 @@ def check_count(x, name: str, allow_zero: bool = False):
 
 
 def check_positive(obj, *names: str, allow_zero: bool = False) -> None:
-    """`check_number` on each named field of `obj`."""
+    """`check_number` on each named field of the frozen dataclass `obj`,
+    which then holds the Python float the check returns."""
     for name in names:
-        check_number(getattr(obj, name), name, allow_zero)
+        object.__setattr__(obj, name, check_number(getattr(obj, name), name, allow_zero))
 
 
-def check_nonzero(x, name: str) -> None:
-    """Raise InvalidParameterError unless `x` is a finite nonzero real
-    number (not a bool)."""
-    if not (math.isfinite(as_float(x)) and x != 0):
+def check_nonzero(x, name: str) -> float:
+    """`x` as a float that is finite and nonzero, else an
+    InvalidParameterError naming `name`; bools and values that are not real
+    numbers are refused."""
+    f = as_float(x)
+    if not (math.isfinite(f) and f != 0.0):
         raise InvalidParameterError(f"{name} must be finite and nonzero, got {x!r}")
+    return f
 
 
 def check_frequencies(f_hz, name: str = "f_hz") -> np.ndarray:

@@ -77,7 +77,7 @@ class ProbeGain:
     k: float  # A/Pa
 
     def __post_init__(self):
-        check_nonzero(self.k, "probe gain")
+        object.__setattr__(self, "k", check_nonzero(self.k, "probe gain"))
 
 
 class PassiveFit(NamedTuple):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import check_positive
+from .errors import check_number, check_positive
 from .rational import RationalTransfer
 
 __all__ = [
@@ -93,11 +93,11 @@ class DriverModel:
         """This model with each parameter times its factor, in the same air:
         the plant a controller assumes when its estimates are off by them."""
         return DriverModel(
-            self.rss * rss,
-            self.omega0 * omega0,
-            self.qms * qms,
-            self.pressure_factor * pressure_factor,
-            self.csb * csb,
+            self.rss * check_number(rss, "rss"),
+            self.omega0 * check_number(omega0, "omega0"),
+            self.qms * check_number(qms, "qms"),
+            self.pressure_factor * check_number(pressure_factor, "pressure_factor"),
+            self.csb * check_number(csb, "csb"),
             self.air,
         )
 

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidParameterError, SynthesisError, check_positive
+from .errors import InvalidParameterError, SynthesisError, check_number, check_positive
 from .model import DriverModel, passive_impedance
 from .rational import RationalTransfer
 
@@ -51,7 +51,9 @@ class TargetSpec:
     @classmethod
     def multi(cls, entries: Sequence[tuple[float, float, float]]) -> "TargetSpec":
         """Entries are (rst, f_hz, q) triples."""
-        return cls(tuple(Resonator(r, 2.0 * math.pi * f, q) for r, f, q in entries))
+        return cls(
+            tuple(Resonator(r, 2.0 * math.pi * check_number(f, "f in Hz"), q) for r, f, q in entries)
+        )
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,7 @@ class FeedbackSpec:
 
     @classmethod
     def from_hz(cls, kg: float, fg_hz: float) -> "FeedbackSpec":
-        return cls(kg, 2.0 * math.pi * fg_hz)
+        return cls(kg, 2.0 * math.pi * check_number(fg_hz, "fg in Hz"))
 
 
 def target_impedance(spec: TargetSpec) -> RationalTransfer:

@@ -58,13 +58,36 @@ def test_design_zero_feedback_h2_zero(tmp_path, onedof_config):
     assert h2.gain == 0.0
 
 
-@pytest.mark.parametrize("name", ["1dof", "2dof", "broadband"])
+#: a target and feedback whose values a conversion back from the types
+#: changes: omega / 2pi gives fg_hz 999.9999999999999 and f_hz
+#: 5.499999999999999, rst / (rho0 * c0) gives rst_norm 1.2999999999999998
+ROUND_TRIP_OFF = {
+    "target": {
+        "resonators": [
+            {"rst_norm": 1.3, "f_hz": 5.5, "q": 7.0},
+            {"rst_norm": 1.0, "f_hz": 400.0, "q": 7.0},
+        ]
+    },
+    "feedback": {"kg": 4.0, "fg_hz": 1000.0},
+}
+
+
+@pytest.mark.parametrize("name", ["1dof", "2dof", "broadband", "round-trip-off"])
 def test_controller_specs_read_back(tmp_path, name):
-    # controller.json's "specs" block, read back through the CLI's own
-    # config reader, gives the target and feedback the design came from
-    config = FIXTURES / f"table1_{name}.json"
-    assert run(["design", "--config", config, "--out", tmp_path]) == 0
-    specs = json.loads((tmp_path / "controller.json").read_text())["specs"]
+    # controller.json's "specs" block restates the config's target and
+    # feedback values as read (each fixture's fg_hz 500.0, not the
+    # 499.99999999999994 of omega_g / 2pi), and, read back through the CLI's
+    # own config reader, gives the target and feedback the design came from
+    if name == "round-trip-off":
+        cfg = {**json.loads((FIXTURES / "table1_2dof.json").read_text()), **ROUND_TRIP_OFF}
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(cfg))
+    else:
+        config = FIXTURES / f"table1_{name}.json"
+        cfg = json.loads(config.read_text())
+    assert run(["design", "--config", config, "--out", tmp_path / "d"]) == 0
+    specs = json.loads((tmp_path / "d" / "controller.json").read_text())["specs"]
+    assert specs == {"resonators": cfg["target"]["resonators"], **cfg["feedback"]}
     _, driver, target, fb = cli._load(config)
     echoed = {
         "target": {"resonators": specs["resonators"]},

@@ -3,7 +3,7 @@ frequency refuses one that is not positive and finite, every one that takes
 a seed and a spread refuses a bad one of either, every physical parameter
 refuses a bool, a value that is not a real number or an integer beyond
 float range, and the frozen value types keep read-only copies of the arrays
-they are built from."""
+they are built from and Python floats of the numbers."""
 
 import math
 
@@ -234,5 +234,103 @@ def test_non_real_parameter_is_refused(ref_model, cascades, name, value):
 @pytest.mark.parametrize("name", sorted(PARAMETER_TAKERS))
 def test_numpy_real_parameter_is_taken(ref_model, cascades, name):
     call, _ = PARAMETER_TAKERS[name]
-    for value in (np.float64(0.25), np.int64(1)):
+    for value in (np.float64(0.25), np.float32(0.25), np.int64(1)):
         call(value, ref_model, cascades)
+
+
+#: type name -> (build(x), fields): build passes each checked number v as
+#: x(v), and fields are the ones that hold them
+FLOAT_FIELDS = {
+    "AirProperties": (lambda x: ea.AirProperties(x(1.2), x(343.0)), ("rho0", "c0")),
+    "RawDriverParams": (
+        lambda x: ea.RawDriverParams(x(0.01), x(5e-4), x(1.0), x(5.0), x(0.01), x(0.01)),
+        ("mms", "cms", "rms", "bl", "sd", "vb"),
+    ),
+    "DriverModel": (
+        lambda x: ea.DriverModel(x(277.2), x(1291.2), x(5.466), x(1084.0), x(1.808e-6)),
+        ("rss", "omega0", "qms", "pressure_factor", "csb"),
+    ),
+    "CurrentSourceDesign": (
+        lambda x: ea.CurrentSourceDesign(x(92e3), x(92e3), x(1.1e3), x(1.1e3), x(1.2)),
+        ("r1", "r2", "r3", "r4", "r5"),
+    ),
+    "Resonator": (lambda x: ea.Resonator(x(411.6), x(2513.3), x(7.0)), ("rst", "omega_t", "qt")),
+    "FeedbackSpec": (lambda x: ea.FeedbackSpec(x(4.0), x(3141.6)), ("kg", "omega_g")),
+    "LoopConfig": (
+        lambda x: ea.LoopConfig(fs=x(48e3), duration=x(0.5), transient=x(0.25)),
+        ("fs", "duration", "transient"),
+    ),
+    "WaveguideGeometry": (
+        lambda x: ea.WaveguideGeometry(x(0.1), x(0.42), x(0.97), x(0.1)),
+        ("delta_x", "x1", "length", "diameter"),
+    ),
+    "SosCascade": (lambda x: ea.SosCascade([PASSTHROUGH], x(2.0), x(48e3)), ("gain", "fs")),
+    "MonteCarloConfig": (lambda x: ea.MonteCarloConfig(10, x(0.05), 1), ("rel_std",)),
+    "ProbeGain": (lambda x: ea.ProbeGain(x(1.8e-4)), ("k",)),
+    "FeedbackSpec.from_hz": (lambda x: ea.FeedbackSpec.from_hz(x(4.0), x(500.0)), ("kg", "omega_g")),
+    "TargetSpec.multi": (
+        lambda x: ea.TargetSpec.multi([(x(411.6), x(400.0), x(7.0))]).resonators[0],
+        ("rst", "omega_t", "qt"),
+    ),
+    "DriverModel.scaled": (
+        lambda x: ea.table_reference_model().scaled(x(0.95), x(1.05), x(0.9), x(1.1), x(0.97)),
+        ("rss", "omega0", "qms", "pressure_factor", "csb"),
+    ),
+}
+
+
+def via_float32(v) -> float:
+    """The float64 of v's nearest float32."""
+    return float(np.float32(v))
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_FIELDS))
+def test_value_types_hold_python_floats(name):
+    # each checked number is kept as the float its check returns, so a
+    # numpy.float32 argument computes in float64: a builder that scales it
+    # gives the bytes of the float64 of the same value
+    build, fields = FLOAT_FIELDS[name]
+    value, reference = build(np.float32), build(via_float32)
+    for field in fields:
+        assert type(getattr(value, field)) is float
+        assert getattr(value, field) == getattr(reference, field)
+
+
+def test_counts_keep_the_integer_given():
+    loop = ea.LoopConfig(latency=np.int32(2))
+    cfg = ea.MonteCarloConfig(np.int16(10), 0.05, np.uint8(1))
+    assert type(loop.latency) is np.int32
+    assert (type(cfg.n_draws), type(cfg.seed)) == (np.int16, np.uint8)
+
+
+def reference_driver(x, ref_model) -> ea.DriverModel:
+    """The reference model with each parameter v passed as x(v)."""
+    m = ref_model
+    return ea.DriverModel(*(x(v) for v in (m.rss, m.omega0, m.qms, m.pressure_factor, m.csb)))
+
+
+def test_float32_amplitude_runs_in_float64(ref_model, cascades):
+    loop = ea.LoopConfig(fs=FS, duration=0.01, transient=0.005)
+    runs = [ea.closed_loop_sim(ref_model, cascades, loop, 400.0, a) for a in (np.float32(3.0), 3.0)]
+    for name in ("pf", "pb", "v", "i"):
+        assert getattr(runs[0], name).tobytes() == getattr(runs[1], name).tobytes()
+    assert runs[0].measured_impedance() == runs[1].measured_impedance()
+
+
+def test_float32_model_and_probe_compute_in_float64(ref_model, targets, fb4):
+    # the same values as float32 and as float64 give the same bytes
+    models = [reference_driver(x, ref_model) for x in (np.float32, via_float32)]
+    omega = 2.0 * np.pi * np.array([50.0, 205.5, 400.0, 900.0])
+    z = [ea.achieved_impedance(m, m, targets["2dof"], fb4, omega) for m in models]
+    assert z[0].tobytes() == z[1].tobytes()
+    k = 0.2 / ref_model.pressure_factor
+    probes = [ea.ProbeGain(x(k)) for x in (np.float32, via_float32)]
+    spectra = [ea.probe_front_spectrum(m, k1) for m, k1 in zip(models, probes)]
+    assert spectra[0].z.tobytes() == spectra[1].z.tobytes()
+
+
+def test_stability_report_of_a_float32_model_serializes(ref_model, fb4):
+    # json refuses a numpy.float32 where it takes a float
+    models = [reference_driver(x, ref_model) for x in (np.float32, via_float32)]
+    reports = [ea.stability_report(m, fb4).to_json() for m in models]
+    assert reports[0] == reports[1]
