@@ -2,6 +2,7 @@
 
 Rows end in "\\n" and no cell is quoted: the bytes the csv module writes for
 the same cells.  `repr` round-trips every float64, NaN and signed zeros too.
+`write_columns` is the one writer of every CSV the package emits.
 """
 
 from __future__ import annotations
@@ -12,22 +13,23 @@ import numpy as np
 
 
 #: rows rendered at a time: a long series never exists as Python floats whole
-_CHUNK_ROWS = 4096
+_CHUNK_ROWS = 1024
 
 
 def write_columns(path, header, columns) -> None:
     """Write equal-length float columns under `header`.
 
-    Cells are rendered a column at a time, the last one with its line end,
-    so no Python code runs per row, and _CHUNK_ROWS rows at a time.
+    Each chunk of _CHUNK_ROWS rows is one `%` format of a per-row template
+    ("%r,%r,…\\n" repeated) over the chunk's cells, stacked row by row, so no
+    Python code runs per row or per cell and the series is never copied whole.
     """
     columns = [np.asarray(col, dtype=float) for col in columns]
+    row = ",".join(["%r"] * len(columns)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for lo in range(0, len(columns[0]), _CHUNK_ROWS):
-            *cols, last = [col[lo : lo + _CHUNK_ROWS].tolist() for col in columns]
-            cells = [map(repr, col) for col in cols] + [map("{!r}\n".format, last)]
-            fh.writelines(map(",".join, zip(*cells)))
+            cells = np.column_stack([col[lo : lo + _CHUNK_ROWS] for col in columns])
+            fh.write(row * len(cells) % tuple(cells.ravel().tolist()))
 
 
 def read_columns(path, n_columns: int) -> np.ndarray:

@@ -161,7 +161,7 @@ def achieved_impedance(
     return np.where(np.abs(den_p) <= SINGULAR_TOL, np.inf + 0j, zsa)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SensitivityTriple:
     """Logarithmic sensitivities of the achieved impedance, per frequency."""
 
@@ -219,7 +219,7 @@ def default_frequency_grid() -> np.ndarray:
     return np.arange(10.0, 1000.0 + 1e-9, 2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonteCarloConfig:
     """`n_draws` draws (an integer from 1 to MAX_DRAWS) of spread `rel_std` (a
     number in [0, 0.2)) from the stream of `seed` (a non-negative integer), on
@@ -245,7 +245,7 @@ class MonteCarloConfig:
         object.__setattr__(self, "freqs_hz", freqs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuartileBand:
     """Per-frequency first/third quartiles of the achieved absorption."""
 

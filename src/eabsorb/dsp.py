@@ -375,8 +375,8 @@ class LoopConfig:
             )
 
     def time_grid(self, f_hz: float) -> np.ndarray:
-        """Tick times of `closed_loop_sim` at f_hz, checked for the fit of
-        `SimulationResult.measured_impedance`.
+        """Tick times k/fs of `closed_loop_sim` at f_hz, each correctly
+        rounded, checked for the fit of `SimulationResult.measured_impedance`.
 
         Raises MemoryError for a grid numpy cannot index, and
         InvalidParameterError if f_hz is not one positive and finite number,
@@ -390,7 +390,7 @@ class LoopConfig:
         f_hz = float(f)
         if not self.duration * self.fs < np.iinfo(np.intp).max:  # else numpy raises ValueError
             raise MemoryError(f"numpy cannot index a time grid of {self.duration * self.fs:.3g} ticks")
-        t_grid = np.arange(int(round(self.duration * self.fs))) * (1.0 / self.fs)
+        t_grid = np.arange(int(round(self.duration * self.fs))) / self.fs
         basis = _fit_basis(t_grid[t_grid >= self.transient], f_hz)
         if len(basis) < 2:
             raise InvalidParameterError("fewer than 2 ticks of the time grid lie at or after transient")
@@ -404,7 +404,7 @@ class LoopConfig:
         return t_grid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimulationResult:
     """Sampled closed-loop trajectories (one row per controller tick)."""
 

@@ -29,7 +29,7 @@ DEFAULT_BAND_HZ = np.arange(170.0, 250.0 + 1e-9, 1.0)
 RANK_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasuredSpectrum:
     """Complex specific-impedance samples on an ascending frequency grid."""
 

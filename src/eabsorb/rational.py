@@ -36,7 +36,7 @@ def _trim_leading(c: np.ndarray) -> np.ndarray:
     return c[first:]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RationalTransfer:
     """Real-coefficient rational function of s, evaluable on the jw axis."""
 

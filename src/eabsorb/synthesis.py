@@ -118,7 +118,7 @@ def check_transfer_admissibility(zst: RationalTransfer) -> None:
     raise SynthesisError(f"inadmissible target impedance: {reason}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ControllerPair:
     """The synthesized front-pressure (h1) and cavity-pressure (h2) filters."""
 

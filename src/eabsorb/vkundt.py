@@ -73,7 +73,7 @@ class WaveguideGeometry:
 REFERENCE_GEOMETRY = WaveguideGeometry(delta_x=0.100, x1=0.420, length=0.970, diameter=0.072)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoMicMeasurement:
     """Inter-microphone transfer function H12 = p2/p1 per frequency."""
 
@@ -135,7 +135,7 @@ def add_measurement_noise(
     return TwoMicMeasurement(meas.freqs_hz, meas.h12 * (1.0 + noise))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReflectionResult:
     freqs_hz: np.ndarray
     gamma: np.ndarray

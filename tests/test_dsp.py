@@ -971,7 +971,7 @@ def per_tick_closed_loop(model, cascades, loop, f_hz, amplitude=1.0):
     stamped with the first tick whose velocity leaves the limit."""
     dlti = dsp.sampled_loop(model, *cascades, loop)
     n = int(round(loop.duration * loop.fs))
-    t = np.arange(n) * (1.0 / loop.fs)
+    t = np.arange(n) / loop.fs
     w = 2.0 * math.pi * f_hz
     pf = amplitude * np.sin(w * t)
     drive = ((amplitude * np.exp(1j * w * t))[:, None] * dlti.drive(w)[1]).imag
@@ -1109,6 +1109,13 @@ def test_multiple_of_half_fs_is_refused(ref_model, cascades_1dof, f_hz):
         ea.LoopConfig().time_grid(f_hz)
 
 
+@pytest.mark.parametrize("fs", [8_000.0, 44_100.0, 50_000.0])
+def test_tick_times_are_correctly_rounded(fs):
+    # k/fs rounded once: k * (1/fs) rounds twice, one ulp off at most ticks
+    t = ea.LoopConfig(fs=fs).time_grid(205.5)
+    assert t.tobytes() == (np.arange(int(fs)) / fs).tobytes()
+
+
 def test_just_below_half_fs_still_fits(ref_model, cascades_1dof):
     # singular-value ratio ~9e-5, well above FIT_RATIO_MIN
     loop, f = ea.LoopConfig(), 24_999.9999
@@ -1142,15 +1149,19 @@ def one_shot_write_columns(path, header, columns):
 CHUNK = _csvio._CHUNK_ROWS
 
 
-@pytest.mark.parametrize("rows", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1])
+@pytest.mark.parametrize(
+    "rows", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 4 * CHUNK - 1, 4 * CHUNK, 4 * CHUNK + 1]
+)
 def test_chunked_columns_keep_the_bytes(tmp_path, rows):
     special = [0.0, -0.0, 5e-324, 1e-300, 1.0 / 3.0, -2.5e17, 1e16, np.inf, -np.inf, np.nan]
     vals = np.resize(special, rows) * np.random.default_rng(rows).uniform(0.5, 2.0, rows)
     columns = [np.arange(rows) / 7.0, vals, list(vals[::-1]), vals.astype(np.float32)]
     header = ["a", "b", "c", "d"]
-    _csvio.write_columns(tmp_path / "chunked.csv", header, columns)
-    one_shot_write_columns(tmp_path / "one_shot.csv", header, columns)
-    assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "one_shot.csv").read_bytes()
+    # four columns, and one: a row template of a single "%r\n"
+    for width in (4, 1):
+        _csvio.write_columns(tmp_path / "chunked.csv", header[-width:], columns[-width:])
+        one_shot_write_columns(tmp_path / "one_shot.csv", header[-width:], columns[-width:])
+        assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "one_shot.csv").read_bytes()
 
 
 # -- plant half step --------------------------------------------------------------

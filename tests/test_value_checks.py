@@ -3,8 +3,10 @@ frequency refuses one that is not positive and finite, every one that takes
 a seed and a spread refuses a bad one of either, every physical parameter
 refuses a bool, a value that is not a real number or an integer beyond
 float range, and the frozen value types keep read-only copies of the arrays
-they are built from and Python floats of the numbers."""
+they are built from and Python floats of the numbers; those holding arrays
+compare by identity."""
 
+import copy
 import math
 
 import numpy as np
@@ -123,6 +125,40 @@ def test_value_types_keep_read_only_copies(build, fields):
         np.testing.assert_array_equal(getattr(value, name), stored[name])
         with pytest.raises(ValueError, match="read-only"):
             getattr(value, name)[0] = -5.0
+
+
+#: name -> call(model, target, fb, cascades) building a value type that
+#: holds numpy arrays, or value types that do
+ARRAY_HOLDERS = {
+    "SensitivityTriple": lambda m, tg, fb, cas: ea.sensitivities(m, m, tg, fb, [628.0, 900.0]),
+    "MonteCarloConfig": lambda m, tg, fb, cas: ea.MonteCarloConfig(10, 0.05, 1, [100.0, 200.0]),
+    "QuartileBand": lambda m, tg, fb, cas: ea.monte_carlo_absorption(
+        m, tg, fb, ea.MonteCarloConfig(10, 0.05, 1, [100.0, 200.0])
+    ),
+    "SimulationResult": lambda m, tg, fb, cas: ea.closed_loop_sim(
+        m, cas, ea.LoopConfig(fs=FS, latency=0, duration=0.01, transient=0.005), 205.5
+    ),
+    "MeasuredSpectrum": lambda m, tg, fb, cas: ea.passive_spectrum(m, [100.0, 150.0, 200.0]),
+    "TwoMicMeasurement": lambda m, tg, fb, cas: ea.simulate_two_mic(
+        [100.0, 200.0], [400.0 + 0j, 400.0 + 0j], ea.REFERENCE_GEOMETRY, m.air
+    ),
+    "ReflectionResult": lambda m, tg, fb, cas: ea.recover_reflection(
+        ARRAY_HOLDERS["TwoMicMeasurement"](m, tg, fb, cas), ea.REFERENCE_GEOMETRY, m.air
+    ),
+    "RationalTransfer": lambda m, tg, fb, cas: ea.synthesize_controller(m, tg, fb).h1,
+    "ControllerPair": lambda m, tg, fb, cas: ea.synthesize_controller(m, tg, fb),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_HOLDERS))
+def test_array_holding_types_compare_by_identity(ref_model, targets, fb4, cascades, name):
+    # value equality would compare the arrays field by field, whose truth
+    # value numpy refuses, and hashing would hash the arrays
+    value = ARRAY_HOLDERS[name](ref_model, targets["1dof"], fb4, cascades)
+    assert type(value).__name__ == name
+    assert (value == copy.deepcopy(value)) is False
+    assert value == value
+    hash(value)
 
 
 @pytest.mark.parametrize(
