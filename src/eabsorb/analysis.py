@@ -158,7 +158,7 @@ def achieved_impedance(
     den_p = p @ den
     with np.errstate(divide="ignore", invalid="ignore"):
         zsa = (p @ num) / den_p
-    return np.where(np.abs(den_p) <= SINGULAR_TOL, np.inf + 0j, zsa)
+    return np.where(np.abs(den_p) <= SINGULAR_TOL, np.inf, zsa)
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,7 +343,7 @@ def _quartile_rule(n: int):
     first and third quartiles read, [lower q1, lower q3, upper q1, upper q3]
     of alpha and the last r, and the weights of their lerp.  The virtual
     index is (n - 1)*q, the lower index its floor and the upper index the
-    next (both the last element once the virtual index reaches n - 1).
+    next; at n = 1 the upper index, 1, mirrors to -1, the one element.
     1 - r falls as r rises and rounding is monotone, so the k-th smallest
     alpha is 1 - (the k-th largest r), at index n - 1 - k of the sorted row.
     The last r is read because a NaN sorts last and a row holding one gives
@@ -352,10 +352,8 @@ def _quartile_rule(n: int):
     virtual = (n - 1) * np.array([0.25, 0.75])
     lower = np.floor(virtual)
     upper = lower + 1.0
-    last = virtual >= n - 1
-    lower[last] = upper[last] = -1.0
-    # alpha's index k is r's n - 1 - k, and alpha's last (-1) is r's first
-    mirrored = (n - 1 - np.concatenate([lower, upper])) % n
+    # alpha's index k is r's n - 1 - k
+    mirrored = n - 1 - np.concatenate([lower, upper])
     index = np.append(mirrored, n - 1).astype(np.intp)
     return index, virtual - lower
 

@@ -173,9 +173,10 @@ def _grid_from_config(cfg: dict) -> np.ndarray:
     if cfg.get("grid") is None:
         return analysis.default_frequency_grid()
     f_min, f_max, step = _read(cfg["grid"], "grid").values()
-    if not (f_max + 1e-9 - f_min) / step < np.iinfo(np.intp).max:  # else numpy raises ValueError
-        raise MemoryError(f"grid.step_hz {step!r} gives more grid points than numpy can index")
-    grid = np.arange(f_min, f_max + 1e-9, step)
+    try:
+        grid = np.arange(f_min, f_max + 1e-9, step)
+    except ValueError as exc:  # numpy's "Maximum allowed size exceeded"
+        raise MemoryError(f"grid.step_hz {step!r} gives more grid points than numpy can index") from exc
     if grid.size == 0:
         raise InvalidParameterError(f"grid is empty: f_max_hz {f_max!r} < f_min_hz {f_min!r}")
     return grid
@@ -287,7 +288,7 @@ def cmd_kundt(args) -> int:
     for name, z in curves.items():
         with _block("kundt"):  # a grid past the tube's plane-wave limit
             meas = vkundt.simulate_two_mic(freqs, z, geom, air)
-        if noise > 0.0:
+        if noise > 0.0:  # noise 0 adds nothing; skipping it skips numpy.random's import
             meas = vkundt.add_measurement_noise(meas, noise, noise_seed)
         rec = vkundt.recover_reflection(meas, geom, air)
         if rec.singular.any():  # e.g. a spacing of half a wavelength: no alpha there

@@ -7,9 +7,10 @@ continuous two-state plant (membrane velocity and displacement), the
 controller's integer-sample output latency and the hold that applies each
 command, they form one discrete linear time-invariant system.  The plant is
 discretized exactly: its half-period exponential and hold integral have a
-closed form (the Cayley-Hamilton form of a 2x2 exponential) and the sine
-excitation is integrated in closed form between ticks.  The excitation is
-the front pressure p_f(t) = amplitude * sin(2*pi*f_hz*t):
+closed form (the Cayley-Hamilton form of the exponential of the driver's
+mass-spring-damper) and the sine excitation is integrated in closed form
+between ticks.  The excitation is the front pressure
+p_f(t) = amplitude * sin(2*pi*f_hz*t):
 `measure_impedance(model, cascades, loop, f_hz)` solves its steady state at
 one frequency or a whole band, and `closed_loop_sim(model, cascades, loop,
 f_hz, amplitude)` propagates it from rest a block of ticks at a time, through
@@ -252,7 +253,7 @@ def _sk_refine(b: np.ndarray, a: np.ndarray, ct: RationalTransfer, fs: float):
     # unknowns: b1..bnb, a1..ana, with b0 = h0*(1+sum a) - sum b
     cols = np.concatenate([zpow_b - 1.0, h0 - h[:, None] * zpow_a], axis=1)
     mat_ri = np.concatenate([cols.real, cols.imag])
-    rhs_ri = np.concatenate([(h - h0).real, (h - h0).imag])
+    rhs_ri = np.concatenate([(h - h0).real, h.imag])
 
     for _ in range(30):
         w = weight / np.maximum(np.abs(np.polyval(a[::-1], zi)), 1e-12)  # A(z^-1)
@@ -304,7 +305,7 @@ def bilinear_transform(num, den, fs: float):
         bz, az = bz / az[0], az / az[0]
     if not (np.all(np.isfinite(bz)) and np.all(np.isfinite(az))):
         raise DiscretizationError(f"bilinear coefficients overflow float64 at {float(fs)!r} Hz")
-    if len(bz) > 1 and abs(bz[0]) <= 1e-14:
+    if abs(bz[0]) <= 1e-14:
         raise DiscretizationError(
             f"badly conditioned numerator: leading z coefficient {float(bz[0])!r} <= 1e-14 "
             "(a zero at or near s = 2*fs)"
@@ -450,8 +451,9 @@ class SampledLoop(NamedTuple):
     of the controller output y at latency L, or (centered hold at latency
     0) the command computed one tick earlier.  Only the real input
     u[k] = [g_v, g_xi, p_f[k], p_f[k+1]] depends on w: g is the sine's exact
-    contribution to [v, xi] over the period, from `plant` = (a, b, e^{aT} b,
-    T) of the continuous plant.
+    contribution to [v, xi] over the period, from `plant` = (rm, km, b0,
+    e^{aT} b, T) of the driver's plant a = [[-rm, -km], [1, 0]], b = [b0, 0]
+    (`_plant_step`).
     """
 
     f: np.ndarray
@@ -463,20 +465,23 @@ class SampledLoop(NamedTuple):
     def drive(self, w):
         """z = e^{jwT} and G(w) = b u(w), u[k] = Im(u(w) e^{jw t_k}), at a scalar or 1-D
         angular frequency w: u(w) = [g, 1, z], g = (jwI - a)^-1 (zI - e^{aT}) b in closed form."""
-        ((a00, a01), (a10, a11)), (b0, b1), (p0, p1), dt = self.plant
+        rm, km, b0, (p0, p1), dt = self.plant
         jw = 1j * w
         z = np.exp(jw * dt)
-        r0, r1 = z * b0 - p0, z * b1 - p1
-        det = (jw - a00) * (jw - a11) - a01 * a10
-        g_v = ((jw - a11) * r0 + a01 * r1) / det
-        g_xi = (a10 * r0 + (jw - a00) * r1) / det
+        r0 = z * b0 - p0
+        damped = jw + rm
+        det = damped * jw + km
+        g_v = (jw * r0 + km * p1) / det
+        g_xi = (r0 - damped * p1) / det
         return z, (self.b @ np.array([g_v, g_xi, np.ones_like(z), z])).T
 
 
-def _plant_step(a: np.ndarray, b: np.ndarray, tau: float):
-    """Exponential e^{a tau} and hold integral int_0^tau e^{a s} ds b of a 2x2 plant.
+def _plant_step(rm: float, km: float, b0: float, tau: float):
+    """Exponential e^{a tau} and hold integral int_0^tau e^{a s} ds b of the
+    driver's plant a = [[-rm, -km], [1, 0]], b = [b0, 0], where rm = rss/mss,
+    km = ksc/mss and b0 = 1/mss.
 
-    With mu = tr(a)/2 and delta = sqrt(mu^2 - det a), complex so that the
+    With mu = -rm/2 and delta = sqrt(mu^2 - km), complex so that the
     under-, critically and over-damped cases share one path, Cayley-Hamilton
     gives e^{a tau} = c0 I + c1 (a - mu I), where c0 = e^{mu tau}
     cosh(delta tau) and c1 = e^{mu tau} sinh(delta tau) / delta; sinh(x)/x
@@ -485,38 +490,33 @@ def _plant_step(a: np.ndarray, b: np.ndarray, tau: float):
 
     The hold integral a^-1 (e^{a tau} - I) b equals c1 b + (c0 - 1 - mu c1)
     a^-1 b.  Its scalar is a difference of terms ~ mu tau that cancels to
-    -det(a) tau^2 beta ~ -det(a) tau^2 / 2, losing digits at short steps
-    however c0 - 1 is formed.  So beta, the divided difference of
-    (e^x - 1)/x at the eigenvalues x = (mu +- delta) tau, is summed from its
-    power series, sum_{k>=1} h_{k-1} / (k+1)!, whose complete homogeneous
-    polynomials h_j of the eigenvalues follow the real recurrence
-    h_j = tr(a) tau h_{j-1} - det(a) tau^2 h_{j-2}.  The integral is then
-    c1 b - tau^2 beta adj(a) b, with no inverse.  The series wants
-    eigenvalues |x| <= 1; a longer step is two half steps.
+    -km tau^2 beta ~ -km tau^2 / 2, losing digits at short steps however
+    c0 - 1 is formed.  So beta, the divided difference of (e^x - 1)/x at
+    the eigenvalues x = (mu +- delta) tau, is summed from its power series,
+    sum_{k>=1} h_{k-1} / (k+1)!, whose complete homogeneous polynomials h_j
+    of the eigenvalues follow the real recurrence h_j = -rm tau h_{j-1} -
+    km tau^2 h_{j-2}.  The integral is then [c1 b0, tau^2 beta b0], with no
+    inverse.  The series wants eigenvalues |x| <= 1; a longer step is two
+    half steps.
     """
-    (a00, a01), (a10, a11) = a.tolist()
-    b0, b1 = b.tolist()
-    mu = 0.5 * (a00 + a11)
-    det = a00 * a11 - a01 * a10
-    delta = cmath.sqrt(mu * mu - det)
+    mu = -0.5 * rm
+    delta = cmath.sqrt(mu * mu - km)
     m, d = mu * tau, delta * tau
     if abs(m) + abs(d) > 1.0:
-        phi, gam = _plant_step(a, b, 0.5 * tau)
+        phi, gam = _plant_step(rm, km, b0, 0.5 * tau)
         return phi @ phi, phi @ gam + gam
     sinhc = 1.0 + d * d / 6.0 if abs(d) < 1e-4 else cmath.sinh(d) / d
     # delta is real or imaginary, so cosh and sinh(x)/x are real
     c0 = math.exp(m) * cmath.cosh(d).real
     c1 = math.exp(m) * sinhc.real * tau
-    p = det * tau * tau
+    p = km * tau * tau
     beta, h_prev, h, fact = 0.0, 0.0, 1.0, 1.0
     for k in range(1, 21):  # |h_{k-1}| <= k, so the tail is below 1e-18
         fact *= k + 1
         beta += h / fact
         h_prev, h = h, 2.0 * m * h - p * h_prev
-    phi = np.array([[c0 + c1 * (a00 - mu), c1 * a01], [c1 * a10, c0 + c1 * (a11 - mu)]])
-    tb = tau * tau * beta
-    gam = np.array([c1 * b0 - tb * (a11 * b0 - a01 * b1), c1 * b1 - tb * (a00 * b1 - a10 * b0)])
-    return phi, gam
+    phi = np.array([[c0 + c1 * mu, -c1 * km], [c1, c0 - c1 * mu]])
+    return phi, np.array([c1 * b0, tau * tau * beta * b0])
 
 
 def _cascade_rows(cascade: SosCascade, x: np.ndarray, states: np.ndarray):
@@ -538,11 +538,12 @@ def sampled_loop(
 ) -> SampledLoop:
     """Exact discrete model of the plant under the two-input controller.
 
-    Between ticks the plant d/dt [v, xi] = a [v, xi] + b (p_f - Bl/Sd * i)
-    is integrated exactly: e^{a T/2} and the half-period hold integral come
-    from the closed form of `_plant_step`, and the sine input enters
-    through g.  Every signal below is a real row of coefficients over
-    [s[k], g_v, g_xi, p_f[k], p_f[k+1]].  Nothing depends on frequency.
+    Between ticks the plant d/dt [v, xi] = a [v, xi] + b (p_f - Bl/Sd * i),
+    a = [[-rss/mss, -ksc/mss], [1, 0]] and b = [1/mss, 0], is integrated
+    exactly: e^{a T/2} and the half-period hold integral come from the
+    closed form of `_plant_step`, and the sine input enters through g.
+    Every signal below is a real row of coefficients over [s[k], g_v, g_xi,
+    p_f[k], p_f[k+1]].  Nothing depends on frequency.
     H1 and H2 step on these rows (`_cascade_rows`) and their output joins
     the line of commands: its first is applied now and, under the centered
     hold, its second over the period's second half.
@@ -551,9 +552,8 @@ def sampled_loop(
         raise InvalidParameterError("cascade sample rate must match the loop sample rate")
     dt = 1.0 / loop.fs
 
-    a = np.array([[-model.rss / model.mss, -model.ksc / model.mss], [1.0, 0.0]])
-    b = np.array([1.0 / model.mss, 0.0])
-    phi_half, gam_half = _plant_step(a, b, 0.5 * dt)
+    rm, km, b0 = model.rss / model.mss, model.ksc / model.mss, 1.0 / model.mss
+    phi_half, gam_half = _plant_step(rm, km, b0, 0.5 * dt)
     phi = phi_half @ phi_half
     # current held over the first and over the second half of the period
     gam_first = -model.pressure_factor * (phi_half @ gam_half)
@@ -581,7 +581,7 @@ def sampled_loop(
     u_now = cmds[0]
     u_next = cmds[1] if centered else u_now
     step = np.vstack([plant(u_now, u_next), s1_next, s2_next, cmds[1:]])
-    plant_data = (a.tolist(), b.tolist(), (phi @ b).tolist(), dt)
+    plant_data = (rm, km, b0, (phi[:, 0] * b0).tolist(), dt)
     # a copy, so the loop does not keep the whole command array alive
     return SampledLoop(step[:, :n], step[:, n:], u_now[:n].copy(), u_now[n + 2], plant_data)
 

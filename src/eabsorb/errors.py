@@ -47,15 +47,15 @@ class DivergenceError(EabsorbError):
 
 
 def as_float(x) -> float:
-    """`x` as a float: NaN for a bool or a value that is not a real number,
-    and an infinity of its sign for an integer beyond float range, so that a
-    finiteness check refuses all three."""
+    """`x` as a float: NaN for a bool, a value that is not a real number or
+    an integer beyond float range, so that a finiteness check refuses all
+    three."""
     if not isinstance(x, numbers.Real) or isinstance(x, bool):
         return math.nan
     try:
         return float(x)
     except OverflowError:
-        return math.inf if x > 0 else -math.inf
+        return math.nan
 
 
 def check_number(x, name: str, allow_zero: bool = False) -> float:

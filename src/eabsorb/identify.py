@@ -24,7 +24,7 @@ __all__ = [
 ]
 
 #: default identification band: 170 Hz to 250 Hz in 1 Hz steps
-DEFAULT_BAND_HZ = np.arange(170.0, 250.0 + 1e-9, 1.0)
+DEFAULT_BAND_HZ = np.arange(170.0, 251.0, 1.0)
 
 RANK_TOL = 1e-10
 
@@ -33,27 +33,23 @@ RANK_TOL = 1e-10
 class MeasuredSpectrum:
     """Complex specific-impedance samples on an ascending frequency grid."""
 
-    omega: np.ndarray  # rad/s, strictly increasing
+    freqs_hz: np.ndarray  # Hz, strictly increasing
     z: np.ndarray  # Pa.s/m
 
     def __post_init__(self):
-        omega = np.array(self.omega, dtype=float)
+        freqs = np.array(self.freqs_hz, dtype=float)
         z = np.array(self.z, dtype=complex)
-        if omega.size != z.size or omega.size < 3:
+        if freqs.size != z.size or freqs.size < 3:
             raise InvalidParameterError("need at least 3 matching samples")
-        check_frequencies(omega, "angular frequencies")
-        if not np.all(np.diff(omega) > 0):
+        check_frequencies(freqs, "frequencies")
+        if not np.all(np.diff(freqs) > 0):
             raise InvalidParameterError("frequencies must be strictly increasing")
         if not np.all(np.isfinite(z)):
             raise InvalidParameterError("impedance samples must be finite")
         # read-only copies: the caller's later writes cannot undo the checks
-        omega.flags.writeable = z.flags.writeable = False
-        object.__setattr__(self, "omega", omega)
+        freqs.flags.writeable = z.flags.writeable = False
+        object.__setattr__(self, "freqs_hz", freqs)
         object.__setattr__(self, "z", z)
-
-    @property
-    def freqs_hz(self) -> np.ndarray:
-        return self.omega / (2.0 * math.pi)
 
     def to_csv(self, path, air: AirProperties) -> None:
         rc = air.characteristic_impedance
@@ -66,7 +62,7 @@ class MeasuredSpectrum:
         freqs, re, im = read_columns(path, 3)
         z = (re * rc).astype(complex)
         z.imag = im * rc
-        return cls(2.0 * math.pi * freqs, z)
+        return cls(freqs, z)
 
 
 @dataclass(frozen=True)
@@ -102,7 +98,7 @@ def fit_passive_params(passive: MeasuredSpectrum) -> PassiveFit:
     omega*Mss - Ksc/omega.  The pseudo-inverse uses a rank-revealing SVD
     with a relative rank tolerance.
     """
-    w = passive.omega
+    w = 2.0 * math.pi * passive.freqs_hz
     n = w.size
     zero = np.zeros(n)
     one = np.ones(n)
@@ -149,12 +145,12 @@ def estimate_box_compliance(
     diff = probed.z - passive.z
     if np.any(diff == 0):
         raise IdentificationError("probed and passive spectra coincide at a sample")
-    quotient = np.mean((f_hat * k2.k / (1j * passive.omega)) / diff)
+    quotient = np.mean((f_hat * k2.k / (2j * math.pi * passive.freqs_hz)) / diff)
     return EstimateResult(value=float(quotient.real), imag_residual=float(quotient.imag))
 
 
 def _check_same_grid(a: MeasuredSpectrum, b: MeasuredSpectrum) -> None:
-    if a.omega.size != b.omega.size or np.any(a.omega != b.omega):
+    if a.freqs_hz.size != b.freqs_hz.size or np.any(a.freqs_hz != b.freqs_hz):
         raise IdentificationError("spectra must share the same frequency grid")
 
 
@@ -162,8 +158,8 @@ def _check_same_grid(a: MeasuredSpectrum, b: MeasuredSpectrum) -> None:
 
 
 def passive_spectrum(model: DriverModel, freqs_hz=DEFAULT_BAND_HZ) -> MeasuredSpectrum:
-    omega = 2.0 * math.pi * check_frequencies(freqs_hz, "freqs_hz")
-    return MeasuredSpectrum(omega, passive_impedance(model)(1j * omega))
+    freqs = check_frequencies(freqs_hz, "freqs_hz")
+    return MeasuredSpectrum(freqs, passive_impedance(model)(2j * math.pi * freqs))
 
 
 def probe_front_spectrum(
@@ -173,12 +169,12 @@ def probe_front_spectrum(
 
     A front microphone of gain g reads g*p_f, so it is the probe ProbeGain(K1*g).
     """
-    omega = 2.0 * math.pi * check_frequencies(freqs_hz, "freqs_hz")
-    zss = passive_impedance(model)(1j * omega)
+    freqs = check_frequencies(freqs_hz, "freqs_hz")
+    zss = passive_impedance(model)(2j * math.pi * freqs)
     loop = 1.0 - model.pressure_factor * k1.k
     if loop <= 0:
         raise IdentificationError("front probe loop is unstable (F*K1 >= 1)")
-    return MeasuredSpectrum(omega, zss / loop)
+    return MeasuredSpectrum(freqs, zss / loop)
 
 
 def probe_rear_spectrum(
@@ -187,10 +183,10 @@ def probe_rear_spectrum(
     """Impedance with i = K2*p_b: Z2 = Zss + F*K2/(s*Csb)."""
     if model.ksc + model.pressure_factor * k2.k / model.csb <= 0:
         raise IdentificationError("rear probe loop removes all stiffness (unstable)")
-    omega = 2.0 * math.pi * check_frequencies(freqs_hz, "freqs_hz")
-    zss = passive_impedance(model)(1j * omega)
-    extra = model.pressure_factor * k2.k / (1j * omega * model.csb)
-    return MeasuredSpectrum(omega, zss + extra)
+    freqs = check_frequencies(freqs_hz, "freqs_hz")
+    s = 2j * math.pi * freqs
+    extra = model.pressure_factor * k2.k / (s * model.csb)
+    return MeasuredSpectrum(freqs, passive_impedance(model)(s) + extra)
 
 
 def default_probe_gains(model: DriverModel) -> tuple[ProbeGain, ProbeGain]:

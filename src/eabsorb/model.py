@@ -117,12 +117,12 @@ class DriverModel:
     @classmethod
     def from_dict(cls, d: dict) -> "DriverModel":
         return cls(
-            rss=float(d["rss"]),
-            omega0=2.0 * math.pi * float(d["f0_hz"]),
-            qms=float(d["qms"]),
-            pressure_factor=float(d["f_pa_per_a"]),
-            csb=float(d["csb_m_per_pa"]),
-            air=AirProperties(float(d["rho0"]), float(d["c0"])),
+            rss=d["rss"],
+            omega0=2.0 * math.pi * check_number(d["f0_hz"], "f0_hz"),
+            qms=d["qms"],
+            pressure_factor=d["f_pa_per_a"],
+            csb=d["csb_m_per_pa"],
+            air=AirProperties(d["rho0"], d["c0"]),
         )
 
 

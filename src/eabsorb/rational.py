@@ -64,7 +64,7 @@ class RationalTransfer:
         return cls.from_coeffs([float(gain)], [1.0])
 
     @classmethod
-    def differentiator(cls, gain: float = 1.0) -> "RationalTransfer":
+    def differentiator(cls, gain: float) -> "RationalTransfer":
         """gain * s"""
         return cls.from_coeffs([float(gain), 0.0], [1.0])
 
@@ -120,11 +120,12 @@ class RationalTransfer:
     def cancel_origin_roots(self) -> "RationalTransfer":
         """Divide out common exact roots at s = 0 from num and den."""
         num, den = self.num, self.den
-        nscale = np.max(np.abs(num)) or 1.0
-        dscale = np.max(np.abs(den)) or 1.0
+        nscale = np.max(np.abs(num))
+        dscale = np.max(np.abs(den))
+        # a lone denominator coefficient is nonzero, so only a zero
+        # numerator could run out of coefficients
         while (
             len(num) > 1
-            and len(den) > 1
             and abs(num[-1]) <= COEFF_TOL * nscale
             and abs(den[-1]) <= COEFF_TOL * dscale
         ):

@@ -337,6 +337,17 @@ def test_block_draws_cover_redraws():
     assert ea.analysis._draw_factors(3, 0, 600, 0.5).tobytes() == want.tobytes()
 
 
+def test_a_factor_of_exactly_zero_is_redrawn():
+    # at rel_std = -1/z the fifth factor of draw 0 of seed 0, 1 + rel_std*z,
+    # is exactly 0.0: not positive, so the draw is made again
+    z = reference_normals(np.random.PCG64(np.random.SeedSequence(0)).random_raw(6))[4]
+    rel_std = -1.0 / z
+    assert 1.0 + rel_std * z == 0.0
+    factors = ea.analysis.draw_parameter_factors(0, 0, rel_std)
+    assert np.all(factors > 0.0)
+    assert factors.tobytes() == reference_draw(0, 0, rel_std).tobytes()
+
+
 def test_block_draws_read_the_stream_at_six_i():
     # attempt 0 of draw i of a block past the stream's start is the six
     # outputs at 6*i, read here from the start of the stream, not advanced to

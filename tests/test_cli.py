@@ -32,8 +32,10 @@ def test_design_writes_outputs(tmp_path, onedof_config):
     assert run(["design", "--config", onedof_config, "--out", out]) == 0
     stability = json.loads((out / "stability.json").read_text())
     assert stability["stable"] is True
-    for name in ("controller.json", "h1_sos.json", "h2_sos.json"):
-        assert (out / name).exists()
+    # each JSON output is indented by two spaces and ends with a newline
+    for name in ("controller.json", "h1_sos.json", "h2_sos.json", "stability.json"):
+        text = (out / name).read_text()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
     h1 = ea.SosCascade.from_json((out / "h1_sos.json").read_text())
     assert h1.fs == 50_000.0
     assert h1.is_stable
@@ -847,7 +849,9 @@ def identify_args(tmp_path, model):
 def test_identify_command(tmp_path, ref_model):
     out = tmp_path / "id"
     assert run(["identify", *identify_args(tmp_path, ref_model), "--out", out]) == 0
-    got = json.loads((out / "identified_model.json").read_text())
+    text = (out / "identified_model.json").read_text()
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    got = json.loads(text)
     assert got["f0_hz"] == pytest.approx(205.5, rel=1e-9)
     assert got["qms"] == pytest.approx(5.466, rel=1e-9)
     assert got["f_pa_per_a"] == pytest.approx(1084.0, rel=1e-9)

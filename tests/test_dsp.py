@@ -92,6 +92,13 @@ def test_zero_at_twice_fs_rejected(via_discretize):
             dsp.bilinear_transform(ct.num, ct.den, FS)
 
 
+def test_leading_coefficient_bound_is_inclusive():
+    # at fs = 2048 the factor sqrt(2*fs) = 64 is exact, so 64e-14 / (s / 64)
+    # has a leading z coefficient of exactly 1e-14, at the bound: refused
+    with pytest.raises(ea.DiscretizationError, match="leading z coefficient 1e-14 <= 1e-14"):
+        dsp.bilinear_transform([64 * 1e-14], [1 / 64, 0.0], 2048.0)
+
+
 @pytest.mark.parametrize(("num", "fs"), [([1.0, -4096.0], 2048.0), ([5e-324], FS)])
 def test_vanished_leading_coefficient_rejected(num, fs):
     # at fs = 2048, sqrt(2*fs) = 64 is exact and a zero at s = 2*fs cancels
@@ -1215,9 +1222,14 @@ def fast_eigenvalue_ratio(zeta):
     return max(1.0, zeta + math.sqrt(max(zeta * zeta - 1.0, 0.0)))
 
 
+def driver_plant(rm, km, b0):
+    """The (a, b) of the plant `dsp._plant_step` takes as (rm, km, b0)."""
+    return np.array([[-rm, -km], [1.0, 0.0]]), np.array([b0, 0.0])
+
+
 @st.composite
 def plants(draw):
-    """(a, b, T) of a plant with max|eig(a)| T <= 1, fs = 1/T in 1 kHz..1 MHz.
+    """(rm, km, b0, T) of a plant with max|eig(a)| T <= 1, fs = 1/T in 1 kHz..1 MHz.
 
     rss and ksc are drawn through the fast eigenvalue |lambda| and the
     damping ratio zeta: under-, near-critically and over-damped plants
@@ -1235,14 +1247,15 @@ def plants(draw):
     )
     w0 = lam_t * fs / fast_eigenvalue_ratio(zeta)
     rss, ksc = 2.0 * zeta * w0 * mss, w0 * w0 * mss
-    a = np.array([[-rss / mss, -ksc / mss], [1.0, 0.0]])
-    b = np.array([1.0 / mss, 0.0])
+    rm, km, b0 = rss / mss, ksc / mss, 1.0 / mss
+    a, _ = driver_plant(rm, km, b0)
     assume(np.max(np.abs(np.linalg.eigvals(a))) / fs <= 1.0)
-    return a, b, 1.0 / fs
+    return rm, km, b0, 1.0 / fs
 
 
-def assert_step_close(a, b, tau):
-    phi, gam = dsp._plant_step(a, b, tau)
+def assert_step_close(rm, km, b0, tau):
+    phi, gam = dsp._plant_step(rm, km, b0, tau)
+    a, b = driver_plant(rm, km, b0)
     # scipy's expm: 1e-13 relative in norm
     phi_ref, gam_ref = van_loan_step(a, b, tau)
     assert np.max(np.abs(phi - phi_ref)) <= 1e-13 * np.max(np.abs(phi_ref))
@@ -1256,27 +1269,24 @@ def assert_step_close(a, b, tau):
 @settings(max_examples=150, deadline=None)
 @given(plants())
 def test_property_plant_step_matches_van_loan(plant):
-    a, b, dt = plant
-    assert_step_close(a, b, 0.5 * dt)
+    rm, km, b0, dt = plant
+    assert_step_close(rm, km, b0, 0.5 * dt)
 
 
 @pytest.mark.parametrize("fs", [1e3, 5e4, 1e6])
 def test_plant_step_critical_damping(fs):
     # mss 0.5, rss 4, ksc 8: the double eigenvalue -4, so delta = 0 exactly
-    a = np.array([[-8.0, -16.0], [1.0, 0.0]])
-    b = np.array([2.0, 0.0])
-    assert (0.5 * a[0, 0]) ** 2 == a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    assert_step_close(a, b, 0.5 / fs)
+    rm, km, b0 = 8.0, 16.0, 2.0
+    assert (0.5 * rm) ** 2 == km
+    assert_step_close(rm, km, b0, 0.5 / fs)
 
 
 @pytest.mark.parametrize("zeta", [0.1, 1.0, 5.0])
 @pytest.mark.parametrize("lam_t", [3.0, 8.0])
 def test_plant_step_long_steps(zeta, lam_t):
-    # max|eig(a)| T/2 > 1: the step is built from squared half steps; the
-    # input also drives the displacement, so both columns of adj(a) enter
+    # max|eig(a)| T/2 > 1: the step is built from squared half steps
     w0 = lam_t * FS / fast_eigenvalue_ratio(zeta)
-    a = np.array([[-2.0 * zeta * w0, -w0 * w0], [1.0, 0.0]])
-    assert_step_close(a, np.array([1e3, 0.1]), 0.5 / FS)
+    assert_step_close(2.0 * zeta * w0, w0 * w0, 1e3, 0.5 / FS)
 
 
 @pytest.mark.parametrize("name", ["1dof", "broadband", "2dof"])
@@ -1290,7 +1300,9 @@ def test_closed_loop_plant_step_matches_van_loan(ref_model, targets, fb4, monkey
         for latency, hold in ((0, "centered"), (1, "centered"), (1, "causal"))
     ]
     z = [ea.measure_impedance(ref_model, cascades, loop, 205.5) for loop in loops]
-    monkeypatch.setattr(dsp, "_plant_step", van_loan_step)
+    monkeypatch.setattr(
+        dsp, "_plant_step", lambda rm, km, b0, tau: van_loan_step(*driver_plant(rm, km, b0), tau)
+    )
     z_ref = [ea.measure_impedance(ref_model, cascades, loop, 205.5) for loop in loops]
     for got, ref in zip(z, z_ref):
         assert abs(got / ref - 1.0) <= 1e-12

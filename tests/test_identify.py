@@ -30,6 +30,25 @@ def test_passive_fit_recovers_parameters(ref_model, spectra):
     assert fit.residual < 1e-6
 
 
+def test_identification_recovers_parameters_below_one():
+    # the physical checks are on the sign: parameters below 1 in SI units
+    # are recovered, and a rear gain that takes half the stiffness is stable
+    small = ea.DriverModel(rss=0.5, omega0=0.8, qms=0.9, pressure_factor=0.5, csb=0.5)
+    freqs = np.linspace(0.05, 0.3, 26)
+    k1, k2 = ea.default_probe_gains(small)
+    fitted, _ = ea.identify_model(
+        ea.passive_spectrum(small, freqs),
+        ea.probe_front_spectrum(small, k1, freqs), k1,
+        ea.probe_rear_spectrum(small, k2, freqs), k2,
+        small.air,
+    )
+    for name in ("rss", "omega0", "qms", "pressure_factor", "csb"):
+        assert getattr(fitted, name) == pytest.approx(getattr(small, name), rel=1e-9)
+    half = ea.ProbeGain(-0.5 * small.ksc * small.csb / small.pressure_factor)
+    rear = ea.probe_rear_spectrum(small, half, freqs)
+    assert ea.fit_passive_params(rear).ksc == pytest.approx(0.5 * small.ksc, rel=1e-9)
+
+
 def test_force_factor_estimate(ref_model, spectra, probes):
     passive, front, _ = spectra
     k1, _ = probes
@@ -94,17 +113,27 @@ def test_spectrum_csv_round_trip(tmp_path, ref_model):
     path = tmp_path / "passive.csv"
     spec.to_csv(path, air)
     clone = ea.MeasuredSpectrum.from_csv(path, air)
-    np.testing.assert_allclose(clone.omega, spec.omega, rtol=1e-15)
+    assert clone.freqs_hz.tobytes() == ea.identify.DEFAULT_BAND_HZ.tobytes()
     np.testing.assert_allclose(clone.z, spec.z, rtol=1e-12)
     header = path.read_text().splitlines()[0]
     assert header == "freq_hz,re_z_norm,im_z_norm"
 
 
+def test_spectrum_csv_round_trip_keeps_random_frequencies(tmp_path, ref_model):
+    # the spectrum holds the hertz it is given, and the CSV writes them back
+    freqs = np.sort(np.random.default_rng(3).uniform(1.0, 2e4, 200))
+    spec = ea.passive_spectrum(ref_model, freqs)
+    spec.to_csv(tmp_path / "passive.csv", ref_model.air)
+    clone = ea.MeasuredSpectrum.from_csv(tmp_path / "passive.csv", ref_model.air)
+    assert spec.freqs_hz.tobytes() == clone.freqs_hz.tobytes() == freqs.tobytes()
+
+
 def test_spectrum_validation():
     with pytest.raises(ea.InvalidParameterError):
         ea.MeasuredSpectrum(np.array([1.0, 2.0]), np.array([1.0 + 0j]))
-    with pytest.raises(ea.InvalidParameterError):
-        ea.MeasuredSpectrum(np.array([3.0, 2.0, 4.0]), np.ones(3, dtype=complex))
+    for freqs in ([3.0, 2.0, 4.0], [2.0, 2.0, 4.0]):
+        with pytest.raises(ea.InvalidParameterError, match="strictly increasing"):
+            ea.MeasuredSpectrum(np.array(freqs), np.ones(3, dtype=complex))
 
 
 def test_probe_gain_validation():
@@ -121,12 +150,14 @@ def test_grid_mismatch_rejected(ref_model, probes):
 
 
 def test_rank_deficiency_detected(ref_model):
-    # a single-frequency band cannot separate mass from stiffness
-    freqs = np.array([200.0, 200.0 + 1e-12, 200.0 + 2e-12])
-    omega = 2.0 * np.pi * freqs
-    z = ea.passive_impedance(ref_model)(1j * omega)
-    with pytest.raises(ea.IdentificationError):
-        ea.fit_passive_params(ea.MeasuredSpectrum(omega, z))
+    # a single-frequency band cannot separate mass from stiffness; on the
+    # 0.2 mHz band the smallest singular value, 1.1e-9, is below RANK_TOL
+    # times the largest (2.2e-7) but not times the middle one (1.7e-10)
+    for step in (1e-12, 1e-4):
+        freqs = np.array([200.0, 200.0 + step, 200.0 + 2 * step])
+        z = ea.passive_impedance(ref_model)(2j * np.pi * freqs)
+        with pytest.raises(ea.IdentificationError, match="rank deficient"):
+            ea.fit_passive_params(ea.MeasuredSpectrum(freqs, z))
 
 
 def test_unstable_front_probe_rejected(ref_model):
@@ -139,14 +170,23 @@ def _with_sample(spectrum, i, z):
     """`spectrum` with its impedance sample i replaced by z."""
     zs = spectrum.z.copy()
     zs[i] = z
-    return ea.MeasuredSpectrum(spectrum.omega, zs)
+    return ea.MeasuredSpectrum(spectrum.freqs_hz, zs)
 
 
 #: name -> (call(model, spectra, probes) on crafted spectra or gains, message)
 REFUSALS = {
+    # a lossless spectrum fits a resistance of exactly zero
+    "lossless-fit": (
+        lambda m, sp, pr: ea.fit_passive_params(
+            ea.MeasuredSpectrum(sp[0].freqs_hz, 1j * sp[0].z.imag)
+        ),
+        "fit produced non-physical (non-positive) parameters",
+    ),
     # a negative resistance is no driver
     "non-physical-fit": (
-        lambda m, sp, pr: ea.fit_passive_params(ea.MeasuredSpectrum(sp[0].omega, -sp[0].z.conj())),
+        lambda m, sp, pr: ea.fit_passive_params(
+            ea.MeasuredSpectrum(sp[0].freqs_hz, -sp[0].z.conj())
+        ),
         "fit produced non-physical (non-positive) parameters",
     ),
     "zero-probed-sample": (
@@ -159,12 +199,31 @@ REFUSALS = {
         ),
         "probed and passive spectra coincide at a sample",
     ),
+    # at K1 = 1/F the front loop's residual gain 1 - F*K1 is exactly 0
+    "front-probe-marginal": (
+        lambda m, sp, pr: ea.probe_front_spectrum(m, ea.ProbeGain(1.0 / m.pressure_factor)),
+        "front probe loop is unstable (F*K1 >= 1)",
+    ),
+    # a rear gain of -Ksc Csb / F takes exactly the suspension's stiffness
+    "rear-probe-marginal": (
+        lambda m, sp, pr: ea.probe_rear_spectrum(
+            m, ea.ProbeGain(-m.ksc * m.csb / m.pressure_factor)
+        ),
+        "rear probe loop removes all stiffness (unstable)",
+    ),
     # a rear gain of -2 Ksc Csb / F takes twice the suspension's stiffness
     "rear-probe-removes-stiffness": (
         lambda m, sp, pr: ea.probe_rear_spectrum(
             m, ea.ProbeGain(-2.0 * m.ksc * m.csb / m.pressure_factor)
         ),
         "rear probe loop removes all stiffness (unstable)",
+    ),
+    # a rear spectrum that only adds resistance gives Csb_hat = 0 exactly
+    "zero-compliance-estimate": (
+        lambda m, sp, pr: ea.identify_model(
+            sp[0], sp[1], pr[0], ea.MeasuredSpectrum(sp[0].freqs_hz, sp[0].z + 1.0), pr[1], m.air
+        ),
+        "estimated parameters are non-positive",
     ),
     # the front spectrum read under the opposite gain gives F_hat = -F
     "non-positive-estimate": (
@@ -189,3 +248,15 @@ def test_default_band():
     assert band[0] == 170.0
     assert band[-1] == 250.0
     assert np.all(np.diff(band) == 1.0)
+
+
+def test_default_probe_gains_move_the_impedance_as_documented(ref_model, spectra):
+    # the front probe scales the impedance by 1.25 on the band; the rear
+    # probe adds F*K2/(j*omega*Csb), a reactance of -0.7*Rss at resonance
+    passive, front, _ = spectra
+    assert np.max(np.abs(front.z / passive.z - 1.25)) <= 1e-12
+    f0 = ref_model.f0_hz
+    freqs = [0.5 * f0, f0, 2.0 * f0]
+    rear = ea.probe_rear_spectrum(ref_model, ea.default_probe_gains(ref_model)[1], freqs)
+    shift = (rear.z[1] - ea.passive_spectrum(ref_model, freqs).z[1]) / ref_model.rss
+    assert abs(shift + 0.7j) <= 1e-12

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -56,6 +57,34 @@ def test_model_json_round_trip(ref_model):
     assert clone == ref_model
 
 
+@pytest.mark.parametrize("bad", [True, "12.5"], ids=["bool", "numeric-str"])
+@pytest.mark.parametrize(
+    "key, name",
+    [
+        ("rss", "rss"), ("f0_hz", "f0_hz"), ("qms", "qms"), ("f_pa_per_a", "pressure_factor"),
+        ("csb_m_per_pa", "csb"), ("rho0", "rho0"), ("c0", "c0"),
+    ],
+)
+def test_model_from_dict_refuses_what_the_checks_refuse(ref_model, key, name, bad):
+    # no value is converted before its check: a bool or a numeric string is
+    # refused under the name of the parameter it would set
+    d = ref_model.to_dict()
+    d[key] = bad
+    message = f"{name} must be a positive number, got {bad!r}"
+    with pytest.raises(ea.InvalidParameterError, match=f"^{re.escape(message)}$"):
+        ea.DriverModel.from_dict(d)
+
+
+def test_scaled_keeps_each_parameter_it_is_not_given(ref_model):
+    names = ("rss", "omega0", "qms", "pressure_factor", "csb")
+    for name in names:
+        est = ref_model.scaled(**{name: 2.0})
+        for other in names:
+            factor = 2.0 if other == name else 1.0
+            assert getattr(est, other) == factor * getattr(ref_model, other)
+        assert est.air is ref_model.air
+
+
 def test_model_validation():
     with pytest.raises(ea.InvalidParameterError):
         ea.DriverModel(rss=-1.0, omega0=1.0, qms=1.0, pressure_factor=1.0, csb=1e-6)
@@ -96,6 +125,10 @@ def test_raw_conversion_consistency():
     assert model.csb == pytest.approx(raw.vb / (air.rho0 * air.c0**2 * raw.sd))
     assert model.rss == pytest.approx(raw.rms / raw.sd)
     assert model.pressure_factor == pytest.approx(raw.bl / raw.sd)
+    # the box's air spring rho0*c0^2*Sd^2/Vb stiffens the suspension 1/Cms
+    k = 1.0 / raw.cms + air.rho0 * air.c0**2 * raw.sd**2 / raw.vb
+    assert model.omega0 == pytest.approx(math.sqrt(k / raw.mms), rel=1e-12)
+    assert model.qms == pytest.approx(math.sqrt(raw.mms * k) / raw.rms, rel=1e-12)
     # resonance above the free-air value (box stiffens the suspension)
     f_free = 1.0 / (2 * math.pi * math.sqrt(raw.mms * raw.cms))
     assert model.f0_hz > f_free

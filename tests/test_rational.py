@@ -37,6 +37,21 @@ def test_exact_zero_leading_trim_only():
     assert r2.num_degree == 0 and r2.den_degree == 1
 
 
+def test_cancel_origin_roots_down_to_a_constant_and_within_tolerance():
+    # common roots at s = 0 go down to a constant numerator or denominator;
+    # a coefficient at most COEFF_TOL of its polynomial's largest counts as 0
+    for num, den, want in (
+        ([2.0, 0.0], [1.0, 3.0, 0.0], ([2.0], [1.0, 3.0])),
+        ([1.0, 3.0, 0.0], [2.0, 0.0], ([0.5, 1.5], [1.0])),
+        ([1e6, 1e-7], [1.0, 1e-13], ([1e6], [1.0])),
+        ([1.0, 2.0, 1e-13], [1.0, 1e6, 1e-7], ([1.0, 2.0], [1.0, 1e6])),
+        ([0.0], [1.0, 0.0], ([0.0], [1.0, 0.0])),
+        ([1.0, 1e-12], [1.0, 1e-12], ([1.0], [1.0])),  # at the tolerance
+    ):
+        r = RationalTransfer.from_coeffs(num, den).cancel_origin_roots()
+        assert (r.num.tolist(), r.den.tolist()) == want
+
+
 def test_arithmetic_matches_pointwise():
     a = RationalTransfer.from_coeffs([1.0, 2.0], [1.0, 3.0, 5.0])
     b = RationalTransfer.from_coeffs([4.0], [1.0, 7.0])

@@ -42,6 +42,21 @@ def test_feedback_filter_zero_gain(ref_model, fb0):
     assert ea.feedback_filter(ref_model, fb0).is_zero
 
 
+@pytest.mark.parametrize("kg", [0.5, 1.0, 2.0])
+def test_feedback_filter_dc_gain(ref_model, kg):
+    g = ea.feedback_filter(ref_model, ea.FeedbackSpec.from_hz(kg, 500.0))
+    assert complex(g(0.0)) == pytest.approx(kg * 411.6, rel=1e-12)
+
+
+def test_zero_feedback_adds_no_pole(ref_model, targets, fb0, fb4):
+    # at kg = 0 the feedback is the constant 0, not 0/(s + omega_g): h2 is
+    # zero and h1 keeps the degree of 1 - Zss/Zst
+    assert ea.feedback_filter(ref_model, fb0).den_degree == 0
+    pair = ea.synthesize_controller(ref_model, targets["1dof"], fb0)
+    assert pair.h2.is_zero
+    assert pair.h1.den_degree < ea.synthesize_controller(ref_model, targets["1dof"], fb4).h1.den_degree
+
+
 def test_admissibility_of_reference_targets(targets):
     for spec in targets.values():
         ea.check_transfer_admissibility(ea.target_impedance(spec))

@@ -110,7 +110,7 @@ def test_frequency_array_is_refused_by_single_frequency_takers(ref_model, cascad
     [
         (lambda f, z: ea.MonteCarloConfig(10, 0.05, 1, freqs_hz=f), ("freqs_hz",)),
         (lambda f, z: ea.TwoMicMeasurement(f, z), ("freqs_hz", "h12")),
-        (lambda f, z: ea.MeasuredSpectrum(f, z), ("omega", "z")),
+        (lambda f, z: ea.MeasuredSpectrum(f, z), ("freqs_hz", "z")),
     ],
     ids=["MonteCarloConfig", "TwoMicMeasurement", "MeasuredSpectrum"],
 )

@@ -23,8 +23,9 @@ def test_reference_geometry():
 
 
 def test_geometry_validation():
-    with pytest.raises(ea.InvalidParameterError):
-        ea.WaveguideGeometry(delta_x=0.5, x1=0.4, length=1.0, diameter=0.07)
+    for delta_x in (0.5, 0.4):  # the spacing must be below x1, not equal to it
+        with pytest.raises(ea.InvalidParameterError, match="delta_x must be smaller than x1"):
+            ea.WaveguideGeometry(delta_x=delta_x, x1=0.4, length=1.0, diameter=0.07)
     with pytest.raises(ea.InvalidParameterError):
         ea.WaveguideGeometry(delta_x=-0.1, x1=0.4, length=1.0, diameter=0.07)
     # the farther microphone, at x1 + delta_x = 0.52 m, lies inside the tube
@@ -51,8 +52,10 @@ def test_rigid_termination_oracle():
 
 
 def test_cutoff_rejected():
-    with pytest.raises(ea.InvalidParameterError):
-        ea.simulate_two_mic(np.array([3000.0]), np.array([400.0 + 0j]), GEOM, AIR)
+    # above the plane-wave limit, and at it
+    for f in (3000.0, GEOM.plane_wave_limit_hz(AIR)):
+        with pytest.raises(ea.InvalidParameterError, match="plane-wave limit"):
+            ea.simulate_two_mic(np.array([f]), np.array([400.0 + 0j]), GEOM, AIR)
 
 
 @pytest.mark.parametrize("name", ["1dof", "broadband", "2dof"])
@@ -78,11 +81,14 @@ def test_half_wave_spacing_flagged():
     assert rec.singular[0]
 
 
-@pytest.mark.parametrize("offset_hz, flagged", [(1e-9, True), (1e-4, True), (1e-2, False)])
+@pytest.mark.parametrize(
+    "offset_hz, flagged", [(1e-9, True), (1e-4, True), (7e-4, False), (1e-2, False)]
+)
 def test_near_half_wave_spacing_flagged(ref_model, offset_hz, flagged):
     # a hair off k*dx = pi the inversion's rounding error in alpha grows like
     # 1e-16 / |sin(k*dx)|: 8.8e-6 at +1e-9 Hz and 3.2e-10 at +1e-4 Hz, both
-    # flagged; at +1e-2 Hz it is below the 1e-9 alpha is checked to
+    # flagged; at +7e-4 Hz (|sin(k*dx)| 1.3e-6, just past SPACING_TOL) and
+    # +1e-2 Hz it is below the 1e-9 alpha is checked to
     f = np.array([AIR.c0 / (2.0 * GEOM.delta_x) + offset_hz])
     z = ea.passive_impedance(ref_model)(2j * np.pi * f)
     rec = ea.recover_reflection(ea.simulate_two_mic(f, z, GEOM, AIR), GEOM, AIR)
@@ -102,6 +108,18 @@ def test_noise_determinism_and_effect():
     np.testing.assert_array_equal(n1.h12, n2.h12)
     assert not np.array_equal(n1.h12, n3.h12)
     assert np.max(np.abs(n1.h12 / meas.h12 - 1.0)) < 0.02
+
+
+def test_noise_is_relative_complex_gaussian():
+    # H12 (1 + n), n = N(0, rel_std^2) + j N(0, rel_std^2), real parts first,
+    # from numpy's default_rng(seed)
+    freqs = np.arange(20.0, 500.0, 10.0)
+    z = np.full(freqs.size, 2.0 * AIR.characteristic_impedance, dtype=complex)
+    meas = ea.simulate_two_mic(freqs, z, GEOM, AIR)
+    rng = np.random.default_rng(77)
+    n = rng.normal(0.0, 1e-3, freqs.size) + 1j * rng.normal(0.0, 1e-3, freqs.size)
+    noisy = ea.add_measurement_noise(meas, 1e-3, 77)
+    assert noisy.h12.tobytes() == (meas.h12 * (1.0 + n)).tobytes()
 
 
 def test_low_frequency_ill_conditioning(targets):
