@@ -63,7 +63,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._csvio import read_columns, write_columns
+from ._csvio import write_columns
 from .errors import (
     InvalidParameterError,
     check_count,
@@ -258,17 +258,9 @@ class QuartileBand:
         if np.any(self.q1 > self.q3 + 1e-15):
             raise InvalidParameterError("q1 must not exceed q3")
 
-    @property
-    def width(self) -> np.ndarray:
-        return self.q3 - self.q1
-
     def to_csv(self, path) -> None:
         columns = [self.freqs_hz, self.q1, self.q3, self.nominal]
         write_columns(path, ["freq_hz", "alpha_q1", "alpha_q3", "alpha_nominal"], columns)
-
-    @classmethod
-    def from_csv(cls, path) -> "QuartileBand":
-        return cls(*read_columns(path, 4))
 
 
 def _box_muller(raw) -> np.ndarray:

@@ -80,7 +80,7 @@ _TABLES = {
         "noise_seed": (check_count, True, 0),
     },
     "kundt.geometry": dict.fromkeys(
-        ("delta_x_m", "x1_m", "length_m", "diameter_m"), (check_number, False, _REQUIRED)
+        ("delta_x_m", "x1_m", "diameter_m"), (check_number, False, _REQUIRED)
     ),
     "simulate": {
         "fs_hz": (check_number, False, dsp.LoopConfig.fs),

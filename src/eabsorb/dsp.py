@@ -149,8 +149,6 @@ def _split_conjugates(roots: np.ndarray) -> np.ndarray:
     real = abs(z.imag) <= PAIR_TOL * abs(z)
     cplx = z[~real]
     upper, lower = cplx[cplx.imag > 0], cplx[cplx.imag < 0]
-    if len(upper) != len(lower):
-        raise DiscretizationError("zero/pole pairing failed: a complex root has no conjugate")
     # real parts equal within the tolerance count as equal: order such runs
     # by imaginary magnitude so each root lines up with its conjugate
     same = np.diff(upper.real) <= PAIR_TOL * abs(upper[:-1])
@@ -158,7 +156,7 @@ def _split_conjugates(roots: np.ndarray) -> np.ndarray:
     for start, stop in zip(np.flatnonzero(edges > 0), np.flatnonzero(edges < 0) + 1):
         for run in (upper[start:stop], lower[start:stop]):
             run[...] = run[np.argsort(abs(run.imag), kind="stable")]
-    if np.any(abs(upper - lower.conj()) > PAIR_TOL * abs(lower)):
+    if len(upper) != len(lower) or np.any(abs(upper - lower.conj()) > PAIR_TOL * abs(lower)):
         raise DiscretizationError("zero/pole pairing failed: a complex root has no conjugate")
     return np.concatenate([(upper + lower.conj()) / 2, z[real].real])
 
@@ -244,9 +242,14 @@ def _sk_refine(b: np.ndarray, a: np.ndarray, ct: RationalTransfer, fs: float):
     )
     weight = np.where(freqs <= 1300.0, 100.0, 1.0)
     h = ct(2j * np.pi * freqs)
-    h0 = float(ct(0.0))  # real: real coefficients at real s
+    with np.errstate(divide="ignore", invalid="ignore"):  # a pole at s = 0
+        h0 = float(ct(0.0))  # real: real coefficients at real s
     if not math.isfinite(h0):
         return b, a  # no finite DC value to pin
+    # a's columns and the right side scale with h, b's do not, and lstsq drops
+    # singular values below 2.3e-13 of the largest: lift a response below 2**-31
+    lift = math.ldexp(1.0, max(0, -30 - int(np.frexp(np.max(np.abs(h)))[1])))
+    h, h0 = h * lift, h0 * lift
     zi = np.exp(-2j * np.pi * freqs / fs)
     zpow_b = np.stack([zi**k for k in range(1, nb + 1)], axis=1)
     zpow_a = np.stack([zi**k for k in range(1, na + 1)], axis=1)
@@ -263,7 +266,7 @@ def _sk_refine(b: np.ndarray, a: np.ndarray, ct: RationalTransfer, fs: float):
         a_new = np.concatenate([[1.0], a_tail])
         if np.any(np.abs(np.roots(a_new)) >= 1.0):
             break
-        b = np.concatenate([[h0 * (1.0 + a_tail.sum()) - b_tail.sum()], b_tail])
+        b = np.concatenate([[h0 * (1.0 + a_tail.sum()) - b_tail.sum()], b_tail]) / lift
         if a_new.tobytes() == a.tobytes():
             break  # a fixed point: every later pass would repeat this one
         a = a_new
@@ -280,10 +283,10 @@ def bilinear_transform(num, den, fs: float):
     scalar products and sums on coefficient arrays (scipy steps them
     through `numpy.polynomial`), so the result is the same to the bit: the
     least-squares refinement amplifies even rounding-level differences in
-    its seed.  A leading numerator coefficient of magnitude <= 1e-14 (a
-    continuous zero at or near s = 2*fs; scipy drops it, with a warning
-    unless it is exactly zero, advancing the filter by a sample) and a
-    coefficient beyond float64 raise DiscretizationError.
+    its seed.  A leading numerator coefficient (proportional to num(2*fs))
+    at or below 1e-14 of the largest, a continuous zero at or near s = 2*fs
+    whose loss would advance the filter by a sample, and a coefficient
+    beyond float64 raise DiscretizationError; scipy drops any below 1e-14.
     """
     num = np.trim_zeros(np.atleast_1d(np.asarray(num)), "f")
     den = np.trim_zeros(np.atleast_1d(np.asarray(den)), "f")
@@ -305,10 +308,10 @@ def bilinear_transform(num, den, fs: float):
         bz, az = bz / az[0], az / az[0]
     if not (np.all(np.isfinite(bz)) and np.all(np.isfinite(az))):
         raise DiscretizationError(f"bilinear coefficients overflow float64 at {float(fs)!r} Hz")
-    if abs(bz[0]) <= 1e-14:
+    if abs(bz[0]) <= 1e-14 * np.max(np.abs(bz)):
         raise DiscretizationError(
-            f"badly conditioned numerator: leading z coefficient {float(bz[0])!r} <= 1e-14 "
-            "(a zero at or near s = 2*fs)"
+            f"badly conditioned numerator: leading z coefficient {float(bz[0])!r} at or below "
+            "1e-14 of the largest (a zero at or near s = 2*fs)"
         )
     return bz, az
 
@@ -321,15 +324,14 @@ def bilinear_discretize(ct: RationalTransfer, fs: float) -> SosCascade:
     by a DC-pinned weighted least-squares fit against the exact continuous
     response (`_sk_refine`), which removes the transform's residual in-band
     magnitude and phase bias while keeping the degrees and the exact DC
-    value.  The result is factored through `sos_partition`.
+    value.  The result is factored through `sos_partition`, a constant's to
+    one passthrough section; the zero transfer's gain is 0.0, never -0.0.
     """
     fs = check_number(fs, "fs")
     if not ct.is_proper:
         raise DiscretizationError("cannot discretize an improper transfer")
-    if ct.is_zero or ct.den_degree == 0:
-        # a proper transfer with a constant denominator is a constant gain;
-        # + 0.0 keeps the zero transfer's gain 0.0, never -0.0
-        return SosCascade([_PASSTHROUGH], float(ct.num[0] / ct.den[0]) + 0.0, fs)
+    if ct.is_zero:  # no leading coefficient to map, and a gain never -0.0
+        return SosCascade([_PASSTHROUGH], 0.0, fs)
 
     bz, az = _sk_refine(*bilinear_transform(ct.num, ct.den, fs), ct, fs)
     return sos_partition(np.roots(bz / bz[0]), np.roots(az), float(bz[0]), fs)

@@ -26,6 +26,7 @@ __all__ = [
 #: default identification band: 170 Hz to 250 Hz in 1 Hz steps
 DEFAULT_BAND_HZ = np.arange(170.0, 251.0, 1.0)
 
+#: relative rounding level of the passive fit's singular values and the probes' changes
 RANK_TOL = 1e-10
 
 
@@ -125,12 +126,15 @@ def estimate_force_factor(
 ) -> EstimateResult:
     """Pressure factor from the front-pressure probe measurement.
 
-    F_hat = Re{ mean( (1 - Zss/Z1) / K1 ) }.
+    F_hat = Re{ mean( (1 - Zss/Z1) / K1 ) }; refused if max |1 - Zss/Z1| <= RANK_TOL.
     """
     _check_same_grid(passive, probed)
     if np.any(probed.z == 0):
         raise IdentificationError("probed spectrum contains a zero impedance sample")
-    quotient = np.mean((1.0 - passive.z / probed.z) / k1.k)
+    change = 1.0 - passive.z / probed.z
+    if np.max(np.abs(change)) <= RANK_TOL:
+        raise IdentificationError("front probe does not change the impedance beyond rounding")
+    quotient = np.mean(change / k1.k)
     return EstimateResult(value=float(quotient.real), imag_residual=float(quotient.imag))
 
 
@@ -139,10 +143,13 @@ def estimate_box_compliance(
 ) -> EstimateResult:
     """Box compliance from the cavity-pressure probe measurement.
 
-    Csb_hat = Re{ mean( (F_hat*K2/(j*omega)) / (Z2 - Zss) ) }.
+    Csb_hat = Re{ mean( (F_hat*K2/(j*omega)) / (Z2 - Zss) ) }; refused if
+    max |Z2 - Zss|/|Zss| <= RANK_TOL.
     """
     _check_same_grid(passive, probed)
     diff = probed.z - passive.z
+    if np.all(np.abs(diff) <= RANK_TOL * np.abs(passive.z)):
+        raise IdentificationError("rear probe does not change the impedance beyond rounding")
     if np.any(diff == 0):
         raise IdentificationError("probed and passive spectra coincide at a sample")
     quotient = np.mean((f_hat * k2.k / (2j * math.pi * passive.freqs_hz)) / diff)

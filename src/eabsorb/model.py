@@ -126,21 +126,20 @@ class DriverModel:
         )
 
 
-def table_reference_model(air: AirProperties = DEFAULT_AIR) -> DriverModel:
-    """Measured parameters of the reference absorber prototype."""
+def table_reference_model() -> DriverModel:
+    """Measured parameters of the reference absorber prototype, in `DEFAULT_AIR`."""
     return DriverModel(
-        rss=0.6734 * air.characteristic_impedance,
+        rss=0.6734 * DEFAULT_AIR.characteristic_impedance,
         omega0=2.0 * math.pi * 205.5,
         qms=5.466,
         pressure_factor=1.084e3,  # 1.084 Pa/mA
         csb=1.808e-6,
-        air=air,
     )
 
 
-def derive_specific_model(raw: RawDriverParams, air: AirProperties = DEFAULT_AIR) -> DriverModel:
-    """Convert raw driver/box data into the specific-unit plant model."""
-    csb = raw.vb / (air.rho0 * air.c0**2 * raw.sd)
+def derive_specific_model(raw: RawDriverParams) -> DriverModel:
+    """Convert raw driver/box data into the specific-unit plant model, in `DEFAULT_AIR`."""
+    csb = raw.vb / (DEFAULT_AIR.rho0 * DEFAULT_AIR.c0**2 * raw.sd)
     # combined compliance: suspension in parallel (force-wise) with the box
     inv_cmc = 1.0 / raw.cms + raw.sd / csb
     cmc = 1.0 / inv_cmc
@@ -152,7 +151,6 @@ def derive_specific_model(raw: RawDriverParams, air: AirProperties = DEFAULT_AIR
         qms=qms,
         pressure_factor=raw.bl / raw.sd,
         csb=csb,
-        air=air,
     )
 
 

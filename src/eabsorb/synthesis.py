@@ -131,7 +131,8 @@ def synthesize_controller(
 ) -> ControllerPair:
     """Build the two control filters for the requested target impedance.
 
-    h1 = (1/F) * (1 - (Zss + G)/Zst),  h2 = s*Csb*G/F.
+    h1 = (1/F) * (1 - (Zss + G)/Zst) and h2 = s*Csb*G/F are proper: Zst and
+    Zss have one zero more than poles, and G is at most a first-order low-pass.
     """
     zst = target_impedance(target)
     # a valid spec can still be inadmissible once its coefficients underflow
@@ -144,9 +145,6 @@ def synthesize_controller(
     quotient = ((zss + g) / zst).cancel_origin_roots()
     h1 = (inv_f * (1.0 - quotient)).cancel_origin_roots()
     h2 = (RationalTransfer.differentiator(model.csb * inv_f) * g).cancel_origin_roots()
-
-    if not h1.is_proper or not h2.is_proper:
-        raise SynthesisError("synthesized controller is not proper")
     return ControllerPair(h1=h1, h2=h2)
 
 

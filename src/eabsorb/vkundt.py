@@ -48,29 +48,24 @@ SPACING_TOL = 1e-6
 
 @dataclass(frozen=True)
 class WaveguideGeometry:
-    """Impedance-tube dimensions in meters."""
+    """Impedance-tube dimensions in meters: the microphone positions and the
+    bore diameter (the plane-wave limit), all the plane-wave model reads."""
 
     delta_x: float  # microphone spacing
     x1: float  # distance from sample plane to the nearer microphone
-    length: float
     diameter: float
 
     def __post_init__(self):
-        check_positive(self, "delta_x", "x1", "length", "diameter")
+        check_positive(self, "delta_x", "x1", "diameter")
         if self.delta_x >= self.x1:
             raise InvalidParameterError("delta_x must be smaller than x1")
-        end = self.x1 + self.delta_x  # the farther microphone
-        if end >= self.length:
-            raise InvalidParameterError(
-                f"x1 + delta_x must be below length, got {end!r} >= {self.length!r}"
-            )
 
     def plane_wave_limit_hz(self, air: AirProperties) -> float:
         return FIRST_MODE_BESSEL_ROOT * air.c0 / (math.pi * self.diameter)
 
 
 #: the reference tube of the experimental setup
-REFERENCE_GEOMETRY = WaveguideGeometry(delta_x=0.100, x1=0.420, length=0.970, diameter=0.072)
+REFERENCE_GEOMETRY = WaveguideGeometry(delta_x=0.100, x1=0.420, diameter=0.072)
 
 
 @dataclass(frozen=True, eq=False)

@@ -165,10 +165,10 @@ def test_criterion_4_monte_carlo(ref_model, targets, fb0, fb4):
     q1_min = float(b1_0.q1[near].min())
     a_ok = q1_min < 0.0
     i = np.where(near)[0][np.argmin(b1_0.q1[near])]
-    w0, w4 = float(b1_0.width[i]), float(b1_4.width[i])
+    w0, w4 = float(b1_0.q3[i] - b1_0.q1[i]), float(b1_4.q3[i] - b1_4.q1[i])
     b_ok = w4 * 2.0 <= w0
     improvement = w0 - w4
-    bb_change = float(np.max(np.abs(bb_4.width - bb_0.width)))
+    bb_change = float(np.max(np.abs((bb_4.q3 - bb_4.q1) - (bb_0.q3 - bb_0.q1))))
     c_ok = bb_change <= 0.5 * improvement
     ok = a_ok and b_ok and c_ok
     report(

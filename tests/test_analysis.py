@@ -12,10 +12,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import eabsorb as ea
+from eabsorb._csvio import read_columns
 
 
 def grid_omega():
@@ -164,11 +165,37 @@ def test_hat_impedance_matches_model(ref_model, targets, fb4):
 FACTOR = st.floats(min_value=0.7, max_value=1.3)
 
 
+def kernel_rounding(model, est, tg, fb, omega):
+    """eps * (sum_k |p_k D_k| / |p.D| + sum_k |p_k N_k| / |p.N|) per
+    frequency: the rounding level of the kernel's two dot products.  p.D
+    nearly cancels where the assumed impedance Zss_hat meets Zst*(1 - F_hat/F),
+    as with kg 0, F_hat < F and the 2-DOF target, and there any evaluation
+    of Z_sa, the kernel's or the oracle's, keeps only eps times its terms."""
+    num, den = ea.analysis._mismatch_kernel(model, tg, fb, 1j * omega)
+    p = ea.analysis._assumed_vector(model, est)
+    cond = [np.abs(p) @ np.abs(x) / np.abs(p @ x) for x in (num, den)]
+    return np.finfo(float).eps * (cond[0] + cond[1])
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     target=st.sampled_from(["1dof", "broadband", "2dof"]),
     feedback=st.sampled_from(["fb0", "fb4"]),
     factors=st.tuples(FACTOR, FACTOR, FACTOR, FACTOR, FACTOR),
+)
+# two near-cancellations of p.D on the grid, each with a relative
+# disagreement past 0.1 between the two evaluations of Z_sa
+@example(
+    target="2dof",
+    feedback="fb0",
+    factors=(1.1081856354657522, 0.901672584754014, 1.0372884457915912, 0.9828309147940231,
+             0.7011401364838035),
+)
+@example(
+    target="2dof",
+    feedback="fb4",
+    factors=(0.7846763522088034, 0.7127391149518698, 0.754264623750473, 0.9285091790086045,
+             1.113796170425379),
 )
 def test_property_kernel_matches_oracle(ref_model, targets, fb0, fb4, target, feedback, factors):
     fb = {"fb0": fb0, "fb4": fb4}[feedback]
@@ -176,12 +203,19 @@ def test_property_kernel_matches_oracle(ref_model, targets, fb0, fb4, target, fe
     est = ref_model.scaled(*factors)
     om = grid_omega()
     zsa, sens = oracle_mismatch(ref_model, est, tg, fb, om)
-    np.testing.assert_allclose(ea.achieved_impedance(ref_model, est, tg, fb, om), zsa, rtol=1e-12)
+    # the kernel and the oracle each round to a few units of
+    # kernel_rounding: 20 000 uniform draws of the factors on the default
+    # grid reached 2.2 of them for Z_sa and 1.2 for the sensitivities, and
+    # a Nelder-Mead search for p.D = 0 in the factor box (rounding level
+    # up to 5e17 times eps) 1.5; a fixed rtol of 1e-12 fails near there
+    bound = 8.0 * kernel_rounding(ref_model, est, tg, fb, om)
+    zsa_kernel = ea.achieved_impedance(ref_model, est, tg, fb, om)
+    assert np.all(np.abs(zsa_kernel - zsa) <= bound * np.abs(zsa))
     tri = ea.sensitivities(ref_model, est, tg, fb, om)
     # sensitivities are O(1) log-derivatives and s_f, a difference of two
     # terms, may cancel to 0, so their error is relative to 1 + |s|
     for got, want in zip((tri.s_zss, tri.s_f, tri.s_csb), sens):
-        assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) <= 1e-12
+        assert np.all(np.abs(got - want) <= bound * (1.0 + np.abs(want)))
 
 
 @settings(max_examples=20, deadline=None)
@@ -753,7 +787,7 @@ def test_monte_carlo_feedback_narrows_band(ref_model, targets, fb0, fb4):
     wide = ea.monte_carlo_absorption(ref_model, targets["1dof"], fb0, cfg)
     narrow = ea.monte_carlo_absorption(ref_model, targets["1dof"], fb4, cfg)
     i = np.argmin(np.abs(freqs - 206.0))
-    assert narrow.width[i] < 0.5 * wide.width[i]
+    assert narrow.q3[i] - narrow.q1[i] < 0.5 * (wide.q3[i] - wide.q1[i])
 
 
 def test_quartile_band_csv_round_trip(tmp_path, ref_model, targets, fb4):
@@ -761,13 +795,21 @@ def test_quartile_band_csv_round_trip(tmp_path, ref_model, targets, fb4):
     band = ea.monte_carlo_absorption(ref_model, targets["1dof"], fb4, cfg)
     path = tmp_path / "band.csv"
     band.to_csv(path)
-    clone = ea.QuartileBand.from_csv(path)
+    # the package's own reader, as MeasuredSpectrum.from_csv reads its columns
+    clone = ea.QuartileBand(*read_columns(path, 4))
     np.testing.assert_array_equal(band.q1, clone.q1)
     np.testing.assert_array_equal(band.q3, clone.q3)
     np.testing.assert_array_equal(band.freqs_hz, clone.freqs_hz)
     # byte-identical rewrite
     clone.to_csv(tmp_path / "band2.csv")
     assert (tmp_path / "band.csv").read_bytes() == (tmp_path / "band2.csv").read_bytes()
+
+
+def test_quartile_band_refuses_q1_above_q3():
+    freqs = np.array([100.0, 200.0])
+    q1, q3 = np.array([0.5, 0.6]), np.array([0.5, 0.4])
+    with pytest.raises(ea.InvalidParameterError, match="q1 must not exceed q3"):
+        ea.QuartileBand(freqs, q1, q3, nominal=np.array([0.5, 0.5]))
 
 
 def test_monte_carlo_config_validation():

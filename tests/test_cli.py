@@ -14,6 +14,7 @@ import pytest
 
 import eabsorb as ea
 from eabsorb import cli
+from eabsorb._csvio import read_columns
 from eabsorb.cli import main
 from conftest import FIXTURES
 
@@ -103,7 +104,7 @@ def test_config_keys_are_read_only_in_cli(tmp_path, onedof_config):
     # target, feedback or geometry keys, and cli.py restates no default of
     # dsp.LoopConfig: design without a simulate block runs at LoopConfig's rate
     package = Path(ea.__file__).resolve().parent
-    literals = ['"rst_norm"', '"fg_hz"', '"delta_x_m"', '"x1_m"', '"length_m"', '"diameter_m"']
+    literals = ['"rst_norm"', '"fg_hz"', '"delta_x_m"', '"x1_m"', '"diameter_m"']
     for path in package.glob("*.py"):
         text = path.read_text()
         found = [key for key in literals if key in text]
@@ -177,17 +178,31 @@ def _name_tokens(text) -> Counter:
 
 
 def test_public_names_have_callers():
-    # a user reaches each public name: the package uses it beyond its own
-    # definition, the benchmark runs it, or a README example shows it
+    # a user reaches each public name, and each method, property and
+    # classmethod of a public class: the package uses it beyond its own
+    # definitions, the benchmark runs it, or a README example shows it
     package = Path(ea.__file__).resolve().parent
     root = package.parent.parent
-    in_package = sum((_name_tokens(p.read_text()) for p in package.glob("*.py")), Counter())
-    reached = {name for name, count in in_package.items() if count > 1}
+    in_package, defined, members = Counter(), Counter(), set()
+    for path in package.glob("*.py"):
+        text = path.read_text()
+        in_package += _name_tokens(text)
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[node.name] += 1
+            if isinstance(node, ast.ClassDef) and node.name in ea.__all__:
+                members |= {
+                    f.name
+                    for f in node.body
+                    if isinstance(f, ast.FunctionDef) and not f.name.startswith("__")
+                }
+    reached = {name for name, count in in_package.items() if count > max(defined[name], 1)}
     for path in (root / "perfbench").glob("*.py"):
         reached |= set(_name_tokens(path.read_text()))
     for block in re.findall(r"```python\n(.*?)```", (root / "README.md").read_text(), flags=re.S):
         reached |= set(_name_tokens(block))
-    assert sorted(set(ea.__all__) - reached) == []
+    assert "to_csv" in members and "characteristic_impedance" in members
+    assert sorted((set(ea.__all__) | members) - reached) == []
 
 
 def test_cli_restates_no_loop_check():
@@ -230,7 +245,7 @@ BAD_VALUES = {
     "geometry-no-delta-x": (
         "kundt",
         ("kundt", "geometry"),
-        {"x1_m": 0.42, "length_m": 0.97, "diameter_m": 0.072},
+        {"x1_m": 0.42, "diameter_m": 0.072},
         "kundt.geometry.delta_x_m",
     ),
     "noise-not-a-number": ("kundt", ("kundt", "noise_rel_std"), "x", "kundt.noise_rel_std"),
@@ -295,26 +310,20 @@ BAD_VALUES = {
     "geometry-delta-x-nan": (
         "kundt",
         ("kundt", "geometry"),
-        {"delta_x_m": "nan", "x1_m": 0.42, "length_m": 0.97, "diameter_m": 0.072},
+        {"delta_x_m": "nan", "x1_m": 0.42, "diameter_m": 0.072},
         "kundt.geometry.delta_x_m",
     ),
     "geometry-delta-x-past-x1": (
         "kundt",
         ("kundt", "geometry"),
-        {"delta_x_m": 0.5, "x1_m": 0.42, "length_m": 0.97, "diameter_m": 0.072},
+        {"delta_x_m": 0.5, "x1_m": 0.42, "diameter_m": 0.072},
         "kundt.geometry: delta_x must be smaller than x1",
-    ),
-    "geometry-mics-past-end": (
-        "kundt",
-        ("kundt", "geometry"),
-        {"delta_x_m": 0.1, "x1_m": 0.42, "length_m": 0.3, "diameter_m": 0.072},
-        "kundt.geometry: x1 + delta_x must be below length, got 0.52 >= 0.3",
     ),
     # 700 Hz = c0 / (2 * delta_x): the two-microphone inversion is singular
     "geometry-half-wavelength-spacing": (
         "kundt",
         ("kundt", "geometry"),
-        {"delta_x_m": 0.245, "x1_m": 0.42, "length_m": 0.97, "diameter_m": 0.072},
+        {"delta_x_m": 0.245, "x1_m": 0.42, "diameter_m": 0.072},
         "kundt: two-microphone inversion singular at 700.0 Hz",
     ),
     # values each key's own check takes, refused by the library where the
@@ -473,7 +482,7 @@ def test_non_object_block_is_config_error(tmp_path, capsys, verb, block, value):
     assert capsys.readouterr().err == f"config error: {block} must be an object, got list\n"
 
 
-GEOMETRY = {"delta_x_m": 0.1, "x1_m": 0.42, "length_m": 0.97, "diameter_m": 0.072}
+GEOMETRY = {"delta_x_m": 0.1, "x1_m": 0.42, "diameter_m": 0.072}
 
 
 @pytest.mark.parametrize(
@@ -684,6 +693,30 @@ def test_oversized_config_is_out_of_memory(tmp_path, verb, edit):
 
 
 @pytest.mark.parametrize(
+    "verb, edit",
+    [
+        ("montecarlo", lambda c: c["grid"].update(step_hz=1e-20)),
+        ("simulate", lambda c: c.update(simulate={"duration_s": 1e15})),
+    ],
+    ids=["grid-montecarlo", "duration"],
+)
+def test_unindexable_config_is_refused_before_allocating(tmp_path, capsys, verb, edit):
+    # numpy cannot index these arrays (1e23 grid points, 5e19 ticks), and
+    # the refusal comes before any array is asked for, so it runs here in
+    # the suite's own process, with no address-space cap
+    cfg = json.loads((FIXTURES / "table1_1dof.json").read_text())
+    edit(cfg)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert run([verb, "--config", p, "--out", out]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("out of memory:") and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "duration, transient",
     [(1e-5, 0.0), (1e-4, 9.5e-5)],
     ids=["no-tick", "no-tick-after-transient"],
@@ -741,22 +774,27 @@ def test_overflowing_sample_rate_is_a_numerical_error(tmp_path, capfd, verb):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("verb, code", [("design", 3), ("simulate", 3), ("kundt", 0)])
-def test_tiny_compliance_is_a_numerical_error(tmp_path, capsys, verb, code):
-    # with csb at 1e-18 m/Pa, h2's continuous zero lies near s = 2*fs and
-    # its bilinear map loses the leading coefficient; the verbs that
-    # discretize report that, kundt does not discretize and runs
+@pytest.mark.parametrize("verb", ["design", "simulate", "kundt"])
+def test_tiny_compliance_designs_and_simulates(tmp_path, capsys, verb):
+    # with csb at 1e-18 m/Pa, h2 = s*Csb*G/F has its only zero at s = 0 and
+    # a leading z coefficient of 4.6e-15, small only because its gain is:
+    # every verb runs, and h2's sections meet criterion 8's bounds
     cfg = json.loads((FIXTURES / "table1_1dof.json").read_text())
     cfg["driver"] = json.loads((FIXTURES / "table3_driver.json").read_text())
     cfg["driver"]["csb_m_per_pa"] = 1e-18
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))
-    assert run([verb, "--config", p, "--out", tmp_path / "o"]) == code
-    err = capsys.readouterr().err
-    if code:
-        assert err.startswith("numerical error:") and "Traceback" not in err
-    else:
-        assert err == ""
+    out = tmp_path / "o"
+    assert run([verb, "--config", p, "--out", out]) == 0
+    assert capsys.readouterr().err == ""
+    if verb == "design":
+        h2 = json.loads((out / "controller.json").read_text())["h2"]
+        ct = ea.RationalTransfer.from_coeffs(h2["num"], h2["den"])
+        cascade = ea.SosCascade.from_json((out / "h2_sos.json").read_text())
+        freqs = np.arange(10.0, 1000.0001, 5.0)
+        ratio = cascade.response(freqs) / ct(2j * np.pi * freqs)
+        assert np.max(np.abs(np.abs(ratio) - 1.0)) < 1e-3
+        assert np.max(np.abs(np.angle(ratio, deg=True))) < 0.1
 
 
 @pytest.mark.parametrize("verb", ["montecarlo", "kundt"])
@@ -824,10 +862,11 @@ def test_montecarlo_feedback_narrows(tmp_path, onedof_config):
     out4, out0 = tmp_path / "o4", tmp_path / "o0"
     run(["montecarlo", "--config", pa, "--out", out4])
     run(["montecarlo", "--config", pb, "--out", out0])
-    b4 = ea.QuartileBand.from_csv(out4 / "montecarlo.csv")
-    b0 = ea.QuartileBand.from_csv(out0 / "montecarlo.csv")
-    i = np.argmin(np.abs(b4.freqs_hz - 206.0))
-    assert b4.width[i] < b0.width[i]
+    f4, q1_4, q3_4, _ = read_columns(out4 / "montecarlo.csv", 4)
+    f0, q1_0, q3_0, _ = read_columns(out0 / "montecarlo.csv", 4)
+    np.testing.assert_array_equal(f4, f0)
+    i = np.argmin(np.abs(f4 - 206.0))
+    assert q3_4[i] - q1_4[i] < q3_0[i] - q1_0[i]
 
 
 def identify_args(tmp_path, model):
@@ -958,9 +997,9 @@ def test_montecarlo_without_grid_uses_default_grid(tmp_path, onedof_config):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))
     assert run(["montecarlo", "--config", p, "--out", tmp_path / "m"]) == 0
-    band = ea.QuartileBand.from_csv(tmp_path / "m" / "montecarlo.csv")
-    assert len(band.freqs_hz) == 496
-    np.testing.assert_array_equal(band.freqs_hz, ea.default_frequency_grid())
+    freqs = read_columns(tmp_path / "m" / "montecarlo.csv", 4)[0]
+    assert len(freqs) == 496
+    np.testing.assert_array_equal(freqs, ea.default_frequency_grid())
 
 
 def test_kundt_noise_follows_seed(tmp_path, onedof_config):
@@ -983,7 +1022,7 @@ def test_kundt_noise_follows_seed(tmp_path, onedof_config):
 def test_kundt_geometry_is_the_tube_simulated(tmp_path, onedof_config):
     # the curves of a given geometry are vkundt's, called with that geometry;
     # the grid passes the reference tube's 2792 Hz plane-wave limit
-    geometry = {"delta_x_m": 0.05, "x1_m": 0.3, "length_m": 0.8, "diameter_m": 0.05}
+    geometry = {"delta_x_m": 0.05, "x1_m": 0.3, "diameter_m": 0.05}
     cfg = json.loads(onedof_config.read_text())
     cfg["kundt"] = {"geometry": geometry}
     cfg["grid"] = {"f_min_hz": 100.0, "f_max_hz": 3000.0, "step_hz": 50.0}

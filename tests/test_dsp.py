@@ -93,10 +93,20 @@ def test_zero_at_twice_fs_rejected(via_discretize):
 
 
 def test_leading_coefficient_bound_is_inclusive():
-    # at fs = 2048 the factor sqrt(2*fs) = 64 is exact, so 64e-14 / (s / 64)
-    # has a leading z coefficient of exactly 1e-14, at the bound: refused
-    with pytest.raises(ea.DiscretizationError, match="leading z coefficient 1e-14 <= 1e-14"):
-        dsp.bilinear_transform([64 * 1e-14], [1 / 64, 0.0], 2048.0)
+    # at fs = 2048 the factor sqrt(2*fs) = 64 is exact, so (a*s + b)/(s/64)
+    # maps to exactly [b/64 + 64*a, b/64 - 64*a] over [1, -1]
+    def transform(lead, rest):
+        b, a = 64 * ((lead + rest) / 2), ((lead - rest) / 2) / 64
+        return dsp.bilinear_transform([a, b], [1 / 64, 0.0], 2048.0)
+
+    # 1e-14 * 4.6e15 rounds to 46.0: a leading coefficient at the bound,
+    # exactly 1e-14 of the largest, is refused, and the next integer kept
+    with pytest.raises(ea.DiscretizationError, match="leading z coefficient 46.0 at or below"):
+        transform(46.0, 4.6e15)
+    assert transform(47.0, 4.6e15)[0].tolist() == [47.0, 4.6e15]
+    # the bound is relative: 64e-14/(s/64), whose leading coefficient is
+    # 1e-14, is a small gain with no finite zero and maps like any other
+    assert transform(1e-14, 1e-14)[0].tolist() == [1e-14, 1e-14]
 
 
 @pytest.mark.parametrize(("num", "fs"), [([1.0, -4096.0], 2048.0), ([5e-324], FS)])
@@ -121,6 +131,18 @@ def test_zero_transfer():
     for zero in (cas, *(ea.bilinear_discretize(ct, FS) for ct in negated)):
         assert zero.to_json() == ZERO.to_json()
         assert math.copysign(1.0, zero.gain) == 1.0
+
+
+def test_integrator_keeps_its_bilinear_seed():
+    # 1/s has no finite DC value to pin: the polish returns the seed, a
+    # zero at z = -1 and a pole at z = 1, with no division warning (the
+    # suite turns warnings into errors)
+    integrator = RationalTransfer.from_coeffs([1.0], [1.0, 0.0])
+    cas = ea.bilinear_discretize(integrator, FS)
+    bz, _ = dsp.bilinear_transform(integrator.num, integrator.den, FS)
+    assert cas.sos.tolist() == [[1.0, 1.0, 0.0, -1.0, 0.0]]
+    assert cas.gain == bz[0] == pytest.approx(0.5 / FS, rel=1e-15)
+    assert not cas.is_stable
 
 
 def test_h1_discrete_matches_continuous_at_400(pair_1dof, cascades_1dof):
@@ -195,24 +217,32 @@ def proper_coefficients(draw):
 @example(coeffs=(np.array([1.0, -4096.0]), np.array([1.0, 1e3])), fs=2048.0)
 @example(coeffs=(np.array([5e-324]), np.array([1.0, 1e3])), fs=FS)
 def test_bilinear_transform_matches_scipy_on_random_transfers(coeffs, fs):
-    # to the bit, exact zero coefficients included; where the transform
-    # refuses, scipy drops the leading numerator coefficient: with a warning,
-    # or silently where it is exactly zero (the examples)
+    # to the bit, exact zero coefficients included.  scipy drops leading
+    # numerator coefficients at or below an absolute 1e-14 (with a warning,
+    # or silently where one is exactly zero: the examples), the transform
+    # refuses one at or below 1e-14 of the largest.  So scipy runs on the
+    # numerator times the power of two that takes the largest coefficient
+    # scipy keeps into [1, 2): the largest of all is then at least 1, and
+    # power-of-two scaling is exact, so scipy drops a coefficient only
+    # where the transform refuses
     import scipy.signal
 
     num, den = coeffs
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.signal.BadCoefficients)
+        scale = 2.0 ** (1 - np.frexp(np.max(np.abs(scipy.signal.bilinear(num, den, fs)[0])))[1])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        bz_ref, az_ref = scipy.signal.bilinear(num, den, fs)
+        bz_ref, az_ref = scipy.signal.bilinear(num * scale, den, fs)
+    dropped = len(bz_ref) < max(len(num), len(den))
     try:
         bz, az = dsp.bilinear_transform(num, den, fs)
     except ea.DiscretizationError as exc:
         assert "leading z coefficient" in str(exc)
-        warned = any(issubclass(w.category, scipy.signal.BadCoefficients) for w in caught)
-        assert warned or len(bz_ref) < len(den)
+        assert dropped or abs(bz_ref[0]) <= 1e-14 * np.max(np.abs(bz_ref))
         return
-    assert not caught
-    assert bz.tobytes() == bz_ref.tobytes()
+    assert not caught and not dropped
+    assert (bz_ref / scale).tobytes() == bz.tobytes()
     assert az.tobytes() == az_ref.tobytes()
 
 
@@ -348,6 +378,20 @@ def test_conjugate_pairs_sharing_a_real_part(poles):
     z = np.exp(2j * np.pi * f / FS)
     direct = 1.5 * z**4 / np.prod([z - p for p in poles], axis=0)
     np.testing.assert_allclose(cas.response(f), direct, rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "zeros, poles, message",
+    [
+        ([0.1, 0.2, 0.3], [0.5, 0.4], "more zeros than poles"),
+        ([], [0.5 + 0.3j], "a complex root has no conjugate"),
+        ([], [0.5 + 0.3j, 0.4 - 0.3j], "a complex root has no conjugate"),
+    ],
+    ids=["more-zeros-than-poles", "lone-complex-pole", "pair-not-conjugate"],
+)
+def test_partition_refusals(zeros, poles, message):
+    with pytest.raises(ea.DiscretizationError, match=message):
+        ea.sos_partition(np.array(zeros), np.array(poles), 1.0, FS)
 
 
 def test_sections_ordered_by_pole_radius(cascades_1dof):

@@ -173,6 +173,18 @@ def _with_sample(spectrum, i, z):
     return ea.MeasuredSpectrum(spectrum.freqs_hz, zs)
 
 
+def _passive_as(probe, scale):
+    """identify_model on the passive spectrum times `scale` as its `probe`
+    ("front" or "rear") probe spectrum, the other probe's spectrum as made."""
+
+    def call(m, sp, pr):
+        again = ea.MeasuredSpectrum(sp[0].freqs_hz, sp[0].z * scale)
+        front, rear = (again, sp[2]) if probe == "front" else (sp[1], again)
+        return ea.identify_model(sp[0], front, pr[0], rear, pr[1], m.air)
+
+    return call
+
+
 #: name -> (call(model, spectra, probes) on crafted spectra or gains, message)
 REFUSALS = {
     # a lossless spectrum fits a resistance of exactly zero
@@ -224,6 +236,22 @@ REFUSALS = {
             sp[0], sp[1], pr[0], ea.MeasuredSpectrum(sp[0].freqs_hz, sp[0].z + 1.0), pr[1], m.air
         ),
         "estimated parameters are non-positive",
+    ),
+    # a probe that changes the impedance by rounding only carries no
+    # information: the passive spectrum passed again as the front probe gave
+    # F_hat = 5.2e-14 and Csb_hat = 8.7e-23
+    "front-probe-unchanged": (
+        _passive_as("front", 1.0), "front probe does not change the impedance beyond rounding"
+    ),
+    "front-probe-rounding": (
+        _passive_as("front", 1.0 + 1e-15),
+        "front probe does not change the impedance beyond rounding",
+    ),
+    "rear-probe-unchanged": (
+        _passive_as("rear", 1.0), "rear probe does not change the impedance beyond rounding"
+    ),
+    "rear-probe-rounding": (
+        _passive_as("rear", 1.0 + 1e-15), "rear probe does not change the impedance beyond rounding"
     ),
     # the front spectrum read under the opposite gain gives F_hat = -F
     "non-positive-estimate": (

@@ -98,7 +98,7 @@ NON_FINITE_CASES = {
     "resonator": lambda x: ea.Resonator(411.6, x, 7.0),
     "feedback-kg": lambda x: ea.FeedbackSpec(x, 3000.0),
     "feedback-omega-g": lambda x: ea.FeedbackSpec(4.0, x),
-    "geometry": lambda x: ea.WaveguideGeometry(delta_x=0.1, x1=0.4, length=x, diameter=0.07),
+    "geometry": lambda x: ea.WaveguideGeometry(delta_x=0.1, x1=0.4, diameter=x),
     "loop-duration": lambda x: ea.LoopConfig(duration=x),
     "spectrum-freq": lambda x: ea.MeasuredSpectrum(np.array([1.0, 2.0, x]), np.ones(3, complex)),
     "spectrum-z": lambda x: ea.MeasuredSpectrum(np.array([1.0, 2.0, 3.0]), np.array([1, x, 1j])),

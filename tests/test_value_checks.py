@@ -234,7 +234,7 @@ PARAMETER_TAKERS = {
     ),
     "ProbeGain.k": (lambda x, m, cas: ea.ProbeGain(x), "probe gain must be"),
     "WaveguideGeometry.diameter": (
-        lambda x, m, cas: ea.WaveguideGeometry(0.1, 0.42, 0.97, x),
+        lambda x, m, cas: ea.WaveguideGeometry(0.1, 0.42, x),
         "diameter must be",
     ),
     "SosCascade.gain": (lambda x, m, cas: ea.SosCascade([PASSTHROUGH], x, FS), "gain must be"),
@@ -297,8 +297,8 @@ FLOAT_FIELDS = {
         ("fs", "duration", "transient"),
     ),
     "WaveguideGeometry": (
-        lambda x: ea.WaveguideGeometry(x(0.1), x(0.42), x(0.97), x(0.1)),
-        ("delta_x", "x1", "length", "diameter"),
+        lambda x: ea.WaveguideGeometry(x(0.1), x(0.42), x(0.1)),
+        ("delta_x", "x1", "diameter"),
     ),
     "SosCascade": (lambda x: ea.SosCascade([PASSTHROUGH], x(2.0), x(48e3)), ("gain", "fs")),
     "MonteCarloConfig": (lambda x: ea.MonteCarloConfig(10, x(0.05), 1), ("rel_std",)),
