@@ -143,17 +143,19 @@ def achieved_impedance(
     estimate: DriverModel,
     target: TargetSpec,
     fb: FeedbackSpec,
-    omega,
+    freqs_hz,
 ):
-    """Impedance Z_sa actually presented when the controller is designed
-    from the assumed plant `estimate` (for instance `model.scaled(...)`).
+    """Impedance Z_sa actually presented at the frequencies `freqs_hz` (Hz)
+    when the controller is designed from the assumed plant `estimate` (for
+    instance `model.scaled(...)`).
 
     Singular evaluation frequencies (vanishing denominator) are returned as
     inf, never raised.  A kernel that overflows float64 (see
-    `_mismatch_kernel`) raises OverflowError, and an `omega` that is not
+    `_mismatch_kernel`) raises OverflowError, and a frequency that is not
     positive and finite raises InvalidParameterError.
     """
-    num, den = _mismatch_kernel(model, target, fb, 1j * check_frequencies(omega, "omega"))
+    s = 2j * np.pi * check_frequencies(freqs_hz, "freqs_hz")
+    num, den = _mismatch_kernel(model, target, fb, s)
     p = _assumed_vector(model, estimate)
     den_p = p @ den
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -175,9 +177,10 @@ def sensitivities(
     estimate: DriverModel,
     target: TargetSpec,
     fb: FeedbackSpec,
-    omega,
+    freqs_hz,
 ) -> SensitivityTriple:
-    """Closed-form sensitivities of Z_sa to the three estimated quantities.
+    """Closed-form sensitivities of Z_sa to the three estimated quantities,
+    at the frequencies `freqs_hz` (Hz), checked as `achieved_impedance`'s.
 
     They are the log-derivatives p_k * (N_k/(p.N) - D_k/(p.D)) of the
     mismatch kernel; Zss_hat scales R_hat, M_hat and K_hat together.  As the
@@ -185,7 +188,8 @@ def sensitivities(
     in the passive-impedance and force-factor estimates but passes
     compliance errors straight through.
     """
-    num, den = _mismatch_kernel(model, target, fb, 1j * check_frequencies(omega, "omega"))
+    s = 2j * np.pi * check_frequencies(freqs_hz, "freqs_hz")
+    num, den = _mismatch_kernel(model, target, fb, s)
     p = _assumed_vector(model, estimate)
     with np.errstate(divide="ignore", invalid="ignore"):
         num_p = p @ num

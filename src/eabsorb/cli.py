@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -243,13 +244,8 @@ def cmd_montecarlo(args) -> int:
 
 def cmd_identify(args) -> int:
     air = model_mod.DEFAULT_AIR
-    spectra = []
-    for path in (args.passive, args.front, args.rear):
-        try:
-            spectra.append(identify.MeasuredSpectrum.from_csv(path, air))
-        except (ValueError, IndexError) as exc:
-            raise InvalidParameterError(f"malformed spectrum CSV {path}: {exc}") from exc
-    passive, front, rear = spectra
+    paths = (args.passive, args.front, args.rear)
+    passive, front, rear = (identify.MeasuredSpectrum.from_csv(path, air) for path in paths)
     k1 = identify.ProbeGain(args.k1)
     k2 = identify.ProbeGain(args.k2)
     fitted, diagnostics = identify.identify_model(passive, front, k1, rear, k2, air)
@@ -273,15 +269,15 @@ def cmd_kundt(args) -> int:
     factors = _read(cfg.get("estimate_factors"), "estimate_factors")
     with _block("estimate_factors"):
         estimates = driver.scaled(**factors)
-    omega = 2.0 * np.pi * freqs
+    s = 2j * np.pi * freqs
     air = driver.air
 
-    fb_off = synthesis.FeedbackSpec(0.0, fb.omega_g)
+    fb_off = dataclasses.replace(fb, kg=0.0)
     curves = {
-        "passive": model_mod.passive_impedance(driver)(1j * omega),
-        "target": synthesis.target_impedance(target)(1j * omega),
-        "feedforward": analysis.achieved_impedance(driver, estimates, target, fb_off, omega),
-        "mixed": analysis.achieved_impedance(driver, estimates, target, fb, omega),
+        "passive": model_mod.passive_impedance(driver)(s),
+        "target": synthesis.target_impedance(target)(s),
+        "feedforward": analysis.achieved_impedance(driver, estimates, target, fb_off, freqs),
+        "mixed": analysis.achieved_impedance(driver, estimates, target, fb, freqs),
     }
     columns = [freqs]
     header = ["freq_hz"]

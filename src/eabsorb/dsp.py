@@ -38,6 +38,7 @@ from .errors import (
     check_nonzero,
     check_number,
     check_positive,
+    check_reals,
 )
 from .model import DriverModel
 from .rational import RationalTransfer
@@ -87,7 +88,8 @@ class SosCascade:
     the section (b0 + b1 z^-1 + b2 z^-2) / (1 + a1 z^-1 + a2 z^-2).  The
     frequency response is gain times the product of the section responses.
     The sample rate `fs` is a positive number, and the gain and every `sos`
-    entry are finite.
+    entry are finite real numbers (`errors.check_reals`: not a bool, a
+    string or a complex), else InvalidParameterError names the value.
     """
 
     sos: np.ndarray
@@ -96,11 +98,9 @@ class SosCascade:
 
     def __post_init__(self):
         check_positive(self, "fs")
-        sos = np.array(self.sos, dtype=float)
+        sos = check_reals(self.sos, np.isfinite, "sos entries must be finite real numbers")
         if sos.ndim != 2 or sos.shape[1] != 5:
             raise InvalidParameterError("sos must be an (n, 5) array of rows (b0, b1, b2, a1, a2)")
-        if not np.all(np.isfinite(sos)):
-            raise InvalidParameterError("sos entries must be finite")
         gain = as_float(self.gain)
         if not math.isfinite(gain):
             raise InvalidParameterError(f"gain must be finite, got {self.gain!r}")
@@ -131,9 +131,16 @@ class SosCascade:
 
     @classmethod
     def from_json(cls, text: str) -> "SosCascade":
-        d = json.loads(text)
-        sos = [[s[key] for key in _SOS_KEYS] for s in d["sections"]]
-        return cls(sos, d["gain"], d["fs_hz"])
+        """The cascade `to_json` writes, else InvalidParameterError."""
+        try:
+            d = json.loads(text)
+            sos = [[s[key] for key in _SOS_KEYS] for s in d["sections"]]
+            gain, fs = d["gain"], d["fs_hz"]
+        except KeyError as exc:
+            raise InvalidParameterError(f"cascade JSON lacks the key {exc}") from exc
+        except (TypeError, ValueError) as exc:  # not JSON, or a list or number for an object
+            raise InvalidParameterError(f"malformed cascade JSON: {exc}") from exc
+        return cls(sos, gain, fs)
 
 
 # -- discretization -----------------------------------------------------------

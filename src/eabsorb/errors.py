@@ -1,6 +1,6 @@
 """Exception types shared across the toolkit, and the one set of value checks
-(positive or non-negative numbers and integers, nonzero numbers, frequency
-arrays) that the config reader and every library type make.  A checked
+(positive or non-negative numbers and integers, nonzero numbers, arrays of
+real numbers) that the config reader and every library type make.  A checked
 number is kept as the Python float its check returns, so a `numpy.float32`
 parameter computes in float64; a checked count keeps the integer given."""
 
@@ -97,19 +97,24 @@ def check_nonzero(x, name: str) -> float:
     return f
 
 
-def check_frequencies(f_hz, name: str = "f_hz") -> np.ndarray:
-    """`f_hz` as a new float array; every entry must be a positive and
-    finite real number, by `as_float`'s rule (so not a bool or a string),
-    else an InvalidParameterError names the parameter `name`.  A float or
-    an array of real dtype is converted by numpy alone, anything else entry
-    by entry."""
-    if isinstance(f_hz, float) or (isinstance(f_hz, np.ndarray) and f_hz.dtype.kind in "fiu"):
-        entries = f = np.array(f_hz, dtype=float)
+def check_reals(x, ok, rule: str) -> np.ndarray:
+    """`x` as a new float array, entry by entry by `as_float`'s rule (a
+    float or an array of real dtype by numpy alone); the first entry where
+    the mask `ok(array)` is false raises InvalidParameterError("`rule`, got
+    <entry>").  A NaN fails `ok`, so a bool or a string never passes."""
+    if isinstance(x, float) or (isinstance(x, np.ndarray) and x.dtype.kind in "fiu"):
+        entries = f = np.array(x, dtype=float)
     else:
-        entries = np.array(f_hz, dtype=object)
-        f = np.array([as_float(x) for x in entries.flat], dtype=float).reshape(entries.shape)
-    ok = (f > 0.0) & (f < math.inf)  # NaN fails both
-    if not ok.all():
-        bad = entries[~ok].tolist()[0]
-        raise InvalidParameterError(f"{name} must be positive and finite, got {bad!r}")
+        entries = np.array(x, dtype=object)
+        f = np.array([as_float(e) for e in entries.flat], dtype=float).reshape(entries.shape)
+    good = ok(f)
+    if not good.all():
+        raise InvalidParameterError(f"{rule}, got {entries[~good].tolist()[0]!r}")
     return f
+
+
+def check_frequencies(f_hz, name: str = "f_hz") -> np.ndarray:
+    """`f_hz` as a new float array (`check_reals`) of positive and finite
+    real numbers, else an InvalidParameterError names the parameter `name`."""
+    rule = f"{name} must be positive and finite"
+    return check_reals(f_hz, lambda f: (f > 0.0) & (f < math.inf), rule)  # NaN fails both

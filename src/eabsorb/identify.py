@@ -38,11 +38,10 @@ class MeasuredSpectrum:
     z: np.ndarray  # Pa.s/m
 
     def __post_init__(self):
-        freqs = np.array(self.freqs_hz, dtype=float)
+        freqs = check_frequencies(self.freqs_hz, "frequencies")
         z = np.array(self.z, dtype=complex)
         if freqs.size != z.size or freqs.size < 3:
             raise InvalidParameterError("need at least 3 matching samples")
-        check_frequencies(freqs, "frequencies")
         if not np.all(np.diff(freqs) > 0):
             raise InvalidParameterError("frequencies must be strictly increasing")
         if not np.all(np.isfinite(z)):
@@ -59,11 +58,16 @@ class MeasuredSpectrum:
 
     @classmethod
     def from_csv(cls, path, air: AirProperties) -> "MeasuredSpectrum":
+        """The spectrum `to_csv` writes; a file that is not one raises
+        InvalidParameterError naming `path`."""
         rc = air.characteristic_impedance
-        freqs, re, im = read_columns(path, 3)
-        z = (re * rc).astype(complex)
-        z.imag = im * rc
-        return cls(freqs, z)
+        try:
+            freqs, re, im = read_columns(path, 3)
+            z = (re * rc).astype(complex)
+            z.imag = im * rc
+            return cls(freqs, z)
+        except (ValueError, IndexError) as exc:
+            raise InvalidParameterError(f"malformed spectrum CSV {path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -158,7 +162,7 @@ def estimate_box_compliance(
 
 def _check_same_grid(a: MeasuredSpectrum, b: MeasuredSpectrum) -> None:
     if a.freqs_hz.size != b.freqs_hz.size or np.any(a.freqs_hz != b.freqs_hz):
-        raise IdentificationError("spectra must share the same frequency grid")
+        raise InvalidParameterError("spectra must share the same frequency grid")
 
 
 # -- virtual measurements ----------------------------------------------------

@@ -19,25 +19,21 @@ import eabsorb as ea
 from eabsorb._csvio import read_columns
 
 
-def grid_omega():
-    return 2.0 * np.pi * ea.default_frequency_grid()
-
-
 def test_exact_estimates_collapse_to_target(ref_model, targets, fb4):
     est = ref_model
-    om = grid_omega()
+    f = ea.default_frequency_grid()
     for tg in targets.values():
-        zsa = ea.achieved_impedance(ref_model, est, tg, fb4, om)
-        zst = ea.target_impedance(tg)(1j * om)
+        zsa = ea.achieved_impedance(ref_model, est, tg, fb4, f)
+        zst = ea.target_impedance(tg)(2j * np.pi * f)
         assert np.max(np.abs(zsa / zst - 1.0)) < 1e-9
 
 
 def test_achieved_impedance_mask(ref_model, targets, fb4):
     est = ref_model
-    om = grid_omega()
+    f = ea.default_frequency_grid()
     # a singular frequency would come back as inf
-    zsa = ea.achieved_impedance(ref_model, est, targets["1dof"], fb4, om)
-    assert zsa.shape == om.shape
+    zsa = ea.achieved_impedance(ref_model, est, targets["1dof"], fb4, f)
+    assert zsa.shape == f.shape
     assert np.isfinite(zsa).all()
 
 
@@ -52,30 +48,30 @@ def test_scaled_estimates():
 def test_estimate_must_assume_the_same_air(ref_model, targets, fb4):
     # the kernel builds G from the true model's rho0*c0 only
     other = dataclasses.replace(ref_model, air=ea.AirProperties(rho0=1.21))
-    om = grid_omega()
+    f = ea.default_frequency_grid()
     with pytest.raises(ea.InvalidParameterError, match="air"):
-        ea.achieved_impedance(ref_model, other, targets["1dof"], fb4, om)
+        ea.achieved_impedance(ref_model, other, targets["1dof"], fb4, f)
     with pytest.raises(ea.InvalidParameterError, match="air"):
-        ea.sensitivities(ref_model, other, targets["1dof"], fb4, om)
+        ea.sensitivities(ref_model, other, targets["1dof"], fb4, f)
 
 
 # -- oracle: the explicit mismatch formulas, written out term by term ---------
 
 
-def oracle_hat_impedance(est, omega):
-    s = 1j * omega
+def oracle_hat_impedance(est, f_hz):
+    s = 2j * np.pi * f_hz
     w0, q = est.omega0, est.qms
     return est.rss * (s**2 + s * w0 / q + w0**2) / (s * w0 / q)
 
 
-def oracle_mismatch(model, est, tg, fb, omega):
+def oracle_mismatch(model, est, tg, fb, f_hz):
     """Z_sa and the (s_zss, s_f, s_csb) sensitivities from their explicit
     formulas."""
-    s = 1j * omega
+    s = 2j * np.pi * f_hz
     zst = ea.target_impedance(tg)(s)
     g = ea.feedback_filter(model, fb)(s)
     zss = ea.passive_impedance(model)(s)
-    zss_hat = oracle_hat_impedance(est, omega)
+    zss_hat = oracle_hat_impedance(est, f_hz)
     f_true, f_hat = model.pressure_factor, est.pressure_factor
     f_ratio = f_hat / f_true
     c_ratio = est.csb / model.csb
@@ -127,13 +123,12 @@ def rejections(seed, index, rel_std):
 
 def oracle_quartiles(model, tg, fb, cfg):
     """Type-7 quartiles of the oracle absorption over the study's draws."""
-    omega = 2.0 * np.pi * np.asarray(cfg.freqs_hz)
     alpha = np.array([
         ea.absorption_coefficient(
             oracle_mismatch(
                 model,
                 model.scaled(*reference_draw(cfg.seed, i, cfg.rel_std)),
-                tg, fb, omega,
+                tg, fb, cfg.freqs_hz,
             )[0],
             model.air,
         )
@@ -154,24 +149,24 @@ def test_hat_impedance_matches_model(ref_model, targets, fb4):
     # exact estimates: the kernel's Zss_hat = R_hat + M_hat*s + K_hat/s and
     # the oracle's are both the passive impedance
     est = ref_model
-    om = grid_omega()
-    zss = ea.passive_impedance(ref_model)(1j * om)
-    _, den = ea.analysis._mismatch_kernel(ref_model, targets["1dof"], fb4, 1j * om)
+    f = ea.default_frequency_grid()
+    zss = ea.passive_impedance(ref_model)(2j * np.pi * f)
+    _, den = ea.analysis._mismatch_kernel(ref_model, targets["1dof"], fb4, 2j * np.pi * f)
     p = ea.analysis._assumed_vector(ref_model, est)
     np.testing.assert_allclose(p[3:] @ den[3:], zss, rtol=1e-12)
-    np.testing.assert_allclose(oracle_hat_impedance(est, om), zss, rtol=1e-12)
+    np.testing.assert_allclose(oracle_hat_impedance(est, f), zss, rtol=1e-12)
 
 
 FACTOR = st.floats(min_value=0.7, max_value=1.3)
 
 
-def kernel_rounding(model, est, tg, fb, omega):
+def kernel_rounding(model, est, tg, fb, f_hz):
     """eps * (sum_k |p_k D_k| / |p.D| + sum_k |p_k N_k| / |p.N|) per
     frequency: the rounding level of the kernel's two dot products.  p.D
     nearly cancels where the assumed impedance Zss_hat meets Zst*(1 - F_hat/F),
     as with kg 0, F_hat < F and the 2-DOF target, and there any evaluation
     of Z_sa, the kernel's or the oracle's, keeps only eps times its terms."""
-    num, den = ea.analysis._mismatch_kernel(model, tg, fb, 1j * omega)
+    num, den = ea.analysis._mismatch_kernel(model, tg, fb, 2j * np.pi * f_hz)
     p = ea.analysis._assumed_vector(model, est)
     cond = [np.abs(p) @ np.abs(x) / np.abs(p @ x) for x in (num, den)]
     return np.finfo(float).eps * (cond[0] + cond[1])
@@ -201,17 +196,17 @@ def test_property_kernel_matches_oracle(ref_model, targets, fb0, fb4, target, fe
     fb = {"fb0": fb0, "fb4": fb4}[feedback]
     tg = targets[target]
     est = ref_model.scaled(*factors)
-    om = grid_omega()
-    zsa, sens = oracle_mismatch(ref_model, est, tg, fb, om)
+    f = ea.default_frequency_grid()
+    zsa, sens = oracle_mismatch(ref_model, est, tg, fb, f)
     # the kernel and the oracle each round to a few units of
     # kernel_rounding: 20 000 uniform draws of the factors on the default
     # grid reached 2.2 of them for Z_sa and 1.2 for the sensitivities, and
     # a Nelder-Mead search for p.D = 0 in the factor box (rounding level
     # up to 5e17 times eps) 1.5; a fixed rtol of 1e-12 fails near there
-    bound = 8.0 * kernel_rounding(ref_model, est, tg, fb, om)
-    zsa_kernel = ea.achieved_impedance(ref_model, est, tg, fb, om)
+    bound = 8.0 * kernel_rounding(ref_model, est, tg, fb, f)
+    zsa_kernel = ea.achieved_impedance(ref_model, est, tg, fb, f)
     assert np.all(np.abs(zsa_kernel - zsa) <= bound * np.abs(zsa))
-    tri = ea.sensitivities(ref_model, est, tg, fb, om)
+    tri = ea.sensitivities(ref_model, est, tg, fb, f)
     # sensitivities are O(1) log-derivatives and s_f, a difference of two
     # terms, may cancel to 0, so their error is relative to 1 + |s|
     for got, want in zip((tri.s_zss, tri.s_f, tri.s_csb), sens):
@@ -241,11 +236,11 @@ def test_property_monte_carlo_matches_oracle(
 # -- sensitivities ------------------------------------------------------------
 
 
-def _fd_sensitivity(model, est, tg, fb, om, field):
+def _fd_sensitivity(model, est, tg, fb, f, field):
     h = 1e-6
 
     def z(e):
-        return ea.achieved_impedance(model, e, tg, fb, om)
+        return ea.achieved_impedance(model, e, tg, fb, f)
 
     up = dataclasses.replace(est, **{field: getattr(est, field) * (1.0 + h)})
     dn = dataclasses.replace(est, **{field: getattr(est, field) * (1.0 - h)})
@@ -253,32 +248,32 @@ def _fd_sensitivity(model, est, tg, fb, om, field):
 
 
 def test_sensitivities_match_finite_differences(ref_model, targets, fb4):
-    om = 2.0 * np.pi * np.array([50.0, 120.0, 205.5, 400.0, 800.0])
+    f = np.array([50.0, 120.0, 205.5, 400.0, 800.0])
     est = ref_model.scaled(rss=1.03, omega0=0.99, qms=1.05, pressure_factor=0.95, csb=1.02)
     for tg in targets.values():
-        tri = ea.sensitivities(ref_model, est, tg, fb4, om)
+        tri = ea.sensitivities(ref_model, est, tg, fb4, f)
         # a uniform scaling of rss scales the whole estimated impedance
         np.testing.assert_allclose(
-            tri.s_zss, _fd_sensitivity(ref_model, est, tg, fb4, om, "rss"), rtol=1e-5
+            tri.s_zss, _fd_sensitivity(ref_model, est, tg, fb4, f, "rss"), rtol=1e-5
         )
         np.testing.assert_allclose(
             tri.s_f,
-            _fd_sensitivity(ref_model, est, tg, fb4, om, "pressure_factor"),
+            _fd_sensitivity(ref_model, est, tg, fb4, f, "pressure_factor"),
             rtol=1e-5,
         )
         np.testing.assert_allclose(
-            tri.s_csb, _fd_sensitivity(ref_model, est, tg, fb4, om, "csb"), rtol=1e-5
+            tri.s_csb, _fd_sensitivity(ref_model, est, tg, fb4, f, "csb"), rtol=1e-5
         )
         assert np.isfinite([tri.s_zss, tri.s_f, tri.s_csb]).all()
 
 
 def test_sensitivities_zero_feedback(ref_model, targets, fb0):
-    om = 2.0 * np.pi * np.array([100.0, 205.5, 400.0])
+    f = np.array([100.0, 205.5, 400.0])
     est = ref_model.scaled(pressure_factor=0.95)
-    tri = ea.sensitivities(ref_model, est, targets["1dof"], fb0, om)
+    tri = ea.sensitivities(ref_model, est, targets["1dof"], fb0, f)
     np.testing.assert_array_equal(tri.s_csb, 0.0)
     np.testing.assert_allclose(
-        tri.s_f, _fd_sensitivity(ref_model, est, targets["1dof"], fb0, om, "pressure_factor"),
+        tri.s_f, _fd_sensitivity(ref_model, est, targets["1dof"], fb0, f, "pressure_factor"),
         rtol=1e-5,
     )
 
@@ -288,8 +283,8 @@ def test_sensitivity_limits_at_large_gain(ref_model, targets):
     # force factor vanish, compliance errors pass straight through
     big = ea.FeedbackSpec(1e6, 2.0 * np.pi * 500.0)
     est = ref_model
-    om = 2.0 * np.pi * np.array([50.0, 205.5, 400.0, 800.0])
-    tri = ea.sensitivities(ref_model, est, targets["1dof"], big, om)
+    f = np.array([50.0, 205.5, 400.0, 800.0])
+    tri = ea.sensitivities(ref_model, est, targets["1dof"], big, f)
     assert np.max(np.abs(tri.s_zss)) < 1e-3
     assert np.max(np.abs(tri.s_f)) < 1e-3
     assert np.max(np.abs(tri.s_csb - 1.0)) < 1e-3

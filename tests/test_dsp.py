@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
@@ -508,12 +509,14 @@ def test_cascade_rejects_non_finite_gain(gain):
         ea.SosCascade([[1.0, 0.0, 0.0, 0.0, 0.0]], gain, FS)
 
 
-@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf, True, "1", 1 + 0j, None])
 @pytest.mark.parametrize("column", range(5))
 def test_cascade_rejects_non_finite_sos_entry(entry, column):
+    # a bool, a string, a complex or None is no real number, as in a frequency
     rows = [[1.0, 0.2, 0.1, -0.5, 0.25], [1.0, 0.0, 0.0, 0.0, 0.0]]
     rows[1][column] = entry
-    with pytest.raises(ea.InvalidParameterError, match="sos"):
+    message = f"sos entries must be finite real numbers, got {entry!r}"
+    with pytest.raises(ea.InvalidParameterError, match=re.escape(message)):
         ea.SosCascade(rows, 1.0, FS)
 
 
@@ -563,6 +566,21 @@ def test_sos_json_round_trip(cascades_1dof):
     assert clone.to_json() == h1.to_json()
     freqs = np.linspace(5.0, 2000.0, 40)
     np.testing.assert_array_equal(clone.response(freqs), h1.response(freqs))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"fs_hz": 50000.0, "gain": 1.0}', "lacks the key 'sections'"),
+        ('{"fs_hz": 50000.0, "gain": 1.0, "sections": [{"b0": 1.0}]}', "lacks the key 'b1'"),
+        ("[1.0, 2.0]", "malformed cascade JSON: list indices"),
+        ("{not json", "malformed cascade JSON: Expecting property name"),
+    ],
+    ids=["no-sections", "no-b1", "list", "not-json"],
+)
+def test_sos_json_refuses_a_malformed_document(text, message):
+    with pytest.raises(ea.InvalidParameterError, match=re.escape(message)):
+        ea.SosCascade.from_json(text)
 
 
 # -- closed loop --------------------------------------------------------------
@@ -653,14 +671,13 @@ def test_closed_loop_matches_achieved_impedance_under_mismatch(ref_model, target
     acceptance criterion 5; the tolerances are criterion 8's.
     """
     f = 205.5
-    om = np.array([2 * np.pi * f])
     assumed = ref_model.scaled(pressure_factor=0.95)
     loop = ea.LoopConfig(fs=FS, latency=0, duration=0.4, transient=0.2)
     for fb in (fb0, fb4):
         pair = ea.synthesize_controller(assumed, targets["2dof"], fb)
         cascades = (ea.bilinear_discretize(pair.h1, FS), ea.bilinear_discretize(pair.h2, FS))
         z = ea.measure_impedance(ref_model, cascades, loop, f)
-        z_pred = complex(ea.achieved_impedance(ref_model, assumed, targets["2dof"], fb, om)[0])
+        z_pred = complex(ea.achieved_impedance(ref_model, assumed, targets["2dof"], fb, [f])[0])
         assert abs(abs(z) / abs(z_pred) - 1.0) < 1e-2
         assert abs(np.angle(z / z_pred)) * 180.0 / np.pi < 1.0
 

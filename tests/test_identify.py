@@ -128,6 +128,14 @@ def test_spectrum_csv_round_trip_keeps_random_frequencies(tmp_path, ref_model):
     assert spec.freqs_hz.tobytes() == clone.freqs_hz.tobytes() == freqs.tobytes()
 
 
+def test_malformed_spectrum_csv_is_an_invalid_parameter(tmp_path, ref_model):
+    # a short row, refused as the CLI refuses it, for a library caller too
+    bad = tmp_path / "bad.csv"
+    bad.write_text("freq_hz,re_z_norm,im_z_norm\n1.0,2.0\n")
+    with pytest.raises(ea.InvalidParameterError, match=f"malformed spectrum CSV {bad}"):
+        ea.MeasuredSpectrum.from_csv(bad, ref_model.air)
+
+
 def test_spectrum_validation():
     with pytest.raises(ea.InvalidParameterError):
         ea.MeasuredSpectrum(np.array([1.0, 2.0]), np.array([1.0 + 0j]))
@@ -145,7 +153,7 @@ def test_grid_mismatch_rejected(ref_model, probes):
     k1, _ = probes
     passive = ea.passive_spectrum(ref_model)
     other = ea.probe_front_spectrum(ref_model, k1, freqs_hz=np.arange(171.0, 250.0, 1.0))
-    with pytest.raises(ea.IdentificationError):
+    with pytest.raises(ea.InvalidParameterError, match="same frequency grid"):
         ea.estimate_force_factor(passive, other, k1)
 
 

@@ -24,8 +24,7 @@ def cascades(ref_model, targets, fb4):
 
 
 #: name -> call(f, model, target, fb, cascades) passing the frequency f
-#: (Hz, or rad/s for the `omega` arguments) next to a valid one where the
-#: argument is an array
+#: (Hz) next to a valid one where the argument is an array
 FREQUENCY_TAKERS = {
     "measure_impedance": lambda f, m, tg, fb, cas: ea.measure_impedance(
         m, cas, ea.LoopConfig(fs=FS, latency=0), [100.0, f]
@@ -37,9 +36,10 @@ FREQUENCY_TAKERS = {
         10, 0.05, 1, freqs_hz=[100.0, f]
     ),
     "achieved_impedance": lambda f, m, tg, fb, cas: ea.achieved_impedance(
-        m, m, tg, fb, [628.0, f]
+        m, m, tg, fb, [100.0, f]
     ),
-    "sensitivities": lambda f, m, tg, fb, cas: ea.sensitivities(m, m, tg, fb, [628.0, f]),
+    "sensitivities": lambda f, m, tg, fb, cas: ea.sensitivities(m, m, tg, fb, [100.0, f]),
+    "MeasuredSpectrum": lambda f, m, tg, fb, cas: ea.MeasuredSpectrum([f, 150.0, 200.0], [1, 1, 1]),
     "passive_spectrum": lambda f, m, tg, fb, cas: ea.passive_spectrum(m, [100.0, 150.0, f]),
     "probe_front_spectrum": lambda f, m, tg, fb, cas: ea.probe_front_spectrum(
         m, ea.default_probe_gains(m)[0], [100.0, 150.0, f]
@@ -130,7 +130,7 @@ def test_value_types_keep_read_only_copies(build, fields):
 #: name -> call(model, target, fb, cascades) building a value type that
 #: holds numpy arrays, or value types that do
 ARRAY_HOLDERS = {
-    "SensitivityTriple": lambda m, tg, fb, cas: ea.sensitivities(m, m, tg, fb, [628.0, 900.0]),
+    "SensitivityTriple": lambda m, tg, fb, cas: ea.sensitivities(m, m, tg, fb, [100.0, 143.0]),
     "MonteCarloConfig": lambda m, tg, fb, cas: ea.MonteCarloConfig(10, 0.05, 1, [100.0, 200.0]),
     "QuartileBand": lambda m, tg, fb, cas: ea.monte_carlo_absorption(
         m, tg, fb, ea.MonteCarloConfig(10, 0.05, 1, [100.0, 200.0])
@@ -356,8 +356,8 @@ def test_float32_amplitude_runs_in_float64(ref_model, cascades):
 def test_float32_model_and_probe_compute_in_float64(ref_model, targets, fb4):
     # the same values as float32 and as float64 give the same bytes
     models = [reference_driver(x, ref_model) for x in (np.float32, via_float32)]
-    omega = 2.0 * np.pi * np.array([50.0, 205.5, 400.0, 900.0])
-    z = [ea.achieved_impedance(m, m, targets["2dof"], fb4, omega) for m in models]
+    f = np.array([50.0, 205.5, 400.0, 900.0])
+    z = [ea.achieved_impedance(m, m, targets["2dof"], fb4, f) for m in models]
     assert z[0].tobytes() == z[1].tobytes()
     k = 0.2 / ref_model.pressure_factor
     probes = [ea.ProbeGain(x(k)) for x in (np.float32, via_float32)]
