@@ -145,22 +145,22 @@ def achieved_impedance(
     fb: FeedbackSpec,
     freqs_hz,
 ):
-    """Impedance Z_sa actually presented at the frequencies `freqs_hz` (Hz)
-    when the controller is designed from the assumed plant `estimate` (for
-    instance `model.scaled(...)`).
+    """Impedance Z_sa actually presented at the frequencies `freqs_hz` (Hz),
+    of their shape, when the controller is designed from the assumed plant
+    `estimate` (for instance `model.scaled(...)`).
 
     Singular evaluation frequencies (vanishing denominator) are returned as
     inf, never raised.  A kernel that overflows float64 (see
     `_mismatch_kernel`) raises OverflowError, and a frequency that is not
     positive and finite raises InvalidParameterError.
     """
-    s = 2j * np.pi * check_frequencies(freqs_hz, "freqs_hz")
-    num, den = _mismatch_kernel(model, target, fb, s)
+    f = check_frequencies(freqs_hz, "freqs_hz")
+    num, den = _mismatch_kernel(model, target, fb, 2j * np.pi * f.ravel())
     p = _assumed_vector(model, estimate)
     den_p = p @ den
     with np.errstate(divide="ignore", invalid="ignore"):
         zsa = (p @ num) / den_p
-    return np.where(np.abs(den_p) <= SINGULAR_TOL, np.inf, zsa)
+    return np.where(np.abs(den_p) <= SINGULAR_TOL, np.inf, zsa).reshape(f.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,10 +186,10 @@ def sensitivities(
     mismatch kernel; Zss_hat scales R_hat, M_hat and K_hat together.  As the
     feedback gain grows the triple tends to (0, 0, 1): large G hides errors
     in the passive-impedance and force-factor estimates but passes
-    compliance errors straight through.
+    compliance errors straight through.  Each has the shape of `freqs_hz`.
     """
-    s = 2j * np.pi * check_frequencies(freqs_hz, "freqs_hz")
-    num, den = _mismatch_kernel(model, target, fb, s)
+    f = check_frequencies(freqs_hz, "freqs_hz")
+    num, den = _mismatch_kernel(model, target, fb, 2j * np.pi * f.ravel())
     p = _assumed_vector(model, estimate)
     with np.errstate(divide="ignore", invalid="ignore"):
         num_p = p @ num
@@ -197,7 +197,7 @@ def sensitivities(
         s_zss = -(p[3:] @ den[3:]) / den_p
         s_f = p[2] * (num[2] / num_p - den[2] / den_p)
         s_csb = p[1] * num[1] / num_p
-    return SensitivityTriple(s_zss=s_zss, s_f=s_f, s_csb=s_csb)
+    return SensitivityTriple(*(x.reshape(f.shape) for x in (s_zss, s_f, s_csb)))
 
 
 def reflection_coefficient(z, air: AirProperties):
@@ -244,8 +244,6 @@ class MonteCarloConfig:
         freqs = check_frequencies(self.freqs_hz, "freqs_hz")
         if freqs.ndim != 1:
             raise InvalidParameterError("freqs_hz must be a 1-D array")
-        # a read-only copy: the caller's later writes cannot undo the checks
-        freqs.flags.writeable = False
         object.__setattr__(self, "freqs_hz", freqs)
 
 

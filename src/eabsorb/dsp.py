@@ -32,7 +32,7 @@ from .errors import (
     DiscretizationError,
     DivergenceError,
     InvalidParameterError,
-    as_float,
+    _check_one,
     check_count,
     check_frequencies,
     check_nonzero,
@@ -101,12 +101,8 @@ class SosCascade:
         sos = check_reals(self.sos, np.isfinite, "sos entries must be finite real numbers")
         if sos.ndim != 2 or sos.shape[1] != 5:
             raise InvalidParameterError("sos must be an (n, 5) array of rows (b0, b1, b2, a1, a2)")
-        gain = as_float(self.gain)
-        if not math.isfinite(gain):
-            raise InvalidParameterError(f"gain must be finite, got {self.gain!r}")
-        sos.flags.writeable = False
         object.__setattr__(self, "sos", sos)
-        object.__setattr__(self, "gain", gain)
+        object.__setattr__(self, "gain", _check_one(self.gain, np.isfinite, "gain must be finite"))
 
     @property
     def is_stable(self) -> bool:
@@ -115,8 +111,8 @@ class SosCascade:
         return bool(np.all((np.abs(a2) < 1.0) & (np.abs(a1) < 1.0 + a2)))
 
     def response(self, freqs_hz) -> np.ndarray:
-        """Frequency response at physical frequencies (Hz)."""
-        freqs = np.asarray(freqs_hz, dtype=float)
+        """Frequency response at finite real frequencies (Hz), 0 Hz included."""
+        freqs = check_reals(freqs_hz, np.isfinite, "freqs_hz must be finite real numbers")
         zi = 1.0 / np.exp(2j * np.pi * freqs / self.fs)
         h = np.full(freqs.shape, self.gain, dtype=complex)
         for b0, b1, b2, a1, a2 in self.sos.tolist():
@@ -220,9 +216,8 @@ def sos_partition(zeros, poles, gain: float, fs: float) -> SosCascade:
     rows = []
     for zs, ps in reversed(list(_pair_nearest(zeros, poles))):
         b0, b1, b2 = (float(x) for x in np.poly(zs).real)
-        a0, a1, a2 = (float(x) for x in np.poly(ps).real)
-        radius = np.max(np.abs(np.roots([a0, a1, a2]))) if (a1 or a2) else 0.0
-        rows.append((radius, (b0 / a0, b1 / a0, b2 / a0, a1 / a0, a2 / a0)))
+        _, a1, a2 = (float(x) for x in np.poly(ps).real)  # np.poly's leading 1
+        rows.append((np.max(np.abs(ps)), (b0, b1, b2, a1, a2)))
     rows.sort(key=lambda t: t[0])
     return SosCascade([row for _, row in rows], gain, fs)
 

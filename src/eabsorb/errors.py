@@ -1,8 +1,9 @@
-"""Exception types shared across the toolkit, and the one set of value checks
-(positive or non-negative numbers and integers, nonzero numbers, arrays of
-real numbers) that the config reader and every library type make.  A checked
-number is kept as the Python float its check returns, so a `numpy.float32`
-parameter computes in float64; a checked count keeps the integer given."""
+"""Exception types shared across the toolkit, and its one entry rule: every
+number and sample array it takes is converted and refused by `check_reals`,
+whose masks are the checks of numbers, nonzero numbers and frequencies (not
+counts, which are not converted).  A checked array is a read-only copy, and a
+checked number the Python float its check returns, so a `numpy.float32`
+parameter computes in float64."""
 
 from __future__ import annotations
 
@@ -46,10 +47,12 @@ class DivergenceError(EabsorbError):
         self.time_s = time_s
 
 
-def as_float(x) -> float:
-    """`x` as a float: NaN for a bool, a value that is not a real number or
-    an integer beyond float range, so that a finiteness check refuses all
-    three."""
+def as_float(x, dtype=float):
+    """`x` as a float, or for `dtype` complex each part of it as one: NaN for
+    a bool, a value that is not a number (for float, a real number) or an
+    integer beyond float range, so that a finiteness check refuses all three."""
+    if dtype is complex and isinstance(x, numbers.Complex) and not isinstance(x, bool):
+        return complex(as_float(x.real), as_float(x.imag))
     if not isinstance(x, numbers.Real) or isinstance(x, bool):
         return math.nan
     try:
@@ -58,15 +61,20 @@ def as_float(x) -> float:
         return math.nan
 
 
+def _check_one(x, ok, rule: str) -> float:
+    """`x` as a float by `check_reals`, held whole in a 0-d object array: a
+    list or an array is one entry, NaN to `ok` and shown as given."""
+    one = np.empty((), dtype=object)
+    one[()] = x
+    return float(check_reals(one, ok, rule))
+
+
 def check_number(x, name: str, allow_zero: bool = False) -> float:
     """`x` as a float that is finite and positive (or zero, with
     allow_zero), else an InvalidParameterError naming `name`; bools, values
     that are not real numbers and integers beyond float range are refused."""
-    f = as_float(x)
-    if not (f < math.inf and (f > 0.0 or (allow_zero and f == 0.0))):  # NaN fails both
-        bound = "a non-negative" if allow_zero else "a positive"
-        raise InvalidParameterError(f"{name} must be {bound} number, got {x!r}")
-    return f
+    bound, low = ("a non-negative", np.greater_equal) if allow_zero else ("a positive", np.greater)
+    return _check_one(x, lambda f: (f < math.inf) & low(f, 0.0), f"{name} must be {bound} number")
 
 
 def check_count(x, name: str, allow_zero: bool = False):
@@ -91,25 +99,27 @@ def check_nonzero(x, name: str) -> float:
     """`x` as a float that is finite and nonzero, else an
     InvalidParameterError naming `name`; bools and values that are not real
     numbers are refused."""
-    f = as_float(x)
-    if not (math.isfinite(f) and f != 0.0):
-        raise InvalidParameterError(f"{name} must be finite and nonzero, got {x!r}")
-    return f
+    rule = f"{name} must be finite and nonzero"
+    return _check_one(x, lambda f: np.isfinite(f) & (f != 0.0), rule)
 
 
-def check_reals(x, ok, rule: str) -> np.ndarray:
-    """`x` as a new float array, entry by entry by `as_float`'s rule (a
-    float or an array of real dtype by numpy alone); the first entry where
-    the mask `ok(array)` is false raises InvalidParameterError("`rule`, got
-    <entry>").  A NaN fails `ok`, so a bool or a string never passes."""
-    if isinstance(x, float) or (isinstance(x, np.ndarray) and x.dtype.kind in "fiu"):
-        entries = f = np.array(x, dtype=float)
+def check_reals(x, ok, rule: str, dtype=float) -> np.ndarray:
+    """`x` as a new read-only array of `dtype`, float or complex, entry by
+    entry by `as_float`'s rule (a `dtype` scalar or an array of real dtype,
+    or for complex of numeric dtype, by numpy alone), so the caller's later
+    writes cannot undo a check; the first entry where the mask `ok(array)` is
+    false raises InvalidParameterError("`rule`, got <entry>").  A NaN fails
+    `ok`, so a bool, a string or None never passes."""
+    kinds = "fiu" if dtype is float else "fiuc"
+    if isinstance(x, dtype) or (isinstance(x, np.ndarray) and x.dtype.kind in kinds):
+        entries = f = np.array(x, dtype=dtype)
     else:
         entries = np.array(x, dtype=object)
-        f = np.array([as_float(e) for e in entries.flat], dtype=float).reshape(entries.shape)
+        f = np.array([as_float(e, dtype) for e in entries.flat], dtype=dtype).reshape(entries.shape)
     good = ok(f)
     if not good.all():
         raise InvalidParameterError(f"{rule}, got {entries[~good].tolist()[0]!r}")
+    f.flags.writeable = False
     return f
 
 

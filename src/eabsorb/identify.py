@@ -14,7 +14,9 @@ from typing import NamedTuple
 import numpy as np
 
 from ._csvio import read_columns, write_columns
-from .errors import IdentificationError, InvalidParameterError, check_frequencies, check_nonzero
+from .errors import (
+    IdentificationError, InvalidParameterError, check_frequencies, check_nonzero, check_reals,
+)
 from .model import AirProperties, DriverModel, passive_impedance
 
 __all__ = [
@@ -39,15 +41,11 @@ class MeasuredSpectrum:
 
     def __post_init__(self):
         freqs = check_frequencies(self.freqs_hz, "frequencies")
-        z = np.array(self.z, dtype=complex)
+        z = check_reals(self.z, np.isfinite, "impedance samples must be finite numbers", complex)
         if freqs.size != z.size or freqs.size < 3:
             raise InvalidParameterError("need at least 3 matching samples")
         if not np.all(np.diff(freqs) > 0):
             raise InvalidParameterError("frequencies must be strictly increasing")
-        if not np.all(np.isfinite(z)):
-            raise InvalidParameterError("impedance samples must be finite")
-        # read-only copies: the caller's later writes cannot undo the checks
-        freqs.flags.writeable = z.flags.writeable = False
         object.__setattr__(self, "freqs_hz", freqs)
         object.__setattr__(self, "z", z)
 
@@ -168,9 +166,16 @@ def _check_same_grid(a: MeasuredSpectrum, b: MeasuredSpectrum) -> None:
 # -- virtual measurements ----------------------------------------------------
 
 
-def passive_spectrum(model: DriverModel, freqs_hz=DEFAULT_BAND_HZ) -> MeasuredSpectrum:
+def _probed_spectrum(model: DriverModel, freqs_hz, k1: float = 0.0, k2: float = 0.0):
+    """Z = (Zss + F*K2/(s*Csb)) / (1 - F*K1) under the probes i = K1*p_f + K2*p_b."""
     freqs = check_frequencies(freqs_hz, "freqs_hz")
-    return MeasuredSpectrum(freqs, passive_impedance(model)(2j * math.pi * freqs))
+    s = 2j * math.pi * freqs
+    z = passive_impedance(model)(s) + model.pressure_factor * k2 / (s * model.csb)
+    return MeasuredSpectrum(freqs, z / (1.0 - model.pressure_factor * k1))
+
+
+def passive_spectrum(model: DriverModel, freqs_hz=DEFAULT_BAND_HZ) -> MeasuredSpectrum:
+    return _probed_spectrum(model, freqs_hz)
 
 
 def probe_front_spectrum(
@@ -180,12 +185,9 @@ def probe_front_spectrum(
 
     A front microphone of gain g reads g*p_f, so it is the probe ProbeGain(K1*g).
     """
-    freqs = check_frequencies(freqs_hz, "freqs_hz")
-    zss = passive_impedance(model)(2j * math.pi * freqs)
-    loop = 1.0 - model.pressure_factor * k1.k
-    if loop <= 0:
+    if 1.0 - model.pressure_factor * k1.k <= 0:
         raise IdentificationError("front probe loop is unstable (F*K1 >= 1)")
-    return MeasuredSpectrum(freqs, zss / loop)
+    return _probed_spectrum(model, freqs_hz, k1=k1.k)
 
 
 def probe_rear_spectrum(
@@ -194,10 +196,7 @@ def probe_rear_spectrum(
     """Impedance with i = K2*p_b: Z2 = Zss + F*K2/(s*Csb)."""
     if model.ksc + model.pressure_factor * k2.k / model.csb <= 0:
         raise IdentificationError("rear probe loop removes all stiffness (unstable)")
-    freqs = check_frequencies(freqs_hz, "freqs_hz")
-    s = 2j * math.pi * freqs
-    extra = model.pressure_factor * k2.k / (s * model.csb)
-    return MeasuredSpectrum(freqs, passive_impedance(model)(s) + extra)
+    return _probed_spectrum(model, freqs_hz, k2=k2.k)
 
 
 def default_probe_gains(model: DriverModel) -> tuple[ProbeGain, ProbeGain]:

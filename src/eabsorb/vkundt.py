@@ -26,6 +26,7 @@ from .errors import (
     check_frequencies,
     check_number,
     check_positive,
+    check_reals,
 )
 from .model import AirProperties
 
@@ -77,13 +78,9 @@ class TwoMicMeasurement:
 
     def __post_init__(self):
         freqs = check_frequencies(self.freqs_hz, "freqs_hz")
-        h12 = np.array(self.h12, dtype=complex)
+        h12 = check_reals(self.h12, np.isfinite, "H12 samples must be finite numbers", complex)
         if freqs.size != h12.size:
             raise InvalidParameterError("frequency and H12 arrays must match")
-        if not np.all(np.isfinite(h12)):
-            raise InvalidParameterError("H12 samples must be finite")
-        # read-only copies: the caller's later writes cannot undo the checks
-        freqs.flags.writeable = h12.flags.writeable = False
         object.__setattr__(self, "freqs_hz", freqs)
         object.__setattr__(self, "h12", h12)
 
@@ -93,10 +90,10 @@ def simulate_two_mic(
 ) -> TwoMicMeasurement:
     """Forward standing-wave model of the two-microphone measurement.
 
-    `z_term` is the complex specific impedance of the termination, sampled
-    on `freqs_hz`.  H12 is an amplitude ratio, so the incident level never
-    enters.  Frequencies above the plane-wave cut-on, and any that are not
-    positive and finite, are rejected.
+    `z_term` is the complex specific impedance of the termination, one
+    finite number per frequency.  H12 is an amplitude ratio, so the incident
+    level never enters.  Frequencies above the plane-wave cut-on, and any
+    that are not positive and finite, are rejected.
     """
     freqs = check_frequencies(freqs_hz, "freqs_hz")
     limit = geom.plane_wave_limit_hz(air)
@@ -104,12 +101,12 @@ def simulate_two_mic(
         raise InvalidParameterError(
             f"frequencies above the plane-wave limit ({limit:.0f} Hz) are not supported"
         )
-    gamma = reflection_coefficient(z_term, air)
-    k = 2.0 * np.pi * freqs / air.c0
-    xi1 = geom.x1
-    xi2 = geom.x1 + geom.delta_x
-    p1 = np.exp(-1j * k * xi1) + gamma * np.exp(1j * k * xi1)
-    p2 = np.exp(-1j * k * xi2) + gamma * np.exp(1j * k * xi2)
+    z = check_reals(z_term, np.isfinite, "z_term samples must be finite numbers", complex)
+    if z.shape != freqs.shape:
+        raise InvalidParameterError(f"z_term must match freqs_hz's shape {freqs.shape}, got {z.shape}")
+    gamma = reflection_coefficient(z, air)
+    kxi = np.multiply.outer((geom.x1, geom.x1 + geom.delta_x), 2.0 * np.pi * freqs / air.c0)
+    p1, p2 = np.exp(-1j * kxi) + gamma * np.exp(1j * kxi)
     return TwoMicMeasurement(freqs, p2 / p1)
 
 

@@ -2,12 +2,17 @@
 frequency refuses one that is not positive and finite, every one that takes
 a seed and a spread refuses a bad one of either, every physical parameter
 refuses a bool, a value that is not a real number or an integer beyond
-float range, and the frozen value types keep read-only copies of the arrays
-they are built from and Python floats of the numbers; those holding arrays
-compare by identity."""
+float range, every holder of complex samples refuses one that is not a
+finite number, all of them by the one entry rule of `errors.check_reals`,
+and the frozen value types keep read-only copies of the arrays they are
+built from and Python floats of the numbers; those holding arrays compare
+by identity.  A function of a frequency array returns its shape."""
 
+import ast
 import copy
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -254,14 +259,15 @@ PARAMETER_TAKERS = {
 
 @pytest.mark.parametrize(
     "value",
-    [True, np.True_, "5e4", None, 1j, 10**400],
-    ids=["bool", "numpy-bool", "str", "none", "complex", "beyond-float"],
+    [True, np.True_, "5e4", None, 1j, 10**400, [0.5], np.array(0.5)],
+    ids=["bool", "numpy-bool", "str", "none", "complex", "beyond-float", "list", "0-d-array"],
 )
 @pytest.mark.parametrize("name", sorted(PARAMETER_TAKERS))
 def test_non_real_parameter_is_refused(ref_model, cascades, name, value):
     # a bool would be taken as 1 or 0, a string, None or a complex would
-    # raise an untyped TypeError from the comparison, and an integer beyond
-    # float range a bare OverflowError
+    # raise an untyped TypeError from the comparison, an integer beyond
+    # float range a bare OverflowError, and a list or an array is not one
+    # number, whatever it holds
     call, match = PARAMETER_TAKERS[name]
     with pytest.raises(ea.InvalidParameterError, match=match):
         call(value, ref_model, cascades)
@@ -370,3 +376,148 @@ def test_stability_report_of_a_float32_model_serializes(ref_model, fb4):
     models = [reference_driver(x, ref_model) for x in (np.float32, via_float32)]
     reports = [ea.stability_report(m, fb4).to_json() for m in models]
     assert reports[0] == reports[1]
+
+
+#: name -> (call(z) passing the complex samples z on three frequencies, the
+#: rule of the message refusing a bad one)
+SAMPLE_TAKERS = {
+    "MeasuredSpectrum.z": (
+        lambda z: ea.MeasuredSpectrum([100.0, 150.0, 200.0], z),
+        "impedance samples must be finite numbers",
+    ),
+    "TwoMicMeasurement.h12": (
+        lambda z: ea.TwoMicMeasurement([100.0, 150.0, 200.0], z),
+        "H12 samples must be finite numbers",
+    ),
+    "simulate_two_mic": (
+        lambda z: ea.simulate_two_mic(
+            [100.0, 150.0, 200.0], z, ea.REFERENCE_GEOMETRY, ea.DEFAULT_AIR
+        ),
+        "z_term samples must be finite numbers",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ["1", True, None, "2+1j", math.nan, math.inf, complex(400.0, math.inf)],
+    ids=["numeric-str", "bool", "none", "complex-str", "nan", "inf", "inf-imaginary"],
+)
+@pytest.mark.parametrize("name", sorted(SAMPLE_TAKERS))
+def test_bad_complex_sample_is_refused(name, bad):
+    # numpy read "1" and True as 1 and "2+1j" as its number, and None as NaN
+    call, rule = SAMPLE_TAKERS[name]
+    with pytest.raises(ea.InvalidParameterError, match=re.escape(f"{rule}, got {bad!r}")):
+        call([400.0 + 10j, bad, 410.0])
+
+
+@pytest.mark.parametrize(
+    "z",
+    [[400, 410.0, 420.0 - 10j], [np.complex64(400 + 1j), np.float32(410.0), np.int64(420)],
+     np.array([400, 410, 420], dtype=np.int32), np.array([400, 410, 420], dtype=np.complex64)],
+    ids=["python-numbers", "numpy-scalars", "int-array", "complex64-array"],
+)
+@pytest.mark.parametrize("name", ["MeasuredSpectrum.z", "TwoMicMeasurement.h12"])
+def test_complex_samples_are_taken(name, z):
+    call, _ = SAMPLE_TAKERS[name]
+    held = getattr(call(z), name.split(".")[1])
+    assert held.dtype == np.complex128
+    np.testing.assert_array_equal(held, np.array(z, dtype=complex))
+
+
+@pytest.mark.parametrize(
+    "f",
+    ["100", True, None, 1j, math.nan, math.inf],
+    ids=["str", "bool", "none", "complex", "nan", "inf"],
+)
+def test_response_refuses_a_frequency_that_is_not_a_finite_real(cascades, f):
+    # numpy read "100" as 100 Hz and True as 1 Hz, and NaN warned
+    message = f"freqs_hz must be finite real numbers, got {f!r}"
+    with pytest.raises(ea.InvalidParameterError, match=re.escape(message)):
+        cascades[0].response([100.0, f])
+
+
+def test_response_evaluates_dc_and_negative_frequencies(cascades):
+    h = cascades[0].response([0.0, 100.0, -100.0])
+    assert h[0].imag == 0.0 and np.isfinite(h[0].real)
+    np.testing.assert_allclose(h[2], h[1].conjugate(), rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "check, value, message",
+    [
+        (ea.errors.check_number, "x", "v must be a positive number, got 'x'"),
+        (ea.errors.check_number, True, "v must be a positive number, got True"),
+        (ea.errors.check_number, 10**400, f"v must be a positive number, got {10**400!r}"),
+        (ea.errors.check_number, -1.0, "v must be a positive number, got -1.0"),
+        (ea.errors.check_number, math.nan, "v must be a positive number, got nan"),
+        (ea.errors.check_number, [1.0, 2.0], "v must be a positive number, got [1.0, 2.0]"),
+        (ea.errors.check_number, np.array(2.0), "v must be a positive number, got array(2.)"),
+        (ea.errors.check_nonzero, "x", "v must be finite and nonzero, got 'x'"),
+        (ea.errors.check_nonzero, True, "v must be finite and nonzero, got True"),
+        (ea.errors.check_nonzero, 10**400, f"v must be finite and nonzero, got {10**400!r}"),
+        (ea.errors.check_nonzero, 0.0, "v must be finite and nonzero, got 0.0"),
+        (ea.errors.check_nonzero, math.nan, "v must be finite and nonzero, got nan"),
+        (ea.errors.check_nonzero, [1.0, 2.0], "v must be finite and nonzero, got [1.0, 2.0]"),
+        (ea.errors.check_nonzero, np.array(2.0), "v must be finite and nonzero, got array(2.)"),
+    ],
+)
+def test_one_number_is_refused_as_given(check, value, message):
+    # a list or an array, 0-d included, is refused whole and shown as given
+    with pytest.raises(ea.InvalidParameterError) as refusal:
+        check(value, "v")
+    assert str(refusal.value) == message
+
+
+def _result_arrays(value):
+    """The arrays of a result: a SensitivityTriple's three, else the value."""
+    if isinstance(value, ea.SensitivityTriple):
+        return [value.s_zss, value.s_f, value.s_csb]
+    return [value]
+
+
+#: name -> call(f, model, target, fb, cascades) of a function of the
+#: frequencies f (Hz) whose result has their shape
+SHAPED_TAKERS = {
+    "achieved_impedance": lambda f, m, tg, fb, cas: ea.achieved_impedance(
+        m, m.scaled(pressure_factor=0.95), tg, fb, f
+    ),
+    "sensitivities": lambda f, m, tg, fb, cas: ea.sensitivities(
+        m, m.scaled(pressure_factor=0.95), tg, fb, f
+    ),
+    "measure_impedance": lambda f, m, tg, fb, cas: ea.measure_impedance(
+        m, cas, ea.LoopConfig(fs=FS, latency=0), f
+    ),
+    "SosCascade.response": lambda f, m, tg, fb, cas: cas[0].response(f),
+    "RationalTransfer.__call__": lambda f, m, tg, fb, cas: ea.synthesize_controller(m, tg, fb).h1(
+        2j * np.pi * f
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", [(), (18,), (6, 3), (2, 3)], ids=["0-d", "1-d", "6x3", "2x3"])
+@pytest.mark.parametrize("name", sorted(SHAPED_TAKERS))
+def test_result_has_the_shape_of_the_frequencies(ref_model, targets, fb4, cascades, name, shape):
+    # the mismatch kernel's coefficient axis once met a grid's first axis:
+    # a (6, 3) grid gave zeros and infs, and a (2, 3) one a bare ValueError
+    f = np.linspace(50.0, 900.0, 18)[: math.prod(shape)].reshape(shape)
+    call = SHAPED_TAKERS[name]
+    got, flat = (call(x, ref_model, targets["2dof"], fb4, cascades) for x in (f, f.ravel()))
+    for got_array, flat_array in zip(_result_arrays(got), _result_arrays(flat)):
+        assert np.shape(got_array) == shape
+        np.testing.assert_array_equal(got_array, np.reshape(flat_array, shape))
+
+
+def test_numbers_are_converted_in_errors_alone():
+    # every number and sample array enters by errors.check_reals, so only
+    # errors.py applies as_float's rule; a type converting its input itself
+    # (numpy's conversion takes "1" and True as numbers) would bypass it
+    package = Path(ea.__file__).resolve().parent
+    users = {
+        path.name
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        # a name, an attribute, an imported alias or a definition
+        if "as_float" in (getattr(node, key, None) for key in ("id", "attr", "name"))
+    }
+    assert users == {"errors.py"}

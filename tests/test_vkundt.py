@@ -35,6 +35,12 @@ def test_geometry_validation():
 def test_measurement_sizes_must_match():
     with pytest.raises(ea.InvalidParameterError, match="frequency and H12 arrays must match"):
         ea.TwoMicMeasurement([100.0, 200.0], [0.5 + 0.1j])
+    # one impedance per frequency: numpy broadcast a single one and raised a
+    # bare "operands could not be broadcast" ValueError for the others
+    for z in ([400.0 + 0j], [400.0 + 0j] * 3, [[400.0 + 0j, 410.0 + 0j]]):
+        message = r"z_term must match freqs_hz's shape \(2,\), got"
+        with pytest.raises(ea.InvalidParameterError, match=message):
+            ea.simulate_two_mic([100.0, 200.0], z, GEOM, AIR)
 
 
 def test_matched_termination_pure_delay():
